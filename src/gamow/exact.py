@@ -16,6 +16,7 @@ import sys
 from fractions import Fraction
 
 _HASH_IMAG = sys.hash_info.imag
+_HASH_MODULUS = 1 << sys.hash_info.width
 
 
 def as_fraction(value) -> Fraction:
@@ -25,6 +26,22 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, (int, float, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def coefficient_from_json(value, where: str) -> "ComplexRational":
+    """A JSON coefficient: a number or an [re, im] pair, all parts finite.
+
+    `where` names the field in the error messages.
+    """
+    if isinstance(value, (int, float)):
+        parts = (value,)
+    elif isinstance(value, (list, tuple)) and len(value) == 2:
+        parts = tuple(value)
+    else:
+        raise ValueError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+    if any(isinstance(part, float) and not math.isfinite(part) for part in parts):
+        raise ValueError(f"{where}: coefficients must be finite, got {value!r}")
+    return ComplexRational(*parts)
 
 
 class ComplexRational:
@@ -155,19 +172,26 @@ class ComplexRational:
         return bool(self.real) or bool(self.imag)
 
     def __eq__(self, other):
+        # Floats and complexes compare exactly, as with Fraction: 1/3 the
+        # double is not the rational 1/3.
         exact = self._coerce(other)
         if exact is not None:
             return self.real == exact.real and self.imag == exact.imag
-        if isinstance(other, (float, complex)):
-            return complex(self) == other
+        if isinstance(other, float):
+            return not self.imag and self.real == other
+        if isinstance(other, complex):
+            return self.real == other.real and self.imag == other.imag
         return NotImplemented
 
     def __hash__(self):
-        # Same combination rule as CPython's complex hash, so values equal to
-        # ints, Fractions, or floats hash consistently with them.
+        # CPython's complex hash, including its wrap-around in the unsigned
+        # hash width, so values equal to ints, Fractions, floats or complexes
+        # hash like them.
         if not self.imag:
             return hash(self.real)
-        value = hash(self.real) + _HASH_IMAG * hash(self.imag)
+        value = (hash(self.real) + _HASH_IMAG * hash(self.imag)) % _HASH_MODULUS
+        if value >= _HASH_MODULUS // 2:
+            value -= _HASH_MODULUS
         return -2 if value == -1 else value
 
     def __repr__(self):
@@ -328,8 +352,8 @@ class RationalFunction:
     """Quotient of two exact polynomials; closed under differentiation.
 
     No gcd reduction is performed: an unreduced quotient evaluates and
-    differentiates correctly, and the degrees stay small at the orders this
-    library works with.
+    differentiates correctly, but the quotient rule squares the denominator,
+    so after d derivatives its degree is 2^d times the original.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -457,6 +481,53 @@ def nullspace(rows, num_columns: int):
             vector[pivot_col] = -pivot_row[free]
         basis.append(tuple(vector))
     return basis
+
+
+def integer_nullspace(rows, num_columns: int):
+    """Canonical nullspace of an integer system, by fraction-free elimination.
+
+    Bareiss's integer-preserving elimination brings the rows to echelon form
+    without leaving the integers: eliminating with pivot p replaces each
+    entry x of a lower row by (p*x - a*y) / p_prev, where a is the row's
+    entry in the pivot column, y the pivot row's entry and p_prev the
+    previous pivot, and that division is always exact.  Rows that reduce to
+    zero are dropped as they appear.  Back-substitution then yields the
+    basis `nullspace` would give for the same rows: one vector of Fractions
+    per free column, unit there and zero at the other free columns, in
+    ascending column order.  Returns (free_columns, basis).
+    """
+    matrix = [list(row) for row in rows if any(row)]
+    pivots = []
+    previous = 1
+    top = 0
+    for col in range(num_columns):
+        pivot_row = next((i for i in range(top, len(matrix)) if matrix[i][col]), None)
+        if pivot_row is None:
+            continue
+        matrix[top], matrix[pivot_row] = matrix[pivot_row], matrix[top]
+        pivot = matrix[top]
+        p = pivot[col]
+        below = []
+        for row in matrix[top + 1:]:
+            a = row[col]
+            reduced = [(p * x - a * y) // previous for x, y in zip(row, pivot)]
+            if any(reduced):
+                below.append(reduced)
+        matrix[top + 1:] = below
+        previous = p
+        pivots.append(col)
+        top += 1
+    pivot_set = set(pivots)
+    free_columns = [c for c in range(num_columns) if c not in pivot_set]
+    basis = []
+    for free in free_columns:
+        vector = [Fraction(0)] * num_columns
+        vector[free] = Fraction(1)
+        for row, col in zip(reversed(matrix[:top]), reversed(pivots)):
+            tail = sum((row[c] * vector[c] for c in range(col + 1, num_columns)), Fraction(0))
+            vector[col] = -tail / row[col]
+        basis.append(tuple(vector))
+    return free_columns, basis
 
 
 def row_space_rref(vectors):

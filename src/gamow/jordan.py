@@ -25,6 +25,9 @@ class ComplexPole:
     __slots__ = ("resonance_energy", "width", "order")
 
     def __init__(self, resonance_energy, width, order: int):
+        for name, value in (("resonance energy", resonance_energy), ("width", width)):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"pole {name} must be finite, got {value!r}")
         energy = as_fraction(resonance_energy)
         width = as_fraction(width)
         if width <= 0:

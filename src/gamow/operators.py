@@ -8,7 +8,8 @@ identically.  The module computes those polynomials exactly, decides whether
 an operator decays purely exponentially (all positive powers of t cancel),
 and characterizes the full family of coefficient tables for which that
 happens, both by assembling and solving the homogeneous constraint system in
-exact arithmetic and by the closed-form binomial recursion.
+exact integers, one block per total order, and by the closed-form binomial
+recursion.
 
 Two coefficient layouts are used:
 
@@ -20,6 +21,7 @@ Everything is an immutable value; all functions are pure and thread-safe.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
@@ -29,9 +31,8 @@ from .exact import (
     Polynomial,
     ZERO,
     binomial,
-    nullspace,
+    integer_nullspace,
     matrix_rank,
-    row_space_rref,
 )
 from .jordan import ComplexPole
 
@@ -385,14 +386,73 @@ class ConstraintEquation:
         return f"ConstraintEquation(l={self.l}, m={self.m}, n={self.n}, terms={list(self.terms)!r})"
 
 
-class ConstraintSystem:
-    """The full homogeneous system over the total-order coefficient triangle."""
+@dataclass(frozen=True)
+class ConstraintBlock:
+    """The solved equations of one total order n, over the ket orders `columns`.
 
-    __slots__ = ("j", "equations")
+    `free` holds the positions in `columns` of the free unknowns, ascending,
+    and `nullspace` the canonical solution vectors over `columns`, one per
+    free unknown: unit there and zero at the other free unknowns.
+    """
+
+    n: int
+    columns: tuple
+    free: tuple
+    nullspace: tuple
+
+    @property
+    def rank(self) -> int:
+        return len(self.columns) - len(self.free)
+
+    def spans_exactly(self, vector) -> bool:
+        """True iff the solutions are exactly the multiples of `vector`.
+
+        `vector` is given over `columns`; the zero vector stands for the zero
+        space.
+        """
+        if not any(vector):
+            return not self.nullspace
+        if len(self.nullspace) != 1:
+            return False
+        scale = vector[self.free[0]]
+        return bool(scale) and all(v == scale * u for u, v in zip(self.nullspace[0], vector))
+
+
+def _solve_block(n: int, equations, order=None) -> ConstraintBlock:
+    lo, hi = (0, n) if order is None else (max(0, n - order + 1), min(n, order - 1))
+    columns = tuple(range(lo, hi + 1))
+    rows = []
+    for eq in equations:
+        row = [0] * len(columns)
+        for (_, k), coeff in eq.terms:
+            if lo <= k <= hi:
+                row[k - lo] += coeff
+        rows.append(row)
+    free, basis = integer_nullspace(rows, len(columns))
+    return ConstraintBlock(n, columns, tuple(free), tuple(basis))
+
+
+class ConstraintSystem:
+    """The full homogeneous system over the total-order coefficient triangle.
+
+    Every equation (l, m, n) involves only the unknowns (n, k) of its own
+    total order n, so the system splits into one integer block per n, with
+    n + 1 unknowns.  The blocks are solved separately by fraction-free
+    elimination, once per instance, and the solution dimension, the
+    nullspace basis and the restricted view are all read off them.
+    """
+
+    __slots__ = ("j", "equations", "_by_order", "_blocks")
 
     def __init__(self, j: int, equations):
+        equations = tuple(equations)
+        by_order = {}
+        for eq in equations:
+            by_order.setdefault(eq.n, []).append(eq)
         object.__setattr__(self, "j", j)
-        object.__setattr__(self, "equations", tuple(equations))
+        object.__setattr__(self, "equations", equations)
+        object.__setattr__(self, "_by_order", by_order)
+        object.__setattr__(self, "_blocks", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("ConstraintSystem is immutable")
@@ -410,30 +470,55 @@ class ConstraintSystem:
     def variable_count(self) -> int:
         return (self.j + 1) * (self.j + 2) // 2
 
+    def block_equations(self, n: int):
+        """The equations of total order n, in system order."""
+        return tuple(self._by_order.get(n, ()))
+
+    def blocks(self, order=None):
+        """One solved ConstraintBlock per total order n = 0..j.
+
+        With `order`, each block keeps only the unknowns whose ket k and bra
+        n - k are both below `order`, the others being held at zero: the
+        restriction to the dyad range of a pole of that order.
+        """
+        if order is not None and order < 1:
+            raise ValueError(f"restriction order must be >= 1, got {order}")
+        solved = self._blocks.get(order)
+        if solved is None:
+            solved = tuple(
+                _solve_block(n, self.block_equations(n), order) for n in range(self.j + 1)
+            )
+            self._blocks[order] = solved
+        return solved
+
     def coefficient_rows(self):
+        """The flat integer coefficient matrix over `variables`, one row per equation."""
         index = {v: i for i, v in enumerate(self.variables)}
         rows = []
         for eq in self.equations:
-            row = [ZERO] * len(index)
+            row = [0] * len(index)
             for variable, coeff in eq.terms:
-                row[index[variable]] = row[index[variable]] + ComplexRational(coeff)
+                row[index[variable]] += coeff
             rows.append(row)
         return rows
 
     def nullspace_basis(self):
-        """Exact solution basis, one CoefficientMatrix per free parameter."""
-        vectors = nullspace(self.coefficient_rows(), self.variable_count)
-        variables = self.variables
+        """Exact solution basis, one CoefficientMatrix per free parameter.
+
+        Canonical: unit entry at each free unknown, zero at the others, in
+        ascending order of the free unknown over `variables`.
+        """
         return [
             CoefficientMatrix.by_total_order(
-                self.j, {variables[i]: c for i, c in enumerate(vec) if c}
+                self.j, {(block.n, k): c for k, c in zip(block.columns, vector) if c}
             )
-            for vec in vectors
+            for block in self.blocks()
+            for vector in block.nullspace
         ]
 
     @property
     def solution_dimension(self) -> int:
-        return self.variable_count - matrix_rank(self.coefficient_rows())
+        return sum(len(block.free) for block in self.blocks())
 
     def to_json_dict(self):
         return {
@@ -519,7 +604,8 @@ def solve_binomial_recursion(j: int) -> BinomialRecursionFamily:
 
     Chains A[(n,k)] = ((n-k+1)!(k-1)! / (n-k)!k!) * A[(n,k-1)] down to the
     free A[(n,0)], checks the product telescopes to C(n,k), and verifies each
-    resulting basis member against every equation of the full system.
+    resulting basis member against every equation of its own total order
+    (the other equations do not involve it).
     """
     if j < 0:
         raise ValueError("order bound j must be nonnegative")
@@ -538,10 +624,11 @@ def solve_binomial_recursion(j: int) -> BinomialRecursionFamily:
                 )
     family = BinomialRecursionFamily(j, multipliers)
     system = exponentiality_constraints(j)
-    for member in family.basis():
-        for eq in system.equations:
-            residual = eq.evaluate(member)
-            if residual:
+    for n0 in range(j + 1):
+        # member n0 lives on block n0 alone, and its multipliers are integers
+        member = [int(multipliers[(n0, k)]) for k in range(n0 + 1)]
+        for eq in system.block_equations(n0):
+            if sum(member[k] * coeff for (_, k), coeff in eq.terms):
                 raise ArithmeticError(
                     f"closed-form member violates constraint (l={eq.l}, m={eq.m}, n={eq.n})"
                 )
@@ -552,17 +639,15 @@ def binomial_family_matches_nullspace(system: ConstraintSystem,
                                       family: BinomialRecursionFamily) -> bool:
     """True iff the closed-form family spans exactly the system's nullspace.
 
-    Both spans are reduced to canonical row form over the system's variable
-    ordering and compared entry for entry, all in exact arithmetic.
+    Block by block: the nullspace of each total order n must be the line
+    through family member n, all in exact arithmetic.
     """
-    variables = system.variables
-    null_vectors = [
-        [member.entry(v) for v in variables] for member in system.nullspace_basis()
-    ]
-    family_vectors = [
-        [member.entry(v) for v in variables] for member in family.basis()
-    ]
-    return row_space_rref(null_vectors) == row_space_rref(family_vectors)
+    if family.j != system.j:
+        return False
+    return all(
+        block.spans_exactly([family.multiplier(block.n, k) for k in block.columns])
+        for block in system.blocks()
+    )
 
 
 def exponential_subspace_basis(pole: ComplexPole):
@@ -668,43 +753,34 @@ def binomial_pattern_matrix(order: int, n: int) -> CoefficientMatrix:
 def verify_restriction_equivalence(pole: ComplexPole) -> RestrictionReport:
     """Solve the constraint system restricted to the dyad range of the pole.
 
-    Confirms by exact nullspace computation that the solutions over the r*r
-    dyad coefficients are exactly the binomial-pattern combinations: solution
-    dimension r, and subspace equality with the pattern span (compared via
-    canonical reduced row forms, entry for entry).
+    Confirms by exact block-by-block solution that the solutions over the
+    r*r dyad coefficients are exactly the binomial-pattern combinations:
+    solution dimension r, and each block's solutions are the multiples of
+    its pattern C(n,k) (n < r) or zero (n >= r).  The basis is the canonical
+    one over the dyads in (ket, bra) order.
     """
     r = pole.order
     j = 2 * (r - 1)
     system = exponentiality_constraints(j)
-    dyad_keys = [(k, m) for k in range(r) for m in range(r)]
-    index = {key: i for i, key in enumerate(dyad_keys)}
-    rows = []
-    for eq in system.equations:
-        row = [ZERO] * len(dyad_keys)
-        for (n, k), coeff in eq.terms:
-            m = n - k
-            if k <= r - 1 and m <= r - 1:
-                row[index[(k, m)]] = row[index[(k, m)]] + ComplexRational(coeff)
-        rows.append(row)
-    solution = nullspace(rows, len(dyad_keys))
-    pattern_vectors = []
-    for n in range(r):
-        pattern = binomial_pattern_matrix(r, n)
-        pattern_vectors.append([pattern.entry(key) for key in dyad_keys])
-    pattern_matches = row_space_rref(solution) == row_space_rref(pattern_vectors) if solution else not pattern_vectors
-    basis = [
-        CoefficientMatrix.by_dyad_orders(
-            r, {dyad_keys[i]: c for i, c in enumerate(vec) if c}
-        )
-        for vec in solution
-    ]
+    blocks = system.blocks(order=r)
+    pattern_matches = all(
+        block.spans_exactly([binomial(block.n, k) if block.n < r else 0 for k in block.columns])
+        for block in blocks
+    )
+    members = []
+    for block in blocks:
+        for free, vector in zip(block.free, block.nullspace):
+            ket = block.columns[free]
+            entries = {(k, block.n - k): c for k, c in zip(block.columns, vector) if c}
+            members.append(((ket, block.n - ket), CoefficientMatrix.by_dyad_orders(r, entries)))
+    members.sort(key=lambda member: member[0])
     return RestrictionReport(
         order=r,
         j=j,
         equation_count=len(system.equations),
-        variable_count=len(dyad_keys),
-        solution_dimension=len(solution),
+        variable_count=r * r,
+        solution_dimension=len(members),
         expected_dimension=r,
         pattern_matches=pattern_matches,
-        basis=basis,
+        basis=[matrix for _, matrix in members],
     )

@@ -14,7 +14,9 @@ a lower semicircle at infinity) rather than an approximation.  The
 background piece is the (-inf, 0] leg traversed outward from the origin,
 i.e. minus the conventionally oriented integral; that orientation is what
 the closed contour produces.  Quadrature is adaptive Gauss-Kronrod
-(scipy/QUADPACK) with extra breakpoints planted near the pole.
+(scipy/QUADPACK) with extra breakpoints planted near the pole; scipy is
+imported on the first quadrature, since importing it costs more than
+everything else the command line does at startup.
 """
 
 import json
@@ -24,9 +26,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
-from .exact import ComplexRational, Polynomial, RationalFunction, ZERO, binomial
+from .exact import (
+    ComplexRational,
+    Polynomial,
+    RationalFunction,
+    ZERO,
+    binomial,
+    coefficient_from_json,
+)
 from .jordan import ComplexPole
 
 KET_ROLE = "ket"
@@ -280,6 +288,13 @@ def _pole_breakpoints(model: SMatrixModel, config: QuadratureConfig, lo: float, 
     return points or None
 
 
+def quad(func, a, b, **kwargs):
+    """scipy.integrate.quad, imported on first use."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(func, a, b, **kwargs)
+
+
 def _quad_complex(integrand, lo: float, hi: float, config: QuadratureConfig, points=None) -> IntegralResult:
     kwargs = {
         "epsabs": config.absolute_tolerance,
@@ -288,6 +303,8 @@ def _quad_complex(integrand, lo: float, hi: float, config: QuadratureConfig, poi
     }
     if points:
         kwargs["points"] = points
+    from scipy.integrate import IntegrationWarning
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IntegrationWarning)
         re_val, re_err = quad(lambda e: integrand(e).real, lo, hi, **kwargs)
@@ -410,18 +427,10 @@ def decomposition_check(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestF
 # -- JSON ingestion -----------------------------------------------------------
 
 
-def _coefficient_from_json(value, where: str) -> ComplexRational:
-    if isinstance(value, (int, float)):
-        return ComplexRational(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return ComplexRational(value[0], value[1])
-    raise ValueError(f"{where}: expected a number or [re, im] pair, got {value!r}")
-
-
 def _polynomial_from_json(values, where: str) -> Polynomial:
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"{where}: expected a coefficient list, got {values!r}")
-    return Polynomial([_coefficient_from_json(v, f"{where}[{i}]") for i, v in enumerate(values)])
+    return Polynomial([coefficient_from_json(v, f"{where}[{i}]") for i, v in enumerate(values)])
 
 
 def parse_test_function(data, where: str = "test_function") -> TestFunction:
@@ -456,7 +465,7 @@ def model_from_json(data):
     if not isinstance(data["laurent"], list):
         raise ValueError("model.laurent: expected a list")
     laurent = [
-        _coefficient_from_json(v, f"model.laurent[{i}]") for i, v in enumerate(data["laurent"])
+        coefficient_from_json(v, f"model.laurent[{i}]") for i, v in enumerate(data["laurent"])
     ]
     background = None
     if data.get("background") is not None:

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib.resources import files
 
 import pytest
 
+import gamow
 from gamow.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFICATION_FAILURE, main
 
 
@@ -164,6 +168,14 @@ class TestExpCheck:
     def test_missing_bounds_rejected(self):
         assert main(["exp-check"]) == EXIT_INPUT_ERROR
 
+    def test_order_twelve_passes(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["exp-check", "--r", "12", "--out", str(out)]) == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["solution_dimension"] == 23
+        assert payload["restricted"]["solution_dimension"] == 12
+        assert payload["passed"] is True
+
 
 class TestResidue:
     def model_document(self):
@@ -220,6 +232,68 @@ class TestResidue:
 
     def test_missing_file(self):
         assert main(["residue", "--config", "/nonexistent/model.json"]) == EXIT_INPUT_ERROR
+
+
+class TestNonFiniteAndInvalidInputs:
+    """Bad numbers are input errors (exit 2), never a pass or a verification failure."""
+
+    def test_nan_grid_end(self):
+        assert main(["evolve", "--t-end", "nan"]) == EXIT_INPUT_ERROR
+
+    def test_nan_tolerance_cannot_switch_off_the_contract_check(self, capsys):
+        assert main(["evolve", "--r", "2", "--n", "1", "--tol", "nan"]) == EXIT_INPUT_ERROR
+        assert "tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--gamma", "--energy"])
+    @pytest.mark.parametrize("command", [["evolve"], ["exp-check", "--r", "2"], ["basis", "--r", "2"]])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_pole(self, command, flag, value):
+        assert main(command + [f"{flag}={value}"]) == EXIT_INPUT_ERROR
+
+    def test_non_finite_config_values(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        for document in (
+            '{"Gamma": Infinity}',
+            '{"grid": {"t_end": NaN}}',
+            '{"operator": {"kind": "dyad", "ket": 0, "bra": 0, "coeff": [1.0, Infinity]}}',
+        ):
+            config_path.write_text(document)
+            assert main(["evolve", "--config", str(config_path)]) == EXIT_INPUT_ERROR
+
+    def test_zero_order_names_the_flag(self, capsys):
+        assert main(["exp-check", "--r", "0"]) == EXIT_INPUT_ERROR
+        assert "--r" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["laurent", "num", "E_R"])
+    def test_non_finite_model_document(self, tmp_path, capsys, field):
+        document = TestResidue().model_document()
+        if field == "laurent":
+            document["laurent"][-1] = [float("inf"), 0.0]
+        elif field == "num":
+            document["test_functions"][0]["num"][0] = float("nan")
+        else:
+            document["E_R"] = float("inf")
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(document))
+        assert main(["residue", "--config", str(model_path)]) == EXIT_INPUT_ERROR
+        assert "finite" in capsys.readouterr().err
+
+    def test_nan_residue_tolerance(self, tmp_path):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(TestResidue().model_document()))
+        assert main(["residue", "--config", str(model_path), "--tol", "nan"]) == EXIT_INPUT_ERROR
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    code = "import sys, gamow.cli; print('scipy' in sys.modules)"
+    search_path = [os.path.dirname(os.path.dirname(gamow.__file__))]
+    if os.environ.get("PYTHONPATH"):
+        search_path.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(search_path))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestBasis:

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamow.exact import (
     ComplexRational,
@@ -62,6 +64,44 @@ class TestComplexRational:
         assert hash(cr(3)) == hash(3)
         assert hash(cr(Fraction(1, 2))) == hash(Fraction(1, 2))
         assert cr(1, 1) == 1 + 1j
+
+    def test_floats_compare_exactly_like_fractions(self):
+        third = cr(Fraction(1, 3))
+        assert third != 1 / 3
+        assert Fraction(1, 3) != 1 / 3
+        assert len({third, 1 / 3}) == 2
+        assert cr(0.5) == 0.5 and cr(0.5, 0.25) == 0.5 + 0.25j
+        assert cr(0.1, 0.3) == complex(0.1, 0.3)
+        assert len({cr(0.1, 0.3), complex(0.1, 0.3)}) == 1
+        assert cr(1) != float("nan") and cr(1, 1) != complex(1, float("inf"))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_equal_values_hash_alike(self, data):
+        reals = st.one_of(
+            st.integers(-10**30, 10**30),
+            st.fractions(max_denominator=10**12),
+            st.floats(allow_nan=False, allow_infinity=False),
+        )
+        plain = st.one_of(
+            reals,
+            st.complex_numbers(allow_nan=False, allow_infinity=False),
+        )
+        a = data.draw(plain)
+        related = [a]
+        if isinstance(a, complex) and not a.imag:
+            related.append(a.real)
+        if isinstance(a, float):
+            related += [complex(a), Fraction(a)] + ([int(a)] if a.is_integer() else [])
+        if isinstance(a, Fraction):
+            related.append(float(a))
+        b = data.draw(st.one_of(plain, st.sampled_from(related)))
+        exact = ComplexRational.from_value(a)
+        assert exact == a and hash(exact) == hash(a)
+        for other in (b, ComplexRational.from_value(b)):
+            assert (exact == other) == (other == exact)
+            if exact == other:
+                assert hash(exact) == hash(other)
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
