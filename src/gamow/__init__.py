@@ -48,7 +48,6 @@ from .smatrix import (
     load_model_file,
     model_from_json,
     residue_core,
-    residue_dimension_exponent,
     residue_expansion,
     unitary_first_order_model,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "model_from_json",
     "operator_from_coefficients",
     "residue_core",
-    "residue_dimension_exponent",
     "residue_expansion",
     "solve_binomial_recursion",
     "survival_modulus",

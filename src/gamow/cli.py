@@ -2,8 +2,7 @@
 
 Exit codes: 0 all checks passed, 1 verification failure, 2 input error.
 Output is deterministic: fixed orderings and 17-significant-digit floats, so
-identical configs produce byte-identical files.  The GAMOW_SEED environment
-variable is reserved for future use and ignored (nothing here is random).
+identical configs produce byte-identical files.
 """
 
 import argparse
@@ -87,24 +86,41 @@ class RunConfig:
         return [self.t_end * i / (self.steps - 1) for i in range(self.steps)]
 
 
-def _build_operator(pole: ComplexPole, spec: dict):
+_EXPECTED = {int: "an integer", float: "a number", bool: "true or false", dict: "an object"}
+
+
+def _typed(data: dict, key: str, kind, where: str, default=None):
+    """data[key], or `default` when absent, checked to be a JSON value of `kind`.
+
+    JSON booleans are neither integers nor numbers here, and an integer is
+    also a number.
+    """
+    value = data.get(key, default)
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ValueError(f"{where}: expected {_EXPECTED[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _build_operator(pole: ComplexPole, spec):
+    if not isinstance(spec, dict):
+        raise ValueError(f"operator: expected an object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "binomial":
         if "n" not in spec:
             raise ValueError('operator.n: missing required field for kind "binomial"')
+        prefactor = _typed(spec, "include_prefactor", bool, "operator.include_prefactor", True)
         return exponential_state_operator(
-            pole, int(spec["n"]), include_prefactor=bool(spec.get("include_prefactor", True))
+            pole, _typed(spec, "n", int, "operator.n"), include_prefactor=prefactor
         )
     if kind == "dyad":
         for field in ("ket", "bra"):
             if field not in spec:
                 raise ValueError(f'operator.{field}: missing required field for kind "dyad"')
+        key = tuple(_typed(spec, field, int, f"operator.{field}") for field in ("ket", "bra"))
         coeff = coefficient_from_json(spec.get("coeff", 1), "operator.coeff")
         return operator_from_coefficients(
-            pole,
-            CoefficientMatrix.by_dyad_orders(
-                pole.order, {(int(spec["ket"]), int(spec["bra"])): coeff}
-            ),
+            pole, CoefficientMatrix.by_dyad_orders(pole.order, {key: coeff})
         )
     if kind == "coefficients":
         entries = spec.get("entries")
@@ -115,7 +131,7 @@ def _build_operator(pole: ComplexPole, spec: dict):
             where = f"operator.entries[{i}]"
             if not isinstance(entry, dict) or "ket" not in entry or "bra" not in entry:
                 raise ValueError(f"{where}: expected an object with ket, bra, coeff")
-            key = (int(entry["ket"]), int(entry["bra"]))
+            key = tuple(_typed(entry, field, int, f"{where}.{field}") for field in ("ket", "bra"))
             value = coefficient_from_json(entry.get("coeff", 1), f"{where}.coeff")
             table[key] = table.get(key, ComplexRational(0)) + value
         return operator_from_coefficients(
@@ -136,16 +152,16 @@ def _resolve_run_config(args) -> RunConfig:
     config = RunConfig()
     data = _load_json_config(args.config) if args.config else {}
     if data:
-        grid = data.get("grid", {})
+        grid = _typed(data, "grid", dict, "grid", {})
         config = RunConfig(
-            resonance_energy=float(data.get("E_R", config.resonance_energy)),
-            width=float(data.get("Gamma", config.width)),
-            order=int(data.get("r", config.order)),
+            resonance_energy=_typed(data, "E_R", float, "E_R", config.resonance_energy),
+            width=_typed(data, "Gamma", float, "Gamma", config.width),
+            order=_typed(data, "r", int, "r", config.order),
             operator_spec=data.get("operator"),
-            t_end=float(grid.get("t_end", config.t_end)),
-            steps=int(grid.get("steps", config.steps)),
+            t_end=_typed(grid, "t_end", float, "grid.t_end", config.t_end),
+            steps=_typed(grid, "steps", int, "grid.steps", config.steps),
             output_format=data.get("format", config.output_format),
-            tolerance=float(data.get("tol", config.tolerance)),
+            tolerance=_typed(data, "tol", float, "tol", config.tolerance),
         )
     if args.energy is not None:
         config.resonance_energy = args.energy
@@ -311,7 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gamow",
         description="Exact Jordan-block calculus for higher-order resonance states.",
-        epilog="GAMOW_SEED is reserved and currently ignored (nothing is random).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -13,6 +13,7 @@ is expected are embedded exactly (every double is a binary rational).
 
 import math
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 _HASH_IMAG = sys.hash_info.imag
@@ -208,6 +209,7 @@ ONE = ComplexRational(1)
 I = ComplexRational(0, 1)
 
 
+@dataclass(frozen=True, slots=True)
 class Polynomial:
     """Dense univariate polynomial over ComplexRational coefficients.
 
@@ -215,16 +217,13 @@ class Polynomial:
     the zero polynomial has an empty coefficient tuple and degree -1.
     """
 
-    __slots__ = ("coefficients",)
+    coefficients: tuple = ()
 
-    def __init__(self, coefficients=()):
-        coeffs = [ComplexRational.from_value(c) for c in coefficients]
+    def __post_init__(self):
+        coeffs = [ComplexRational.from_value(c) for c in self.coefficients]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -321,14 +320,6 @@ class Polynomial:
             acc = acc * z + complex(c)
         return acc
 
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash(self.coefficients)
-
     def format(self, variable: str = "x") -> str:
         if self.is_zero:
             return "0"
@@ -348,30 +339,28 @@ class Polynomial:
         return self.format()
 
 
+@dataclass(frozen=True, slots=True)
 class RationalFunction:
     """Quotient of two exact polynomials; closed under differentiation.
 
     No gcd reduction is performed: an unreduced quotient evaluates and
     differentiates correctly, but the quotient rule squares the denominator,
-    so after d derivatives its degree is 2^d times the original.
+    so after d derivatives its degree is 2^d times the original.  Equality
+    is that of the quotients, by cross-multiplication.
     """
 
-    __slots__ = ("numerator", "denominator")
+    numerator: Polynomial
+    denominator: Polynomial | None = None
 
-    def __init__(self, numerator, denominator=None):
-        if not isinstance(numerator, Polynomial):
-            numerator = Polynomial.constant(numerator)
-        if denominator is None:
-            denominator = Polynomial.constant(1)
-        elif not isinstance(denominator, Polynomial):
+    def __post_init__(self):
+        if not isinstance(self.numerator, Polynomial):
+            object.__setattr__(self, "numerator", Polynomial.constant(self.numerator))
+        denominator = 1 if self.denominator is None else self.denominator
+        if not isinstance(denominator, Polynomial):
             denominator = Polynomial.constant(denominator)
+            object.__setattr__(self, "denominator", denominator)
         if denominator.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
 
     @classmethod
     def from_coefficient_lists(cls, numerator, denominator) -> "RationalFunction":
@@ -413,7 +402,12 @@ class RationalFunction:
         return self.numerator * other.denominator == other.numerator * self.denominator
 
     def __hash__(self):
-        return hash((self.numerator, self.denominator))
+        # Unchanged by a common factor of numerator and denominator, as == is:
+        # the degree difference and the ratio of leading coefficients.
+        if self.numerator.is_zero:
+            return 0
+        leading = self.numerator.coefficients[-1] / self.denominator.coefficients[-1]
+        return hash((self.numerator.degree - self.denominator.degree, leading))
 
     def __repr__(self):
         return f"({self.numerator.format()}) / ({self.denominator.format()})"

@@ -12,6 +12,7 @@ safe to call concurrently.
 
 import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import ComplexRational, ZERO, ONE, as_fraction, binomial
@@ -19,27 +20,24 @@ from .exact import ComplexRational, ZERO, ONE, as_fraction, binomial
 _MINUS_I = ComplexRational(0, -1)
 
 
+@dataclass(frozen=True, slots=True)
 class ComplexPole:
     """Resonance pole z = E - i*width/2 of a given order on the lower half-plane."""
 
-    __slots__ = ("resonance_energy", "width", "order")
+    resonance_energy: Fraction
+    width: Fraction
+    order: int
 
-    def __init__(self, resonance_energy, width, order: int):
-        for name, value in (("resonance energy", resonance_energy), ("width", width)):
+    def __post_init__(self):
+        for name, value in (("resonance energy", self.resonance_energy), ("width", self.width)):
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"pole {name} must be finite, got {value!r}")
-        energy = as_fraction(resonance_energy)
-        width = as_fraction(width)
-        if width <= 0:
-            raise ValueError(f"pole width must be positive, got {width}")
-        if not isinstance(order, int) or order < 1:
-            raise ValueError(f"pole order must be an integer >= 1, got {order!r}")
-        object.__setattr__(self, "resonance_energy", energy)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexPole is immutable")
+        object.__setattr__(self, "resonance_energy", as_fraction(self.resonance_energy))
+        object.__setattr__(self, "width", as_fraction(self.width))
+        if self.width <= 0:
+            raise ValueError(f"pole width must be positive, got {self.width}")
+        if not isinstance(self.order, int) or self.order < 1:
+            raise ValueError(f"pole order must be an integer >= 1, got {self.order!r}")
 
     @property
     def position(self) -> ComplexRational:
@@ -50,24 +48,6 @@ class ComplexPole:
     def position_complex(self) -> complex:
         return complex(self.position)
 
-    def __eq__(self, other):
-        if not isinstance(other, ComplexPole):
-            return NotImplemented
-        return (
-            self.resonance_energy == other.resonance_energy
-            and self.width == other.width
-            and self.order == other.order
-        )
-
-    def __hash__(self):
-        return hash((self.resonance_energy, self.width, self.order))
-
-    def __repr__(self):
-        return (
-            f"ComplexPole(resonance_energy={self.resonance_energy}, "
-            f"width={self.width}, order={self.order})"
-        )
-
 
 def _check_time(t) -> Fraction:
     t = as_fraction(t)
@@ -76,40 +56,33 @@ def _check_time(t) -> Fraction:
     return t
 
 
+@dataclass(frozen=True, slots=True)
 class GamowChainVector:
     """Coefficient vector over the chain basis of a pole, with a symbolic phase.
 
     The stored value is  exp(-i*z*phase_time) * sum_k coefficients[k] e_k
     where z is the pole position.  Keeping the scalar phase symbolic preserves
     exactness of the coefficients; `to_numeric` evaluates everything in floats.
-    Component k carries dimension exponent -1/2 - k in energy units.
     """
 
-    __slots__ = ("pole", "coefficients", "phase_time")
+    pole: ComplexPole
+    coefficients: tuple
+    phase_time: Fraction = Fraction(0)
 
-    def __init__(self, pole: ComplexPole, coefficients, phase_time=0):
-        coeffs = tuple(ComplexRational.from_value(c) for c in coefficients)
-        if len(coeffs) != pole.order:
+    def __post_init__(self):
+        coeffs = tuple(ComplexRational.from_value(c) for c in self.coefficients)
+        if len(coeffs) != self.pole.order:
             raise ValueError(
-                f"coefficient array length {len(coeffs)} does not match pole order {pole.order}"
+                f"coefficient array length {len(coeffs)} does not match pole order {self.pole.order}"
             )
-        object.__setattr__(self, "pole", pole)
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "phase_time", _check_time(phase_time))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GamowChainVector is immutable")
+        object.__setattr__(self, "phase_time", _check_time(self.phase_time))
 
     @classmethod
     def basis(cls, pole: ComplexPole, k: int) -> "GamowChainVector":
         if not 0 <= k < pole.order:
             raise ValueError(f"chain order k={k} out of range for pole order {pole.order}")
         return cls(pole, tuple(ONE if p == k else ZERO for p in range(pole.order)))
-
-    @property
-    def dimension_tags(self):
-        """Energy-dimension exponent -1/2 - k of each component."""
-        return tuple(Fraction(-1, 2) - k for k in range(self.pole.order))
 
     @property
     def highest_order(self) -> int:
@@ -127,25 +100,8 @@ class GamowChainVector:
         phase = self.phase_factor()
         return [complex(c) * phase for c in self.coefficients]
 
-    def __eq__(self, other):
-        if not isinstance(other, GamowChainVector):
-            return NotImplemented
-        return (
-            self.pole == other.pole
-            and self.coefficients == other.coefficients
-            and self.phase_time == other.phase_time
-        )
 
-    def __hash__(self):
-        return hash((self.pole, self.coefficients, self.phase_time))
-
-    def __repr__(self):
-        return (
-            f"GamowChainVector(pole={self.pole!r}, coefficients={list(self.coefficients)!r}, "
-            f"phase_time={self.phase_time})"
-        )
-
-
+@dataclass(frozen=True, slots=True)
 class JordanBlockMatrix:
     """The pole's Jordan block: z on the diagonal, k = 1..r-1 on the superdiagonal.
 
@@ -153,18 +109,15 @@ class JordanBlockMatrix:
     H e_k = z e_k + k e_{k-1}.
     """
 
-    __slots__ = ("pole", "entries")
+    pole: ComplexPole
+    entries: tuple
 
-    def __init__(self, pole: ComplexPole, entries):
-        rows = tuple(tuple(ComplexRational.from_value(c) for c in row) for row in entries)
-        r = pole.order
+    def __post_init__(self):
+        rows = tuple(tuple(ComplexRational.from_value(c) for c in row) for row in self.entries)
+        r = self.pole.order
         if len(rows) != r or any(len(row) != r for row in rows):
             raise ValueError(f"entries must form an {r}x{r} matrix")
-        object.__setattr__(self, "pole", pole)
         object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JordanBlockMatrix is immutable")
 
     @property
     def size(self) -> int:
@@ -188,17 +141,6 @@ class JordanBlockMatrix:
             for i, row in enumerate(self.entries)
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, JordanBlockMatrix):
-            return NotImplemented
-        return self.pole == other.pole and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.pole, self.entries))
-
-    def __repr__(self):
-        return f"JordanBlockMatrix(pole={self.pole!r}, entries={[list(r) for r in self.entries]!r})"
-
 
 def build_jordan_block(pole: ComplexPole) -> JordanBlockMatrix:
     """Construct the Jordan block for a pole.
@@ -218,12 +160,6 @@ def build_jordan_block(pole: ComplexPole) -> JordanBlockMatrix:
     return JordanBlockMatrix(pole, entries)
 
 
-def _matvec_raw(entries, vector):
-    return tuple(
-        sum((row[j] * vector[j] for j in range(len(vector))), ZERO) for row in entries
-    )
-
-
 def check_jordan_degree(matrix: JordanBlockMatrix, k: int):
     """Verify that the order-k basis vector is a Jordan vector of degree k+1.
 
@@ -234,12 +170,13 @@ def check_jordan_degree(matrix: JordanBlockMatrix, k: int):
     r = matrix.size
     if not 0 <= k <= r - 1:
         raise ValueError(f"order k={k} out of range 0..{r - 1}")
-    nilpotent = matrix.nilpotent_part()
+    # N = J - z, held on the same pole so that it multiplies like the block
+    nilpotent = JordanBlockMatrix(matrix.pole, matrix.nilpotent_part())
     vector = tuple(ONE if p == k else ZERO for p in range(r))
     for _ in range(k):
-        vector = _matvec_raw(nilpotent, vector)
+        vector = nilpotent.matvec(vector)
     at_lower_power = vector
-    annihilated_vec = _matvec_raw(nilpotent, at_lower_power)
+    annihilated_vec = nilpotent.matvec(at_lower_power)
     annihilated = not any(annihilated_vec)
     not_annihilated_at_lower_power = any(at_lower_power)
     return annihilated, not_annihilated_at_lower_power

@@ -21,7 +21,7 @@ Everything is an immutable value; all functions are pure and thread-safe.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import (
@@ -40,18 +40,22 @@ DYAD_MODE = "dyad"
 TOTAL_MODE = "total"
 
 
+@dataclass(frozen=True, slots=True)
 class CoefficientMatrix:
     """Sparse exact coefficient table in one of the two layouts."""
 
-    __slots__ = ("mode", "bound", "entries")
+    mode: str
+    bound: int
+    entries: dict
 
-    def __init__(self, mode: str, bound: int, entries):
+    def __post_init__(self):
+        mode, bound = self.mode, self.bound
         if mode not in (DYAD_MODE, TOTAL_MODE):
             raise ValueError(f"unknown coefficient layout {mode!r}")
         if bound < 0:
             raise ValueError("order bound must be nonnegative")
         table = {}
-        for key, value in dict(entries).items():
+        for key, value in dict(self.entries).items():
             first, second = key
             value = ComplexRational.from_value(value)
             if mode == DYAD_MODE:
@@ -66,12 +70,7 @@ class CoefficientMatrix:
                     )
             if value:
                 table[(first, second)] = value
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "entries", dict(table))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoefficientMatrix is immutable")
+        object.__setattr__(self, "entries", table)
 
     @classmethod
     def by_dyad_orders(cls, order_bound: int, entries) -> "CoefficientMatrix":
@@ -103,72 +102,30 @@ class CoefficientMatrix:
             j, {(k + m, k): value for (k, m), value in self.entries.items()}
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, CoefficientMatrix):
-            return NotImplemented
-        return (
-            self.mode == other.mode
-            and self.bound == other.bound
-            and self.entries == other.entries
-        )
-
     def __hash__(self):
         return hash((self.mode, self.bound, tuple(self.items())))
 
-    def __repr__(self):
-        return f"CoefficientMatrix({self.mode!r}, bound={self.bound}, entries={dict(self.items())!r})"
 
-
+@dataclass(frozen=True, slots=True)
 class DyadicOperator:
     """Linear combination of chain dyads |ket k><bra m| over one pole.
 
-    The optional dimension table assigns each coefficient an energy-dimension
-    exponent, keyed (ket_order, bra_order) like the entries; construction
-    then checks homogeneity: exponent - (k + m + 1) must agree across all
-    nonzero entries (the dyad itself carries -1/2 - k - 1/2 - m).
+    A total-order coefficient table is converted to the dyad layout.
     """
 
-    __slots__ = ("pole", "coefficients", "dimension_exponents")
+    pole: ComplexPole
+    coefficients: CoefficientMatrix
 
-    def __init__(self, pole: ComplexPole, coefficients: CoefficientMatrix,
-                 dimension_exponents=None):
-        if coefficients.mode != DYAD_MODE:
-            coefficients = _total_to_dyad(pole.order, coefficients)
-        if coefficients.bound != pole.order:
-            raise ValueError(
-                f"coefficient order bound {coefficients.bound} does not match pole order {pole.order}"
+    def __post_init__(self):
+        if self.coefficients.mode != DYAD_MODE:
+            object.__setattr__(
+                self, "coefficients", _total_to_dyad(self.pole.order, self.coefficients)
             )
-        if dimension_exponents is not None:
-            dimension_exponents = {
-                tuple(key): Fraction(value) for key, value in dimension_exponents.items()
-            }
-            totals = {
-                dimension_exponents[key] - (key[0] + key[1] + 1)
-                for key in coefficients.entries
-                if key in dimension_exponents
-            }
-            missing = [k for k in coefficients.entries if k not in dimension_exponents]
-            if missing:
-                raise ValueError(f"dimension exponents missing for entries {missing}")
-            if len(totals) > 1:
-                raise ValueError(
-                    f"dimensionally inhomogeneous coefficient table: term exponents {sorted(totals)}"
-                )
-        object.__setattr__(self, "pole", pole)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "dimension_exponents", dimension_exponents)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DyadicOperator is immutable")
-
-    @property
-    def total_dimension_exponent(self):
-        """Common exponent of every term, or None when untagged/zero."""
-        if self.dimension_exponents is None:
-            return None
-        for key in self.coefficients.entries:
-            return self.dimension_exponents[key] - (key[0] + key[1] + 1)
-        return None
+        if self.coefficients.bound != self.pole.order:
+            raise ValueError(
+                f"coefficient order bound {self.coefficients.bound} does not match "
+                f"pole order {self.pole.order}"
+            )
 
     def coefficient(self, ket_order: int, bra_order: int) -> ComplexRational:
         return self.coefficients.entry((ket_order, bra_order))
@@ -201,17 +158,6 @@ class DyadicOperator:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if not isinstance(other, DyadicOperator):
-            return NotImplemented
-        return self.pole == other.pole and self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash((self.pole, self.coefficients))
-
-    def __repr__(self):
-        return f"DyadicOperator(pole={self.pole!r}, coefficients={self.coefficients!r})"
-
 
 def _total_to_dyad(order: int, coefficients: CoefficientMatrix) -> CoefficientMatrix:
     entries = {}
@@ -225,10 +171,10 @@ def _total_to_dyad(order: int, coefficients: CoefficientMatrix) -> CoefficientMa
     return CoefficientMatrix.by_dyad_orders(order, entries)
 
 
-def operator_from_coefficients(pole: ComplexPole, coefficients: CoefficientMatrix,
-                               dimension_exponents=None) -> DyadicOperator:
+def operator_from_coefficients(pole: ComplexPole,
+                               coefficients: CoefficientMatrix) -> DyadicOperator:
     """Operator with exactly the given coefficient table (either layout)."""
-    return DyadicOperator(pole, coefficients, dimension_exponents)
+    return DyadicOperator(pole, coefficients)
 
 
 def exponential_state_operator(pole: ComplexPole, n: int,
@@ -237,8 +183,7 @@ def exponential_state_operator(pole: ComplexPole, n: int,
 
     Coefficients are C(n,k) on the dyads |k><n-k|, k = 0..n, times the
     conventional prefactor width^n / n! unless `include_prefactor` is False
-    (the overall constant is arbitrary; the prefactor makes the n-th operator
-    carry dimension exponent n on its coefficients).
+    (the overall constant is arbitrary).
     """
     r = pole.order
     if not 0 <= n <= r - 1:
@@ -247,12 +192,10 @@ def exponential_state_operator(pole: ComplexPole, n: int,
         ComplexRational(pole.width**n / math.factorial(n)) if include_prefactor else ONE
     )
     entries = {(k, n - k): prefactor * binomial(n, k) for k in range(n + 1)}
-    dims = {key: Fraction(n) for key in entries} if include_prefactor else None
-    return DyadicOperator(
-        pole, CoefficientMatrix.by_dyad_orders(r, entries), dimension_exponents=dims
-    )
+    return DyadicOperator(pole, CoefficientMatrix.by_dyad_orders(r, entries))
 
 
+@dataclass(frozen=True, slots=True)
 class TimePolynomialOperator:
     """Evolved dyadic operator: per-entry polynomials in t times exp(-width*t).
 
@@ -261,20 +204,17 @@ class TimePolynomialOperator:
     with P exact.  At t = 0 the table reproduces the originating operator.
     """
 
-    __slots__ = ("pole", "table")
+    pole: ComplexPole
+    table: dict
 
-    def __init__(self, pole: ComplexPole, table):
+    def __post_init__(self):
         cleaned = {}
-        for key, poly in dict(table).items():
+        for key, poly in dict(self.table).items():
             if not isinstance(poly, Polynomial):
                 poly = Polynomial.constant(poly)
             if not poly.is_zero:
                 cleaned[tuple(key)] = poly
-        object.__setattr__(self, "pole", pole)
         object.__setattr__(self, "table", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TimePolynomialOperator is immutable")
 
     def entry_polynomial(self, ket_order: int, bra_order: int) -> Polynomial:
         return self.table.get((ket_order, bra_order), Polynomial.zero())
@@ -286,11 +226,18 @@ class TimePolynomialOperator:
         return math.exp(-float(self.pole.width) * float(t))
 
     def value(self, ket_order: int, bra_order: int, t) -> complex:
-        """Numeric entry value exp(-width*t) * P(t)."""
+        """Numeric entry value exp(-width*t) * P(t).
+
+        Where the decay factor underflows to 0 the value is 0, also where
+        P(t) overflows, since the exponential outruns any polynomial.
+        """
         if float(t) < 0:
             raise ValueError("operator evolution is defined for t >= 0 only")
+        decay = self.decay_factor(t)
+        if not decay:
+            return 0j
         poly = self.entry_polynomial(ket_order, bra_order)
-        return self.decay_factor(t) * complex(poly(float(t)))
+        return decay * complex(poly(float(t)))
 
     def at_time_zero(self) -> DyadicOperator:
         entries = {key: poly.coefficient(0) for key, poly in self.table.items()}
@@ -298,17 +245,8 @@ class TimePolynomialOperator:
             self.pole, CoefficientMatrix.by_dyad_orders(self.pole.order, entries)
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, TimePolynomialOperator):
-            return NotImplemented
-        return self.pole == other.pole and self.table == other.table
-
     def __hash__(self):
         return hash((self.pole, tuple(self.items())))
-
-    def __repr__(self):
-        body = {key: poly.format("t") for key, poly in self.items()}
-        return f"TimePolynomialOperator(pole={self.pole!r}, table={body!r})"
 
 
 def evolve_operator(operator: DyadicOperator) -> TimePolynomialOperator:
@@ -347,6 +285,7 @@ def is_pure_exponential(evolved: TimePolynomialOperator) -> bool:
 # -- the exponential-decay characterization --------------------------------
 
 
+@dataclass(frozen=True, slots=True)
 class ConstraintEquation:
     """One homogeneous cancellation condition, tagged by its (l, m, n) indices.
 
@@ -355,16 +294,13 @@ class ConstraintEquation:
     running from l to n-m.  Terms are ((n, k), integer coefficient) pairs.
     """
 
-    __slots__ = ("l", "m", "n", "terms")
+    l: int
+    m: int
+    n: int
+    terms: tuple
 
-    def __init__(self, l: int, m: int, n: int, terms):
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", tuple((tuple(v), int(c)) for v, c in terms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConstraintEquation is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple((tuple(v), int(c)) for v, c in self.terms))
 
     def evaluate(self, coefficients: CoefficientMatrix) -> ComplexRational:
         total = ZERO
@@ -382,11 +318,8 @@ class ConstraintEquation:
             ],
         }
 
-    def __repr__(self):
-        return f"ConstraintEquation(l={self.l}, m={self.m}, n={self.n}, terms={list(self.terms)!r})"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstraintBlock:
     """The solved equations of one total order n, over the ket orders `columns`.
 
@@ -432,6 +365,7 @@ def _solve_block(n: int, equations, order=None) -> ConstraintBlock:
     return ConstraintBlock(n, columns, tuple(free), tuple(basis))
 
 
+@dataclass(frozen=True, slots=True)
 class ConstraintSystem:
     """The full homogeneous system over the total-order coefficient triangle.
 
@@ -442,20 +376,15 @@ class ConstraintSystem:
     nullspace basis and the restricted view are all read off them.
     """
 
-    __slots__ = ("j", "equations", "_by_order", "_blocks")
+    j: int
+    equations: tuple
+    _by_order: dict = field(init=False, compare=False, repr=False, default_factory=dict)
+    _blocks: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
-    def __init__(self, j: int, equations):
-        equations = tuple(equations)
-        by_order = {}
-        for eq in equations:
-            by_order.setdefault(eq.n, []).append(eq)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "equations", equations)
-        object.__setattr__(self, "_by_order", by_order)
-        object.__setattr__(self, "_blocks", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConstraintSystem is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "equations", tuple(self.equations))
+        for eq in self.equations:
+            self._by_order.setdefault(eq.n, []).append(eq)
 
     @property
     def variables(self):
@@ -527,9 +456,6 @@ class ConstraintSystem:
             "solution_dimension": self.solution_dimension,
         }
 
-    def __repr__(self):
-        return f"ConstraintSystem(j={self.j}, equations={len(self.equations)})"
-
 
 def exponentiality_constraints(j: int) -> ConstraintSystem:
     """All cancellation conditions for total order bound j.
@@ -551,6 +477,7 @@ def exponentiality_constraints(j: int) -> ConstraintSystem:
     return ConstraintSystem(j, equations)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class BinomialRecursionFamily:
     """Closed-form solution family A[(n,k)] = C(n,k) * A[(n,0)].
 
@@ -560,14 +487,8 @@ class BinomialRecursionFamily:
     constraint system (verified at construction).
     """
 
-    __slots__ = ("j", "multipliers")
-
-    def __init__(self, j: int, multipliers):
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "multipliers", dict(multipliers))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BinomialRecursionFamily is immutable")
+    j: int
+    multipliers: dict = field(repr=False)
 
     def multiplier(self, n: int, k: int) -> Fraction:
         return self.multipliers[(n, k)]
@@ -594,9 +515,6 @@ class BinomialRecursionFamily:
             if value:
                 entries[(n, k)] = value
         return CoefficientMatrix.by_total_order(self.j, entries)
-
-    def __repr__(self):
-        return f"BinomialRecursionFamily(j={self.j})"
 
 
 def solve_binomial_recursion(j: int) -> BinomialRecursionFamily:
@@ -673,6 +591,7 @@ def exponential_subspace_basis(pole: ComplexPole):
     return members
 
 
+@dataclass(frozen=True, slots=True)
 class RestrictionReport:
     """Result of checking the dyad-layout restriction of the constraint system.
 
@@ -682,30 +601,17 @@ class RestrictionReport:
     as a subspace, the span of the binomial-pattern operators.
     """
 
-    __slots__ = (
-        "order",
-        "j",
-        "equation_count",
-        "variable_count",
-        "solution_dimension",
-        "expected_dimension",
-        "pattern_matches",
-        "basis",
-    )
+    order: int
+    j: int
+    equation_count: int
+    variable_count: int
+    solution_dimension: int
+    expected_dimension: int
+    pattern_matches: bool
+    basis: tuple
 
-    def __init__(self, order, j, equation_count, variable_count,
-                 solution_dimension, expected_dimension, pattern_matches, basis):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "equation_count", equation_count)
-        object.__setattr__(self, "variable_count", variable_count)
-        object.__setattr__(self, "solution_dimension", solution_dimension)
-        object.__setattr__(self, "expected_dimension", expected_dimension)
-        object.__setattr__(self, "pattern_matches", pattern_matches)
-        object.__setattr__(self, "basis", tuple(basis))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RestrictionReport is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "basis", tuple(self.basis))
 
     @property
     def passed(self) -> bool:
@@ -733,12 +639,6 @@ class RestrictionReport:
                 for member in self.basis
             ],
         }
-
-    def __repr__(self):
-        return (
-            f"RestrictionReport(order={self.order}, solution_dimension={self.solution_dimension}, "
-            f"pattern_matches={self.pattern_matches})"
-        )
 
 
 def binomial_pattern_matrix(order: int, n: int) -> CoefficientMatrix:

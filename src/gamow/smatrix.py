@@ -59,6 +59,7 @@ def _require_upper_half_plane_roots(function: RationalFunction, what: str):
             )
 
 
+@dataclass(frozen=True, slots=True)
 class TestFunction:
     """Rational stand-in for a half-plane-analytic wavefunction overlap.
 
@@ -67,15 +68,18 @@ class TestFunction:
     bra to decay like 1/|z|^2 *together*; that pairwise condition is checked
     by the contour operations, so constants remain admissible in the residue
     expansion.  The role tag records which side of the amplitude the function
-    stands for; it carries dimension exponent -1/2.
+    stands for.
     """
 
-    __slots__ = ("function", "role")
     __test__ = False  # domain type, not a pytest case
 
-    def __init__(self, function: RationalFunction, role: str):
-        if role not in (KET_ROLE, BRA_ROLE):
-            raise ValueError(f"role must be {KET_ROLE!r} or {BRA_ROLE!r}, got {role!r}")
+    function: RationalFunction
+    role: str
+
+    def __post_init__(self):
+        if self.role not in (KET_ROLE, BRA_ROLE):
+            raise ValueError(f"role must be {KET_ROLE!r} or {BRA_ROLE!r}, got {self.role!r}")
+        function = self.function
         _require_upper_half_plane_roots(function, "test function")
         if function.numerator.degree > function.denominator.degree:
             raise ValueError(
@@ -83,20 +87,11 @@ class TestFunction:
                 f"numerator degree {function.numerator.degree}, "
                 f"denominator degree {function.denominator.degree}"
             )
-        object.__setattr__(self, "function", function)
-        object.__setattr__(self, "role", role)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TestFunction is immutable")
 
     @property
     def decay_degree(self) -> int:
         """Power of 1/|z| the function decays with at infinity."""
         return self.function.denominator.degree - self.function.numerator.degree
-
-    @property
-    def dimension_exponent(self) -> Fraction:
-        return Fraction(-1, 2)
 
     def __call__(self, z):
         return self.function(z)
@@ -104,10 +99,8 @@ class TestFunction:
     def derivative_at(self, order: int, z) -> ComplexRational:
         return self.function.derivative(order)(z)
 
-    def __repr__(self):
-        return f"TestFunction({self.function!r}, role={self.role!r})"
 
-
+@dataclass(frozen=True, slots=True)
 class SMatrixModel:
     """Principal part of exact order at one pole, plus analytic background.
 
@@ -115,44 +108,37 @@ class SMatrixModel:
     equals the pole order and the top coefficient must be nonzero whenever
     any coefficient is (a vanishing top coefficient would misdeclare the
     order).  The all-zero principal part is admitted as the degenerate
-    pole-free model, which the trivial oracle checks need.  Coefficient n
-    carries dimension exponent n + 1 in energy units.  A background, when
-    present, must itself be analytic in the closed lower half-plane and
+    pole-free model, which the trivial oracle checks need.  A background,
+    when present, must itself be analytic in the closed lower half-plane and
     bounded at infinity so the contour decomposition sees only the declared
-    pole.
+    pole; a zero background is stored as None.
     """
 
-    __slots__ = ("pole", "laurent", "background")
+    pole: ComplexPole
+    laurent: tuple
+    background: RationalFunction | None = None
 
-    def __init__(self, pole: ComplexPole, laurent, background: RationalFunction | None = None):
-        coeffs = tuple(ComplexRational.from_value(c) for c in laurent)
-        if len(coeffs) != pole.order:
+    def __post_init__(self):
+        order = self.pole.order
+        coeffs = tuple(ComplexRational.from_value(c) for c in self.laurent)
+        if len(coeffs) != order:
             raise ValueError(
-                f"need {pole.order} principal-part coefficients for a pole of order "
-                f"{pole.order}, got {len(coeffs)}"
+                f"need {order} principal-part coefficients for a pole of order "
+                f"{order}, got {len(coeffs)}"
             )
         if not coeffs[-1] and any(coeffs):
             raise ValueError(
                 f"top principal-part coefficient is zero: the pole would have order "
-                f"lower than the declared {pole.order}"
+                f"lower than the declared {order}"
             )
-        if background is not None and not background.is_zero:
+        object.__setattr__(self, "laurent", coeffs)
+        background = self.background
+        if background is not None and background.is_zero:
+            object.__setattr__(self, "background", None)
+        elif background is not None:
             _require_upper_half_plane_roots(background, "background")
             if background.numerator.degree > background.denominator.degree:
                 raise ValueError("background must be bounded at infinity")
-        else:
-            background = None
-        object.__setattr__(self, "pole", pole)
-        object.__setattr__(self, "laurent", coeffs)
-        object.__setattr__(self, "background", background)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SMatrixModel is immutable")
-
-    @property
-    def laurent_dimension_exponents(self):
-        """Energy-dimension exponent n+1 of the coefficient of 1/(z-pole)^{n+1}."""
-        return tuple(Fraction(n + 1) for n in range(self.pole.order))
 
     def __call__(self, z):
         """Evaluate the amplitude; exact for exact z, complex otherwise."""
@@ -182,12 +168,6 @@ class SMatrixModel:
         if self.background is not None:
             total += complex(self.background(z))
         return total
-
-    def __repr__(self):
-        return (
-            f"SMatrixModel(pole={self.pole!r}, laurent={list(self.laurent)!r}, "
-            f"background={self.background!r})"
-        )
 
 
 def unitary_first_order_model(pole: ComplexPole) -> SMatrixModel:
@@ -234,26 +214,10 @@ def residue_expansion(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestFun
     return complex(0.0, -2.0 * math.pi) * complex(residue_core(model, ket_fn, bra_fn))
 
 
-def residue_dimension_exponent(model: SMatrixModel) -> Fraction:
-    """Common energy-dimension exponent of every term of the residue sum.
-
-    Term n combines laurent exponent n+1 with the two test functions at
-    -1/2 each, lowered once per derivative: (n+1) - (1/2 + (n-k)) - (1/2 + k).
-    Raises if the terms disagree.
-    """
-    exponents = set()
-    for n, laurent_dim in enumerate(model.laurent_dimension_exponents):
-        for k in range(n + 1):
-            exponents.add(laurent_dim - (Fraction(1, 2) + (n - k)) - (Fraction(1, 2) + k))
-    if len(exponents) != 1:
-        raise ArithmeticError(f"residue terms are dimensionally inhomogeneous: {sorted(exponents)}")
-    return exponents.pop()
-
-
 # -- numerical contour pieces ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadratureConfig:
     """Adaptive-quadrature settings for the contour pieces.
 
@@ -270,7 +234,7 @@ class QuadratureConfig:
     pole_window: float = 10.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntegralResult:
     """Value, quadrature error estimate, and convergence flag."""
 
@@ -369,7 +333,7 @@ def background_integral(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestF
     return IntegralResult(-combined.value, combined.error_estimate, combined.converged)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecompositionReport:
     """Contour-decomposition check: direct vs background + residue."""
 

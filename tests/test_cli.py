@@ -119,6 +119,17 @@ class TestEvolve:
     def test_order_out_of_range_rejected(self):
         assert main(["evolve", "--r", "1", "--n", "1"]) == EXIT_INPUT_ERROR
 
+    def test_large_times_give_zero_not_nan(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps({"r": 5, "operator": {"kind": "dyad", "ket": 4, "bra": 4}})
+        )
+        assert main(["evolve", "--config", str(config_path), "--t-end", "1e100"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert len(lines) == 101 * 25
+        for line in lines[25:]:
+            assert line.split(",", 3)[3] == "0,0,0"
+
 
 class TestExpCheck:
     def test_order_two_reproduces_theorem(self, tmp_path, capsys):
@@ -259,6 +270,27 @@ class TestNonFiniteAndInvalidInputs:
         ):
             config_path.write_text(document)
             assert main(["evolve", "--config", str(config_path)]) == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize(
+        "document, field",
+        [
+            ({"grid": 5}, "grid"),
+            ({"E_R": None}, "E_R"),
+            ({"r": None}, "r"),
+            ({"r": 2.7}, "r"),
+            ({"operator": "binomial"}, "operator"),
+            ({"r": 2, "operator": {"kind": "dyad", "ket": None, "bra": 0}}, "operator.ket"),
+            (
+                {"operator": {"kind": "binomial", "n": 0, "include_prefactor": "false"}},
+                "operator.include_prefactor",
+            ),
+        ],
+    )
+    def test_config_field_of_the_wrong_type(self, tmp_path, capsys, document, field):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(document))
+        assert main(["evolve", "--config", str(config_path)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith(f"input error: {field}: expected ")
 
     def test_zero_order_names_the_flag(self, capsys):
         assert main(["exp-check", "--r", "0"]) == EXIT_INPUT_ERROR

@@ -1,10 +1,14 @@
-"""Byte-for-byte pins of the characterization commands' output.
+"""Byte-for-byte pins of the command-line output.
 
-The digests were recorded from the flat-elimination implementation that the
-block solver replaced; stdout and --out must both still match them.
+The exp-check and basis digests were recorded from the flat-elimination
+implementation that the block solver replaced; stdout and --out must both
+still match them.  The evolve digests and the residue value were recorded
+from the hand-written value classes that the dataclasses replaced.
 """
 
 import hashlib
+import json
+from importlib.resources import files
 
 import pytest
 
@@ -59,3 +63,67 @@ def test_output_bytes_are_pinned(argv, digest, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(argv.split() + ["--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+EVOLVE_CONFIGS = {
+    "binomial-r2-n1": {
+        "E_R": 2.0, "Gamma": 1.0, "r": 2,
+        "operator": {"kind": "binomial", "n": 1},
+        "grid": {"t_end": 5.0, "steps": 11},
+    },
+    "binomial-r4-n3-bare": {
+        "E_R": 0.5, "Gamma": 0.75, "r": 4,
+        "operator": {"kind": "binomial", "n": 3, "include_prefactor": False},
+        "grid": {"t_end": 3.0, "steps": 7},
+    },
+    "dyad-r3": {
+        "E_R": 0.0, "Gamma": 2.0, "r": 3,
+        "operator": {"kind": "dyad", "ket": 2, "bra": 1, "coeff": [0.5, -1.5]},
+        "grid": {"t_end": 2.0, "steps": 11},
+    },
+    "dyad-r4-top": {
+        "E_R": 1.0, "Gamma": 0.5, "r": 4,
+        "operator": {"kind": "dyad", "ket": 3, "bra": 3},
+        "grid": {"t_end": 40.0, "steps": 9},
+    },
+    "coefficients-r4": {
+        "E_R": -1.0, "Gamma": 1.5, "r": 4,
+        "operator": {"kind": "coefficients", "entries": [
+            {"ket": 0, "bra": 3, "coeff": 1},
+            {"ket": 1, "bra": 2, "coeff": [0, 3]},
+            {"ket": 2, "bra": 1, "coeff": -0.25},
+            {"ket": 3, "bra": 0, "coeff": [2, -1]},
+            {"ket": 1, "bra": 1, "coeff": 0.1},
+        ]},
+        "grid": {"t_end": 4.0, "steps": 11},
+    },
+}
+
+EVOLVE_GOLDEN = [
+    ("binomial-r2-n1", "csv", "2626c1e739015081a313ae5cc2d926bcfa6233c24fb0a395171fa8421cf9f730"),
+    ("binomial-r2-n1", "json", "8d93659db3f1e8414e5ed158a26f18ff0bc1bfd166205f12d541730ad498fa71"),
+    ("binomial-r4-n3-bare", "csv", "b23c2f4fcb03fef6112d499b206b1437e7021d5eb24cbfde3d6e0c6acacc28e7"),
+    ("binomial-r4-n3-bare", "json", "638939f31cff2c92f6c51bab5a56ff84da076a5dc18bc670b4b58bb2a9dd9e3a"),
+    ("dyad-r3", "csv", "515e0b76a7695e0e18075a806e8fafc4dc70817c040b3684e0fcc73d2d0cefe2"),
+    ("dyad-r3", "json", "e7254d4d486ea9a078c6aff26994a9ffe2c4c2fddc7965b7b5d055570843084d"),
+    ("dyad-r4-top", "csv", "5d1e0a2fd2ba165955f6440ed4313f73b8055455bcd0489cbca70d1f4f2d8017"),
+    ("dyad-r4-top", "json", "e1f5974ae3ab84f61f9bc061f401c289bb7daddda3c9ad462827fd72bf04af19"),
+    ("coefficients-r4", "csv", "e11a11cbaae40fb0d1990925aa6257f0bcd2315fce25efdb765606ab37de021a"),
+    ("coefficients-r4", "json", "b75da6c36bdf9e064320df3cf01879246800e834e3b139a73f018a6bb1eadcaf"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, fmt, digest", EVOLVE_GOLDEN, ids=[f"{name}-{fmt}" for name, fmt, _ in EVOLVE_GOLDEN]
+)
+def test_evolve_bytes_are_pinned(name, fmt, digest, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(EVOLVE_CONFIGS[name]))
+    assert main(["evolve", "--config", str(config), "--format", fmt]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_residue_of_bundled_example_is_pinned(capsys):
+    example = files("gamow") / "data" / "residue_example.json"
+    assert main(["residue", "--config", str(example)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["residue"] == [0.17178108047330082, 0.06600191646006057]

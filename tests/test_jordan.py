@@ -244,15 +244,6 @@ class TestEvolveKet:
 
 
 class TestGamowChainVector:
-    def test_dimension_tags(self):
-        state = GamowChainVector.basis(POLE, 1)
-        assert state.dimension_tags == (
-            Fraction(-1, 2),
-            Fraction(-3, 2),
-            Fraction(-5, 2),
-            Fraction(-7, 2),
-        )
-
     def test_length_must_match_order(self):
         with pytest.raises(ValueError):
             GamowChainVector(POLE, (ONE, ZERO))

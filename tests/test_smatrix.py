@@ -18,7 +18,6 @@ from gamow.smatrix import (
     load_model_file,
     model_from_json,
     residue_core,
-    residue_dimension_exponent,
     residue_expansion,
     parse_test_function,
     unitary_first_order_model,
@@ -75,14 +74,6 @@ class TestModelValidation:
                 ComplexPole(1, 1, 1), [cr(1)], background=rational([0, 0, 1], [cr(0, -5), 1])
             )
 
-    def test_dimension_exponents(self):
-        model = SMatrixModel(ComplexPole(1, 1, 3), [cr(1), cr(1), cr(1)])
-        assert model.laurent_dimension_exponents == (
-            Fraction(1),
-            Fraction(2),
-            Fraction(3),
-        )
-
 
 class TestTestFunctionValidation:
     def test_lower_half_plane_pole_rejected(self):
@@ -104,9 +95,6 @@ class TestTestFunctionValidation:
     def test_bad_role_rejected(self):
         with pytest.raises(ValueError):
             TestFunction(rational([1], [cr(0, -1), 1]), "side")
-
-    def test_dimension_exponent(self):
-        assert F_KET.dimension_exponent == Fraction(-1, 2)
 
 
 class TestEvaluate:
@@ -218,10 +206,6 @@ class TestResidueExpansion:
             residue_core(model, G_BRA, G_BRA)
         with pytest.raises(ValueError):
             residue_core(model, F_KET, F_KET)
-
-    def test_dimension_exponent_is_zero(self):
-        model = SMatrixModel(ComplexPole(1, 1, 4), [cr(1), cr(1), cr(1), cr(1)])
-        assert residue_dimension_exponent(model) == 0
 
 
 class TestContourPieces:

@@ -1,0 +1,197 @@
+"""Properties of the immutable value classes and of exact evolution.
+
+Every value class is a frozen dataclass: assignment raises, and instances
+built from equal int, Fraction or float inputs are equal and hash alike.
+Evolution obeys the semigroup law, and an evolved operator's entries are
+the products of the independent ket and bra evolutions.
+"""
+
+from dataclasses import fields
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gamow.exact import ComplexRational, Polynomial, RationalFunction
+from gamow.jordan import (
+    ComplexPole,
+    GamowChainVector,
+    build_jordan_block,
+    evolve_ket,
+    evolve_state,
+)
+from gamow.operators import (
+    CoefficientMatrix,
+    DyadicOperator,
+    TimePolynomialOperator,
+    evolve_operator,
+    exponentiality_constraints,
+    solve_binomial_recursion,
+    verify_restriction_equivalence,
+)
+from gamow.smatrix import SMatrixModel, TestFunction
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+# dyadic rationals, so that every value is also exactly a float
+dyadic = st.builds(Fraction, st.integers(-48, 48), st.sampled_from([1, 2, 4, 8]))
+times = st.builds(Fraction, st.integers(0, 24), st.sampled_from([1, 2, 3, 4]))
+gaussian = st.builds(ComplexRational, dyadic, dyadic)
+
+
+@st.composite
+def poles(draw, max_order=4):
+    width = draw(st.builds(Fraction, st.integers(1, 16), st.sampled_from([1, 2, 4])))
+    return ComplexPole(draw(dyadic), width, draw(st.integers(1, max_order)))
+
+
+@st.composite
+def states(draw):
+    pole = draw(poles())
+    coefficients = draw(st.lists(gaussian, min_size=pole.order, max_size=pole.order))
+    return GamowChainVector(pole, coefficients, draw(times))
+
+
+@st.composite
+def operators(draw):
+    pole = draw(poles())
+    keys = [(k, m) for k in range(pole.order) for m in range(pole.order)]
+    entries = draw(st.dictionaries(st.sampled_from(keys), gaussian, max_size=len(keys)))
+    return DyadicOperator(pole, CoefficientMatrix.by_dyad_orders(pole.order, entries))
+
+
+polynomials = st.lists(gaussian, max_size=4).map(Polynomial)
+
+
+class TestEvolution:
+    @PROPERTY_SETTINGS
+    @given(states(), times, times)
+    def test_semigroup_law(self, state, s, t):
+        assert evolve_state(evolve_state(state, s), t) == evolve_state(state, s + t)
+
+    @PROPERTY_SETTINGS
+    @given(states())
+    def test_time_zero_is_the_identity(self, state):
+        assert evolve_state(state, 0) == state
+
+    @PROPERTY_SETTINGS
+    @given(operators())
+    def test_operator_at_time_zero_is_the_operator(self, op):
+        assert evolve_operator(op).at_time_zero() == op
+
+    @PROPERTY_SETTINGS
+    @given(operators(), times)
+    def test_entries_are_products_of_ket_and_bra_evolutions(self, op, t):
+        pole = op.pole
+        kets = [evolve_ket(pole, k, t) for k in range(pole.order)]
+        evolved = evolve_operator(op)
+        for l in range(pole.order):
+            for m in range(pole.order):
+                expected = ComplexRational(0)
+                for (k, n), c in op.items():
+                    expected += c * kets[k].coefficients[l] * kets[n].coefficients[m].conjugate()
+                assert evolved.entry_polynomial(l, m)(t) == expected
+
+
+class TestRationalFunctionHash:
+    @PROPERTY_SETTINGS
+    @given(polynomials, polynomials, polynomials)
+    def test_common_factor_keeps_equality_and_hash(self, numerator, denominator, factor):
+        if denominator.is_zero or factor.is_zero:
+            return
+        plain = RationalFunction(numerator, denominator)
+        scaled = RationalFunction(numerator * factor, denominator * factor)
+        assert scaled == plain
+        assert hash(scaled) == hash(plain)
+
+    def test_set_keeps_one_of_two_equal_quotients(self):
+        x = Polynomial.monomial(1)
+        assert len({RationalFunction(x, 1), RationalFunction(x * 2, 2)}) == 1
+
+
+def one_of_each_value_class():
+    pole = ComplexPole(1, 2, 2)
+    system = exponentiality_constraints(2)
+    ket = TestFunction(RationalFunction(Polynomial([1]), Polynomial([-1j, 1])), "ket")
+    operator = DyadicOperator(pole, CoefficientMatrix.by_dyad_orders(2, {(0, 1): 1}))
+    return [
+        Polynomial([1, 2]),
+        RationalFunction(Polynomial([1]), Polynomial([2, 1])),
+        pole,
+        GamowChainVector.basis(pole, 1),
+        build_jordan_block(pole),
+        operator.coefficients,
+        operator,
+        evolve_operator(operator),
+        system.equations[0],
+        system,
+        system.blocks()[1],
+        solve_binomial_recursion(2),
+        verify_restriction_equivalence(pole),
+        ket,
+        SMatrixModel(pole, [1, 1]),
+    ]
+
+
+@pytest.mark.parametrize("value", one_of_each_value_class(), ids=lambda value: type(value).__name__)
+def test_assignment_raises(value):
+    for field in fields(value):
+        with pytest.raises(AttributeError):
+            setattr(value, field.name, getattr(value, field.name))
+
+
+def representations(value: Fraction):
+    """The same number as a Fraction, a float and, when integral, an int."""
+    forms = [value, float(value)]
+    if value.denominator == 1:
+        forms.append(int(value))
+    return forms
+
+
+def assert_equal_and_hash_alike(values):
+    for value in values[1:]:
+        assert value == values[0]
+        assert hash(value) == hash(values[0])
+
+
+class TestEqualInputsGiveEqualValues:
+    @PROPERTY_SETTINGS
+    @given(dyadic, dyadic.filter(lambda w: w > 0), st.integers(1, 4))
+    def test_pole_and_jordan_block(self, energy, width, order):
+        poles = [
+            ComplexPole(e, w, order)
+            for e, w in zip(representations(energy), representations(width))
+        ]
+        assert_equal_and_hash_alike(poles)
+        assert_equal_and_hash_alike([build_jordan_block(pole) for pole in poles])
+
+    @PROPERTY_SETTINGS
+    @given(st.lists(dyadic, min_size=1, max_size=4), dyadic.map(abs))
+    def test_polynomial_chain_vector_and_model(self, values, t):
+        pole = ComplexPole(0, 1, len(values))
+        forms = [representations(v)[:2] for v in values]
+        coefficient_lists = [list(column) for column in zip(*forms)]
+        assert_equal_and_hash_alike([Polynomial(c) for c in coefficient_lists])
+        assert_equal_and_hash_alike(
+            [RationalFunction(Polynomial(c), Polynomial([1, 1])) for c in coefficient_lists]
+        )
+        assert_equal_and_hash_alike(
+            [GamowChainVector(pole, c, time) for c in coefficient_lists for time in representations(t)]
+        )
+        if values[-1]:
+            assert_equal_and_hash_alike([SMatrixModel(pole, c) for c in coefficient_lists])
+
+    @PROPERTY_SETTINGS
+    @given(dyadic, st.integers(1, 3), st.data())
+    def test_coefficient_tables_and_operators(self, value, order, data):
+        pole = ComplexPole(1, 1, order)
+        key = (data.draw(st.integers(0, order - 1)), data.draw(st.integers(0, order - 1)))
+        tables = [CoefficientMatrix.by_dyad_orders(order, {key: v}) for v in representations(value)]
+        assert_equal_and_hash_alike(tables)
+        operators = [DyadicOperator(pole, table) for table in tables]
+        assert_equal_and_hash_alike(operators)
+        assert_equal_and_hash_alike([evolve_operator(op) for op in operators])
+        assert_equal_and_hash_alike(
+            [TimePolynomialOperator(pole, {key: v}) for v in representations(value)]
+        )
