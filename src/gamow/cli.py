@@ -11,7 +11,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .exact import ComplexRational, coefficient_from_json
+from .exact import ComplexRational, coefficient_from_json, reject_unknown_keys
 from .jordan import ComplexPole
 from .operators import (
     CoefficientMatrix,
@@ -51,9 +51,9 @@ def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class RunConfig:
-    """Resolved settings for the evolve subcommand (t_start is pinned to 0)."""
+    """Resolved evolve settings; t_start is 0, and ComplexPole checks E_R and Gamma."""
 
     resonance_energy: float = 0.0
     width: float = 1.0
@@ -64,37 +64,42 @@ class RunConfig:
     output_format: str = CSV_FORMAT
     tolerance: float = 1e-12
 
-    def validate(self):
-        for name, value in (
-            ("E_R", self.resonance_energy),
-            ("Gamma", self.width),
-            ("t_end", self.t_end),
-            ("tolerance", self.tolerance),
-        ):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.t_end <= 0:
-            raise ValueError(f"grid t_end must be positive, got {self.t_end}")
+    def __post_init__(self):
+        for name, value in (("grid t_end", self.t_end), ("tolerance", self.tolerance)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.steps < 2:
             raise ValueError(f"grid needs at least 2 steps, got {self.steps}")
         if self.output_format not in (CSV_FORMAT, JSON_FORMAT):
             raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
 
     def grid(self):
         return [self.t_end * i / (self.steps - 1) for i in range(self.steps)]
 
 
-_EXPECTED = {int: "an integer", float: "a number", bool: "true or false", dict: "an object"}
+# One row per evolve setting: (RunConfig field, config key, flag dest, JSON
+# type).  The file value is type-checked, then a given flag overrides it.
+_SETTINGS = (
+    ("resonance_energy", "E_R", "energy", float),
+    ("width", "Gamma", "gamma", float),
+    ("order", "r", "r", int),
+    ("t_end", "grid.t_end", "t_end", float),
+    ("steps", "grid.steps", "steps", int),
+    ("output_format", "format", "format", str),
+    ("tolerance", "tol", "tol", float),
+)
+_EXPECTED = {int: "an integer", float: "a number", bool: "true or false", dict: "an object",
+             str: "a string"}
 
 
 def _typed(data: dict, key: str, kind, where: str, default=None):
     """data[key], or `default` when absent, checked to be a JSON value of `kind`.
 
-    JSON booleans are neither integers nor numbers here, and an integer is
-    also a number.
+    A key without a default is required.  JSON booleans are neither integers
+    nor numbers here, and an integer is also a number.
     """
+    if key not in data and default is None:
+        raise ValueError(f"{where}: missing required field")
     value = data.get(key, default)
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
@@ -107,37 +112,28 @@ def _build_operator(pole: ComplexPole, spec):
         raise ValueError(f"operator: expected an object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "binomial":
-        if "n" not in spec:
-            raise ValueError('operator.n: missing required field for kind "binomial"')
+        reject_unknown_keys(spec, ("kind", "n", "include_prefactor"), "operator")
+        n = _typed(spec, "n", int, "operator.n")
         prefactor = _typed(spec, "include_prefactor", bool, "operator.include_prefactor", True)
-        return exponential_state_operator(
-            pole, _typed(spec, "n", int, "operator.n"), include_prefactor=prefactor
-        )
+        return exponential_state_operator(pole, n, include_prefactor=prefactor)
     if kind == "dyad":
-        for field in ("ket", "bra"):
-            if field not in spec:
-                raise ValueError(f'operator.{field}: missing required field for kind "dyad"')
-        key = tuple(_typed(spec, field, int, f"operator.{field}") for field in ("ket", "bra"))
-        coeff = coefficient_from_json(spec.get("coeff", 1), "operator.coeff")
-        return operator_from_coefficients(
-            pole, CoefficientMatrix.by_dyad_orders(pole.order, {key: coeff})
-        )
-    if kind == "coefficients":
-        entries = spec.get("entries")
-        if not isinstance(entries, list):
+        entries = [("operator", {key: value for key, value in spec.items() if key != "kind"})]
+    elif kind == "coefficients":
+        reject_unknown_keys(spec, ("kind", "entries"), "operator")
+        if not isinstance(spec.get("entries"), list):
             raise ValueError('operator.entries: expected a list for kind "coefficients"')
-        table = {}
-        for i, entry in enumerate(entries):
-            where = f"operator.entries[{i}]"
-            if not isinstance(entry, dict) or "ket" not in entry or "bra" not in entry:
-                raise ValueError(f"{where}: expected an object with ket, bra, coeff")
-            key = tuple(_typed(entry, field, int, f"{where}.{field}") for field in ("ket", "bra"))
-            value = coefficient_from_json(entry.get("coeff", 1), f"{where}.coeff")
-            table[key] = table.get(key, ComplexRational(0)) + value
-        return operator_from_coefficients(
-            pole, CoefficientMatrix.by_dyad_orders(pole.order, table)
-        )
-    raise ValueError(f"operator.kind: expected binomial | dyad | coefficients, got {kind!r}")
+        entries = [(f"operator.entries[{i}]", entry) for i, entry in enumerate(spec["entries"])]
+    else:
+        raise ValueError(f"operator.kind: expected binomial | dyad | coefficients, got {kind!r}")
+    table = {}
+    for where, entry in entries:
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where}: expected an object with ket, bra, coeff")
+        reject_unknown_keys(entry, ("ket", "bra", "coeff"), where)
+        key = tuple(_typed(entry, field, int, f"{where}.{field}") for field in ("ket", "bra"))
+        value = coefficient_from_json(entry.get("coeff", 1), f"{where}.coeff")
+        table[key] = table.get(key, ComplexRational(0)) + value
+    return operator_from_coefficients(pole, CoefficientMatrix.by_dyad_orders(pole.order, table))
 
 
 def _load_json_config(path) -> dict:
@@ -149,48 +145,28 @@ def _load_json_config(path) -> dict:
 
 
 def _resolve_run_config(args) -> RunConfig:
-    config = RunConfig()
     data = _load_json_config(args.config) if args.config else {}
-    if data:
-        grid = _typed(data, "grid", dict, "grid", {})
-        config = RunConfig(
-            resonance_energy=_typed(data, "E_R", float, "E_R", config.resonance_energy),
-            width=_typed(data, "Gamma", float, "Gamma", config.width),
-            order=_typed(data, "r", int, "r", config.order),
-            operator_spec=data.get("operator"),
-            t_end=_typed(grid, "t_end", float, "grid.t_end", config.t_end),
-            steps=_typed(grid, "steps", int, "grid.steps", config.steps),
-            output_format=data.get("format", config.output_format),
-            tolerance=_typed(data, "tol", float, "tol", config.tolerance),
-        )
-    if args.energy is not None:
-        config.resonance_energy = args.energy
-    if args.gamma is not None:
-        config.width = args.gamma
-    if args.r is not None:
-        config.order = args.r
-    if args.t_end is not None:
-        config.t_end = args.t_end
-    if args.steps is not None:
-        config.steps = args.steps
-    if args.format is not None:
-        config.output_format = args.format
-    if args.tol is not None:
-        config.tolerance = args.tol
+    reject_unknown_keys(data, ("E_R", "Gamma", "r", "operator", "grid", "format", "tol"))
+    sections = {"": data, "grid": _typed(data, "grid", dict, "grid", {})}
+    reject_unknown_keys(sections["grid"], ("t_end", "steps"), "grid")
+    values = {}
+    for field, key, flag, kind in _SETTINGS:
+        section, _, name = key.rpartition(".")
+        if name in sections[section]:
+            values[field] = _typed(sections[section], name, kind, key)
+        if getattr(args, flag) is not None:
+            values[field] = getattr(args, flag)
+    spec = data.get("operator")
     if args.n is not None:
-        if config.operator_spec is not None:
+        if spec is not None:
             raise ValueError("give either --n or an operator in the config file, not both")
-        config.operator_spec = {
-            "kind": "binomial",
-            "n": args.n,
-            "include_prefactor": args.include_prefactor,
-        }
-        if args.r is None and "r" not in data:
-            config.order = max(config.order, args.n + 1)
-    if config.operator_spec is None:
-        config.operator_spec = {"kind": "binomial", "n": 0, "include_prefactor": True}
-    config.validate()
-    return config
+        spec = {"kind": "binomial", "n": args.n, "include_prefactor": args.include_prefactor}
+        values.setdefault("order", max(1, args.n + 1))
+    elif args.include_prefactor:
+        raise ValueError("--include-prefactor applies to the binomial operator of --n")
+    if spec is None:
+        spec = {"kind": "binomial", "n": 0, "include_prefactor": True}
+    return RunConfig(operator_spec=spec, **values)
 
 
 def cmd_evolve(args) -> int:
@@ -248,24 +224,19 @@ def cmd_exp_check(args) -> int:
         raise ValueError(f"--r must be a pole order >= 1, got {r}")
     j = args.j if args.j is not None else 2 * (r - 1)
     system = exponentiality_constraints(j)
-    dimension = system.solution_dimension
-    expected_dimension = j + 1
     try:
-        family = solve_binomial_recursion(j)
-        family_matches = binomial_family_matches_nullspace(system, family)
+        family_matches = binomial_family_matches_nullspace(system, solve_binomial_recursion(j))
     except ArithmeticError as exc:
         print(f"closed-form verification failed: {exc}", file=sys.stderr)
         family_matches = False
-    forward_ok = True
     payload = system.to_json_dict()
-    payload["expected_dimension"] = expected_dimension
+    payload["expected_dimension"] = j + 1
     payload["binomial_family_matches"] = family_matches
-    passed = dimension == expected_dimension and family_matches
+    passed = system.solution_dimension == j + 1 and family_matches
     if r is not None:
-        gamma = args.gamma if args.gamma is not None else 1.0
-        energy = args.energy if args.energy is not None else 0.0
-        pole = ComplexPole(energy, gamma, r)
+        pole = ComplexPole(0, 1, r)  # the characterization does not depend on E_R or Gamma
         report = verify_restriction_equivalence(pole)
+        forward_ok = True
         try:
             exponential_subspace_basis(pole)  # checks each member evolves purely exponentially
         except ArithmeticError as exc:
@@ -294,12 +265,7 @@ def cmd_residue(args) -> int:
 
 def cmd_basis(args) -> int:
     """Emit the pure-exponential operator basis for a pole order."""
-    if args.r is None:
-        raise ValueError("basis needs --r")
-    gamma = args.gamma if args.gamma is not None else 1.0
-    energy = args.energy if args.energy is not None else 0.0
-    pole = ComplexPole(energy, gamma, args.r)
-    members = exponential_subspace_basis(pole)
+    members = exponential_subspace_basis(ComplexPole(0, 1, args.r))
     if (args.format or JSON_FORMAT) == CSV_FORMAT:
         lines = ["n,ket,bra,re,im"]
         for n, member in enumerate(members):
@@ -323,58 +289,53 @@ def cmd_basis(args) -> int:
     return EXIT_OK
 
 
+# Every flag once; each subcommand below names the flags it reads.
+_OPTIONS = {
+    "--config": {"help": "JSON input: evolve settings, or the residue model document"},
+    "--out": {"help": "output path (default: stdout)"},
+    "--format": {"choices": [CSV_FORMAT, JSON_FORMAT], "help": "output format"},
+    "--tol": {"type": float, "help": "numeric tolerance"},
+    "--r": {"type": int, "help": "pole order"},
+    "--j": {"type": int, "help": "total-order bound for the constraint system"},
+    "--gamma": {"type": float, "help": "resonance width (energy units)"},
+    "--energy": {"type": float, "help": "resonance energy (energy units)"},
+    "--n": {"type": int, "help": "order of the binomial operator to evolve"},
+    "--include-prefactor": {
+        "action": "store_true",
+        "help": "include the width^n/n! prefactor on the binomial operator of --n",
+    },
+    "--t-end": {"type": float, "help": "end of the time grid (start is 0)"},
+    "--steps": {"type": int, "help": "number of grid points (>= 2)"},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gamow",
         description="Exact Jordan-block calculus for higher-order resonance states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=[CSV_FORMAT, JSON_FORMAT], help="output format")
-        p.add_argument("--tol", type=float, help="numeric tolerance")
-        p.add_argument("--r", type=int, help="pole order")
-        p.add_argument("--j", type=int, help="total-order bound for the constraint system")
-        p.add_argument("--gamma", type=float, help="resonance width (energy units)")
-        p.add_argument("--energy", type=float, help="resonance energy (energy units)")
-
-    evolve = sub.add_parser("evolve", help="evolve an operator and write its decay curve")
-    add_common(evolve)
-    evolve.add_argument("--n", type=int, help="order of the binomial operator to evolve")
-    evolve.add_argument(
-        "--include-prefactor",
-        action="store_true",
-        help="include the width^n/n! prefactor on the binomial operator",
-    )
-    evolve.add_argument("--t-end", type=float, help="end of the time grid (start is 0)")
-    evolve.add_argument("--steps", type=int, help="number of grid points (>= 2)")
-    evolve.set_defaults(handler=cmd_evolve)
-
-    exp_check = sub.add_parser(
-        "exp-check", help="verify the pure-exponential characterization"
-    )
-    add_common(exp_check)
-    exp_check.set_defaults(handler=cmd_exp_check)
-
-    residue = sub.add_parser("residue", help="contour-decomposition check for a model file")
-    add_common(residue)
-    residue.set_defaults(handler=cmd_residue)
-
-    basis = sub.add_parser("basis", help="emit the pure-exponential operator basis")
-    add_common(basis)
-    basis.set_defaults(handler=cmd_basis)
-
+    # (name, handler, help, flags); a trailing "!" marks a required flag
+    for name, handler, help_text, flags in (
+        ("evolve", cmd_evolve, "evolve an operator and write its decay curve",
+         "--config --out --format --tol --r --gamma --energy --n --include-prefactor"
+         " --t-end --steps"),
+        ("exp-check", cmd_exp_check, "verify the pure-exponential characterization",
+         "--out --r --j"),
+        ("residue", cmd_residue, "contour-decomposition check for a model file",
+         "--config! --out --tol"),
+        ("basis", cmd_basis, "emit the pure-exponential operator basis", "--out --format --r!"),
+    ):
+        command = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            option = flag.rstrip("!")
+            command.add_argument(option, required=flag != option, **_OPTIONS[option])
+        command.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "residue" and not args.config:
-        print("residue needs --config pointing at a model JSON file", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except json.JSONDecodeError as exc:

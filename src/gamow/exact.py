@@ -45,6 +45,14 @@ def coefficient_from_json(value, where: str) -> "ComplexRational":
     return ComplexRational(*parts)
 
 
+def reject_unknown_keys(data: dict, allowed, where: str = ""):
+    """Raise ValueError naming the first key not in `allowed`; `where` is the object's path."""
+    for key in data:
+        if key not in allowed:
+            path = f"{where}.{key}" if where else key
+            raise ValueError(f"{path}: unknown key, expected one of {', '.join(allowed)}")
+
+
 class ComplexRational:
     """A complex number with exact rational real and imaginary parts."""
 

@@ -20,6 +20,8 @@ Two coefficient layouts are used:
 Everything is an immutable value; all functions are pure and thread-safe.
 """
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -229,7 +231,8 @@ class TimePolynomialOperator:
         """Numeric entry value exp(-width*t) * P(t).
 
         Where the decay factor underflows to 0 the value is 0, also where
-        P(t) overflows, since the exponential outruns any polynomial.
+        P(t) overflows.  Where only P(t) overflows, the terms are summed as
+        c_p * exp(p*ln(t) - width*t); ArithmeticError if that overflows too.
         """
         if float(t) < 0:
             raise ValueError("operator evolution is defined for t >= 0 only")
@@ -237,7 +240,18 @@ class TimePolynomialOperator:
         if not decay:
             return 0j
         poly = self.entry_polynomial(ket_order, bra_order)
-        return decay * complex(poly(float(t)))
+        value = decay * complex(poly(float(t)))
+        if not cmath.isfinite(value):
+            log_t, rate = math.log(float(t)), float(self.pole.width) * float(t)
+            try:
+                value = sum(complex(c) * math.exp(p * log_t - rate)
+                            for p, c in enumerate(poly.coefficients))
+            except OverflowError:
+                value = math.inf
+            if not cmath.isfinite(value):
+                raise ArithmeticError(f"entry ({ket_order},{bra_order}) at t={float(t)!r} "
+                                      "exceeds the float range")
+        return value
 
     def at_time_zero(self) -> DyadicOperator:
         entries = {key: poly.coefficient(0) for key, poly in self.table.items()}
@@ -457,11 +471,13 @@ class ConstraintSystem:
         }
 
 
+@functools.cache
 def exponentiality_constraints(j: int) -> ConstraintSystem:
     """All cancellation conditions for total order bound j.
 
     Loop order is l outer, then m, then n (with n from m+l+1 up to j), which
-    fixes the reported equation ordering.  j=0 yields the empty system.
+    fixes the reported equation ordering.  j=0 yields the empty system.  Built
+    once per j: the system is immutable and solves its blocks once.
     """
     if j < 0:
         raise ValueError("order bound j must be nonnegative")

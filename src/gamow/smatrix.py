@@ -14,9 +14,10 @@ a lower semicircle at infinity) rather than an approximation.  The
 background piece is the (-inf, 0] leg traversed outward from the origin,
 i.e. minus the conventionally oriented integral; that orientation is what
 the closed contour produces.  Quadrature is adaptive Gauss-Kronrod
-(scipy/QUADPACK) with extra breakpoints planted near the pole; scipy is
-imported on the first quadrature, since importing it costs more than
-everything else the command line does at startup.
+(scipy/QUADPACK) with extra breakpoints planted near the pole.  scipy is
+imported on the first quadrature and numpy on the first root check, since
+importing them costs more than everything else the command line does at
+startup.
 """
 
 import json
@@ -25,8 +26,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .exact import (
     ComplexRational,
     Polynomial,
@@ -34,6 +33,7 @@ from .exact import (
     ZERO,
     binomial,
     coefficient_from_json,
+    reject_unknown_keys,
 )
 from .jordan import ComplexPole
 
@@ -46,8 +46,10 @@ _ROOT_IMAG_MARGIN = 1e-9
 
 
 def _denominator_roots(function: RationalFunction):
+    import numpy as np  # here, not at module load: only the residue path needs it
+
     coeffs = [complex(c) for c in reversed(function.denominator.coefficients)]
-    return np.roots(coeffs) if len(coeffs) > 1 else np.array([])
+    return np.roots(coeffs) if len(coeffs) > 1 else []
 
 
 def _require_upper_half_plane_roots(function: RationalFunction, what: str):
@@ -95,9 +97,6 @@ class TestFunction:
 
     def __call__(self, z):
         return self.function(z)
-
-    def derivative_at(self, order: int, z) -> ComplexRational:
-        return self.function.derivative(order)(z)
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,8 +196,12 @@ def residue_core(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestFunction
         raise ValueError(f"second test function must have role {BRA_ROLE!r}")
     z = model.pole.position
     r = model.pole.order
-    ket_derivs = [ket_fn.derivative_at(d, z) for d in range(r)]
-    bra_derivs = [bra_fn.derivative_at(d, z) for d in range(r)]
+    ket_derivs, bra_derivs = [], []
+    for function, derivs in ((ket_fn.function, ket_derivs), (bra_fn.function, bra_derivs)):
+        derivs.append(function(z))
+        for _ in range(1, r):
+            function = function.derivative()  # each order differentiates the last one
+            derivs.append(function(z))
     total = ZERO
     for n in range(r):
         weight = model.laurent[n] / math.factorial(n)
@@ -401,6 +404,7 @@ def parse_test_function(data, where: str = "test_function") -> TestFunction:
     """Build a test function from {"role", "num", "den"} (ascending coefficients)."""
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected an object, got {data!r}")
+    reject_unknown_keys(data, ("role", "num", "den"), where)
     for field in ("role", "num", "den"):
         if field not in data:
             raise ValueError(f"{where}.{field}: missing required field")
@@ -420,6 +424,9 @@ def model_from_json(data):
     """
     if not isinstance(data, dict):
         raise ValueError(f"model document must be a JSON object, got {type(data).__name__}")
+    reject_unknown_keys(
+        data, ("E_R", "Gamma", "r", "laurent", "background", "test_functions"), "model"
+    )
     for field in ("E_R", "Gamma", "r", "laurent", "test_functions"):
         if field not in data:
             raise ValueError(f"model.{field}: missing required field")
@@ -436,6 +443,7 @@ def model_from_json(data):
         bg = data["background"]
         if not isinstance(bg, dict) or "num" not in bg or "den" not in bg:
             raise ValueError('model.background: expected {"num": [...], "den": [...]}')
+        reject_unknown_keys(bg, ("num", "den"), "model.background")
         background = RationalFunction(
             _polynomial_from_json(bg["num"], "model.background.num"),
             _polynomial_from_json(bg["den"], "model.background.den"),

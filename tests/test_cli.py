@@ -1,16 +1,41 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from importlib.resources import files
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gamow
-from gamow.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFICATION_FAILURE, main
+from gamow import operators
+from gamow.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFICATION_FAILURE, _build_parser, main
+from gamow.exact import ComplexRational
+from gamow.jordan import ComplexPole
+from gamow.operators import (
+    CoefficientMatrix,
+    evolve_operator,
+    exponential_state_operator,
+    operator_from_coefficients,
+)
+
+EXAMPLE_MODEL = str(files("gamow") / "data" / "residue_example.json")
+
+
+def exit_status(argv):
+    """The status `main(argv)` exits with, also where argparse raises SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def read_csv_rows(path):
@@ -130,6 +155,42 @@ class TestEvolve:
         for line in lines[25:]:
             assert line.split(",", 3)[3] == "0,0,0"
 
+    def test_overflowing_polynomial_under_a_nonzero_decay_factor(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "Gamma": 7e-38, "r": 5, "operator": {"kind": "dyad", "ket": 4, "bra": 4},
+            "grid": {"t_end": 1e40, "steps": 3},
+        }))
+        assert main(["evolve", "--config", str(config_path)]) == EXIT_OK
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+        # entry (0,0) is t^8 exp(-Gamma t), whose t^8 alone overflows
+        for row in rows:
+            t = float(row[0])
+            if row[1:3] == ["0", "0"] and t:
+                expected = math.exp(8 * math.log(t) - 7e-38 * t)
+                assert float(row[3]) == pytest.approx(expected, rel=1e-12)
+                assert float(row[5]) == pytest.approx(expected, rel=1e-12)
+
+    def test_value_beyond_the_float_range_fails_and_writes_nothing(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "Gamma": 1e-300, "r": 5, "operator": {"kind": "dyad", "ket": 4, "bra": 4},
+        }))
+        code = main(["evolve", "--config", str(config_path), "--t-end", "1e100"])
+        assert code == EXIT_VERIFICATION_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "float range" in captured.err
+
+    def test_include_prefactor_needs_n(self, tmp_path, capsys):
+        assert main(["evolve", "--include-prefactor"]) == EXIT_INPUT_ERROR
+        assert "--include-prefactor" in capsys.readouterr().err
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"operator": {"kind": "binomial", "n": 0}}))
+        assert main(["evolve", "--config", str(config_path), "--include-prefactor"]) == EXIT_INPUT_ERROR
+        assert main(["evolve", "--n", "0", "--include-prefactor"]) == EXIT_OK
+
 
 class TestExpCheck:
     def test_order_two_reproduces_theorem(self, tmp_path, capsys):
@@ -178,6 +239,17 @@ class TestExpCheck:
 
     def test_missing_bounds_rejected(self):
         assert main(["exp-check"]) == EXIT_INPUT_ERROR
+
+    def test_constraint_system_is_built_once(self, tmp_path, monkeypatch):
+        built = []
+        equation = operators.ConstraintEquation
+        monkeypatch.setattr(
+            operators, "ConstraintEquation", lambda *args: built.append(args) or equation(*args)
+        )
+        operators.exponentiality_constraints.cache_clear()
+        assert main(["exp-check", "--r", "4", "--out", str(tmp_path / "report.json")]) == EXIT_OK
+        assert len(built) == 56
+        assert len({args[:3] for args in built}) == 56  # distinct (l, m, n)
 
     def test_order_twelve_passes(self, tmp_path):
         out = tmp_path / "report.json"
@@ -239,7 +311,7 @@ class TestResidue:
         assert main(["residue", "--config", str(model_path)]) == EXIT_INPUT_ERROR
 
     def test_missing_config_flag(self):
-        assert main(["residue"]) == EXIT_INPUT_ERROR
+        assert exit_status(["residue"]) == EXIT_INPUT_ERROR
 
     def test_missing_file(self):
         assert main(["residue", "--config", "/nonexistent/model.json"]) == EXIT_INPUT_ERROR
@@ -259,7 +331,7 @@ class TestNonFiniteAndInvalidInputs:
     @pytest.mark.parametrize("command", [["evolve"], ["exp-check", "--r", "2"], ["basis", "--r", "2"]])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_pole(self, command, flag, value):
-        assert main(command + [f"{flag}={value}"]) == EXIT_INPUT_ERROR
+        assert exit_status(command + [f"{flag}={value}"]) == EXIT_INPUT_ERROR
 
     def test_non_finite_config_values(self, tmp_path):
         config_path = tmp_path / "config.json"
@@ -310,6 +382,49 @@ class TestNonFiniteAndInvalidInputs:
         assert main(["residue", "--config", str(model_path)]) == EXIT_INPUT_ERROR
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "document, key",
+        [
+            ({"gamma": 2.0}, "gamma"),
+            ({"grid": {"t_end": 1.0, "stpes": 5}}, "grid.stpes"),
+            ({"operator": {"kind": "binomial", "n": 0, "prefactor": False}}, "operator.prefactor"),
+            ({"r": 2, "operator": {"kind": "dyad", "ket": 1, "bra": 0, "coef": 2}}, "operator.coef"),
+            ({"r": 2, "operator": {"kind": "coefficients", "entries": [], "entry": []}},
+             "operator.entry"),
+            (
+                {"r": 2, "operator": {"kind": "coefficients", "entries": [
+                    {"ket": 1, "bra": 0}, {"ket": 0, "bra": 1, "cof": 2},
+                ]}},
+                "operator.entries[1].cof",
+            ),
+        ],
+    )
+    def test_unknown_config_key_is_named(self, tmp_path, capsys, document, key):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(document))
+        assert main(["evolve", "--config", str(config_path)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith(f"input error: {key}: unknown key")
+
+    @pytest.mark.parametrize(
+        "path, key",
+        [
+            ((), "backgound"),
+            (("background",), "dem"),
+            (("test_functions", 1), "nom"),
+        ],
+    )
+    def test_unknown_model_key_is_named(self, tmp_path, capsys, path, key):
+        document = TestResidue().model_document()
+        target = document
+        for step in path:
+            target = target[step]
+        target[key] = [1.0]
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(document))
+        assert main(["residue", "--config", str(model_path)]) == EXIT_INPUT_ERROR
+        where = "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)
+        assert capsys.readouterr().err.startswith(f"input error: model{where}.{key}: unknown key")
+
     def test_nan_residue_tolerance(self, tmp_path):
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(TestResidue().model_document()))
@@ -317,7 +432,8 @@ class TestNonFiniteAndInvalidInputs:
 
 
 def test_importing_the_cli_does_not_import_scipy():
-    code = "import sys, gamow.cli; print('scipy' in sys.modules)"
+    """Nor numpy: both are imported by the residue path that needs them."""
+    code = "import sys, gamow.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
     search_path = [os.path.dirname(os.path.dirname(gamow.__file__))]
     if os.environ.get("PYTHONPATH"):
         search_path.append(os.environ["PYTHONPATH"])
@@ -325,7 +441,7 @@ def test_importing_the_cli_does_not_import_scipy():
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
 
 
 class TestBasis:
@@ -350,10 +466,116 @@ class TestBasis:
         assert lines[1] == "0,0,0,1,0"
 
     def test_missing_order_rejected(self):
-        assert main(["basis"]) == EXIT_INPUT_ERROR
+        assert exit_status(["basis"]) == EXIT_INPUT_ERROR
 
 
 def test_unknown_command_exits_with_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["conjure"])
     assert info.value.code == 2
+
+
+ACCEPTED_FLAGS = {
+    "evolve": {
+        "--config", "--out", "--format", "--tol", "--r", "--gamma", "--energy", "--n",
+        "--include-prefactor", "--t-end", "--steps",
+    },
+    "exp-check": {"--out", "--r", "--j"},
+    "residue": {"--config", "--out", "--tol"},
+    "basis": {"--out", "--format", "--r"},
+}
+REQUIRED_ARGS = {
+    "evolve": [], "exp-check": ["--r", "2"], "residue": ["--config", EXAMPLE_MODEL],
+    "basis": ["--r", "2"],
+}
+ALL_FLAGS = sorted(set().union(*ACCEPTED_FLAGS.values()))
+
+
+def test_each_subcommand_takes_exactly_the_flags_it_reads():
+    parser = _build_parser()
+    subcommands = next(
+        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    taken = {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in subcommands.items()
+    }
+    assert taken == ACCEPTED_FLAGS
+    assert sum(len(flags) for flags in taken.values()) == 20
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command in ACCEPTED_FLAGS for flag in ALL_FLAGS
+     if flag not in ACCEPTED_FLAGS[command]],
+)
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(command, flag):
+    value = [] if flag == "--include-prefactor" else ["1"]
+    assert exit_status([command, *REQUIRED_ARGS[command], flag, *value]) == EXIT_INPUT_ERROR
+
+
+# -- CSV round trip ------------------------------------------------------------
+
+dyadic = st.builds(lambda k, d: k / d, st.integers(-16, 16), st.sampled_from([1, 2, 4]))
+positive = st.builds(lambda k, d: k / d, st.integers(1, 16), st.sampled_from([1, 2, 4]))
+coefficient = st.tuples(dyadic, dyadic)
+
+
+@st.composite
+def evolve_configs(draw):
+    r = draw(st.integers(1, 4))
+    orders = st.integers(0, r - 1)
+    kind = draw(st.sampled_from(["binomial", "dyad", "coefficients"]))
+    if kind == "binomial":
+        operator = {"kind": kind, "n": draw(orders), "include_prefactor": draw(st.booleans())}
+    elif kind == "dyad":
+        re, im = draw(coefficient)
+        operator = {"kind": kind, "ket": draw(orders), "bra": draw(orders), "coeff": [re, im]}
+    else:
+        table = draw(st.dictionaries(st.tuples(orders, orders), coefficient, max_size=4))
+        operator = {"kind": kind, "entries": [
+            {"ket": ket, "bra": bra, "coeff": [re, im]} for (ket, bra), (re, im) in table.items()
+        ]}
+    return {
+        "E_R": draw(dyadic), "Gamma": draw(positive), "r": r, "operator": operator,
+        "grid": {"t_end": draw(positive), "steps": draw(st.integers(2, 6))},
+    }
+
+
+def library_operator(pole, spec):
+    if spec["kind"] == "binomial":
+        return exponential_state_operator(
+            pole, spec["n"], include_prefactor=spec["include_prefactor"]
+        )
+    entries = spec["entries"] if spec["kind"] == "coefficients" else [spec]
+    table = {(e["ket"], e["bra"]): ComplexRational(*e["coeff"]) for e in entries}
+    return operator_from_coefficients(pole, CoefficientMatrix.by_dyad_orders(pole.order, table))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(evolve_configs())
+def test_every_csv_cell_parses_back_to_the_library_value(config):
+    with tempfile.TemporaryDirectory() as workdir:
+        config_path = os.path.join(workdir, "config.json")
+        with open(config_path, "w", encoding="utf-8") as handle:
+            json.dump(config, handle)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["evolve", "--config", config_path]) == EXIT_OK
+    pole = ComplexPole(config["E_R"], config["Gamma"], config["r"])
+    evolved = evolve_operator(library_operator(pole, config["operator"]))
+    t_end, steps = config["grid"]["t_end"], config["grid"]["steps"]
+    expected = [
+        (t_end * i / (steps - 1), ket, bra)
+        for i in range(steps)
+        for ket in range(pole.order)
+        for bra in range(pole.order)
+    ]
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "t,entry_l,entry_m,re,im,modulus"
+    assert len(lines) == 1 + len(expected)
+    for line, (t, ket, bra) in zip(lines[1:], expected):
+        cells = line.split(",")
+        value = evolved.value(ket, bra, t)
+        assert (float(cells[0]), int(cells[1]), int(cells[2])) == (t, ket, bra)
+        assert [float(cell) for cell in cells[3:]] == [value.real, value.imag, abs(value)]

@@ -249,6 +249,19 @@ class TestEvolveOperator:
         for t in (0.0, 1.5, 30.0, 700.0):
             assert evolved.value(0, 0, t) == math.exp(-t) * complex(poly(t))
 
+    def test_value_sums_in_log_form_where_only_the_polynomial_overflows(self):
+        width = 7e-38
+        evolved = evolve_operator(dyad_operator(ComplexPole(0, width, 5), {(4, 4): 1}))
+        for t in (5e39, 1e40):
+            assert not cmath.isfinite(evolved.entry_polynomial(0, 0)(t))
+            expected = math.exp(8 * math.log(t) - width * t)  # t^8 exp(-width t)
+            assert evolved.value(0, 0, t) == pytest.approx(expected, rel=1e-12)
+
+    def test_value_beyond_the_float_range_raises(self):
+        evolved = evolve_operator(dyad_operator(ComplexPole(0, 1e-300, 5), {(4, 4): 1}))
+        with pytest.raises(ArithmeticError, match="float range"):
+            evolved.value(0, 0, 1e100)
+
 
 class TestIsPureExponential:
     def test_zero_operator_is_pure(self):

@@ -200,6 +200,17 @@ class TestResidueExpansion:
                     ) * product.derivative(n)(z)
                 assert residue_core(model, f, g) == direct
 
+    def test_each_function_is_differentiated_once_per_order(self, monkeypatch):
+        calls = []
+        derivative = RationalFunction.derivative
+        monkeypatch.setattr(
+            RationalFunction, "derivative",
+            lambda self, order=1: calls.append(order) or derivative(self, order),
+        )
+        model = SMatrixModel(ComplexPole(0, 1, 5), [cr(1), cr(2), cr(3), cr(4), cr(5)])
+        residue_core(model, F_KET, G_BRA)
+        assert calls == [1] * 8  # r - 1 = 4 steps for each of ket and bra
+
     def test_role_mismatch_rejected(self):
         model = unitary_first_order_model(ComplexPole(1, 1, 1))
         with pytest.raises(ValueError):
