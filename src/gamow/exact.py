@@ -328,6 +328,25 @@ class Polynomial:
             acc = acc * z + complex(c)
         return acc
 
+    def taylor_coefficients(self, center, count: int) -> list:
+        """The first `count` coefficients c_k of self(center + h) = sum c_k h^k.
+
+        Repeated synthetic division by (x - center): each pass leaves the
+        value of the current quotient at `center` as the next coefficient.
+        """
+        center = ComplexRational.from_value(center)
+        coeffs = list(self.coefficients)
+        taylor = []
+        for _ in range(count):
+            acc = ZERO
+            quotient = []
+            for c in reversed(coeffs):
+                acc = acc * center + c
+                quotient.append(acc)
+            taylor.append(quotient.pop() if quotient else ZERO)
+            coeffs = quotient[::-1]
+        return taylor
+
     def format(self, variable: str = "x") -> str:
         if self.is_zero:
             return "0"
@@ -393,6 +412,25 @@ class RationalFunction:
             p, q = result.numerator, result.denominator
             result = RationalFunction(p.derivative() * q - p * q.derivative(), q * q)
         return result
+
+    def taylor_coefficients(self, center, count: int) -> list:
+        """The first `count` Taylor coefficients at `center`, a regular point.
+
+        The numerator's and denominator's coefficients are divided as power
+        series, a_n = (p_n - sum_{k>=1} q_k a_{n-k}) / q_0: O(count * degree
+        + count^2) exact operations, where `derivative` squares the
+        denominator at each order.  At a pole q_0 = 0 and the division
+        raises ZeroDivisionError.
+        """
+        p = self.numerator.taylor_coefficients(center, count)
+        q = self.denominator.taylor_coefficients(center, count)
+        a = []
+        for n in range(count):
+            acc = p[n]
+            for k in range(1, n + 1):
+                acc = acc - q[k] * a[n - k]
+            a.append(acc / q[0])
+        return a
 
     def __mul__(self, other):
         if isinstance(other, RationalFunction):

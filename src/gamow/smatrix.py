@@ -5,7 +5,8 @@ pole plus an optional rational background, paired with rational stand-ins
 for the very well-behaved wavefunctions (poles confined to the upper
 half-plane, jointly decaying at infinity).  Because everything is rational,
 the pole contribution to the amplitude integral has an exact closed form,
-the Leibniz-expanded derivative sum, and the contour decomposition
+a Cauchy product of the ket's and bra's Taylor coefficients at the pole
+weighted by the principal-part coefficients, and the contour decomposition
 
     integral over [0, inf) = background piece + residue term
 
@@ -14,10 +15,11 @@ a lower semicircle at infinity) rather than an approximation.  The
 background piece is the (-inf, 0] leg traversed outward from the origin,
 i.e. minus the conventionally oriented integral; that orientation is what
 the closed contour produces.  Quadrature is adaptive Gauss-Kronrod
-(scipy/QUADPACK) with extra breakpoints planted near the pole.  scipy is
-imported on the first quadrature and numpy on the first root check, since
-importing them costs more than everything else the command line does at
-startup.
+(scipy/QUADPACK) with extra breakpoints planted near the pole, over an
+integrand whose coefficients are converted to complex once per contour
+piece.  scipy is imported on the first quadrature and numpy on the first
+root check, since importing them costs more than everything else the
+command line does at startup.
 """
 
 import json
@@ -31,7 +33,6 @@ from .exact import (
     Polynomial,
     RationalFunction,
     ZERO,
-    binomial,
     coefficient_from_json,
     reject_unknown_keys,
 )
@@ -186,9 +187,10 @@ def unitary_first_order_model(pole: ComplexPole) -> SMatrixModel:
 def residue_core(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestFunction) -> ComplexRational:
     """Exact rational part of the pole's residue contribution.
 
-    sum over n of laurent[n]/n! times the Leibniz split of the n-th
-    derivative of ket*bra at the pole; multiply by -2*pi*i to get the residue
-    term itself.  Exact in the Gaussian rationals.
+    With a_k and b_k the Taylor coefficients of ket and bra at the pole z,
+    the residue of ket*bra*laurent[n]/(E - z)^{n+1} at E = z is laurent[n]
+    times the Cauchy product sum_k a_{n-k} b_k; the sum over n, multiplied
+    by -2*pi*i, is the residue term.  Exact in the Gaussian rationals.
     """
     if ket_fn.role != KET_ROLE:
         raise ValueError(f"first test function must have role {KET_ROLE!r}")
@@ -196,19 +198,14 @@ def residue_core(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestFunction
         raise ValueError(f"second test function must have role {BRA_ROLE!r}")
     z = model.pole.position
     r = model.pole.order
-    ket_derivs, bra_derivs = [], []
-    for function, derivs in ((ket_fn.function, ket_derivs), (bra_fn.function, bra_derivs)):
-        derivs.append(function(z))
-        for _ in range(1, r):
-            function = function.derivative()  # each order differentiates the last one
-            derivs.append(function(z))
+    a = ket_fn.function.taylor_coefficients(z, r)
+    b = bra_fn.function.taylor_coefficients(z, r)
     total = ZERO
-    for n in range(r):
-        weight = model.laurent[n] / math.factorial(n)
+    for n, coeff in enumerate(model.laurent):
         inner = ZERO
         for k in range(n + 1):
-            inner = inner + binomial(n, k) * ket_derivs[n - k] * bra_derivs[k]
-        total = total + weight * inner
+            inner = inner + a[n - k] * b[k]
+        total = total + coeff * inner
     return total
 
 
@@ -288,15 +285,55 @@ def _combine(parts):
     )
 
 
+def _horner_coefficients(polynomial: Polynomial):
+    """Complex coefficients of `polynomial`, highest degree first."""
+    return tuple(complex(c) for c in reversed(polynomial.coefficients))
+
+
+def _horner(coefficients, z: complex) -> complex:
+    acc = 0j
+    for c in coefficients:
+        acc = acc * z + c
+    return acc
+
+
 def _amplitude_integrand(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestFunction):
+    """ket(e) * model(e) * bra(e) at a real energy e, as a complex.
+
+    Every coefficient is converted to complex once, here, and the callable
+    repeats the operations of the complex branches of `Polynomial.__call__`,
+    `RationalFunction.__call__` and `SMatrixModel.__call__` in their order,
+    so its values are bit-identical to evaluating those.
+    """
     if ket_fn.decay_degree + bra_fn.decay_degree < 2:
         raise ValueError(
             "contour pieces need the test-function pair to decay at least as 1/|z|^2 "
             f"combined, got degrees {ket_fn.decay_degree} + {bra_fn.decay_degree}"
         )
+    ket_num = _horner_coefficients(ket_fn.function.numerator)
+    ket_den = _horner_coefficients(ket_fn.function.denominator)
+    bra_num = _horner_coefficients(bra_fn.function.numerator)
+    bra_den = _horner_coefficients(bra_fn.function.denominator)
+    position = complex(model.pole.position)
+    laurent = tuple(complex(c) for c in model.laurent)
+    background = model.background
+    if background is not None:
+        bg_num = _horner_coefficients(background.numerator)
+        bg_den = _horner_coefficients(background.denominator)
 
     def integrand(energy: float) -> complex:
-        return complex(ket_fn(energy)) * model(complex(energy)) * complex(bra_fn(energy))
+        z = complex(energy)
+        shift = z - position
+        total = 0j
+        power = shift
+        for coeff in laurent:
+            total += coeff / power
+            power *= shift
+        if background is not None:
+            total += _horner(bg_num, z) / _horner(bg_den, z)
+        ket = _horner(ket_num, z) / _horner(ket_den, z)
+        bra = _horner(bra_num, z) / _horner(bra_den, z)
+        return ket * total * bra
 
     return integrand
 

@@ -1,5 +1,6 @@
 """Tests for the exact arithmetic core."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,14 @@ class TestPolynomial:
         assert p.derivative(3) == Polynomial([6])
         assert p.derivative(4).is_zero
 
+    def test_taylor_coefficients_are_scaled_derivatives(self):
+        p = Polynomial([cr(1, 2), -3, cr(0, Fraction(1, 2)), 5])
+        center = cr(Fraction(2, 3), -1)
+        expected = [p.derivative(k)(center) / math.factorial(k) for k in range(6)]
+        assert p.taylor_coefficients(center, 6) == expected
+        assert expected[4] == expected[5] == ZERO
+        assert Polynomial.zero().taylor_coefficients(center, 2) == [ZERO, ZERO]
+
     def test_exact_evaluation(self):
         p = Polynomial([1, -2, 1])  # (x-1)^2
         assert p(Fraction(3, 2)) == cr(Fraction(1, 4))
@@ -178,6 +187,14 @@ class TestRationalFunction:
         f = RationalFunction.from_coefficient_lists([1], [cr(0, -1), 1])
         with pytest.raises(ZeroDivisionError):
             f(cr(0, 1))
+        with pytest.raises(ZeroDivisionError):
+            f.taylor_coefficients(cr(0, 1), 3)
+
+    def test_taylor_coefficients_are_scaled_derivatives(self):
+        f = RationalFunction.from_coefficient_lists([cr(1, 1), 2], [cr(-1), cr(0, -3), 1])
+        point = cr(Fraction(1, 3), Fraction(-1, 5))
+        expected = [f.derivative(k)(point) / math.factorial(k) for k in range(5)]
+        assert f.taylor_coefficients(point, 5) == expected
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):

@@ -4,9 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from gamow.exact import ComplexRational, RationalFunction, ZERO
+from gamow.exact import ComplexRational, ONE, Polynomial, RationalFunction, ZERO, binomial
 from gamow.jordan import ComplexPole
 from gamow.smatrix import (
     QuadratureConfig,
@@ -17,6 +20,7 @@ from gamow.smatrix import (
     direct_contour_integral,
     load_model_file,
     model_from_json,
+    _amplitude_integrand,
     residue_core,
     residue_expansion,
     parse_test_function,
@@ -43,6 +47,86 @@ def bra(num, den):
 # f(z) = 1/(z-2i)^2 and g(z) = 1/(z-3i), the pair used throughout
 F_KET = ket([1], [cr(-4), cr(0, -4), 1])
 G_BRA = bra([1], [cr(0, -3), 1])
+
+
+def with_roots(num, roots):
+    """num / prod (z - w) over the given roots."""
+    den = Polynomial((1,))
+    for w in roots:
+        den = den * Polynomial((-w, 1))
+    return RationalFunction(Polynomial(num), den)
+
+
+quarters = st.integers(-8, 8).map(lambda n: Fraction(n, 4))
+gaussians = st.builds(ComplexRational, quarters, quarters)
+upper_roots = st.builds(
+    ComplexRational,
+    st.integers(-6, 6).map(lambda n: Fraction(n, 2)),
+    st.sampled_from([Fraction(1, 2), Fraction(3, 4), 1, Fraction(3, 2), 2]),
+)
+
+
+@st.composite
+def rational_functions(draw, max_degree=2, min_decay=0):
+    """Bounded rationals with every denominator root in the upper half-plane."""
+    roots = draw(st.lists(upper_roots, min_size=min_decay, max_size=max(max_degree, min_decay)))
+    num_degree = draw(st.integers(0, len(roots) - min_decay))
+    return with_roots(draw(st.lists(gaussians, min_size=num_degree + 1, max_size=num_degree + 1)), roots)
+
+
+@st.composite
+def models(draw, max_order=5, background=True):
+    order = draw(st.integers(1, max_order))
+    pole = ComplexPole(draw(quarters), draw(st.integers(1, 8).map(lambda n: Fraction(n, 4))), order)
+    laurent = draw(st.lists(gaussians, min_size=order, max_size=order))
+    laurent[-1] = laurent[-1] or ONE
+    bg = draw(st.none() | rational_functions(max_degree=2)) if background else None
+    return SMatrixModel(pole, laurent, bg)
+
+
+def leibniz_residue_core(model, ket_fn, bra_fn):
+    """The quotient-rule oracle: r - 1 derivatives of each function, then
+
+    sum_n laurent[n]/n! * sum_k C(n, k) ket^(n-k)(z) bra^(k)(z).
+    """
+    z = model.pole.position
+    r = model.pole.order
+    ket_derivs, bra_derivs = [], []
+    for function, derivs in ((ket_fn.function, ket_derivs), (bra_fn.function, bra_derivs)):
+        derivs.append(function(z))
+        for _ in range(1, r):
+            function = function.derivative()
+            derivs.append(function(z))
+    total = ZERO
+    for n in range(r):
+        inner = ZERO
+        for k in range(n + 1):
+            inner = inner + binomial(n, k) * ket_derivs[n - k] * bra_derivs[k]
+        total = total + model.laurent[n] / math.factorial(n) * inner
+    return total
+
+
+def to_sympy(value):
+    value = ComplexRational.from_value(value)
+    return sympy.Rational(value.real.numerator, value.real.denominator) + sympy.I * sympy.Rational(
+        value.imag.numerator, value.imag.denominator
+    )
+
+
+def sympy_residue_core(model, ket_fn, bra_fn):
+    """sum_n laurent[n] * [h^n] of ket*bra(z + h), by sympy's `series`."""
+    h = sympy.Symbol("h")
+    z = to_sympy(model.pole.position)
+
+    def shifted(polynomial):
+        return sum(to_sympy(c) * (z + h) ** p for p, c in enumerate(polynomial.coefficients))
+
+    product = 1
+    for fn in (ket_fn, bra_fn):
+        product *= shifted(fn.function.numerator) / shifted(fn.function.denominator)
+    r = model.pole.order
+    series = sympy.expand(sympy.series(product, h, 0, r).removeO())
+    return sympy.expand(sum(to_sympy(model.laurent[n]) * series.coeff(h, n) for n in range(r)))
 
 
 class TestModelValidation:
@@ -200,7 +284,7 @@ class TestResidueExpansion:
                     ) * product.derivative(n)(z)
                 assert residue_core(model, f, g) == direct
 
-    def test_each_function_is_differentiated_once_per_order(self, monkeypatch):
+    def test_no_derivative_is_taken(self, monkeypatch):
         calls = []
         derivative = RationalFunction.derivative
         monkeypatch.setattr(
@@ -209,7 +293,45 @@ class TestResidueExpansion:
         )
         model = SMatrixModel(ComplexPole(0, 1, 5), [cr(1), cr(2), cr(3), cr(4), cr(5)])
         residue_core(model, F_KET, G_BRA)
-        assert calls == [1] * 8  # r - 1 = 4 steps for each of ket and bra
+        assert calls == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(models(background=False), rational_functions(), rational_functions())
+    def test_matches_the_quotient_rule_oracle(self, model, ket_function, bra_function):
+        f, g = TestFunction(ket_function, "ket"), TestFunction(bra_function, "bra")
+        assert residue_core(model, f, g) == leibniz_residue_core(model, f, g)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_matches_the_sympy_series_oracle(self, order):
+        pole = ComplexPole(Fraction(5, 2), Fraction(3, 4), order)
+        laurent = [cr(Fraction(n + 1, 2), -Fraction(1, n + 2)) for n in range(order)]
+        model = SMatrixModel(pole, laurent)
+        pairs = [
+            (F_KET, G_BRA),
+            (
+                TestFunction(with_roots([cr(1, -2), cr(Fraction(1, 4))], [cr(1, 1), cr(-Fraction(1, 2), 2)]), "ket"),
+                TestFunction(with_roots([cr(-3, 1)], [cr(Fraction(1, 2), Fraction(3, 4))]), "bra"),
+            ),
+        ]
+        for f, g in pairs:
+            assert to_sympy(residue_core(model, f, g)) == sympy_residue_core(model, f, g)
+
+    def test_closed_form_at_order_twenty(self):
+        # 1/(z + h - w) = sum_k -(w - z)^-(k+1) h^k, for ket and bra alike
+        r = 20
+        pole = ComplexPole(Fraction(3, 2), 1, r)
+        z = pole.position
+        w1, w2 = cr(Fraction(1, 2), 1), cr(-2, Fraction(3, 2))
+        laurent = [cr(n % 3 - 1, Fraction(1, n + 1)) for n in range(r)]
+        model = SMatrixModel(pole, laurent)
+        a = [-((w1 - z) ** -(k + 1)) for k in range(r)]
+        b = [-((w2 - z) ** -(k + 1)) for k in range(r)]
+        expected = ZERO
+        for n in range(r):
+            expected = expected + laurent[n] * sum((a[n - k] * b[k] for k in range(n + 1)), ZERO)
+        f = TestFunction(with_roots([1], [w1]), "ket")
+        g = TestFunction(with_roots([1], [w2]), "bra")
+        assert residue_core(model, f, g) == expected
 
     def test_role_mismatch_rejected(self):
         model = unitary_first_order_model(ComplexPole(1, 1, 1))
@@ -272,6 +394,24 @@ class TestContourPieces:
         assert tight.error_estimate < loose.error_estimate or tight.error_estimate < 1e-12
 
 
+class TestAmplitudeIntegrand:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        models(max_order=6),
+        rational_functions(min_decay=1),
+        rational_functions(min_decay=1),
+        st.floats(-1e6, 1e6),
+        st.none() | st.floats(-1e-3, 1e-3),
+    )
+    def test_bit_identical_to_the_exact_types(self, model, ket_function, bra_function, energy, pole_offset):
+        if pole_offset is not None:  # next to the resonance energy, where the amplitude peaks
+            energy = float(model.pole.resonance_energy) + pole_offset
+        f, g = TestFunction(ket_function, "ket"), TestFunction(bra_function, "bra")
+        integrand = _amplitude_integrand(model, f, g)
+        for e in (energy, -energy):
+            assert integrand(e) == complex(f(e)) * model(complex(e)) * complex(g(e))
+
+
 class TestDecomposition:
     def test_first_order_spec_pair(self):
         model = unitary_first_order_model(ComplexPole(2, 1, 1))
@@ -309,6 +449,20 @@ class TestDecomposition:
         residue = residue_expansion(model, F_KET, g)
         assert abs(background.value) < abs(residue) / 2
         report = decomposition_check(model, F_KET, g)
+        assert report.passed
+
+    @pytest.mark.parametrize("width", [Fraction(1, 2), 1])
+    @pytest.mark.parametrize("order", [5, 6, 7, 8])
+    def test_higher_orders_pass(self, order, width):
+        # ket c/((z - w1)(z - w2)) and bra c/(z - w3), with a background at odd
+        # orders: the shapes of the benchmark's residue jobs
+        f = TestFunction(with_roots([cr(1, Fraction(-1, 2))], [cr(1, 1), cr(Fraction(-1, 2), Fraction(3, 2))]), "ket")
+        g = TestFunction(with_roots([cr(Fraction(-3, 4), Fraction(1, 4))], [cr(Fraction(1, 2), Fraction(3, 4))]), "bra")
+        laurent = [cr(Fraction(n % 5 - 2, 4), Fraction(1, n + 2)) for n in range(order)]
+        background = with_roots([cr(Fraction(1, 4))], [cr(0, 2)]) if order % 2 else None
+        model = SMatrixModel(ComplexPole(Fraction(3, 2), width, order), laurent, background)
+        report = decomposition_check(model, f, g, tolerance=1e-8)
+        assert report.converged
         assert report.passed
 
     def test_failed_tolerance_reports_not_raises(self):
