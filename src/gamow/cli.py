@@ -11,7 +11,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .exact import ComplexRational, coefficient_from_json, reject_unknown_keys
+from .exact import ComplexRational, coefficient_from_json, reject_unknown_keys, typed_field
 from .jordan import ComplexPole
 from .operators import (
     CoefficientMatrix,
@@ -88,23 +88,6 @@ _SETTINGS = (
     ("output_format", "format", "format", str),
     ("tolerance", "tol", "tol", float),
 )
-_EXPECTED = {int: "an integer", float: "a number", bool: "true or false", dict: "an object",
-             str: "a string"}
-
-
-def _typed(data: dict, key: str, kind, where: str, default=None):
-    """data[key], or `default` when absent, checked to be a JSON value of `kind`.
-
-    A key without a default is required.  JSON booleans are neither integers
-    nor numbers here, and an integer is also a number.
-    """
-    if key not in data and default is None:
-        raise ValueError(f"{where}: missing required field")
-    value = data.get(key, default)
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise ValueError(f"{where}: expected {_EXPECTED[kind]}, got {value!r}")
-    return float(value) if kind is float else value
 
 
 def _build_operator(pole: ComplexPole, spec):
@@ -113,8 +96,9 @@ def _build_operator(pole: ComplexPole, spec):
     kind = spec.get("kind")
     if kind == "binomial":
         reject_unknown_keys(spec, ("kind", "n", "include_prefactor"), "operator")
-        n = _typed(spec, "n", int, "operator.n")
-        prefactor = _typed(spec, "include_prefactor", bool, "operator.include_prefactor", True)
+        n = typed_field(spec, "n", int, "operator.n")
+        prefactor = typed_field(spec, "include_prefactor", bool,
+                                "operator.include_prefactor", True)
         return exponential_state_operator(pole, n, include_prefactor=prefactor)
     if kind == "dyad":
         entries = [("operator", {key: value for key, value in spec.items() if key != "kind"})]
@@ -130,7 +114,7 @@ def _build_operator(pole: ComplexPole, spec):
         if not isinstance(entry, dict):
             raise ValueError(f"{where}: expected an object with ket, bra, coeff")
         reject_unknown_keys(entry, ("ket", "bra", "coeff"), where)
-        key = tuple(_typed(entry, field, int, f"{where}.{field}") for field in ("ket", "bra"))
+        key = tuple(typed_field(entry, field, int, f"{where}.{field}") for field in ("ket", "bra"))
         value = coefficient_from_json(entry.get("coeff", 1), f"{where}.coeff")
         table[key] = table.get(key, ComplexRational(0)) + value
     return operator_from_coefficients(pole, CoefficientMatrix.by_dyad_orders(pole.order, table))
@@ -147,13 +131,13 @@ def _load_json_config(path) -> dict:
 def _resolve_run_config(args) -> RunConfig:
     data = _load_json_config(args.config) if args.config else {}
     reject_unknown_keys(data, ("E_R", "Gamma", "r", "operator", "grid", "format", "tol"))
-    sections = {"": data, "grid": _typed(data, "grid", dict, "grid", {})}
+    sections = {"": data, "grid": typed_field(data, "grid", dict, "grid", {})}
     reject_unknown_keys(sections["grid"], ("t_end", "steps"), "grid")
     values = {}
     for field, key, flag, kind in _SETTINGS:
         section, _, name = key.rpartition(".")
         if name in sections[section]:
-            values[field] = _typed(sections[section], name, kind, key)
+            values[field] = typed_field(sections[section], name, kind, key)
         if getattr(args, flag) is not None:
             values[field] = getattr(args, flag)
     spec = data.get("operator")
@@ -278,10 +262,7 @@ def cmd_basis(args) -> int:
         payload = [
             {
                 "n": n,
-                "entries": [
-                    {"ket": ket, "bra": bra, "coeff": [float(v.real), float(v.imag)]}
-                    for (ket, bra), v in member.items()
-                ],
+                "entries": member.coefficients.to_json_entries(),
             }
             for n, member in enumerate(members)
         ]

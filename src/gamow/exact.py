@@ -29,16 +29,33 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+_EXPECTED = {int: "an integer", float: "a number", bool: "true or false", dict: "an object",
+             str: "a string"}
+
+
+def typed_field(data: dict, key: str, kind, where: str, default=None):
+    """data[key], or `default` when absent, checked to be a JSON value of `kind`.
+
+    A key without a default is required.  JSON booleans are neither integers
+    nor numbers here, and an integer is also a number.
+    """
+    if key not in data and default is None:
+        raise ValueError(f"{where}: missing required field")
+    value = data.get(key, default)
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ValueError(f"{where}: expected {_EXPECTED[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
 def coefficient_from_json(value, where: str) -> "ComplexRational":
-    """A JSON coefficient: a number or an [re, im] pair, all parts finite.
+    """A JSON coefficient: a number or an [re, im] pair of numbers, all parts finite.
 
     `where` names the field in the error messages.
     """
-    if isinstance(value, (int, float)):
-        parts = (value,)
-    elif isinstance(value, (list, tuple)) and len(value) == 2:
-        parts = tuple(value)
-    else:
+    pair = isinstance(value, (list, tuple)) and len(value) == 2
+    parts = tuple(value) if pair else (value,)
+    if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
         raise ValueError(f"{where}: expected a number or [re, im] pair, got {value!r}")
     if any(isinstance(part, float) and not math.isfinite(part) for part in parts):
         raise ValueError(f"{where}: coefficients must be finite, got {value!r}")

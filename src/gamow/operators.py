@@ -11,11 +11,10 @@ happens, both by assembling and solving the homogeneous constraint system in
 exact integers, one block per total order, and by the closed-form binomial
 recursion.
 
-Two coefficient layouts are used:
-
-* "dyad" entries are keyed (ket_order, bra_order), both below the pole order.
-* "total" entries are keyed (total_order n, ket_order k) with k <= n <= bound;
-  the dyad is recovered as ket k, bra n - k.
+Every coefficient table is keyed by dyad (ket_order, bra_order), both below
+the table's bound.  The constraint unknowns are indexed (total order n, ket
+order k), as the paper writes them; A[(n, k)] is the entry at dyad (k, n - k),
+so the solutions of total order bound j are tables of bound j + 1.
 
 Everything is an immutable value; all functions are pure and thread-safe.
 """
@@ -29,7 +28,6 @@ from fractions import Fraction
 from .exact import (
     ComplexRational,
     I,
-    ONE,
     Polynomial,
     ZERO,
     binomial,
@@ -38,51 +36,32 @@ from .exact import (
 )
 from .jordan import ComplexPole
 
-DYAD_MODE = "dyad"
-TOTAL_MODE = "total"
-
 
 @dataclass(frozen=True, slots=True)
 class CoefficientMatrix:
-    """Sparse exact coefficient table in one of the two layouts."""
+    """Sparse exact coefficient table keyed (ket_order, bra_order), both below `bound`."""
 
-    mode: str
     bound: int
     entries: dict
 
     def __post_init__(self):
-        mode, bound = self.mode, self.bound
-        if mode not in (DYAD_MODE, TOTAL_MODE):
-            raise ValueError(f"unknown coefficient layout {mode!r}")
+        bound = self.bound
         if bound < 0:
             raise ValueError("order bound must be nonnegative")
         table = {}
         for key, value in dict(self.entries).items():
-            first, second = key
+            ket, bra = key
+            if not (0 <= ket < bound and 0 <= bra < bound):
+                raise ValueError(f"dyad entry {key} out of range for order bound {bound}")
             value = ComplexRational.from_value(value)
-            if mode == DYAD_MODE:
-                if not (0 <= first < bound and 0 <= second < bound):
-                    raise ValueError(
-                        f"dyad entry {key} out of range for order bound {bound}"
-                    )
-            else:
-                if not (0 <= second <= first <= bound):
-                    raise ValueError(
-                        f"total-order entry {key} outside the triangle 0 <= k <= n <= {bound}"
-                    )
             if value:
-                table[(first, second)] = value
+                table[(ket, bra)] = value
         object.__setattr__(self, "entries", table)
 
     @classmethod
     def by_dyad_orders(cls, order_bound: int, entries) -> "CoefficientMatrix":
         """Entries keyed (ket_order, bra_order), each in 0..order_bound-1."""
-        return cls(DYAD_MODE, order_bound, entries)
-
-    @classmethod
-    def by_total_order(cls, total_bound: int, entries) -> "CoefficientMatrix":
-        """Entries keyed (total_order, ket_order) with ket <= total <= total_bound."""
-        return cls(TOTAL_MODE, total_bound, entries)
+        return cls(order_bound, entries)
 
     def entry(self, key) -> ComplexRational:
         return self.entries.get(tuple(key), ZERO)
@@ -90,39 +69,25 @@ class CoefficientMatrix:
     def items(self):
         return sorted(self.entries.items())
 
-    def to_total(self) -> "CoefficientMatrix":
-        """Reindex a dyad table by (total_order, ket_order).
-
-        Entry (ket k, bra m) lands at (n, k) with n = k + m; indices beyond
-        the dyad range simply do not occur, which is the zero pattern the
-        embedding into total order j = 2*(bound - 1) requires.
-        """
-        if self.mode == TOTAL_MODE:
-            return self
-        j = 2 * (self.bound - 1) if self.bound else 0
-        return CoefficientMatrix.by_total_order(
-            j, {(k + m, k): value for (k, m), value in self.entries.items()}
-        )
+    def to_json_entries(self):
+        """The nonzero entries as {"ket", "bra", "coeff": [re, im]} objects, in key order."""
+        return [
+            {"ket": ket, "bra": bra, "coeff": [float(v.real), float(v.imag)]}
+            for (ket, bra), v in self.items()
+        ]
 
     def __hash__(self):
-        return hash((self.mode, self.bound, tuple(self.items())))
+        return hash((self.bound, tuple(self.items())))
 
 
 @dataclass(frozen=True, slots=True)
 class DyadicOperator:
-    """Linear combination of chain dyads |ket k><bra m| over one pole.
-
-    A total-order coefficient table is converted to the dyad layout.
-    """
+    """Linear combination of chain dyads |ket k><bra m| over one pole."""
 
     pole: ComplexPole
     coefficients: CoefficientMatrix
 
     def __post_init__(self):
-        if self.coefficients.mode != DYAD_MODE:
-            object.__setattr__(
-                self, "coefficients", _total_to_dyad(self.pole.order, self.coefficients)
-            )
         if self.coefficients.bound != self.pole.order:
             raise ValueError(
                 f"coefficient order bound {self.coefficients.bound} does not match "
@@ -161,21 +126,9 @@ class DyadicOperator:
     __rmul__ = __mul__
 
 
-def _total_to_dyad(order: int, coefficients: CoefficientMatrix) -> CoefficientMatrix:
-    entries = {}
-    for (n, k), value in coefficients.entries.items():
-        m = n - k
-        if k > order - 1 or m > order - 1:
-            raise ValueError(
-                f"total-order entry ({n}, {k}) maps to dyad ({k}, {m}) outside pole order {order}"
-            )
-        entries[(k, m)] = entries.get((k, m), ZERO) + value
-    return CoefficientMatrix.by_dyad_orders(order, entries)
-
-
 def operator_from_coefficients(pole: ComplexPole,
                                coefficients: CoefficientMatrix) -> DyadicOperator:
-    """Operator with exactly the given coefficient table (either layout)."""
+    """Operator with exactly the given coefficient table."""
     return DyadicOperator(pole, coefficients)
 
 
@@ -190,11 +143,10 @@ def exponential_state_operator(pole: ComplexPole, n: int,
     r = pole.order
     if not 0 <= n <= r - 1:
         raise ValueError(f"operator order n={n} requires chain orders up to n; pole order is {r}")
-    prefactor = (
-        ComplexRational(pole.width**n / math.factorial(n)) if include_prefactor else ONE
-    )
-    entries = {(k, n - k): prefactor * binomial(n, k) for k in range(n + 1)}
-    return DyadicOperator(pole, CoefficientMatrix.by_dyad_orders(r, entries))
+    operator = DyadicOperator(pole, binomial_pattern_matrix(r, n))
+    if not include_prefactor:
+        return operator
+    return operator * ComplexRational(pole.width**n / math.factorial(n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -317,9 +269,10 @@ class ConstraintEquation:
         object.__setattr__(self, "terms", tuple((tuple(v), int(c)) for v, c in self.terms))
 
     def evaluate(self, coefficients: CoefficientMatrix) -> ComplexRational:
+        """The left-hand side at a dyad table, reading A[(n, k)] at dyad (k, n - k)."""
         total = ZERO
-        for variable, coeff in self.terms:
-            total = total + coefficients.entry(variable) * coeff
+        for (n, k), coeff in self.terms:
+            total = total + coefficients.entry((k, n - k)) * coeff
         return total
 
     def to_json_dict(self):
@@ -377,6 +330,15 @@ def _solve_block(n: int, equations, order=None) -> ConstraintBlock:
         rows.append(row)
     free, basis = integer_nullspace(rows, len(columns))
     return ConstraintBlock(n, columns, tuple(free), tuple(basis))
+
+
+def _solution_tables(blocks, bound: int):
+    """(free dyad, dyad table of bound `bound`) per solution vector, block by block."""
+    for block in blocks:
+        for free, vector in zip(block.free, block.nullspace):
+            ket = block.columns[free]
+            entries = {(k, block.n - k): c for k, c in zip(block.columns, vector) if c}
+            yield (ket, block.n - ket), CoefficientMatrix.by_dyad_orders(bound, entries)
 
 
 @dataclass(frozen=True, slots=True)
@@ -446,18 +408,12 @@ class ConstraintSystem:
         return rows
 
     def nullspace_basis(self):
-        """Exact solution basis, one CoefficientMatrix per free parameter.
+        """Exact solution basis, one dyad table of bound j + 1 per free parameter.
 
         Canonical: unit entry at each free unknown, zero at the others, in
         ascending order of the free unknown over `variables`.
         """
-        return [
-            CoefficientMatrix.by_total_order(
-                self.j, {(block.n, k): c for k, c in zip(block.columns, vector) if c}
-            )
-            for block in self.blocks()
-            for vector in block.nullspace
-        ]
+        return [table for _, table in _solution_tables(self.blocks(), self.j + 1)]
 
     @property
     def solution_dimension(self) -> int:
@@ -510,27 +466,17 @@ class BinomialRecursionFamily:
         return self.multipliers[(n, k)]
 
     def basis(self):
-        """One member per free parameter: unit A[(n0,0)], everything else forced."""
-        members = []
-        for n0 in range(self.j + 1):
-            entries = {
-                (n0, k): ComplexRational(self.multipliers[(n0, k)])
-                for k in range(n0 + 1)
-            }
-            members.append(CoefficientMatrix.by_total_order(self.j, entries))
-        return members
+        """One dyad table of bound j + 1 per free parameter: unit A[(n0,0)], the rest forced."""
+        units = range(self.j + 1)
+        return [self.member([int(n == n0) for n in units]) for n0 in units]
 
     def member(self, free_values) -> CoefficientMatrix:
-        """Family member with the given values of the free parameters A[(n,0)]."""
+        """Dyad table of bound j + 1 with the given free parameters A[(n,0)]."""
         free = [ComplexRational.from_value(v) for v in free_values]
         if len(free) != self.j + 1:
             raise ValueError(f"expected {self.j + 1} free parameters, got {len(free)}")
-        entries = {}
-        for (n, k), mult in self.multipliers.items():
-            value = free[n] * ComplexRational(mult)
-            if value:
-                entries[(n, k)] = value
-        return CoefficientMatrix.by_total_order(self.j, entries)
+        entries = {(k, n - k): free[n] * mult for (n, k), mult in self.multipliers.items()}
+        return CoefficientMatrix.by_dyad_orders(self.j + 1, entries)
 
 
 def solve_binomial_recursion(j: int) -> BinomialRecursionFamily:
@@ -609,7 +555,7 @@ def exponential_subspace_basis(pole: ComplexPole):
 
 @dataclass(frozen=True, slots=True)
 class RestrictionReport:
-    """Result of checking the dyad-layout restriction of the constraint system.
+    """Result of checking the constraint system restricted to a pole's dyad range.
 
     The system for j = 2*(order-1) is rewritten over the r*r dyad unknowns
     (entries outside the dyad range are structurally zero); the report
@@ -645,20 +591,12 @@ class RestrictionReport:
             "expected_dimension": self.expected_dimension,
             "pattern_matches": self.pattern_matches,
             "passed": self.passed,
-            "basis": [
-                {
-                    "entries": [
-                        {"ket": key[0], "bra": key[1], "coeff": [float(v.real), float(v.imag)]}
-                        for key, v in member.items()
-                    ]
-                }
-                for member in self.basis
-            ],
+            "basis": [{"entries": member.to_json_entries()} for member in self.basis],
         }
 
 
 def binomial_pattern_matrix(order: int, n: int) -> CoefficientMatrix:
-    """Dyad-layout coefficients C(n,k) on the anti-diagonal ket+bra = n."""
+    """Dyad coefficients C(n,k) on the anti-diagonal ket+bra = n."""
     if not 0 <= n <= order - 1:
         raise ValueError(f"pattern order n={n} out of range for order {order}")
     return CoefficientMatrix.by_dyad_orders(
@@ -683,13 +621,7 @@ def verify_restriction_equivalence(pole: ComplexPole) -> RestrictionReport:
         block.spans_exactly([binomial(block.n, k) if block.n < r else 0 for k in block.columns])
         for block in blocks
     )
-    members = []
-    for block in blocks:
-        for free, vector in zip(block.free, block.nullspace):
-            ket = block.columns[free]
-            entries = {(k, block.n - k): c for k, c in zip(block.columns, vector) if c}
-            members.append(((ket, block.n - ket), CoefficientMatrix.by_dyad_orders(r, entries)))
-    members.sort(key=lambda member: member[0])
+    members = sorted(_solution_tables(blocks, r), key=lambda member: member[0])
     return RestrictionReport(
         order=r,
         j=j,

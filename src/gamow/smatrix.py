@@ -35,6 +35,7 @@ from .exact import (
     ZERO,
     coefficient_from_json,
     reject_unknown_keys,
+    typed_field,
 )
 from .jordan import ComplexPole
 
@@ -467,9 +468,9 @@ def model_from_json(data):
     for field in ("E_R", "Gamma", "r", "laurent", "test_functions"):
         if field not in data:
             raise ValueError(f"model.{field}: missing required field")
-    if not isinstance(data["r"], int):
-        raise ValueError(f"model.r: expected an integer, got {data['r']!r}")
-    pole = ComplexPole(data["E_R"], data["Gamma"], data["r"])
+    pole = ComplexPole(typed_field(data, "E_R", float, "model.E_R"),
+                       typed_field(data, "Gamma", float, "model.Gamma"),
+                       typed_field(data, "r", int, "model.r"))
     if not isinstance(data["laurent"], list):
         raise ValueError("model.laurent: expected a list")
     laurent = [

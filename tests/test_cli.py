@@ -425,6 +425,40 @@ class TestNonFiniteAndInvalidInputs:
         where = "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)
         assert capsys.readouterr().err.startswith(f"input error: model{where}.{key}: unknown key")
 
+    @pytest.mark.parametrize(
+        "command, path, value, field",
+        [
+            ("residue", ("r",), True, "model.r"),
+            ("residue", ("E_R",), True, "model.E_R"),
+            ("residue", ("E_R",), [1], "model.E_R"),
+            ("residue", ("Gamma",), "0.5", "model.Gamma"),
+            ("residue", ("Gamma",), None, "model.Gamma"),
+            ("residue", ("laurent", 0), True, "model.laurent[0]"),
+            ("residue", ("laurent", 1), ["1", 0], "model.laurent[1]"),
+            ("residue", ("background", "num", 0), [None, 0], "model.background.num[0]"),
+            ("residue", ("test_functions", 0, "num"), [True], "model.test_functions[0].num[0]"),
+            ("evolve", ("operator", "coeff"), True, "operator.coeff"),
+            ("evolve", ("operator", "coeff"), ["2", 1], "operator.coeff"),
+            ("evolve", ("operator", "coeff"), [None, 1], "operator.coeff"),
+        ],
+    )
+    def test_json_numbers_exclude_booleans_strings_and_null(
+        self, tmp_path, capsys, command, path, value, field
+    ):
+        """Both input documents take the same JSON numbers; anything else names its field."""
+        if command == "residue":
+            document = TestResidue().model_document()
+        else:
+            document = {"r": 2, "operator": {"kind": "dyad", "ket": 0, "bra": 0}}
+        target = document
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(document))
+        assert main([command, "--config", str(config_path)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith(f"input error: {field}: expected ")
+
     def test_nan_residue_tolerance(self, tmp_path):
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(TestResidue().model_document()))

@@ -29,7 +29,8 @@ ORACLE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 def block_vectors(system):
-    return [tuple(m.entry(v) for v in system.variables) for m in system.nullspace_basis()]
+    return [tuple(m.entry((k, n - k)) for n, k in system.variables)
+            for m in system.nullspace_basis()]
 
 
 def flat_restricted_nullspace(r):

@@ -4,7 +4,8 @@ The exp-check and basis digests were recorded from the flat-elimination
 implementation that the block solver replaced; stdout and --out must both
 still match them (exp-check writes JSON only and takes no --format).  The
 evolve digests and the residue value were recorded from the hand-written
-value classes that the dataclasses replaced.
+value classes that the dataclasses replaced.  The r = 12 digests were
+recorded before the coefficient tables were reduced to the one dyad layout.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ GOLDEN = [
     ("exp-check --r 3", "151e532e4c65b7e9cfa08ea290e48e92d3dad364c993d4e290359a1983638618"),
     ("exp-check --r 4", "f841865dba60f8d706301ebea211c0f089e727a1fdd2b399b6dd8da22fe3a266"),
     ("exp-check --r 5", "71f5b58430d91e74827a1c36ea06e79f3da99250426a9fda93809aa749e9e40d"),
+    ("exp-check --r 12", "7bf851426e0046fcda9a5114a027c62b4d86af45771a5ebf8688d4e77b550aeb"),
     ("exp-check --j 0", "58b88f32c37c0e83e3728df6fcc9cb8067d6a37c333d2fa755adf16acdcb1c11"),
     ("exp-check --j 1", "ef6e57ce2937db26e242bd3f92625feb409b00311fa6ae5743f077207cdf7460"),
     ("exp-check --j 2", "654f72cbaed05efe265d93a4d24219abff45ff3298db0b043ea6ddfaa327a2b9"),
@@ -40,6 +42,8 @@ GOLDEN = [
     ("basis --r 5 --format csv", "046b501083711bdbaee065e67598f6892cdf5239f29de593d62c839aae10f4e6"),
     ("basis --r 6 --format json", "edc241047e0966e82bdec0d0ebf193117978c0bb90649f16025cdceb6ed4e742"),
     ("basis --r 6 --format csv", "f205b9d853f98dfe84a6b1b3acd10db31aba305cf5586485db5ff82c110ca4ff"),
+    ("basis --r 12 --format json", "0bcddef5553cf8ca753dc8cfa13b3f151d303f95d68556a9ce0d52b57699fbbd"),
+    ("basis --r 12 --format csv", "aea54a08476c6e9f369b23994a550aa264dccdf8754222c3d771366685fdca8c"),
 ]
 
 

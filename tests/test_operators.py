@@ -43,22 +43,10 @@ class TestCoefficientMatrix:
         with pytest.raises(ValueError):
             CoefficientMatrix.by_dyad_orders(2, {(0, -1): 1})
 
-    def test_total_triangle_validation(self):
-        with pytest.raises(ValueError):
-            CoefficientMatrix.by_total_order(2, {(1, 2): 1})
-        with pytest.raises(ValueError):
-            CoefficientMatrix.by_total_order(2, {(3, 0): 1})
-
     def test_zero_entries_dropped(self):
         matrix = CoefficientMatrix.by_dyad_orders(2, {(0, 0): 0, (1, 0): 2})
         assert matrix.entries == {(1, 0): cr(2)}
         assert matrix.entry((0, 0)) == ZERO
-
-    def test_dyad_to_total_reindexing(self):
-        matrix = CoefficientMatrix.by_dyad_orders(3, {(1, 2): 5, (0, 0): 1})
-        total = matrix.to_total()
-        assert total.bound == 4
-        assert total.entries == {(3, 1): cr(5), (0, 0): cr(1)}
 
 
 class TestExponentialStateOperator:
@@ -117,13 +105,6 @@ class TestOperatorConstruction:
             + b10 * exponential_state_operator(pole, 1, include_prefactor=False)
         )
         assert general == combined
-
-    def test_total_layout_out_of_range_rejected(self):
-        pole = ComplexPole(0, 1, 2)
-        with pytest.raises(ValueError):
-            operator_from_coefficients(
-                pole, CoefficientMatrix.by_total_order(2, {(2, 0): 1})
-            )
 
     def test_addition_over_different_poles_rejected(self):
         a = dyad_operator(ComplexPole(0, 1, 2), {(0, 0): 1})
@@ -353,7 +334,25 @@ class TestSolveBinomialRecursion:
         member = family.member([1, 0, cr(0, 1)])
         assert member.entry((0, 0)) == 1
         assert member.entry((1, 0)) == ZERO
-        assert member.entry((2, 1)) == cr(0, 2)
+        assert member.entry((1, 1)) == cr(0, 2)
+
+
+class TestBuildersAgree:
+    """The recursion, the solved system and the pattern builder give the same tables."""
+
+    @pytest.mark.parametrize("j", range(9))
+    def test_each_total_order_gives_the_binomial_pattern(self, j):
+        system = exponentiality_constraints(j)
+        recursion = solve_binomial_recursion(j).basis()
+        solved = system.nullspace_basis()
+        for n in range(j + 1):
+            pattern = binomial_pattern_matrix(j + 1, n)
+            assert recursion[n] == pattern
+            scale = solved[n].entry((0, n))  # the pattern's entry there is C(n, 0) = 1
+            assert scale != ZERO
+            assert solved[n].entries == {key: v * scale for key, v in pattern.entries.items()}
+        for member in recursion + solved:
+            assert all(eq.evaluate(member) == ZERO for eq in system.equations)
 
 
 class TestExponentialSubspaceBasis:
