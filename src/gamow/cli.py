@@ -51,6 +51,23 @@ def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _equations_json(equations) -> str:
+    """exp-check's "equations" list in the bytes `_dump_json` writes for a top-level value.
+
+    Written straight from the ConstraintEquations, without a dict per equation or term.
+    """
+    if not equations:
+        return "[]"
+    term = ('        {\n          "coeff": [\n            %r,\n            0.0\n          ],\n'
+            '          "k": %d,\n          "n": %d\n        }')
+    return "[\n" + ",\n".join(
+        f'    {{\n      "l": {eq.l},\n      "m": {eq.m},\n      "n": {eq.n},\n      "terms": [\n'
+        + ",\n".join(term % (float(c), k, n) for (n, k), c in eq.terms)
+        + "\n      ]\n    }"
+        for eq in equations
+    ) + "\n  ]"
+
+
 @dataclass(frozen=True, slots=True)
 class RunConfig:
     """Resolved evolve settings; t_start is 0, and ComplexPole checks E_R and Gamma."""
@@ -213,7 +230,8 @@ def cmd_exp_check(args) -> int:
     except ArithmeticError as exc:
         print(f"closed-form verification failed: {exc}", file=sys.stderr)
         family_matches = False
-    payload = system.to_json_dict()
+    # the equation list, most of the bytes, is spliced in by its own writer below
+    payload = {"j": j, "equations": None, "solution_dimension": system.solution_dimension}
     payload["expected_dimension"] = j + 1
     payload["binomial_family_matches"] = family_matches
     passed = system.solution_dimension == j + 1 and family_matches
@@ -230,7 +248,9 @@ def cmd_exp_check(args) -> int:
         payload["forward_pure_exponential"] = forward_ok
         passed = passed and report.passed and forward_ok
     payload["passed"] = passed
-    _write_output(_dump_json(payload), args.out)
+    equations = '"equations": ' + _equations_json(system.equations)
+    text = _dump_json(payload).replace('"equations": null', equations, 1)
+    _write_output(text, args.out)
     return EXIT_OK if passed else EXIT_VERIFICATION_FAILURE
 
 

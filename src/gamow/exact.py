@@ -33,11 +33,19 @@ _EXPECTED = {int: "an integer", float: "a number", bool: "true or false", dict: 
              str: "a string"}
 
 
+def _finite(number) -> bool:
+    """The one rule for JSON numbers: they convert to a finite float."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def typed_field(data: dict, key: str, kind, where: str, default=None):
     """data[key], or `default` when absent, checked to be a JSON value of `kind`.
 
     A key without a default is required.  JSON booleans are neither integers
-    nor numbers here, and an integer is also a number.
+    nor numbers here, an integer is also a number, and numbers are finite.
     """
     if key not in data and default is None:
         raise ValueError(f"{where}: missing required field")
@@ -45,6 +53,8 @@ def typed_field(data: dict, key: str, kind, where: str, default=None):
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ValueError(f"{where}: expected {_EXPECTED[kind]}, got {value!r}")
+    if kind in (int, float) and not _finite(value):
+        raise ValueError(f"{where}: expected a finite number, got {value!r}")
     return float(value) if kind is float else value
 
 
@@ -57,8 +67,8 @@ def coefficient_from_json(value, where: str) -> "ComplexRational":
     parts = tuple(value) if pair else (value,)
     if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
         raise ValueError(f"{where}: expected a number or [re, im] pair, got {value!r}")
-    if any(isinstance(part, float) and not math.isfinite(part) for part in parts):
-        raise ValueError(f"{where}: coefficients must be finite, got {value!r}")
+    if not all(map(_finite, parts)):
+        raise ValueError(f"{where}: expected finite numbers, got {value!r}")
     return ComplexRational(*parts)
 
 

@@ -4,11 +4,13 @@ An operator here is a linear combination of dyads |ket k><bra m| built from
 the chain vectors of one pole.  Evolving both sides by the Jordan-block
 semigroup turns each entry into a polynomial in t multiplying one overall
 decay factor exp(-width*t): the oscillating phases of ket and bra cancel
-identically.  The module computes those polynomials exactly, decides whether
-an operator decays purely exponentially (all positive powers of t cancel),
-and characterizes the full family of coefficient tables for which that
-happens, both by assembling and solving the homogeneous constraint system in
-exact integers, one block per total order, and by the closed-form binomial
+identically, leaving a sign and a phase rotation by i^p on the coefficient
+of t^p.  The module computes those polynomials exactly, by summing exact
+(re, im) pairs and rotating each sum once, decides whether an operator
+decays purely exponentially (all positive powers of t cancel), and
+characterizes the full family of coefficient tables for which that happens,
+both by assembling and solving the homogeneous constraint system in exact
+integers, one block per total order, and by the closed-form binomial
 recursion.
 
 Every coefficient table is keyed by dyad (ket_order, bra_order), both below
@@ -27,12 +29,10 @@ from fractions import Fraction
 
 from .exact import (
     ComplexRational,
-    I,
     Polynomial,
     ZERO,
     binomial,
     integer_nullspace,
-    matrix_rank,
 )
 from .jordan import ComplexPole
 
@@ -216,31 +216,38 @@ class TimePolynomialOperator:
 
 
 def evolve_operator(operator: DyadicOperator) -> TimePolynomialOperator:
-    """Exact time evolution of a dyadic operator.
+    """Exact time evolution of a dyadic operator, by phase rotation.
 
     Evolving ket and bra sides (the bra as the conjugate transpose of the ket
     evolution) and collecting dyads gives, for source entry (ket k, bra m),
     a contribution to target dyad (l, mm) of
 
-        coeff * C(k,l) * C(m,mm) * (-i)^(k-l) * (+i)^(m-mm) * t^((k-l)+(m-mm))
+        coeff * C(k,l) * C(m,mm) * (-i)^(k-l) * (+i)^(m-mm) * t^p
 
-    with the overall exp(-width*t) held implicitly.  All arithmetic is exact.
+    with p = (k-l)+(m-mm) and the overall exp(-width*t) held implicitly.  The
+    phase is (-1)^(k-l) * i^p, so the contributions are summed as exact
+    integer-weighted (re, im) pairs per (l, mm, p), and each sum is turned
+    by i^p, a swap of parts with a sign, once at the end.
     """
-    table = {}
+    sums = {}
     for (k, m), coeff in operator.items():
+        re, im = (int(x) if x.denominator == 1 else x for x in (coeff.real, coeff.imag))
         for l in range(k + 1):
-            ket_factor = ComplexRational(binomial(k, l)) * (-I) ** (k - l)
+            ket = binomial(k, l) * (-1) ** (k - l)
             for mm in range(m + 1):
-                factor = (
-                    coeff
-                    * ket_factor
-                    * binomial(m, mm)
-                    * I ** (m - mm)
-                )
-                power = (k - l) + (m - mm)
-                poly = table.get((l, mm), Polynomial.zero())
-                table[(l, mm)] = poly + Polynomial.monomial(power, factor)
-    return TimePolynomialOperator(operator.pole, table)
+                weight = ket * binomial(m, mm)
+                key = (l, mm, k - l + m - mm)
+                acc_re, acc_im = sums.get(key, (0, 0))
+                sums[key] = (acc_re + re * weight, acc_im + im * weight)
+    table = {}
+    for (l, mm, power), (re, im) in sums.items():
+        for _ in range(power % 4):
+            re, im = -im, re
+        table.setdefault((l, mm), {})[power] = ComplexRational(re, im)
+    return TimePolynomialOperator(operator.pole, {
+        key: Polynomial([terms.get(p, 0) for p in range(max(terms) + 1)])
+        for key, terms in table.items()
+    })
 
 
 def is_pure_exponential(evolved: TimePolynomialOperator) -> bool:
@@ -534,8 +541,8 @@ def exponential_subspace_basis(pole: ComplexPole):
     """The pole-order many independent operators spanning the pure-exponential set.
 
     Member n has coefficients C(n,k) on dyads |k><n-k| (no prefactor).  Each
-    is verified pure-exponential under evolution, and the family is verified
-    linearly independent, before returning.
+    is verified pure-exponential under evolution, and the family linearly
+    independent, read off the supports: nonzero members on disjoint dyads.
     """
     r = pole.order
     members = [
@@ -546,10 +553,9 @@ def exponential_subspace_basis(pole: ComplexPole):
             raise ArithmeticError(
                 "basis member failed the pure-exponential check; evolution is inconsistent"
             )
-    keys = [(k, m) for k in range(r) for m in range(r)]
-    rows = [[member.coefficient(*key) for key in keys] for member in members]
-    if matrix_rank(rows) != r:
-        raise ArithmeticError("exponential basis members are linearly dependent")
+    supports = [member.coefficients.entries.keys() for member in members]
+    if not all(supports) or len(set().union(*supports)) != sum(map(len, supports)):
+        raise ArithmeticError("exponential basis members are zero or share a dyad")
     return members
 
 

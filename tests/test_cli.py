@@ -237,6 +237,19 @@ class TestExpCheck:
             }
         ]
 
+    @pytest.mark.parametrize("argv", [["--j", str(j)] for j in range(11)]
+                             + [["--r", str(r)] for r in range(1, 9)])
+    def test_text_is_the_json_dump_of_the_dict_payload(self, tmp_path, argv):
+        """The equation list is written without the encoder, in the encoder's bytes."""
+        out = tmp_path / "report.json"
+        assert main(["exp-check", *argv, "--out", str(out)]) == EXIT_OK
+        text = out.read_text()
+        payload = json.loads(text)
+        system = operators.exponentiality_constraints(payload["j"])
+        payload["equations"] = system.to_json_dict()["equations"]
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert (payload["equations"] == []) == (payload["j"] == 0)
+
     def test_missing_bounds_rejected(self):
         assert main(["exp-check"]) == EXIT_INPUT_ERROR
 
@@ -440,12 +453,28 @@ class TestNonFiniteAndInvalidInputs:
             ("evolve", ("operator", "coeff"), True, "operator.coeff"),
             ("evolve", ("operator", "coeff"), ["2", 1], "operator.coeff"),
             ("evolve", ("operator", "coeff"), [None, 1], "operator.coeff"),
+            # integers beyond the float range
+            *(pytest.param(*case, id=f"{case[0]}-{case[3]}-beyond-float") for case in [
+                ("evolve", ("E_R",), 10**400, "E_R"),
+                ("evolve", ("operator", "coeff"), 10**400, "operator.coeff"),
+                ("evolve", ("operator", "coeff"), [1, -10**400], "operator.coeff"),
+                ("residue", ("E_R",), 10**400, "model.E_R"),
+                ("residue", ("Gamma",), -10**400, "model.Gamma"),
+                ("residue", ("laurent", 0), 10**400, "model.laurent[0]"),
+                ("residue", ("laurent", 1), [10**400, 0], "model.laurent[1]"),
+                ("residue", ("test_functions", 0, "num", 0), 10**400,
+                 "model.test_functions[0].num[0]"),
+            ]),
         ],
     )
     def test_json_numbers_exclude_booleans_strings_and_null(
         self, tmp_path, capsys, command, path, value, field
     ):
-        """Both input documents take the same JSON numbers; anything else names its field."""
+        """Both input documents take the same JSON numbers; anything else names its field.
+
+        A number must convert to a finite float, so an integer beyond the float
+        range exits 2 as well, without an overflow traceback.
+        """
         if command == "residue":
             document = TestResidue().model_document()
         else:

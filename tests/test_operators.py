@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gamow.exact import ComplexRational, ONE, Polynomial, ZERO, binomial
+from gamow import operators
+from gamow.exact import ComplexRational, ONE, Polynomial, ZERO, binomial, matrix_rank
 from gamow.jordan import ComplexPole, build_jordan_block, evolve_ket
 from gamow.operators import (
     CoefficientMatrix,
@@ -374,6 +375,30 @@ class TestExponentialSubspaceBasis:
         pole = ComplexPole(1, 2, 4)
         for n, member in enumerate(exponential_subspace_basis(pole)):
             assert member.coefficients == binomial_pattern_matrix(4, n)
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_support_check_agrees_with_the_rank(self, r):
+        members = exponential_subspace_basis(ComplexPole(0, 1, r))
+        keys = [(k, m) for k in range(r) for m in range(r)]
+        assert matrix_rank([[member.coefficient(*key) for key in keys] for member in members]) == r
+
+    @pytest.mark.parametrize(
+        "last",
+        [
+            lambda members: members[0] * 0,
+            lambda members: members[2] + members[0],  # shares the dyad (0, 0) with member 0
+        ],
+        ids=["zero member", "shared dyad"],
+    )
+    def test_dependent_family_is_rejected(self, monkeypatch, last):
+        """Every member stays pure-exponential, so only the independence check can fail."""
+        pole = ComplexPole(0, 1, 3)
+        members = [exponential_state_operator(pole, n, include_prefactor=False) for n in range(3)]
+        members[2] = last(members)
+        monkeypatch.setattr(operators, "exponential_state_operator",
+                            lambda _, n, include_prefactor=True: members[n])
+        with pytest.raises(ArithmeticError, match="zero or share a dyad"):
+            exponential_subspace_basis(pole)
 
 
 class TestVerifyRestrictionEquivalence:

@@ -10,7 +10,8 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from evolution_oracle import evolve_operator_by_products
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gamow.exact import ComplexRational, Polynomial, RationalFunction
@@ -26,6 +27,7 @@ from gamow.operators import (
     DyadicOperator,
     TimePolynomialOperator,
     evolve_operator,
+    exponential_state_operator,
     exponentiality_constraints,
     solve_binomial_recursion,
     verify_restriction_equivalence,
@@ -92,6 +94,40 @@ class TestEvolution:
                 for (k, n), c in op.items():
                     expected += c * kets[k].coefficients[l] * kets[n].coefficients[m].conjugate()
                 assert evolved.entry_polynomial(l, m)(t) == expected
+
+
+# any rationals, with zeros among them, as reals or as real and imaginary parts
+rational = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 9))
+coefficients = st.one_of(st.just(0), st.integers(-9, 9), rational,
+                         st.builds(ComplexRational, rational, rational))
+
+
+@st.composite
+def rational_operators(draw):
+    pole = ComplexPole(draw(dyadic), 1, draw(st.integers(1, 6)))
+    keys = [(k, m) for k in range(pole.order) for m in range(pole.order)]
+    entries = draw(st.dictionaries(st.sampled_from(keys), coefficients, max_size=len(keys)))
+    return DyadicOperator(pole, CoefficientMatrix.by_dyad_orders(pole.order, entries))
+
+
+class TestEvolutionByRotation:
+    """The summed phase rotation gives the term-by-term product evolution."""
+
+    @PROPERTY_SETTINGS
+    @given(rational_operators())
+    @example(DyadicOperator(ComplexPole(0, 1, 3), CoefficientMatrix.by_dyad_orders(3, {})))
+    @example(DyadicOperator(ComplexPole(0, 1, 2), CoefficientMatrix.by_dyad_orders(
+        2, {(0, 0): 0, (1, 1): ComplexRational(Fraction(1, 3), Fraction(-2, 7))})))
+    def test_random_operators(self, op):
+        assert evolve_operator(op) == evolve_operator_by_products(op)
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_every_binomial_member(self, r):
+        pole = ComplexPole(0, 1, r)
+        for n in range(r):
+            for prefactor in (False, True):
+                op = exponential_state_operator(pole, n, include_prefactor=prefactor)
+                assert evolve_operator(op) == evolve_operator_by_products(op)
 
 
 class TestRationalFunctionHash:
