@@ -54,7 +54,7 @@ def _dump_json(payload) -> str:
 def _equations_json(equations) -> str:
     """exp-check's "equations" list in the bytes `_dump_json` writes for a top-level value.
 
-    Written straight from the ConstraintEquations, without a dict per equation or term.
+    Written straight from the ConstraintEquations; `ConstraintSystem.to_json_dict` is its oracle.
     """
     if not equations:
         return "[]"

@@ -33,6 +33,7 @@ from .exact import (
     ZERO,
     binomial,
     integer_nullspace,
+    matrix_rank,
 )
 from .jordan import ComplexPole
 
@@ -427,6 +428,7 @@ class ConstraintSystem:
         return sum(len(block.free) for block in self.blocks())
 
     def to_json_dict(self):
+        """JSON values; the test oracle of `cli._equations_json`: change both together."""
         return {
             "j": self.j,
             "equations": [eq.to_json_dict() for eq in self.equations],
@@ -541,8 +543,8 @@ def exponential_subspace_basis(pole: ComplexPole):
     """The pole-order many independent operators spanning the pure-exponential set.
 
     Member n has coefficients C(n,k) on dyads |k><n-k| (no prefactor).  Each
-    is verified pure-exponential under evolution, and the family linearly
-    independent, read off the supports: nonzero members on disjoint dyads.
+    is verified pure-exponential under evolution, and the family is verified
+    linearly independent, before returning.
     """
     r = pole.order
     members = [
@@ -553,9 +555,10 @@ def exponential_subspace_basis(pole: ComplexPole):
             raise ArithmeticError(
                 "basis member failed the pure-exponential check; evolution is inconsistent"
             )
-    supports = [member.coefficients.entries.keys() for member in members]
-    if not all(supports) or len(set().union(*supports)) != sum(map(len, supports)):
-        raise ArithmeticError("exponential basis members are zero or share a dyad")
+    keys = [(k, m) for k in range(r) for m in range(r)]
+    rows = [[member.coefficient(*key) for key in keys] for member in members]
+    if matrix_rank(rows) != r:
+        raise ArithmeticError("exponential basis members are linearly dependent")
     return members
 
 

@@ -377,8 +377,10 @@ class TestExponentialSubspaceBasis:
             assert member.coefficients == binomial_pattern_matrix(4, n)
 
     @pytest.mark.parametrize("r", range(1, 9))
-    def test_support_check_agrees_with_the_rank(self, r):
+    def test_members_sit_on_disjoint_supports_and_have_full_rank(self, r):
         members = exponential_subspace_basis(ComplexPole(0, 1, r))
+        supports = [set(member.coefficients.entries) for member in members]
+        assert all(supports) and len(set().union(*supports)) == sum(map(len, supports))
         keys = [(k, m) for k in range(r) for m in range(r)]
         assert matrix_rank([[member.coefficient(*key) for key in keys] for member in members]) == r
 
@@ -386,9 +388,9 @@ class TestExponentialSubspaceBasis:
         "last",
         [
             lambda members: members[0] * 0,
-            lambda members: members[2] + members[0],  # shares the dyad (0, 0) with member 0
+            lambda members: members[0] + members[1],  # shares its dyads with members 0 and 1
         ],
-        ids=["zero member", "shared dyad"],
+        ids=["zero member", "sum of members"],
     )
     def test_dependent_family_is_rejected(self, monkeypatch, last):
         """Every member stays pure-exponential, so only the independence check can fail."""
@@ -397,7 +399,7 @@ class TestExponentialSubspaceBasis:
         members[2] = last(members)
         monkeypatch.setattr(operators, "exponential_state_operator",
                             lambda _, n, include_prefactor=True: members[n])
-        with pytest.raises(ArithmeticError, match="zero or share a dyad"):
+        with pytest.raises(ArithmeticError, match="linearly dependent"):
             exponential_subspace_basis(pole)
 
 
