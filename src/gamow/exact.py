@@ -550,53 +550,6 @@ def nullspace(rows, num_columns: int):
     return basis
 
 
-def integer_nullspace(rows, num_columns: int):
-    """Canonical nullspace of an integer system, by fraction-free elimination.
-
-    Bareiss's integer-preserving elimination brings the rows to echelon form
-    without leaving the integers: eliminating with pivot p replaces each
-    entry x of a lower row by (p*x - a*y) / p_prev, where a is the row's
-    entry in the pivot column, y the pivot row's entry and p_prev the
-    previous pivot, and that division is always exact.  Rows that reduce to
-    zero are dropped as they appear.  Back-substitution then yields the
-    basis `nullspace` would give for the same rows: one vector of Fractions
-    per free column, unit there and zero at the other free columns, in
-    ascending column order.  Returns (free_columns, basis).
-    """
-    matrix = [list(row) for row in rows if any(row)]
-    pivots = []
-    previous = 1
-    top = 0
-    for col in range(num_columns):
-        pivot_row = next((i for i in range(top, len(matrix)) if matrix[i][col]), None)
-        if pivot_row is None:
-            continue
-        matrix[top], matrix[pivot_row] = matrix[pivot_row], matrix[top]
-        pivot = matrix[top]
-        p = pivot[col]
-        below = []
-        for row in matrix[top + 1:]:
-            a = row[col]
-            reduced = [(p * x - a * y) // previous for x, y in zip(row, pivot)]
-            if any(reduced):
-                below.append(reduced)
-        matrix[top + 1:] = below
-        previous = p
-        pivots.append(col)
-        top += 1
-    pivot_set = set(pivots)
-    free_columns = [c for c in range(num_columns) if c not in pivot_set]
-    basis = []
-    for free in free_columns:
-        vector = [Fraction(0)] * num_columns
-        vector[free] = Fraction(1)
-        for row, col in zip(reversed(matrix[:top]), reversed(pivots)):
-            tail = sum((row[c] * vector[c] for c in range(col + 1, num_columns)), Fraction(0))
-            vector[col] = -tail / row[col]
-        basis.append(tuple(vector))
-    return free_columns, basis
-
-
 def row_space_rref(vectors):
     """Canonical (RREF) basis of the span of the given vectors.
 

@@ -9,9 +9,15 @@ of t^p.  The module computes those polynomials exactly, by summing exact
 (re, im) pairs and rotating each sum once, decides whether an operator
 decays purely exponentially (all positive powers of t cancel), and
 characterizes the full family of coefficient tables for which that happens,
-both by assembling and solving the homogeneous constraint system in exact
-integers, one block per total order, and by the closed-form binomial
-recursion.
+both by certifying the homogeneous constraint system from its structure, one
+block per total order, and by the closed-form binomial recursion.
+
+The certificate needs no elimination.  Equation (k, 0, n) has coefficient 1
+at ket order k and no term below k, so in block n every ket order k < n is a
+pivot, also in the restriction to a pole's dyad range, which only drops
+unknowns.  The block's solutions are therefore the line through C(n, k) when
+its unknown k = n survives and C(n, k) satisfies every equation of the
+block, and zero when that unknown is cut.
 
 Every coefficient table is keyed by dyad (ket_order, bra_order), both below
 the table's bound.  The constraint unknowns are indexed (total order n, ket
@@ -32,7 +38,6 @@ from .exact import (
     Polynomial,
     ZERO,
     binomial,
-    integer_nullspace,
     matrix_rank,
 )
 from .jordan import ComplexPole
@@ -58,11 +63,6 @@ class CoefficientMatrix:
             if value:
                 table[(ket, bra)] = value
         object.__setattr__(self, "entries", table)
-
-    @classmethod
-    def by_dyad_orders(cls, order_bound: int, entries) -> "CoefficientMatrix":
-        """Entries keyed (ket_order, bra_order), each in 0..order_bound-1."""
-        return cls(order_bound, entries)
 
     def entry(self, key) -> ComplexRational:
         return self.entries.get(tuple(key), ZERO)
@@ -113,16 +113,12 @@ class DyadicOperator:
         merged = dict(self.coefficients.entries)
         for key, value in other.coefficients.entries.items():
             merged[key] = merged.get(key, ZERO) + value
-        return DyadicOperator(
-            self.pole, CoefficientMatrix.by_dyad_orders(self.pole.order, merged)
-        )
+        return DyadicOperator(self.pole, CoefficientMatrix(self.pole.order, merged))
 
     def __mul__(self, scalar):
         scalar = ComplexRational.from_value(scalar)
         scaled = {k: v * scalar for k, v in self.coefficients.entries.items()}
-        return DyadicOperator(
-            self.pole, CoefficientMatrix.by_dyad_orders(self.pole.order, scaled)
-        )
+        return DyadicOperator(self.pole, CoefficientMatrix(self.pole.order, scaled))
 
     __rmul__ = __mul__
 
@@ -208,9 +204,7 @@ class TimePolynomialOperator:
 
     def at_time_zero(self) -> DyadicOperator:
         entries = {key: poly.coefficient(0) for key, poly in self.table.items()}
-        return DyadicOperator(
-            self.pole, CoefficientMatrix.by_dyad_orders(self.pole.order, entries)
-        )
+        return DyadicOperator(self.pole, CoefficientMatrix(self.pole.order, entries))
 
     def __hash__(self):
         return hash((self.pole, tuple(self.items())))
@@ -295,80 +289,23 @@ class ConstraintEquation:
 
 
 @dataclass(frozen=True, slots=True)
-class ConstraintBlock:
-    """The solved equations of one total order n, over the ket orders `columns`.
-
-    `free` holds the positions in `columns` of the free unknowns, ascending,
-    and `nullspace` the canonical solution vectors over `columns`, one per
-    free unknown: unit there and zero at the other free unknowns.
-    """
-
-    n: int
-    columns: tuple
-    free: tuple
-    nullspace: tuple
-
-    @property
-    def rank(self) -> int:
-        return len(self.columns) - len(self.free)
-
-    def spans_exactly(self, vector) -> bool:
-        """True iff the solutions are exactly the multiples of `vector`.
-
-        `vector` is given over `columns`; the zero vector stands for the zero
-        space.
-        """
-        if not any(vector):
-            return not self.nullspace
-        if len(self.nullspace) != 1:
-            return False
-        scale = vector[self.free[0]]
-        return bool(scale) and all(v == scale * u for u, v in zip(self.nullspace[0], vector))
-
-
-def _solve_block(n: int, equations, order=None) -> ConstraintBlock:
-    lo, hi = (0, n) if order is None else (max(0, n - order + 1), min(n, order - 1))
-    columns = tuple(range(lo, hi + 1))
-    rows = []
-    for eq in equations:
-        row = [0] * len(columns)
-        for (_, k), coeff in eq.terms:
-            if lo <= k <= hi:
-                row[k - lo] += coeff
-        rows.append(row)
-    free, basis = integer_nullspace(rows, len(columns))
-    return ConstraintBlock(n, columns, tuple(free), tuple(basis))
-
-
-def _solution_tables(blocks, bound: int):
-    """(free dyad, dyad table of bound `bound`) per solution vector, block by block."""
-    for block in blocks:
-        for free, vector in zip(block.free, block.nullspace):
-            ket = block.columns[free]
-            entries = {(k, block.n - k): c for k, c in zip(block.columns, vector) if c}
-            yield (ket, block.n - ket), CoefficientMatrix.by_dyad_orders(bound, entries)
-
-
-@dataclass(frozen=True, slots=True)
 class ConstraintSystem:
     """The full homogeneous system over the total-order coefficient triangle.
 
     Every equation (l, m, n) involves only the unknowns (n, k) of its own
     total order n, so the system splits into one integer block per n, with
-    n + 1 unknowns.  The blocks are solved separately by fraction-free
-    elimination, once per instance, and the solution dimension, the
-    nullspace basis and the restricted view are all read off them.
+    n + 1 unknowns.  No block is solved: `_solution_lines` certifies each
+    from its structure, and the solution dimension, the nullspace basis and
+    the restricted view are all read off that certificate.  A system it
+    cannot certify, such as one with an equation dropped or altered, raises
+    ArithmeticError.
     """
 
     j: int
     equations: tuple
-    _by_order: dict = field(init=False, compare=False, repr=False, default_factory=dict)
-    _blocks: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "equations", tuple(self.equations))
-        for eq in self.equations:
-            self._by_order.setdefault(eq.n, []).append(eq)
 
     @property
     def variables(self):
@@ -383,26 +320,48 @@ class ConstraintSystem:
     def variable_count(self) -> int:
         return (self.j + 1) * (self.j + 2) // 2
 
-    def block_equations(self, n: int):
-        """The equations of total order n, in system order."""
-        return tuple(self._by_order.get(n, ()))
+    def _solution_lines(self, order=None) -> dict:
+        """{n: [C(n, 0), ..., C(n, n)]} for each block whose solutions are that line.
 
-    def blocks(self, order=None):
-        """One solved ConstraintBlock per total order n = 0..j.
-
-        With `order`, each block keeps only the unknowns whose ket k and bra
-        n - k are both below `order`, the others being held at zero: the
-        restriction to the dyad range of a pole of that order.
+        Block n holds the unknowns (n, k).  With `order`, only those whose ket
+        k and bra n - k are both below `order` survive, the others held at
+        zero: the restriction to the dyad range of a pole of that order.
+        Each surviving ket order k < n must lead some equation of the block
+        (lowest surviving term at k), which makes it a pivot, so the block's
+        solutions are at most a line.  If k = n survives and C(n, k)
+        satisfies every equation of the block, the line is through C(n, k),
+        canonical with unit entry at k = n; if k = n is cut, the block's only
+        solution is zero and it has no entry.  Anything else raises
+        ArithmeticError.
         """
         if order is not None and order < 1:
             raise ValueError(f"restriction order must be >= 1, got {order}")
-        solved = self._blocks.get(order)
-        if solved is None:
-            solved = tuple(
-                _solve_block(n, self.block_equations(n), order) for n in range(self.j + 1)
-            )
-            self._blocks[order] = solved
-        return solved
+        by_order = {}
+        for eq in self.equations:
+            by_order.setdefault(eq.n, []).append(eq)
+        lines = {}
+        for n in range(self.j + 1):
+            lo, hi = (0, n) if order is None else (max(0, n - order + 1), min(n, order - 1))
+            line = [binomial(n, k) for k in range(n + 1)] if hi == n else None
+            leads = set()
+            for eq in by_order.get(n, ()):
+                row = {}
+                for (_, k), coeff in eq.terms:
+                    if lo <= k <= hi:
+                        row[k] = row.get(k, 0) + coeff
+                row = {k: c for k, c in row.items() if c}
+                if row:
+                    leads.add(min(row))
+                if line and sum(line[k] * c for k, c in row.items()):
+                    raise ArithmeticError(
+                        f"C({n}, k) violates constraint (l={eq.l}, m={eq.m}, n={n})"
+                    )
+            unled = set(range(lo, min(hi, n - 1) + 1)) - leads
+            if unled:
+                raise ArithmeticError(f"block n={n}: no equation leads ket orders {sorted(unled)}")
+            if line:
+                lines[n] = line
+        return lines
 
     def coefficient_rows(self):
         """The flat integer coefficient matrix over `variables`, one row per equation."""
@@ -421,11 +380,11 @@ class ConstraintSystem:
         Canonical: unit entry at each free unknown, zero at the others, in
         ascending order of the free unknown over `variables`.
         """
-        return [table for _, table in _solution_tables(self.blocks(), self.j + 1)]
+        return [_line_table(n, line, self.j + 1) for n, line in self._solution_lines().items()]
 
     @property
     def solution_dimension(self) -> int:
-        return sum(len(block.free) for block in self.blocks())
+        return len(self._solution_lines())
 
     def to_json_dict(self):
         """JSON values; the test oracle of `cli._equations_json`: change both together."""
@@ -442,7 +401,7 @@ def exponentiality_constraints(j: int) -> ConstraintSystem:
 
     Loop order is l outer, then m, then n (with n from m+l+1 up to j), which
     fixes the reported equation ordering.  j=0 yields the empty system.  Built
-    once per j: the system is immutable and solves its blocks once.
+    once per j: the system is immutable.
     """
     if j < 0:
         raise ValueError("order bound j must be nonnegative")
@@ -464,8 +423,8 @@ class BinomialRecursionFamily:
 
     Built by chaining the two-term recursion
     A[(n,k)] = ((n-k+1)/k) * A[(n,k-1)]; the multipliers collapse to the
-    binomial coefficients, and every basis member satisfies the full
-    constraint system (verified at construction).
+    binomial coefficients.  That every member solves the constraint system
+    is the certificate's part (`binomial_family_matches_nullspace`).
     """
 
     j: int
@@ -485,16 +444,15 @@ class BinomialRecursionFamily:
         if len(free) != self.j + 1:
             raise ValueError(f"expected {self.j + 1} free parameters, got {len(free)}")
         entries = {(k, n - k): free[n] * mult for (n, k), mult in self.multipliers.items()}
-        return CoefficientMatrix.by_dyad_orders(self.j + 1, entries)
+        return CoefficientMatrix(self.j + 1, entries)
 
 
 def solve_binomial_recursion(j: int) -> BinomialRecursionFamily:
     """Solve the cancellation conditions by the two-term recursion.
 
-    Chains A[(n,k)] = ((n-k+1)!(k-1)! / (n-k)!k!) * A[(n,k-1)] down to the
-    free A[(n,0)], checks the product telescopes to C(n,k), and verifies each
-    resulting basis member against every equation of its own total order
-    (the other equations do not involve it).
+    Equation (k-1, n-k, n) has just two terms, (n-k+1) * A[(n,k-1)] and
+    -k * A[(n,k)], so it chains A[(n,k)] = ((n-k+1)/k) * A[(n,k-1)] down to
+    the free A[(n,0)]; the product must telescope to C(n,k).
     """
     if j < 0:
         raise ValueError("order bound j must be nonnegative")
@@ -502,41 +460,28 @@ def solve_binomial_recursion(j: int) -> BinomialRecursionFamily:
     for n in range(j + 1):
         multipliers[(n, 0)] = Fraction(1)
         for k in range(1, n + 1):
-            step = Fraction(
-                math.factorial(n - k + 1) * math.factorial(k - 1),
-                math.factorial(n - k) * math.factorial(k),
-            )
-            multipliers[(n, k)] = step * multipliers[(n, k - 1)]
+            multipliers[(n, k)] = Fraction(n - k + 1, k) * multipliers[(n, k - 1)]
             if multipliers[(n, k)] != binomial(n, k):
                 raise ArithmeticError(
                     f"recursion gave {multipliers[(n, k)]} at (n={n}, k={k}), expected C(n,k)"
                 )
-    family = BinomialRecursionFamily(j, multipliers)
-    system = exponentiality_constraints(j)
-    for n0 in range(j + 1):
-        # member n0 lives on block n0 alone, and its multipliers are integers
-        member = [int(multipliers[(n0, k)]) for k in range(n0 + 1)]
-        for eq in system.block_equations(n0):
-            if sum(member[k] * coeff for (_, k), coeff in eq.terms):
-                raise ArithmeticError(
-                    f"closed-form member violates constraint (l={eq.l}, m={eq.m}, n={eq.n})"
-                )
-    return family
+    return BinomialRecursionFamily(j, multipliers)
 
 
 def binomial_family_matches_nullspace(system: ConstraintSystem,
                                       family: BinomialRecursionFamily) -> bool:
     """True iff the closed-form family spans exactly the system's nullspace.
 
-    Block by block: the nullspace of each total order n must be the line
-    through family member n, all in exact arithmetic.
+    Block by block: the certified solution line of each total order n must
+    be the multiples of family member n, all in exact arithmetic.
     """
     if family.j != system.j:
         return False
-    return all(
-        block.spans_exactly([family.multiplier(block.n, k) for k in block.columns])
-        for block in system.blocks()
-    )
+    for n, line in system._solution_lines().items():
+        member = [family.multiplier(n, k) for k in range(n + 1)]
+        if not (member[n] and all(m == member[n] * c for m, c in zip(member, line))):
+            return False
+    return True
 
 
 def exponential_subspace_basis(pole: ComplexPole):
@@ -604,40 +549,39 @@ class RestrictionReport:
         }
 
 
+def _line_table(n: int, line, bound: int) -> CoefficientMatrix:
+    """Block n's solution line as a dyad table: A[(n, k)] = line[k] at dyad (k, n - k)."""
+    return CoefficientMatrix(bound, {(k, n - k): c for k, c in enumerate(line)})
+
+
 def binomial_pattern_matrix(order: int, n: int) -> CoefficientMatrix:
     """Dyad coefficients C(n,k) on the anti-diagonal ket+bra = n."""
     if not 0 <= n <= order - 1:
         raise ValueError(f"pattern order n={n} out of range for order {order}")
-    return CoefficientMatrix.by_dyad_orders(
+    return CoefficientMatrix(
         order, {(k, n - k): ComplexRational(binomial(n, k)) for k in range(n + 1)}
     )
 
 
 def verify_restriction_equivalence(pole: ComplexPole) -> RestrictionReport:
-    """Solve the constraint system restricted to the dyad range of the pole.
+    """Certify the constraint system restricted to the dyad range of the pole.
 
-    Confirms by exact block-by-block solution that the solutions over the
-    r*r dyad coefficients are exactly the binomial-pattern combinations:
-    solution dimension r, and each block's solutions are the multiples of
-    its pattern C(n,k) (n < r) or zero (n >= r).  The basis is the canonical
-    one over the dyads in (ket, bra) order.
+    The certificate, block by block, gives the solutions over the r*r dyad
+    coefficients: the multiples of C(n,k) for n < r and zero for n >= r.
+    The report compares that basis with the binomial-pattern operators.  The
+    basis is the canonical one over the dyads in (ket, bra) order.
     """
     r = pole.order
     j = 2 * (r - 1)
     system = exponentiality_constraints(j)
-    blocks = system.blocks(order=r)
-    pattern_matches = all(
-        block.spans_exactly([binomial(block.n, k) if block.n < r else 0 for k in block.columns])
-        for block in blocks
-    )
-    members = sorted(_solution_tables(blocks, r), key=lambda member: member[0])
+    basis = [_line_table(n, line, r) for n, line in system._solution_lines(order=r).items()]
     return RestrictionReport(
         order=r,
         j=j,
         equation_count=len(system.equations),
         variable_count=r * r,
-        solution_dimension=len(members),
+        solution_dimension=len(basis),
         expected_dimension=r,
-        pattern_matches=pattern_matches,
-        basis=[matrix for _, matrix in members],
+        pattern_matches=basis == [binomial_pattern_matrix(r, n) for n in range(r)],
+        basis=basis,
     )

@@ -114,9 +114,7 @@ def test_reverse_direction_random_violators_all_fail():
                 if satisfies_binomial_pattern(entries, r):
                     continue
                 drawn += 1
-                operator = operator_from_coefficients(
-                    pole, CoefficientMatrix.by_dyad_orders(r, entries)
-                )
+                operator = operator_from_coefficients(pole, CoefficientMatrix(r, entries))
                 assert not is_pure_exponential(evolve_operator(operator)), (
                     f"false pass at r={r}: {entries}"
                 )
@@ -272,7 +270,7 @@ def test_decay_curve_contract(tmp_path):
             code = main(
                 [
                     "evolve", "--gamma", str(width), "--energy", "1.5", "--r", str(r),
-                    "--n", str(n), "--include-prefactor", "--t-end", "4.0",
+                    "--n", str(n), "--t-end", "4.0",
                     "--steps", "41", "--out", str(out),
                 ]
             )

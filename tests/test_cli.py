@@ -183,13 +183,37 @@ class TestEvolve:
         assert captured.out == ""
         assert "float range" in captured.err
 
-    def test_include_prefactor_needs_n(self, tmp_path, capsys):
-        assert main(["evolve", "--include-prefactor"]) == EXIT_INPUT_ERROR
+    def test_include_prefactor_is_not_a_flag(self, capsys):
+        assert exit_status(["evolve", "--include-prefactor"]) == EXIT_INPUT_ERROR
+        assert exit_status(["evolve", "--n", "0", "--include-prefactor"]) == EXIT_INPUT_ERROR
         assert "--include-prefactor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_flag_and_config_routes_write_the_same_bytes(self, tmp_path, fmt):
+        """Both routes take the width^n/n! prefactor: modulus 2 at (0,1), t = 0."""
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"operator": {"kind": "binomial", "n": 0}}))
-        assert main(["evolve", "--config", str(config_path), "--include-prefactor"]) == EXIT_INPUT_ERROR
-        assert main(["evolve", "--n", "0", "--include-prefactor"]) == EXIT_OK
+        config_path.write_text(json.dumps({"Gamma": 2, "r": 2,
+                                           "operator": {"kind": "binomial", "n": 1}}))
+        by_config, by_flags = tmp_path / "config.out", tmp_path / "flags.out"
+        common = ["--format", fmt, "--steps", "5"]
+        assert main(["evolve", "--config", str(config_path), *common,
+                     "--out", str(by_config)]) == EXIT_OK
+        assert main(["evolve", "--gamma", "2", "--r", "2", "--n", "1", *common,
+                     "--out", str(by_flags)]) == EXIT_OK
+        assert by_flags.read_bytes() == by_config.read_bytes()
+        if fmt == "csv":
+            _, rows = read_csv_rows(by_flags)
+            assert rows[1]["t"] == 0 and (rows[1]["entry_l"], rows[1]["entry_m"]) == (0, 1)
+            assert rows[1]["modulus"] == 2.0
+
+    def test_contract_tolerance_scales_with_a_large_modulus(self, tmp_path, capsys):
+        """Moduli near 3e6 differ by an ulp (4.7e-10), far above an absolute 1e-12."""
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"E_R": 0, "Gamma": 0.7, "r": 1, "operator": {
+            "kind": "coefficients", "entries": [{"ket": 0, "bra": 0, "coeff": [1e6, 3e6]}],
+        }}))
+        assert main(["evolve", "--config", str(config_path)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
 
 class TestExpCheck:
@@ -541,7 +565,7 @@ def test_unknown_command_exits_with_usage_error():
 ACCEPTED_FLAGS = {
     "evolve": {
         "--config", "--out", "--format", "--tol", "--r", "--gamma", "--energy", "--n",
-        "--include-prefactor", "--t-end", "--steps",
+        "--t-end", "--steps",
     },
     "exp-check": {"--out", "--r", "--j"},
     "residue": {"--config", "--out", "--tol"},
@@ -564,7 +588,7 @@ def test_each_subcommand_takes_exactly_the_flags_it_reads():
         for name, sub in subcommands.items()
     }
     assert taken == ACCEPTED_FLAGS
-    assert sum(len(flags) for flags in taken.values()) == 20
+    assert sum(len(flags) for flags in taken.values()) == 19
 
 
 @pytest.mark.parametrize(
@@ -573,8 +597,7 @@ def test_each_subcommand_takes_exactly_the_flags_it_reads():
      if flag not in ACCEPTED_FLAGS[command]],
 )
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(command, flag):
-    value = [] if flag == "--include-prefactor" else ["1"]
-    assert exit_status([command, *REQUIRED_ARGS[command], flag, *value]) == EXIT_INPUT_ERROR
+    assert exit_status([command, *REQUIRED_ARGS[command], flag, "1"]) == EXIT_INPUT_ERROR
 
 
 # -- CSV round trip ------------------------------------------------------------
@@ -612,7 +635,7 @@ def library_operator(pole, spec):
         )
     entries = spec["entries"] if spec["kind"] == "coefficients" else [spec]
     table = {(e["ket"], e["bra"]): ComplexRational(*e["coeff"]) for e in entries}
-    return operator_from_coefficients(pole, CoefficientMatrix.by_dyad_orders(pole.order, table))
+    return operator_from_coefficients(pole, CoefficientMatrix(pole.order, table))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

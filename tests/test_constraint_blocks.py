@@ -1,10 +1,12 @@
-"""The block-by-block integer solver against the flat exact and sympy oracles.
+"""The structural certificate of the constraint system against the flat exact and sympy oracles.
 
-The constraint system is solved one total order at a time by fraction-free
-integer elimination.  The flat Gaussian-rational `nullspace` over all
-unknowns, and sympy's `Matrix.nullspace`, are independent oracles: both
-must give the same dimension and the same canonical vectors (unit at each
-free unknown, zero at the others, ascending column order).
+The constraint system is not solved: each total-order block is certified
+from its structure (every ket order below n leads some equation, and
+C(n, k) satisfies them all), and a system that cannot be certified raises.
+The flat Gaussian-rational `nullspace` over all unknowns, and sympy's
+`Matrix.nullspace`, are independent oracles: a certified system must have
+their dimension and their canonical vectors (unit at each free unknown, zero
+at the others, ascending column order).
 """
 
 from fractions import Fraction
@@ -14,10 +16,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamow.exact import integer_nullspace, nullspace
+from gamow.exact import nullspace
 from gamow.jordan import ComplexPole
 from gamow.operators import (
-    ConstraintBlock,
+    BinomialRecursionFamily,
+    ConstraintEquation,
     ConstraintSystem,
     binomial_family_matches_nullspace,
     exponentiality_constraints,
@@ -53,6 +56,26 @@ def sympy_nullspace(rows, num_columns):
     return [tuple(Fraction(int(x.p), int(x.q)) for x in vector) for vector in vectors]
 
 
+def altered(system, index, position, delta):
+    """The system with one coefficient of equation `index` changed by `delta`."""
+    eq = system.equations[index]
+    terms = list(eq.terms)
+    variable, coeff = terms[position]
+    terms[position] = (variable, coeff + delta)
+    equations = list(system.equations)
+    equations[index] = ConstraintEquation(eq.l, eq.m, eq.n, terms)
+    return ConstraintSystem(system.j, equations)
+
+
+def assert_refused(system):
+    with pytest.raises(ArithmeticError):
+        system.solution_dimension
+    with pytest.raises(ArithmeticError):
+        system.nullspace_basis()
+    with pytest.raises(ArithmeticError):
+        binomial_family_matches_nullspace(system, solve_binomial_recursion(system.j))
+
+
 class TestFlatOracle:
     @pytest.mark.parametrize("j", range(9))
     def test_same_dimension_and_canonical_vectors(self, j):
@@ -69,18 +92,64 @@ class TestFlatOracle:
         assert [tuple(m.entry(key) for key in keys) for m in report.basis] == flat
 
     @ORACLE_SETTINGS
-    @given(j=st.integers(0, 5), data=st.data())
-    def test_partial_systems(self, j, data):
-        """Dropping equations enlarges blocks' nullspaces; both solvers must agree."""
+    @given(j=st.integers(0, 5), keep_units=st.booleans(), data=st.data())
+    def test_certificate_is_sound_on_partial_systems(self, j, keep_units, data):
+        """With equations dropped, a certified system agrees with the flat oracle.
+
+        The unit rows (k, 0, n) are kept in about half the cases, so that
+        both certified and refused systems are drawn.
+        """
         full = exponentiality_constraints(j)
         keep = data.draw(st.lists(st.booleans(), min_size=full.equation_count,
                                   max_size=full.equation_count))
-        system = ConstraintSystem(j, [eq for eq, kept in zip(full.equations, keep) if kept])
+        system = ConstraintSystem(j, [
+            eq for eq, kept in zip(full.equations, keep) if kept or (keep_units and eq.m == 0)
+        ])
         flat = nullspace(system.coefficient_rows(), system.variable_count)
-        assert system.solution_dimension == len(flat)
+        try:
+            dimension = system.solution_dimension
+        except ArithmeticError:
+            return  # refused, which is sound whatever the flat dimension
+        assert dimension == len(flat) == j + 1
         assert block_vectors(system) == flat
-        matches = binomial_family_matches_nullspace(system, solve_binomial_recursion(j))
-        assert matches == (len(flat) == j + 1)
+        assert binomial_family_matches_nullspace(system, solve_binomial_recursion(j))
+
+    @pytest.mark.parametrize("j", range(1, 6))
+    def test_unit_rows_alone_certify_the_same_nullspace(self, j):
+        full = exponentiality_constraints(j)
+        system = ConstraintSystem(j, [eq for eq in full.equations if eq.m == 0])
+        flat = nullspace(system.coefficient_rows(), system.variable_count)
+        assert system.solution_dimension == len(flat) == j + 1
+        assert block_vectors(system) == flat == block_vectors(full)
+
+
+class TestRefusal:
+    @pytest.mark.parametrize("lmn, position", [
+        ((1, 0, 3), 0),  # the unit at ket order 1 of a unit row
+        ((1, 0, 3), 2),  # a later term of a unit row
+        ((0, 1, 3), 1),  # a row of another shape, m > 0
+        ((1, 2, 4), 0),
+    ])
+    @pytest.mark.parametrize("delta", [1, -2])
+    def test_one_altered_coefficient_is_refused(self, lmn, position, delta):
+        system = exponentiality_constraints(4)
+        index = [(eq.l, eq.m, eq.n) for eq in system.equations].index(lmn)
+        assert_refused(altered(system, index, position, delta))
+
+    def test_a_missing_leading_row_is_refused(self):
+        full = exponentiality_constraints(3)
+        system = ConstraintSystem(3, [eq for eq in full.equations
+                                      if (eq.l, eq.m, eq.n) != (2, 0, 3)])
+        with pytest.raises(ArithmeticError, match="leads ket orders \\[2\\]"):
+            system.solution_dimension
+
+    def test_a_missing_leading_row_of_a_cut_block_is_refused(self):
+        """At order 3 block 3 keeps ket orders 1 and 2; only (2, 0, 3) leads 2."""
+        full = exponentiality_constraints(4)
+        system = ConstraintSystem(4, [eq for eq in full.equations
+                                      if (eq.l, eq.m, eq.n) != (2, 0, 3)])
+        with pytest.raises(ArithmeticError, match="n=3"):
+            system._solution_lines(order=3)
 
 
 class TestSympyOracle:
@@ -92,61 +161,28 @@ class TestSympyOracle:
         )
 
 
-class TestIntegerNullspace:
-    @ORACLE_SETTINGS
-    @given(
-        st.integers(1, 6).flatmap(
-            lambda cols: st.tuples(
-                st.just(cols),
-                st.lists(st.lists(st.integers(-4, 4), min_size=cols, max_size=cols),
-                         max_size=7),
-            )
-        )
-    )
-    def test_matches_flat_nullspace(self, case):
-        cols, rows = case
-        free, basis = integer_nullspace(rows, cols)
-        assert basis == nullspace(rows, cols)
-        assert all(vector[c] == 1 for c, vector in zip(free, basis))
-
-    def test_rank_deficient_with_zero_column(self):
-        free, basis = integer_nullspace([[0, 2, 4], [0, 1, 2]], 3)
-        assert free == [0, 2]
-        assert basis == [(1, 0, 0), (0, -2, 1)]
-
-
-class TestBlocks:
+class TestSolutionLines:
     @pytest.mark.parametrize("j", [0, 1, 6, 20])
     def test_each_block_is_the_binomial_line(self, j):
-        for block in exponentiality_constraints(j).blocks():
-            assert block.columns == tuple(range(block.n + 1))
-            assert block.rank == block.n
-            assert block.free == (block.n,)
-            assert block.nullspace == (tuple(Fraction(sympy.binomial(block.n, k))
-                                             for k in range(block.n + 1)),)
+        assert exponentiality_constraints(j)._solution_lines() == {
+            n: [sympy.binomial(n, k) for k in range(n + 1)] for n in range(j + 1)
+        }
 
     def test_restricted_blocks_drop_out_of_range_dyads(self):
-        blocks = exponentiality_constraints(4).blocks(order=3)
-        assert [block.columns for block in blocks] == [(0,), (0, 1), (0, 1, 2), (1, 2), (2,)]
-        assert [len(block.free) for block in blocks] == [1, 1, 1, 0, 0]
-
-    def test_solved_once_per_instance(self):
-        system = exponentiality_constraints(3)
-        assert system.blocks() is system.blocks()
-        assert system.blocks(order=2) is system.blocks(order=2)
+        system = exponentiality_constraints(4)
+        assert system._solution_lines(order=3) == {0: [1], 1: [1, 1], 2: [1, 2, 1]}
         with pytest.raises(ValueError):
-            system.blocks(order=0)
-
-    def test_spans_exactly(self):
-        block = ConstraintBlock(2, (0, 1, 2), (2,), ((Fraction(1), Fraction(2), Fraction(1)),))
-        assert block.spans_exactly([3, 6, 3])
-        assert not block.spans_exactly([1, 2, 2])
-        assert not block.spans_exactly([0, 0, 0])
-        assert ConstraintBlock(3, (1, 2), (), ()).spans_exactly([0, 0])
-        assert not ConstraintBlock(3, (1, 2), (), ()).spans_exactly([1, 2])
-        assert ConstraintBlock(5, (), (), ()).spans_exactly([])
+            system._solution_lines(order=0)
 
     def test_family_of_another_bound_does_not_match(self):
         assert not binomial_family_matches_nullspace(
             exponentiality_constraints(3), solve_binomial_recursion(4)
+        )
+
+    @pytest.mark.parametrize("key, value", [((2, 1), Fraction(3)), ((2, 2), Fraction(0))])
+    def test_a_family_off_the_line_does_not_match(self, key, value):
+        multipliers = dict(solve_binomial_recursion(2).multipliers)
+        multipliers[key] = value
+        assert not binomial_family_matches_nullspace(
+            exponentiality_constraints(2), BinomialRecursionFamily(2, multipliers)
         )

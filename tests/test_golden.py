@@ -6,6 +6,8 @@ still match them (exp-check writes JSON only and takes no --format).  The
 evolve digests and the residue value were recorded from the hand-written
 value classes that the dataclasses replaced.  The r = 12 digests were
 recorded before the coefficient tables were reduced to the one dyad layout.
+The r = 16 and j = 20 digests were recorded from the block solver that the
+structural certificate replaced.
 """
 
 import hashlib
@@ -23,6 +25,7 @@ GOLDEN = [
     ("exp-check --r 4", "f841865dba60f8d706301ebea211c0f089e727a1fdd2b399b6dd8da22fe3a266"),
     ("exp-check --r 5", "71f5b58430d91e74827a1c36ea06e79f3da99250426a9fda93809aa749e9e40d"),
     ("exp-check --r 12", "7bf851426e0046fcda9a5114a027c62b4d86af45771a5ebf8688d4e77b550aeb"),
+    ("exp-check --r 16", "d9a5c225868254a07ab6ea28e5b72b9ab5cd461625c1b0e979e2f19e40fd3ac5"),
     ("exp-check --j 0", "58b88f32c37c0e83e3728df6fcc9cb8067d6a37c333d2fa755adf16acdcb1c11"),
     ("exp-check --j 1", "ef6e57ce2937db26e242bd3f92625feb409b00311fa6ae5743f077207cdf7460"),
     ("exp-check --j 2", "654f72cbaed05efe265d93a4d24219abff45ff3298db0b043ea6ddfaa327a2b9"),
@@ -32,6 +35,7 @@ GOLDEN = [
     ("exp-check --j 6", "4e19c30f42841094f4635a4f9336d847ca38adcb45537c82328f00db6e250623"),
     ("exp-check --j 7", "c103b2f656b2862bf91dfb63bdab2d3553814c2fa6ed82aba8a6b0e0d411a968"),
     ("exp-check --j 8", "4c072b98ddc8ff189331140c949217b4adcd142a3eb3012f2cc23b5a16488261"),
+    ("exp-check --j 20", "27c66deee7e4368ec88033acf4df01b2358b16c7277a255cb9dd35cc1395c863"),
     ("basis --r 2 --format json", "5020f162c045e91cd28c63237ac266fb566bb9c374ccf4c811edfe07ab3892f6"),
     ("basis --r 2 --format csv", "4ba7f52fd6f13bbae3af400d5bf3be3b872c68067dedcbbab10bdd198351e526"),
     ("basis --r 3 --format json", "0dbd72d3d66fb5a805a8f44640ea8057b6d822f2937c063d08cd723521c5d14c"),

@@ -32,20 +32,18 @@ def cr(re, im=0):
 
 
 def dyad_operator(pole, entries):
-    return operator_from_coefficients(
-        pole, CoefficientMatrix.by_dyad_orders(pole.order, entries)
-    )
+    return operator_from_coefficients(pole, CoefficientMatrix(pole.order, entries))
 
 
 class TestCoefficientMatrix:
     def test_dyad_range_validation(self):
         with pytest.raises(ValueError):
-            CoefficientMatrix.by_dyad_orders(2, {(2, 0): 1})
+            CoefficientMatrix(2, {(2, 0): 1})
         with pytest.raises(ValueError):
-            CoefficientMatrix.by_dyad_orders(2, {(0, -1): 1})
+            CoefficientMatrix(2, {(0, -1): 1})
 
     def test_zero_entries_dropped(self):
-        matrix = CoefficientMatrix.by_dyad_orders(2, {(0, 0): 0, (1, 0): 2})
+        matrix = CoefficientMatrix(2, {(0, 0): 0, (1, 0): 2})
         assert matrix.entries == {(1, 0): cr(2)}
         assert matrix.entry((0, 0)) == ZERO
 

@@ -60,7 +60,7 @@ def operators(draw):
     pole = draw(poles())
     keys = [(k, m) for k in range(pole.order) for m in range(pole.order)]
     entries = draw(st.dictionaries(st.sampled_from(keys), gaussian, max_size=len(keys)))
-    return DyadicOperator(pole, CoefficientMatrix.by_dyad_orders(pole.order, entries))
+    return DyadicOperator(pole, CoefficientMatrix(pole.order, entries))
 
 
 polynomials = st.lists(gaussian, max_size=4).map(Polynomial)
@@ -107,7 +107,7 @@ def rational_operators(draw):
     pole = ComplexPole(draw(dyadic), 1, draw(st.integers(1, 6)))
     keys = [(k, m) for k in range(pole.order) for m in range(pole.order)]
     entries = draw(st.dictionaries(st.sampled_from(keys), coefficients, max_size=len(keys)))
-    return DyadicOperator(pole, CoefficientMatrix.by_dyad_orders(pole.order, entries))
+    return DyadicOperator(pole, CoefficientMatrix(pole.order, entries))
 
 
 class TestEvolutionByRotation:
@@ -115,8 +115,8 @@ class TestEvolutionByRotation:
 
     @PROPERTY_SETTINGS
     @given(rational_operators())
-    @example(DyadicOperator(ComplexPole(0, 1, 3), CoefficientMatrix.by_dyad_orders(3, {})))
-    @example(DyadicOperator(ComplexPole(0, 1, 2), CoefficientMatrix.by_dyad_orders(
+    @example(DyadicOperator(ComplexPole(0, 1, 3), CoefficientMatrix(3, {})))
+    @example(DyadicOperator(ComplexPole(0, 1, 2), CoefficientMatrix(
         2, {(0, 0): 0, (1, 1): ComplexRational(Fraction(1, 3), Fraction(-2, 7))})))
     def test_random_operators(self, op):
         assert evolve_operator(op) == evolve_operator_by_products(op)
@@ -150,7 +150,7 @@ def one_of_each_value_class():
     pole = ComplexPole(1, 2, 2)
     system = exponentiality_constraints(2)
     ket = TestFunction(RationalFunction(Polynomial([1]), Polynomial([-1j, 1])), "ket")
-    operator = DyadicOperator(pole, CoefficientMatrix.by_dyad_orders(2, {(0, 1): 1}))
+    operator = DyadicOperator(pole, CoefficientMatrix(2, {(0, 1): 1}))
     return [
         Polynomial([1, 2]),
         RationalFunction(Polynomial([1]), Polynomial([2, 1])),
@@ -162,7 +162,6 @@ def one_of_each_value_class():
         evolve_operator(operator),
         system.equations[0],
         system,
-        system.blocks()[1],
         solve_binomial_recursion(2),
         verify_restriction_equivalence(pole),
         ket,
@@ -223,7 +222,7 @@ class TestEqualInputsGiveEqualValues:
     def test_coefficient_tables_and_operators(self, value, order, data):
         pole = ComplexPole(1, 1, order)
         key = (data.draw(st.integers(0, order - 1)), data.draw(st.integers(0, order - 1)))
-        tables = [CoefficientMatrix.by_dyad_orders(order, {key: v}) for v in representations(value)]
+        tables = [CoefficientMatrix(order, {key: v}) for v in representations(value)]
         assert_equal_and_hash_alike(tables)
         operators = [DyadicOperator(pole, table) for table in tables]
         assert_equal_and_hash_alike(operators)
