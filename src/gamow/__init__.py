@@ -39,7 +39,6 @@ from .operators import (
 from .smatrix import (
     DecompositionReport,
     IntegralResult,
-    QuadratureConfig,
     SMatrixModel,
     TestFunction,
     background_integral,
@@ -64,7 +63,6 @@ __all__ = [
     "IntegralResult",
     "JordanBlockMatrix",
     "Polynomial",
-    "QuadratureConfig",
     "RationalFunction",
     "RestrictionReport",
     "SMatrixModel",

@@ -6,6 +6,7 @@ identical configs produce byte-identical files.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -25,7 +26,7 @@ from .operators import (
     solve_binomial_recursion,
     verify_restriction_equivalence,
 )
-from .smatrix import QuadratureConfig, decomposition_check, load_model_file
+from .smatrix import decomposition_check, load_model_file
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
@@ -257,12 +258,8 @@ def cmd_exp_check(args) -> int:
 def cmd_residue(args) -> int:
     """Run the contour-decomposition check on a model document."""
     model, ket_fn, bra_fn = load_model_file(args.config)
-    tolerance = args.tol if args.tol is not None else 1e-8
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
-    report = decomposition_check(
-        model, ket_fn, bra_fn, QuadratureConfig(), tolerance=tolerance
-    )
+    tolerance = {} if args.tol is None else {"tolerance": args.tol}
+    report = decomposition_check(model, ket_fn, bra_fn, **tolerance)
     _write_output(_dump_json(report.to_json_dict()), args.out)
     return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILURE
 
@@ -306,34 +303,35 @@ _OPTIONS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; `main` finds each handler by name."""
     parser = argparse.ArgumentParser(
         prog="gamow",
         description="Exact Jordan-block calculus for higher-order resonance states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # (name, handler, help, flags); a trailing "!" marks a required flag
-    for name, handler, help_text, flags in (
-        ("evolve", cmd_evolve, "evolve an operator and write its decay curve",
+    # (name, help, flags); a trailing "!" marks a required flag
+    for name, help_text, flags in (
+        ("evolve", "evolve an operator and write its decay curve",
          "--config --out --format --tol --r --gamma --energy --n --t-end --steps"),
-        ("exp-check", cmd_exp_check, "verify the pure-exponential characterization",
-         "--out --r --j"),
-        ("residue", cmd_residue, "contour-decomposition check for a model file",
-         "--config! --out --tol"),
-        ("basis", cmd_basis, "emit the pure-exponential operator basis", "--out --format --r!"),
+        ("exp-check", "verify the pure-exponential characterization", "--out --r --j"),
+        ("residue", "contour-decomposition check for a model file", "--config! --out --tol"),
+        ("basis", "emit the pure-exponential operator basis", "--out --format --r!"),
     ):
         command = sub.add_parser(name, help=help_text)
         for flag in flags.split():
             option = flag.rstrip("!")
             command.add_argument(option, required=flag != option, **_OPTIONS[option])
-        command.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # looked up per call, so that a patched cmd_* function is the one that runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.handler(args)
+        return handler(args)
     except json.JSONDecodeError as exc:
         print(
             f"invalid JSON in {args.config}: line {exc.lineno}, column {exc.colno}: {exc.msg}",

@@ -549,12 +549,3 @@ def nullspace(rows, num_columns: int):
         basis.append(tuple(vector))
     return basis
 
-
-def row_space_rref(vectors):
-    """Canonical (RREF) basis of the span of the given vectors.
-
-    Two lists of vectors span the same subspace iff this returns the same
-    rows for both, so it serves as an exact subspace-equality certificate.
-    """
-    reduced, pivots = rref(vectors)
-    return [tuple(row) for row in reduced[: len(pivots)]]

@@ -148,8 +148,6 @@ def build_jordan_block(pole: ComplexPole) -> JordanBlockMatrix:
     Diagonal entries are the pole position; entry (k-1, k) equals k, matching
     the chain relation H e_k = z e_k + k e_{k-1}; everything else is zero.
     """
-    if pole.order < 1 or pole.width <= 0:
-        raise ValueError("pole must have positive width and order >= 1")
     r = pole.order
     z = pole.position
     entries = [[ZERO] * r for _ in range(r)]

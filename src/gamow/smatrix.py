@@ -14,8 +14,9 @@ is an identity of the residue theorem on the closed contour (real axis plus
 a lower semicircle at infinity) rather than an approximation.  The
 background piece is the (-inf, 0] leg traversed outward from the origin,
 i.e. minus the conventionally oriented integral; that orientation is what
-the closed contour produces.  Quadrature is adaptive Gauss-Kronrod
-(scipy/QUADPACK) with extra breakpoints planted near the pole, over an
+the closed contour produces.  Each piece runs to infinity, as a finite leg
+past the pole window plus a tail; every leg uses one fixed adaptive
+Gauss-Kronrod policy (scipy/QUADPACK) with breakpoints at the pole, over an
 integrand whose coefficients are converted to complex once per contour
 piece.  scipy is imported on the first quadrature and numpy on the first
 root check, since importing them costs more than everything else the
@@ -218,21 +219,11 @@ def residue_expansion(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestFun
 # -- numerical contour pieces ------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class QuadratureConfig:
-    """Adaptive-quadrature settings for the contour pieces.
-
-    `max_energy` truncates the outgoing integral at a finite endpoint (the
-    physical-spectrum mode); None integrates to infinity, the mode in which
-    the contour decomposition is exact.  Breakpoints are planted where the
-    path passes within `pole_window` half-widths of the pole's real part.
-    """
-
-    absolute_tolerance: float = 1e-10
-    relative_tolerance: float = 1e-10
-    max_energy: float | None = None
-    subdivision_limit: int = 200
-    pole_window: float = 10.0
+# The one quadrature policy of every contour leg, `_leg`.
+_ABSOLUTE_TOLERANCE = 1e-10
+_RELATIVE_TOLERANCE = 1e-10
+_SUBDIVISION_LIMIT = 200
+_POLE_WINDOW = 10.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,15 +235,6 @@ class IntegralResult:
     converged: bool
 
 
-def _pole_breakpoints(model: SMatrixModel, config: QuadratureConfig, lo: float, hi: float):
-    center = float(model.pole.resonance_energy)
-    half_window = config.pole_window * float(model.pole.width)
-    points = sorted(
-        {p for p in (center - half_window, center, center + half_window) if lo < p < hi}
-    )
-    return points or None
-
-
 def quad(func, a, b, **kwargs):
     """scipy.integrate.quad, imported on first use."""
     from scipy.integrate import quad as scipy_quad
@@ -260,14 +242,17 @@ def quad(func, a, b, **kwargs):
     return scipy_quad(func, a, b, **kwargs)
 
 
-def _quad_complex(integrand, lo: float, hi: float, config: QuadratureConfig, points=None) -> IntegralResult:
-    kwargs = {
-        "epsabs": config.absolute_tolerance,
-        "epsrel": config.relative_tolerance,
-        "limit": config.subdivision_limit,
-    }
-    if points:
-        kwargs["points"] = points
+def _leg(integrand, model: SMatrixModel, lo: float, hi: float) -> IntegralResult:
+    """Integral of the complex `integrand` over [lo, hi], one real run per part.
+
+    Breakpoints: the pole and `_POLE_WINDOW` widths either side, where inside
+    (lo, hi).  The infinite legs start beyond it and get none (scipy refuses them).
+    """
+    center = float(model.pole.resonance_energy)
+    half = _POLE_WINDOW * float(model.pole.width)
+    points = sorted({p for p in (center - half, center, center + half) if lo < p < hi})
+    kwargs = {"epsabs": _ABSOLUTE_TOLERANCE, "epsrel": _RELATIVE_TOLERANCE,
+              "limit": _SUBDIVISION_LIMIT, "points": points or None}
     from scipy.integrate import IntegrationWarning
 
     with warnings.catch_warnings(record=True) as caught:
@@ -339,38 +324,26 @@ def _amplitude_integrand(model: SMatrixModel, ket_fn: TestFunction, bra_fn: Test
     return integrand
 
 
-def direct_contour_integral(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestFunction,
-                            config: QuadratureConfig | None = None) -> IntegralResult:
-    """Amplitude integral along the physical spectrum [0, max_energy or inf)."""
-    config = config or QuadratureConfig()
+def direct_contour_integral(model: SMatrixModel, ket_fn: TestFunction,
+                            bra_fn: TestFunction) -> IntegralResult:
+    """Amplitude integral along the physical spectrum [0, inf)."""
     integrand = _amplitude_integrand(model, ket_fn, bra_fn)
-    if config.max_energy is not None:
-        points = _pole_breakpoints(model, config, 0.0, config.max_energy)
-        return _quad_complex(integrand, 0.0, config.max_energy, config, points)
-    split = max(1.0, float(model.pole.resonance_energy) + config.pole_window * float(model.pole.width))
-    finite = _quad_complex(
-        integrand, 0.0, split, config, _pole_breakpoints(model, config, 0.0, split)
-    )
-    tail = _quad_complex(integrand, split, math.inf, config)
-    return _combine([finite, tail])
+    split = max(1.0, float(model.pole.resonance_energy) + _POLE_WINDOW * float(model.pole.width))
+    return _combine([_leg(integrand, model, 0.0, split), _leg(integrand, model, split, math.inf)])
 
 
-def background_integral(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestFunction,
-                        config: QuadratureConfig | None = None) -> IntegralResult:
+def background_integral(model: SMatrixModel, ket_fn: TestFunction,
+                        bra_fn: TestFunction) -> IntegralResult:
     """Pole-independent contour piece along (-inf, 0].
 
     Traversed outward from the origin (the orientation the deformed contour
     inherits), so the returned value is minus the conventionally oriented
     integral over (-inf, 0].
     """
-    config = config or QuadratureConfig()
     integrand = _amplitude_integrand(model, ket_fn, bra_fn)
-    split = min(-1.0, float(model.pole.resonance_energy) - config.pole_window * float(model.pole.width))
-    finite = _quad_complex(
-        integrand, split, 0.0, config, _pole_breakpoints(model, config, split, 0.0)
-    )
-    tail = _quad_complex(integrand, -math.inf, split, config)
-    combined = _combine([finite, tail])
+    split = min(-1.0, float(model.pole.resonance_energy) - _POLE_WINDOW * float(model.pole.width))
+    combined = _combine([_leg(integrand, model, split, 0.0),
+                         _leg(integrand, model, -math.inf, split)])
     return IntegralResult(-combined.value, combined.error_estimate, combined.converged)
 
 
@@ -401,17 +374,18 @@ class DecompositionReport:
 
 
 def decomposition_check(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestFunction,
-                        config: QuadratureConfig | None = None,
                         tolerance: float = 1e-8) -> DecompositionReport:
     """Check direct = background + residue on the closed lower contour.
 
     The discrepancy is relative to |direct| when that is nonzero, absolute
-    otherwise.  A violation (or unconverged quadrature) is reported through
+    otherwise.  A tolerance that is not positive and finite raises
+    ValueError; a violation (or unconverged quadrature) is reported through
     `passed`, never raised.
     """
-    config = config or QuadratureConfig()
-    direct = direct_contour_integral(model, ket_fn, bra_fn, config)
-    background = background_integral(model, ket_fn, bra_fn, config)
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
+    direct = direct_contour_integral(model, ket_fn, bra_fn)
+    background = background_integral(model, ket_fn, bra_fn)
     residue = residue_expansion(model, ket_fn, bra_fn)
     mismatch = abs(direct.value - (background.value + residue))
     scale = abs(direct.value)

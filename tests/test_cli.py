@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gamow
-from gamow import operators
+from gamow import cli, operators
 from gamow.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFICATION_FAILURE, _build_parser, main
 from gamow.exact import ComplexRational
 from gamow.jordan import ComplexPole
@@ -215,6 +215,17 @@ class TestEvolve:
         assert main(["evolve", "--config", str(config_path)]) == EXIT_OK
         assert capsys.readouterr().err == ""
 
+    def test_contract_violation_fails_verification(self, tmp_path, capsys, monkeypatch):
+        """A dyad's entries carry powers of t, so claiming it is pure exponential must fail."""
+        monkeypatch.setattr(cli, "is_pure_exponential", lambda evolved: True)
+        out = tmp_path / "curve.csv"
+        argv = ["evolve", "--r", "2", "--steps", "5", "--out", str(out)]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"operator": {"kind": "dyad", "ket": 0, "bra": 1}}))
+        assert main([*argv, "--config", str(config_path)]) == EXIT_VERIFICATION_FAILURE
+        assert capsys.readouterr().err.startswith("pure-exponential contract violated at t=")
+        assert out.read_text().startswith("t,entry_l,entry_m,re,im,modulus\n")
+
 
 class TestExpCheck:
     def test_order_two_reproduces_theorem(self, tmp_path, capsys):
@@ -287,6 +298,36 @@ class TestExpCheck:
         assert main(["exp-check", "--r", "4", "--out", str(tmp_path / "report.json")]) == EXIT_OK
         assert len(built) == 56
         assert len({args[:3] for args in built}) == 56  # distinct (l, m, n)
+
+    def test_family_mismatch_fails_verification(self, tmp_path, capsys, monkeypatch):
+        def mismatch(system, family):
+            raise ArithmeticError("member 1 is not in the nullspace")
+
+        monkeypatch.setattr(cli, "binomial_family_matches_nullspace", mismatch)
+        out = tmp_path / "report.json"
+        assert main(["exp-check", "--r", "3", "--out", str(out)]) == EXIT_VERIFICATION_FAILURE
+        assert capsys.readouterr().err == (
+            "closed-form verification failed: member 1 is not in the nullspace\n"
+        )
+        payload = json.loads(out.read_text())
+        assert payload["binomial_family_matches"] is False
+        assert payload["forward_pure_exponential"] is True
+        assert payload["passed"] is False
+
+    def test_forward_check_failure_fails_verification(self, tmp_path, capsys, monkeypatch):
+        def not_exponential(pole):
+            raise ArithmeticError("member 2 does not evolve purely exponentially")
+
+        monkeypatch.setattr(cli, "exponential_subspace_basis", not_exponential)
+        out = tmp_path / "report.json"
+        assert main(["exp-check", "--r", "3", "--out", str(out)]) == EXIT_VERIFICATION_FAILURE
+        assert capsys.readouterr().err == (
+            "forward verification failed: member 2 does not evolve purely exponentially\n"
+        )
+        payload = json.loads(out.read_text())
+        assert payload["binomial_family_matches"] is True
+        assert payload["forward_pure_exponential"] is False
+        assert payload["passed"] is False
 
     def test_order_twelve_passes(self, tmp_path):
         out = tmp_path / "report.json"
@@ -517,6 +558,13 @@ class TestNonFiniteAndInvalidInputs:
         model_path.write_text(json.dumps(TestResidue().model_document()))
         assert main(["residue", "--config", str(model_path), "--tol", "nan"]) == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("tolerance", ["inf", "0", "-1e-8"])
+    def test_residue_tolerance_must_be_positive_and_finite(self, tmp_path, capsys, tolerance):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(TestResidue().model_document()))
+        assert main(["residue", "--config", str(model_path), f"--tol={tolerance}"]) == EXIT_INPUT_ERROR
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
+
 
 def test_importing_the_cli_does_not_import_scipy():
     """Nor numpy: both are imported by the residue path that needs them."""
@@ -576,6 +624,16 @@ REQUIRED_ARGS = {
     "basis": ["--r", "2"],
 }
 ALL_FLAGS = sorted(set().union(*ACCEPTED_FLAGS.values()))
+
+
+def test_the_parser_is_built_once_and_dispatches_to_the_current_handler(tmp_path, monkeypatch):
+    _build_parser.cache_clear()
+    out = str(tmp_path / "report.json")
+    assert main(["exp-check", "--r", "2", "--out", out]) == EXIT_OK
+    assert exit_status(["exp-check", "--r", "2", "--bogus"]) == EXIT_INPUT_ERROR
+    monkeypatch.setattr(cli, "cmd_exp_check", lambda args: 7)
+    assert main(["exp-check", "--r", "2", "--out", out]) == 7
+    assert _build_parser.cache_info().misses == 1
 
 
 def test_each_subcommand_takes_exactly_the_flags_it_reads():
