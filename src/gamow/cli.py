@@ -261,7 +261,13 @@ def cmd_residue(args) -> int:
     tolerance = {} if args.tol is None else {"tolerance": args.tol}
     report = decomposition_check(model, ket_fn, bra_fn, **tolerance)
     _write_output(_dump_json(report.to_json_dict()), args.out)
-    return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILURE
+    if report.passed:
+        return EXIT_OK
+    reason = f"discrepancy {report.discrepancy!r} against tolerance {report.tolerance!r}"
+    if report._unconverged:
+        reason += f"; quadrature of the {' and '.join(report._unconverged)} piece did not converge"
+    print(f"contour decomposition check failed: {reason}", file=sys.stderr)
+    return EXIT_VERIFICATION_FAILURE
 
 
 def cmd_basis(args) -> int:

@@ -5,8 +5,9 @@ pole plus an optional rational background, paired with rational stand-ins
 for the very well-behaved wavefunctions (poles confined to the upper
 half-plane, jointly decaying at infinity).  Because everything is rational,
 the pole contribution to the amplitude integral has an exact closed form,
-a Cauchy product of the ket's and bra's Taylor coefficients at the pole
-weighted by the principal-part coefficients, and the contour decomposition
+the Taylor coefficients of the product ket*bra at the pole (one power-series
+division) weighted by the principal-part coefficients, and the contour
+decomposition
 
     integral over [0, inf) = background piece + residue term
 
@@ -18,9 +19,11 @@ the closed contour produces.  Each piece runs to infinity, as a finite leg
 past the pole window plus a tail; every leg uses one fixed adaptive
 Gauss-Kronrod policy (scipy/QUADPACK) with breakpoints at the pole, over an
 integrand whose coefficients are converted to complex once per contour
-piece.  scipy is imported on the first quadrature and numpy on the first
-root check, since importing them costs more than everything else the
-command line does at startup.
+piece.  A leg integrates the real and the imaginary part as two QUADPACK
+runs that share the integrand's values, so each node is evaluated once.
+scipy is imported on the first quadrature and numpy on the first root
+check, since importing them costs more than everything else the command
+line does at startup.
 """
 
 import json
@@ -189,25 +192,21 @@ def unitary_first_order_model(pole: ComplexPole) -> SMatrixModel:
 def residue_core(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestFunction) -> ComplexRational:
     """Exact rational part of the pole's residue contribution.
 
-    With a_k and b_k the Taylor coefficients of ket and bra at the pole z,
-    the residue of ket*bra*laurent[n]/(E - z)^{n+1} at E = z is laurent[n]
-    times the Cauchy product sum_k a_{n-k} b_k; the sum over n, multiplied
-    by -2*pi*i, is the residue term.  Exact in the Gaussian rationals.
+    With c_n the Taylor coefficients of the product ket*bra at the pole z,
+    from one power-series division of its numerator by its denominator, the
+    residue of ket*bra*laurent[n]/(E - z)^{n+1} at E = z is laurent[n] * c_n;
+    the sum over n, multiplied by -2*pi*i, is the residue term.  Exact in
+    the Gaussian rationals.
     """
     if ket_fn.role != KET_ROLE:
         raise ValueError(f"first test function must have role {KET_ROLE!r}")
     if bra_fn.role != BRA_ROLE:
         raise ValueError(f"second test function must have role {BRA_ROLE!r}")
-    z = model.pole.position
-    r = model.pole.order
-    a = ket_fn.function.taylor_coefficients(z, r)
-    b = bra_fn.function.taylor_coefficients(z, r)
+    product = ket_fn.function * bra_fn.function
+    series = product.taylor_coefficients(model.pole.position, model.pole.order)
     total = ZERO
-    for n, coeff in enumerate(model.laurent):
-        inner = ZERO
-        for k in range(n + 1):
-            inner = inner + a[n - k] * b[k]
-        total = total + coeff * inner
+    for coeff, c in zip(model.laurent, series):
+        total = total + coeff * c
     return total
 
 
@@ -245,6 +244,12 @@ def quad(func, a, b, **kwargs):
 def _leg(integrand, model: SMatrixModel, lo: float, hi: float) -> IntegralResult:
     """Integral of the complex `integrand` over [lo, hi], one real run per part.
 
+    The two runs share one table of integrand values keyed by node: the real
+    run fills it and the imaginary run, whose nodes are mostly the same,
+    reads from it, so each node is evaluated once (QUADPACK's Gauss-Kronrod
+    nodes are interior to disjoint intervals, so a run meets a node once).
+    The integrand is pure, so a shared value is the float a second
+    evaluation would give.
     Breakpoints: the pole and `_POLE_WINDOW` widths either side, where inside
     (lo, hi).  The infinite legs start beyond it and get none (scipy refuses them).
     """
@@ -255,10 +260,20 @@ def _leg(integrand, model: SMatrixModel, lo: float, hi: float) -> IntegralResult
               "limit": _SUBDIVISION_LIMIT, "points": points or None}
     from scipy.integrate import IntegrationWarning
 
+    values = {}
+
+    def real_part(energy):
+        value = values[energy] = integrand(energy)
+        return value.real
+
+    def imag_part(energy):
+        value = values.get(energy)
+        return (integrand(energy) if value is None else value).imag
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IntegrationWarning)
-        re_val, re_err = quad(lambda e: integrand(e).real, lo, hi, **kwargs)
-        im_val, im_err = quad(lambda e: integrand(e).imag, lo, hi, **kwargs)
+        re_val, re_err = quad(real_part, lo, hi, **kwargs)
+        im_val, im_err = quad(imag_part, lo, hi, **kwargs)
     converged = not any(issubclass(w.category, IntegrationWarning) for w in caught)
     return IntegralResult(complex(re_val, im_val), re_err + im_err, converged)
 
@@ -349,7 +364,12 @@ def background_integral(model: SMatrixModel, ket_fn: TestFunction,
 
 @dataclass(frozen=True, slots=True)
 class DecompositionReport:
-    """Contour-decomposition check: direct vs background + residue."""
+    """Contour-decomposition check: direct vs background + residue.
+
+    `_unconverged` names the contour pieces ("direct", "background") whose
+    quadrature did not converge, for the command line's failure message; it
+    is not part of the JSON report.
+    """
 
     direct: complex
     background: complex
@@ -359,6 +379,7 @@ class DecompositionReport:
     passed: bool
     quadrature_error: float
     converged: bool
+    _unconverged: tuple = ()
 
     def to_json_dict(self):
         return {
@@ -390,7 +411,9 @@ def decomposition_check(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestF
     mismatch = abs(direct.value - (background.value + residue))
     scale = abs(direct.value)
     discrepancy = mismatch / scale if scale > 0 else mismatch
-    converged = direct.converged and background.converged
+    unconverged = tuple(name for name, piece in (("direct", direct), ("background", background))
+                        if not piece.converged)
+    converged = not unconverged
     return DecompositionReport(
         direct=direct.value,
         background=background.value,
@@ -400,6 +423,7 @@ def decomposition_check(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestF
         passed=bool(discrepancy <= tolerance and converged),
         quadrature_error=direct.error_estimate + background.error_estimate,
         converged=converged,
+        _unconverged=unconverged,
     )
 
 

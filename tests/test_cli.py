@@ -366,6 +366,49 @@ class TestResidue:
         payload = json.loads(out.read_text())
         assert payload["passed"] is False
 
+    def failure_output(self, model_path, capsys, *flags):
+        """stdout and stderr of a failing check; stdout is the bytes --out writes."""
+        argv = ["residue", "--config", str(model_path), *flags]
+        out = model_path.parent / "report.json"
+        assert main(argv + ["--out", str(out)]) == EXIT_VERIFICATION_FAILURE
+        capsys.readouterr()
+        assert main(argv) == EXIT_VERIFICATION_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == out.read_text()
+        return json.loads(captured.out), captured.err
+
+    def test_tolerance_failure_names_the_discrepancy(self, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(self.model_document()))
+        payload, err = self.failure_output(model_path, capsys, "--tol", "1e-300")
+        assert payload["converged"] is True
+        assert err == (
+            f"contour decomposition check failed: discrepancy {payload['discrepancy']!r} "
+            "against tolerance 1e-300\n"
+        )
+
+    def test_unconverged_piece_is_named(self, tmp_path, capsys):
+        # the order-10, Gamma = 1/2 model of the smatrix nonconvergence test,
+        # its Laurent coefficients rounded to floats: the direct piece's
+        # finite leg reports roundoff, the background piece converges
+        laurent = [[(n % 5 - 2) / 4, 1 / (n + 2)] for n in range(10)]
+        document = {
+            "E_R": 1.5, "Gamma": 0.5, "r": 10, "laurent": laurent,
+            "test_functions": [
+                {"role": "ket", "num": [[1.0, -0.5]], "den": [[-2.0, 1.0], [-0.5, -2.5], [1.0, 0.0]]},
+                {"role": "bra", "num": [[-0.75, 0.25]], "den": [[-0.5, -0.75], [1.0, 0.0]]},
+            ],
+        }
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(document))
+        payload, err = self.failure_output(model_path, capsys)
+        assert payload["converged"] is False
+        assert payload["discrepancy"] <= payload["tolerance"]
+        assert err == (
+            f"contour decomposition check failed: discrepancy {payload['discrepancy']!r} "
+            "against tolerance 1e-08; quadrature of the direct piece did not converge\n"
+        )
+
     def test_malformed_json_reports_location(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         model_path.write_text('{"E_R": 1.0,\n  "Gamma": }')

@@ -7,7 +7,10 @@ evolve digests and the residue value were recorded from the hand-written
 value classes that the dataclasses replaced.  The r = 12 digests were
 recorded before the coefficient tables were reduced to the one dyad layout.
 The r = 16 and j = 20 digests were recorded from the block solver that the
-structural certificate replaced.
+structural certificate replaced.  The whole-report residue digests were
+recorded from the contour legs that ran QUADPACK's real and imaginary parts
+without sharing nodes, and from the residue that multiplied the ket's and
+bra's Taylor series term by term.
 """
 
 import hashlib
@@ -122,3 +125,58 @@ def test_residue_of_bundled_example_is_pinned(capsys):
     example = files("gamow") / "data" / "residue_example.json"
     assert main(["residue", "--config", str(example)]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["residue"] == [0.17178108047330082, 0.06600191646006057]
+
+
+# Bench-shaped residue models: a slot's pole and denominator roots with
+# dyadic coefficients, in the three shapes whose quadrature and exact
+# residue cost the most.
+RESIDUE_MODELS = {
+    "order1-background": {
+        "E_R": 2.0, "Gamma": 1.5, "r": 1, "laurent": [[0.5, -1.0]],
+        "background": {"num": [[0.75, -1.75]], "den": [[1.0, -0.75], [1.0, 0.0]]},
+        "test_functions": [
+            {"role": "ket", "num": [[1.0, -1.75]],
+             "den": [[-4.125, 1.875], [-0.5, -2.25], [1.0, 0.0]]},
+            {"role": "bra", "num": [[-1.5, -1.25]], "den": [[2.0, -0.5], [1.0, 0.0]]},
+        ],
+    },
+    "order4": {
+        "E_R": 1.5, "Gamma": 1.25, "r": 4,
+        "laurent": [[0.5, -1.0], [1.0, -1.75], [-1.5, -1.25], [0.75, -1.75]],
+        "test_functions": [
+            {"role": "ket", "num": [[2.0, -0.5]], "den": [[-0.75, 1.0], [-2.0, -2.0], [1.0, 0.0]]},
+            {"role": "bra", "num": [[-1.75, -1.5]], "den": [[1.0, -0.5], [1.0, 0.0]]},
+        ],
+    },
+    "order6": {
+        "E_R": 0.75, "Gamma": 0.5, "r": 6,
+        "laurent": [[0.5, -1.0], [1.0, -1.75], [-1.5, -1.25], [0.75, -1.75], [2.0, -0.5],
+                    [-1.75, -1.5]],
+        "test_functions": [
+            {"role": "ket", "num": [[1.25, 1.25]], "den": [[-0.75, 1.5], [-2.0, -1.75], [1.0, 0.0]]},
+            {"role": "bra", "num": [[-1.5, -0.25]], "den": [[2.5, -2.0], [1.0, 0.0]]},
+        ],
+    },
+}
+
+RESIDUE_GOLDEN = [
+    ("bundled-example", "f047ddda07264547a707f9f6fa28ee5668c269b6118b571d6105b7f0b852e51f"),
+    ("order1-background", "65d04d7d147cc1b6036ea93d258ca7ca0261ff5e36d95f0383d5507bdd19deb1"),
+    ("order4", "aad6b8c4c4926cadfcce57883ce29d0b2a1fb8ed5de8f78f6279618068a1ab17"),
+    ("order6", "abb32b35b828af787129da696bfbecce30613b54865f1a975c0fb7cf2231b112"),
+]
+
+
+@pytest.mark.parametrize("name, digest", RESIDUE_GOLDEN, ids=[name for name, _ in RESIDUE_GOLDEN])
+def test_residue_report_bytes_are_pinned(name, digest, tmp_path, capsys):
+    if name in RESIDUE_MODELS:
+        config = tmp_path / "model.json"
+        config.write_text(json.dumps(RESIDUE_MODELS[name]))
+    else:
+        config = files("gamow") / "data" / "residue_example.json"
+    argv = ["residue", "--config", str(config)]
+    assert main(argv) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from contour_oracle import cauchy_product_residue_core, two_run_leg
+from gamow import smatrix
 from gamow.exact import ComplexRational, ONE, Polynomial, RationalFunction, ZERO, binomial
 from gamow.jordan import ComplexPole
 from gamow.smatrix import (
@@ -119,6 +122,12 @@ def leibniz_residue_core(model, ket_fn, bra_fn):
             inner = inner + binomial(n, k) * ket_derivs[n - k] * bra_derivs[k]
         total = total + model.laurent[n] / math.factorial(n) * inner
     return total
+
+
+def as_hex(result):
+    """An IntegralResult as exact hex strings of its value parts and error, and its flag."""
+    return (result.value.real.hex(), result.value.imag.hex(), result.error_estimate.hex(),
+            result.converged)
 
 
 def to_sympy(value):
@@ -310,11 +319,18 @@ class TestResidueExpansion:
         residue_core(model, F_KET, G_BRA)
         assert calls == []
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(models(background=False), rational_functions(), rational_functions())
     def test_matches_the_quotient_rule_oracle(self, model, ket_function, bra_function):
         f, g = TestFunction(ket_function, "ket"), TestFunction(bra_function, "bra")
         assert residue_core(model, f, g) == leibniz_residue_core(model, f, g)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(models(max_order=8, background=False), rational_functions(max_degree=3),
+           rational_functions(max_degree=3))
+    def test_equals_the_cauchy_product_oracle(self, model, ket_function, bra_function):
+        f, g = TestFunction(ket_function, "ket"), TestFunction(bra_function, "bra")
+        assert residue_core(model, f, g) == cauchy_product_residue_core(model, f, g)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_matches_the_sympy_series_oracle(self, order):
@@ -393,6 +409,7 @@ class TestContourPieces:
         report = decomposition_check(model, HIGHER_ORDER_KET, HIGHER_ORDER_BRA)
         assert not report.converged
         assert not report.passed
+        assert report._unconverged == ("direct",)
 
     def test_background_matches_plain_quadrature(self):
         model = SMatrixModel(ComplexPole(1, 1, 2), [cr(0, -1), cr(Fraction(1, 4))])
@@ -408,8 +425,45 @@ class TestContourPieces:
         assert result.value == pytest.approx(-complex(expected_re, expected_im), abs=1e-9)
 
 
+class TestSharedNodes:
+    """Legs that share each node's value between the real and imaginary runs."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(models(max_order=6), rational_functions(min_decay=1), rational_functions(min_decay=1))
+    def test_pieces_equal_the_two_run_oracle_bit_for_bit(self, model, ket_function, bra_function):
+        f, g = TestFunction(ket_function, "ket"), TestFunction(bra_function, "bra")
+        for piece in (direct_contour_integral, background_integral):
+            shared = piece(model, f, g)
+            with mock.patch.object(smatrix, "_leg", two_run_leg):
+                oracle = piece(model, f, g)
+            assert as_hex(shared) == as_hex(oracle)
+
+    @pytest.mark.parametrize("order", [1, 4, 6])
+    def test_each_node_is_evaluated_once(self, order, monkeypatch):
+        model = higher_order_model(order, 1)
+        factory = smatrix._amplitude_integrand
+        calls = []
+
+        def counting_factory(*args):
+            integrand = factory(*args)
+            return lambda energy: calls.append(energy) or integrand(energy)
+
+        monkeypatch.setattr(smatrix, "_amplitude_integrand", counting_factory)
+        for piece in (direct_contour_integral, background_integral):
+            calls.clear()
+            piece(model, HIGHER_ORDER_KET, HIGHER_ORDER_BRA)
+            shared = list(calls)
+            calls.clear()
+            with mock.patch.object(smatrix, "_leg", two_run_leg):
+                piece(model, HIGHER_ORDER_KET, HIGHER_ORDER_BRA)
+            # no node twice, and every node the two separate runs visit
+            assert len(shared) == len(set(shared))
+            assert set(shared) == set(calls)
+            assert len(calls) > len(shared)
+
+
 class TestAmplitudeIntegrand:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
         models(max_order=6),
         rational_functions(min_decay=1),
