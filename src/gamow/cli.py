@@ -264,8 +264,8 @@ def cmd_residue(args) -> int:
     if report.passed:
         return EXIT_OK
     reason = f"discrepancy {report.discrepancy!r} against tolerance {report.tolerance!r}"
-    if report._unconverged:
-        reason += f"; quadrature of the {' and '.join(report._unconverged)} piece did not converge"
+    for piece, legs in report._unconverged:
+        reason += f"; quadrature of the {piece} piece did not converge ({', '.join(legs)})"
     print(f"contour decomposition check failed: {reason}", file=sys.stderr)
     return EXIT_VERIFICATION_FAILURE
 

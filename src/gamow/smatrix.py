@@ -17,18 +17,20 @@ background piece is the (-inf, 0] leg traversed outward from the origin,
 i.e. minus the conventionally oriented integral; that orientation is what
 the closed contour produces.  Each piece runs to infinity, as a finite leg
 past the pole window plus a tail; every leg uses one fixed adaptive
-Gauss-Kronrod policy (scipy/QUADPACK) with breakpoints at the pole, over an
+Gauss-Kronrod policy (QUADPACK) with breakpoints at the pole, over an
 integrand whose coefficients are converted to complex once per contour
 piece.  A leg integrates the real and the imaginary part as two QUADPACK
 runs that share the integrand's values, so each node is evaluated once.
-scipy is imported on the first quadrature and numpy on the first root
-check, since importing them costs more than everything else the command
-line does at startup.
+The QUADPACK routines are scipy's compiled ones, called as
+scipy.integrate.quad calls them but loaded straight from their extension
+module on the first quadrature, so scipy.integrate and the subpackages it
+imports are never loaded; numpy is imported on the first root check.
+Importing either at module load would cost more than everything else the
+command line does at startup.
 """
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -225,24 +227,93 @@ _SUBDIVISION_LIMIT = 200
 _POLE_WINDOW = 10.0
 
 
+# QUADPACK's status codes for a run that finished short of the requested
+# accuracy, the ones scipy.integrate.quad reports as IntegrationWarning; 0 is
+# success and any other code (6, invalid input) is an error.
+_UNCONVERGED_REASONS = {1: "subdivision limit", 2: "roundoff", 3: "bad integrand behaviour",
+                        4: "roundoff in extrapolation", 5: "divergent",
+                        7: "abnormal termination"}
+_QUADPACK = None  # the compiled module, once loaded
+
+
 @dataclass(frozen=True, slots=True)
 class IntegralResult:
-    """Value, quadrature error estimate, and convergence flag."""
+    """Value, quadrature error estimate, and convergence flag.
+
+    `_unconverged` describes the legs whose quadrature did not converge,
+    for the command line's failure message.
+    """
 
     value: complex
     error_estimate: float
     converged: bool
+    _unconverged: tuple = ()
 
 
-def quad(func, a, b, **kwargs):
-    """scipy.integrate.quad, imported on first use."""
-    from scipy.integrate import quad as scipy_quad
+def _quadpack():
+    """scipy's compiled QUADPACK routines, loaded from their file on first use.
 
-    return scipy_quad(func, a, b, **kwargs)
+    Loading the extension module by path skips `scipy/integrate/__init__.py`,
+    whose imports (scipy.special, scipy.optimize, scipy.sparse, ...) cost
+    more than the rest of a residue check; the routines are the ones
+    scipy.integrate.quad calls.
+    """
+    global _QUADPACK
+    if _QUADPACK is None:
+        import importlib.machinery
+        import importlib.util
+        import os
+
+        package = importlib.util.find_spec("scipy")
+        if package is None:
+            raise ImportError("the residue check needs scipy's compiled QUADPACK; scipy is not installed")
+        stem = os.path.join(package.submodule_search_locations[0], "integrate", "_quadpack")
+        paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        module = None
+        if path is not None:
+            loader = importlib.machinery.ExtensionFileLoader("scipy.integrate._quadpack", path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(loader.name, loader))
+            loader.exec_module(module)
+        if not all(hasattr(module, name) for name in ("_qagse", "_qagpe", "_qagie")):
+            import importlib.metadata
+
+            raise ImportError(f"scipy {importlib.metadata.version('scipy')} has no compiled "
+                              f"QUADPACK routines _qagse, _qagpe, _qagie at {path or paths[0]}")
+        _QUADPACK = module
+    return _QUADPACK
+
+
+def quad(func, lo, hi, points):
+    """QUADPACK integral of `func` over [lo, hi], lo < hi, with the leg policy.
+
+    Makes the call scipy.integrate.quad makes for the same leg: QAGSE on a
+    finite interval, QAGPE when there are breakpoints (sorted, distinct,
+    inside the interval) and QAGIE when one end is infinite.  Returns
+    (value, error estimate, ier), `ier` being QUADPACK's status code: 0 when
+    converged, a key of `_UNCONVERGED_REASONS` when not; invalid input
+    raises ValueError, as scipy does.
+    """
+    routines = _quadpack()
+    policy = ((), 0, _ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE, _SUBDIVISION_LIMIT)
+    if points and (hi == math.inf or lo == -math.inf):
+        raise ValueError("Infinity inputs cannot be used with break points.")
+    if hi == math.inf:
+        value, error, ier = routines._qagie(func, lo, 1, *policy)
+    elif lo == -math.inf:
+        value, error, ier = routines._qagie(func, hi, -1, *policy)
+    elif points:
+        value, error, ier = routines._qagpe(func, lo, hi, points + [0.0, 0.0], *policy)
+    else:
+        value, error, ier = routines._qagse(func, lo, hi, *policy)
+    if ier and ier not in _UNCONVERGED_REASONS:
+        raise ValueError(f"QUADPACK rejected the quadrature over [{lo:g}, {hi:g}] (ier {ier})")
+    return value, error, ier
 
 
 def _leg(integrand, model: SMatrixModel, lo: float, hi: float) -> IntegralResult:
-    """Integral of the complex `integrand` over [lo, hi], one real run per part.
+    """Integral of the complex `integrand` over [lo, hi], one QUADPACK run per part.
 
     The two runs share one table of integrand values keyed by node: the real
     run fills it and the imaginary run, whose nodes are mostly the same,
@@ -251,15 +322,13 @@ def _leg(integrand, model: SMatrixModel, lo: float, hi: float) -> IntegralResult
     The integrand is pure, so a shared value is the float a second
     evaluation would give.
     Breakpoints: the pole and `_POLE_WINDOW` widths either side, where inside
-    (lo, hi).  The infinite legs start beyond it and get none (scipy refuses them).
+    (lo, hi).  The infinite legs start beyond it and get none (QUADPACK's
+    infinite-range routine takes none).  The leg converged when both runs
+    return status 0; otherwise it names itself and each failing status.
     """
     center = float(model.pole.resonance_energy)
     half = _POLE_WINDOW * float(model.pole.width)
     points = sorted({p for p in (center - half, center, center + half) if lo < p < hi})
-    kwargs = {"epsabs": _ABSOLUTE_TOLERANCE, "epsrel": _RELATIVE_TOLERANCE,
-              "limit": _SUBDIVISION_LIMIT, "points": points or None}
-    from scipy.integrate import IntegrationWarning
-
     values = {}
 
     def real_part(energy):
@@ -270,12 +339,12 @@ def _leg(integrand, model: SMatrixModel, lo: float, hi: float) -> IntegralResult
         value = values.get(energy)
         return (integrand(energy) if value is None else value).imag
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IntegrationWarning)
-        re_val, re_err = quad(real_part, lo, hi, **kwargs)
-        im_val, im_err = quad(imag_part, lo, hi, **kwargs)
-    converged = not any(issubclass(w.category, IntegrationWarning) for w in caught)
-    return IntegralResult(complex(re_val, im_val), re_err + im_err, converged)
+    re_val, re_err, re_ier = quad(real_part, lo, hi, points)
+    im_val, im_err, im_ier = quad(imag_part, lo, hi, points)
+    failures = [f"ier {ier}, {_UNCONVERGED_REASONS[ier]}"
+                for ier in dict.fromkeys((re_ier, im_ier)) if ier]
+    unconverged = (f"leg [{lo:g}, {hi:g}]: {'; '.join(failures)}",) if failures else ()
+    return IntegralResult(complex(re_val, im_val), re_err + im_err, not failures, unconverged)
 
 
 def _combine(parts):
@@ -283,6 +352,7 @@ def _combine(parts):
         sum(p.value for p in parts),
         sum(p.error_estimate for p in parts),
         all(p.converged for p in parts),
+        sum((p._unconverged for p in parts), ()),
     )
 
 
@@ -359,15 +429,17 @@ def background_integral(model: SMatrixModel, ket_fn: TestFunction,
     split = min(-1.0, float(model.pole.resonance_energy) - _POLE_WINDOW * float(model.pole.width))
     combined = _combine([_leg(integrand, model, split, 0.0),
                          _leg(integrand, model, -math.inf, split)])
-    return IntegralResult(-combined.value, combined.error_estimate, combined.converged)
+    return IntegralResult(-combined.value, combined.error_estimate, combined.converged,
+                          combined._unconverged)
 
 
 @dataclass(frozen=True, slots=True)
 class DecompositionReport:
     """Contour-decomposition check: direct vs background + residue.
 
-    `_unconverged` names the contour pieces ("direct", "background") whose
-    quadrature did not converge, for the command line's failure message; it
+    `_unconverged` holds a (piece, legs) pair for each contour piece
+    ("direct", "background") whose quadrature did not converge, `legs`
+    describing each failed leg, for the command line's failure message; it
     is not part of the JSON report.
     """
 
@@ -411,7 +483,8 @@ def decomposition_check(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestF
     mismatch = abs(direct.value - (background.value + residue))
     scale = abs(direct.value)
     discrepancy = mismatch / scale if scale > 0 else mismatch
-    unconverged = tuple(name for name, piece in (("direct", direct), ("background", background))
+    unconverged = tuple((name, piece._unconverged)
+                        for name, piece in (("direct", direct), ("background", background))
                         if not piece.converged)
     converged = not unconverged
     return DecompositionReport(

@@ -390,7 +390,8 @@ class TestResidue:
     def test_unconverged_piece_is_named(self, tmp_path, capsys):
         # the order-10, Gamma = 1/2 model of the smatrix nonconvergence test,
         # its Laurent coefficients rounded to floats: the direct piece's
-        # finite leg reports roundoff, the background piece converges
+        # finite leg reports roundoff (QUADPACK status 2), the background
+        # piece converges
         laurent = [[(n % 5 - 2) / 4, 1 / (n + 2)] for n in range(10)]
         document = {
             "E_R": 1.5, "Gamma": 0.5, "r": 10, "laurent": laurent,
@@ -406,7 +407,8 @@ class TestResidue:
         assert payload["discrepancy"] <= payload["tolerance"]
         assert err == (
             f"contour decomposition check failed: discrepancy {payload['discrepancy']!r} "
-            "against tolerance 1e-08; quadrature of the direct piece did not converge\n"
+            "against tolerance 1e-08; quadrature of the direct piece did not converge "
+            "(leg [0, 6.5]: ier 2, roundoff)\n"
         )
 
     def test_malformed_json_reports_location(self, tmp_path, capsys):
@@ -609,17 +611,38 @@ class TestNonFiniteAndInvalidInputs:
         assert "tolerance must be positive and finite" in capsys.readouterr().err
 
 
-def test_importing_the_cli_does_not_import_scipy():
-    """Nor numpy: both are imported by the residue path that needs them."""
-    code = "import sys, gamow.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+def run_python(code):
+    """Run `code` in a fresh interpreter that imports this checkout's gamow."""
     search_path = [os.path.dirname(os.path.dirname(gamow.__file__))]
     if os.environ.get("PYTHONPATH"):
         search_path.append(os.environ["PYTHONPATH"])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(search_path))
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert result.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    """Nor numpy: both are imported by the residue path that needs them."""
+    code = "import sys, gamow.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    assert run_python(code).stdout.strip() == "[]"
+
+
+def test_residue_does_not_import_scipy_integrate():
+    """The residue check loads only scipy's compiled QUADPACK module, and a later
+    `import scipy.integrate` in the same process still integrates correctly."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from gamow.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = main(['residue', '--config', {EXAMPLE_MODEL!r}])\n"
+        "print(status, sorted({'scipy.integrate', 'scipy.special'} & set(sys.modules)))\n"
+        "import scipy.integrate\n"
+        "print(scipy.integrate.quad(lambda x: x * x, 0.0, 3.0)[0])\n"
+    )
+    modules, integral = run_python(code).stdout.splitlines()
+    assert modules == f"{EXIT_OK} []"
+    assert float(integral) == pytest.approx(9.0, rel=1e-14)
 
 
 class TestBasis:

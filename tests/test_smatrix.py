@@ -1,14 +1,17 @@
 """Tests for the rational amplitude model, residue expansion, and contour pieces."""
 
+import importlib.machinery
 import math
+import warnings
 from fractions import Fraction
 from unittest import mock
 
 import pytest
+import scipy
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from contour_oracle import cauchy_product_residue_core, two_run_leg
 from gamow import smatrix
@@ -409,7 +412,7 @@ class TestContourPieces:
         report = decomposition_check(model, HIGHER_ORDER_KET, HIGHER_ORDER_BRA)
         assert not report.converged
         assert not report.passed
-        assert report._unconverged == ("direct",)
+        assert report._unconverged == (("direct", ("leg [0, 6.5]: ier 2, roundoff",)),)
 
     def test_background_matches_plain_quadrature(self):
         model = SMatrixModel(ComplexPole(1, 1, 2), [cr(0, -1), cr(Fraction(1, 4))])
@@ -460,6 +463,59 @@ class TestSharedNodes:
             assert len(shared) == len(set(shared))
             assert set(shared) == set(calls)
             assert len(calls) > len(shared)
+
+
+def scipy_leg_run(func, lo, hi, points):
+    """scipy.integrate.quad under the leg policy: hex value and error, and whether it warned."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", IntegrationWarning)
+        value, error = quad(func, lo, hi, epsabs=smatrix._ABSOLUTE_TOLERANCE,
+                            epsrel=smatrix._RELATIVE_TOLERANCE,
+                            limit=smatrix._SUBDIVISION_LIMIT, points=points or None)
+    return value.hex(), error.hex(), any(w.category is IntegrationWarning for w in caught)
+
+
+class TestQuadpackDispatch:
+    """`smatrix.quad` makes the QUADPACK call scipy.integrate.quad makes."""
+
+    @pytest.mark.parametrize("lo, hi, points", [
+        (0.0, 3.0, []),  # _qagse
+        (-1.0, 3.0, [0.5, 1.0, 2.5]),  # _qagpe
+        (3.0, math.inf, []),  # _qagie toward +inf
+        (-math.inf, -1.0, []),  # _qagie from -inf
+    ])
+    def test_each_routine_equals_scipy_bit_for_bit(self, lo, hi, points):
+        model = SMatrixModel(ComplexPole(1, 1, 2), [cr(0, -1), cr(Fraction(1, 4))])
+        integrand = _amplitude_integrand(model, F_KET, G_BRA)
+        for part in (lambda e: integrand(e).real, lambda e: integrand(e).imag):
+            value, error, ier = smatrix.quad(part, lo, hi, points)
+            assert ier == 0
+            assert (value.hex(), error.hex(), False) == scipy_leg_run(part, lo, hi, points)
+
+    def test_unconverged_leg_equals_scipy_and_warns_there(self):
+        # the direct piece's finite leg of the order-10, Gamma = 1/2 model
+        model = higher_order_model(10, Fraction(1, 2))
+        integrand = _amplitude_integrand(model, HIGHER_ORDER_KET, HIGHER_ORDER_BRA)
+        statuses = []
+        for part in (lambda e: integrand(e).real, lambda e: integrand(e).imag):
+            value, error, ier = smatrix.quad(part, 0.0, 6.5, [1.5])
+            statuses.append(ier)
+            assert (value.hex(), error.hex(), ier != 0) == scipy_leg_run(part, 0.0, 6.5, [1.5])
+        assert statuses[0] == 2
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0)])
+    def test_breakpoints_on_an_infinite_leg_are_refused(self, lo, hi):
+        with pytest.raises(ValueError, match="break points"):
+            smatrix.quad(math.exp, lo, hi, [-0.5, 0.5])
+
+    def test_missing_extension_names_scipy_version_and_path(self, monkeypatch):
+        monkeypatch.setattr(smatrix, "_QUADPACK", None)
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+        with pytest.raises(ImportError) as raised:
+            smatrix._quadpack()
+        message = str(raised.value)
+        assert f"scipy {scipy.__version__} " in message
+        assert message.endswith("_quadpack.missing.so")
 
 
 class TestAmplitudeIntegrand:
