@@ -16,21 +16,19 @@ a lower semicircle at infinity) rather than an approximation.  The
 background piece is the (-inf, 0] leg traversed outward from the origin,
 i.e. minus the conventionally oriented integral; that orientation is what
 the closed contour produces.  Each piece runs to infinity, as a finite leg
-past the pole window plus a tail; every leg uses one fixed adaptive
-Gauss-Kronrod policy (QUADPACK) with breakpoints at the pole, over an
-integrand whose coefficients are converted to complex once per contour
-piece.  A leg integrates the real and the imaginary part as two QUADPACK
-runs that share the integrand's values, so each node is evaluated once.
-The QUADPACK routines are scipy's compiled ones, called as
-scipy.integrate.quad calls them but loaded straight from their extension
-module on the first quadrature, so scipy.integrate and the subpackages it
-imports are never loaded; numpy is imported on the first root check.
-Importing either at module load would cost more than everything else the
-command line does at startup.
+past the pole window plus a tail.  Every leg is one adaptive Gauss-Kronrod
+run on the complex integrand (`quad`: QUADPACK's rules, error estimate and
+roundoff test, global bisection), with breakpoints at the pole, so each node
+is evaluated once; the integrand's coefficients are converted to complex
+once per contour piece.  Whether every denominator root lies above the real
+axis is decided exactly, by a Sturm-chain count in the Gaussian rationals.
+Neither step imports numpy or scipy, whose import alone would cost more than
+everything else the command line does.
 """
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,25 +46,90 @@ from .jordan import ComplexPole
 KET_ROLE = "ket"
 BRA_ROLE = "bra"
 
-# Numerically computed denominator roots this close to the real axis are
-# treated as violating strict upper-half-plane analyticity.
-_ROOT_IMAG_MARGIN = 1e-9
+# A denominator root must lie above the real axis by more than this
+# fraction of max(1, R), R a power-of-two bound on the root moduli.
+_ROOT_MARGIN = Fraction(1, 10**9)
 
 
-def _denominator_roots(function: RationalFunction):
-    import numpy as np  # here, not at module load: only the residue path needs it
+def _modulus_exponent(coefficients) -> int:
+    """An e >= 0 with every root of the polynomial below 2**e in modulus.
 
-    coeffs = [complex(c) for c in reversed(function.denominator.coefficients)]
-    return np.roots(coeffs) if len(coeffs) > 1 else []
+    Fujiwara's bound 2 * max_k |a_k / a_n|^(1/(n-k)), rounded up to a power
+    of two from the bit lengths of the squared ratios, so it stays exact.
+    """
+    def norm(c):
+        return c.real * c.real + c.imag * c.imag
+
+    n = len(coefficients) - 1
+    lead = norm(coefficients[-1])
+    exponent = 0
+    for k, c in enumerate(coefficients[:-1]):
+        if c:
+            ratio = norm(c) / lead
+            bits = ratio.numerator.bit_length() - ratio.denominator.bit_length() + 1
+            exponent = max(exponent, 1 - (-bits // (2 * (n - k))))
+    return exponent
+
+
+def _roots_above(polynomial: Polynomial, height) -> bool:
+    """Whether every root z of `polynomial` has Im z > height, decided exactly.
+
+    On the line Im z = height, p(x + i*height) * conj(lead) = P(x) + i*Q(x)
+    with real rational P of degree n and Q of lower degree.  The argument of
+    p rises by pi along the line for each root above it and falls by pi for
+    each below, so all n roots lie above iff the Cauchy index of Q/P over
+    the line is -n (Gantmacher, Theory of Matrices II, ch. XV), read off the
+    sign changes of the Sturm chain of (P, Q) at -inf and +inf.  A common
+    factor of P and Q, from a root on the line or a conjugate pair of
+    roots, drops out of the index, so the index then stays above -n.
+    """
+    n = polynomial.degree
+    if n < 1:
+        return True
+    shifted = polynomial.taylor_coefficients(ComplexRational(0, height), n + 1)
+    scale = shifted[-1].conjugate()
+    chain = [[], []]
+    for c in shifted:
+        c = c * scale
+        chain[0].append(c.real)
+        chain[1].append(c.imag)
+    _trim(chain[1])
+    while chain[-1]:
+        remainder = list(chain[-2])
+        divisor = chain[-1]
+        while len(remainder) >= len(divisor):
+            q = remainder[-1] / divisor[-1]
+            shift = len(remainder) - len(divisor)
+            for i, c in enumerate(divisor):
+                remainder[shift + i] -= q * c
+            remainder.pop()
+            _trim(remainder)
+        chain.append([-c for c in remainder])
+    chain.pop()
+    at_plus = [f[-1] > 0 for f in chain]
+    at_minus = [(f[-1] > 0) == (len(f) % 2 == 1) for f in chain]
+    changes = [sum(a != b for a, b in zip(signs, signs[1:])) for signs in (at_minus, at_plus)]
+    return changes[0] - changes[1] == -n
+
+
+def _trim(coefficients):
+    while coefficients and not coefficients[-1]:
+        coefficients.pop()
 
 
 def _require_upper_half_plane_roots(function: RationalFunction, what: str):
-    for root in _denominator_roots(function):
-        if root.imag <= _ROOT_IMAG_MARGIN * max(1.0, abs(root)):
-            raise ValueError(
-                f"{what} must be analytic in the closed lower half-plane; "
-                f"denominator root at {complex(root):.6g} is not strictly above the real axis"
-            )
+    """Refuse `function` unless every denominator root lies above the axis by a margin.
+
+    The exact test runs on the line Im z = 1e-9 * max(1, R), R >= every root
+    modulus, so a root within 1e-9 * max(1, |root|) of the axis is refused.
+    """
+    denominator = function.denominator
+    height = _ROOT_MARGIN * 2 ** _modulus_exponent(denominator.coefficients)
+    if not _roots_above(denominator, height):
+        raise ValueError(
+            f"{what} must be analytic in the closed lower half-plane; a denominator root "
+            f"is not above the real axis by more than {float(height):.3g}"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,13 +290,32 @@ _SUBDIVISION_LIMIT = 200
 _POLE_WINDOW = 10.0
 
 
-# QUADPACK's status codes for a run that finished short of the requested
-# accuracy, the ones scipy.integrate.quad reports as IntegrationWarning; 0 is
-# success and any other code (6, invalid input) is an error.
-_UNCONVERGED_REASONS = {1: "subdivision limit", 2: "roundoff", 3: "bad integrand behaviour",
-                        4: "roundoff in extrapolation", 5: "divergent",
-                        7: "abnormal termination"}
-_QUADPACK = None  # the compiled module, once loaded
+# QUADPACK's Gauss-Kronrod rules (Piessens et al. 1983): the Kronrod and
+# Gauss weights of the centre node, then (x, Kronrod weight, Gauss weight)
+# for each abscissa pair +-x, the Gauss weight 0.0 at Kronrod-only nodes.
+_GK21 = (0.1494455540029169, 0.0, (
+    (0.9956571630258081, 0.011694638867371874, 0.0),
+    (0.9739065285171717, 0.032558162307964725, 0.06667134430868814),
+    (0.9301574913557082, 0.054755896574351995, 0.0),
+    (0.8650633666889845, 0.07503967481091996, 0.1494513491505806),
+    (0.7808177265864169, 0.0931254545836976, 0.0),
+    (0.6794095682990244, 0.10938715880229764, 0.21908636251598204),
+    (0.5627571346686047, 0.12349197626206584, 0.0),
+    (0.4333953941292472, 0.13470921731147334, 0.26926671930999635),
+    (0.2943928627014602, 0.14277593857706009, 0.0),
+    (0.14887433898163122, 0.14773910490133849, 0.29552422471475287),
+))
+_GK15 = (0.20948214108472782, 0.4179591836734694, (
+    (0.9914553711208126, 0.022935322010529224, 0.0),
+    (0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
+    (0.8648644233597691, 0.10479001032225019, 0.0),
+    (0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
+    (0.5860872354676911, 0.1690047266392679, 0.0),
+    (0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
+    (0.20778495500789848, 0.20443294007529889, 0.0),
+))
+_EPSILON = sys.float_info.epsilon  # QUADPACK's epmach
+_UNDERFLOW = sys.float_info.min  # QUADPACK's uflow
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,101 +332,128 @@ class IntegralResult:
     _unconverged: tuple = ()
 
 
-def _quadpack():
-    """scipy's compiled QUADPACK routines, loaded from their file on first use.
+def _gauss_kronrod(func, a, b, rule):
+    """One Gauss-Kronrod rule on [a, b], as QUADPACK's QK21/QK15I.
 
-    Loading the extension module by path skips `scipy/integrate/__init__.py`,
-    whose imports (scipy.special, scipy.optimize, scipy.sparse, ...) cost
-    more than the rest of a residue check; the routines are the ones
-    scipy.integrate.quad calls.
+    Returns (integral, error estimate, resasc), resasc the rule's measure of
+    the integrand's spread about its mean, which the error estimate equals
+    when it is saturated.  The error is |Kronrod - Gauss| scaled by
+    resasc * min(1, (200 * error / resasc)^1.5), and at least 50 machine
+    epsilons of the integral of |func|.
     """
-    global _QUADPACK
-    if _QUADPACK is None:
-        import importlib.machinery
-        import importlib.util
-        import os
-
-        package = importlib.util.find_spec("scipy")
-        if package is None:
-            raise ImportError("the residue check needs scipy's compiled QUADPACK; scipy is not installed")
-        stem = os.path.join(package.submodule_search_locations[0], "integrate", "_quadpack")
-        paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-        path = next((p for p in paths if os.path.isfile(p)), None)
-        module = None
-        if path is not None:
-            loader = importlib.machinery.ExtensionFileLoader("scipy.integrate._quadpack", path)
-            module = importlib.util.module_from_spec(
-                importlib.util.spec_from_loader(loader.name, loader))
-            loader.exec_module(module)
-        if not all(hasattr(module, name) for name in ("_qagse", "_qagpe", "_qagie")):
-            import importlib.metadata
-
-            raise ImportError(f"scipy {importlib.metadata.version('scipy')} has no compiled "
-                              f"QUADPACK routines _qagse, _qagpe, _qagie at {path or paths[0]}")
-        _QUADPACK = module
-    return _QUADPACK
+    center_kronrod, center_gauss, abscissas = rule
+    center = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    fc = func(center)
+    kronrod = center_kronrod * fc
+    gauss = center_gauss * fc
+    resabs = center_kronrod * abs(fc)
+    pairs = []
+    for x, kronrod_weight, gauss_weight in abscissas:
+        offset = half * x
+        f1 = func(center - offset)
+        f2 = func(center + offset)
+        kronrod += kronrod_weight * (f1 + f2)
+        gauss += gauss_weight * (f1 + f2)
+        resabs += kronrod_weight * (abs(f1) + abs(f2))
+        pairs.append((kronrod_weight, f1, f2))
+    mean = 0.5 * kronrod
+    resasc = center_kronrod * abs(fc - mean)
+    for kronrod_weight, f1, f2 in pairs:
+        resasc += kronrod_weight * (abs(f1 - mean) + abs(f2 - mean))
+    resabs *= half
+    resasc *= half
+    error = abs((kronrod - gauss) * half)
+    if resasc and error:
+        error = resasc * min(1.0, (200.0 * error / resasc) ** 1.5)
+    if resabs > _UNDERFLOW / (50.0 * _EPSILON):
+        error = max(50.0 * _EPSILON * resabs, error)
+    return kronrod * half, error, resasc
 
 
 def quad(func, lo, hi, points):
-    """QUADPACK integral of `func` over [lo, hi], lo < hi, with the leg policy.
+    """Adaptive Gauss-Kronrod integral of the complex `func` over [lo, hi], lo < hi.
 
-    Makes the call scipy.integrate.quad makes for the same leg: QAGSE on a
-    finite interval, QAGPE when there are breakpoints (sorted, distinct,
-    inside the interval) and QAGIE when one end is infinite.  Returns
-    (value, error estimate, ier), `ier` being QUADPACK's status code: 0 when
-    converged, a key of `_UNCONVERGED_REASONS` when not; invalid input
-    raises ValueError, as scipy does.
+    A finite leg starts from GK21 on the pieces between the breakpoints
+    `points` (sorted, distinct, inside the interval).  A leg with one
+    infinite end is mapped onto (0, 1] as QUADPACK's QAGIE maps it,
+    x = lo + (1 - t)/t toward +inf and x = hi - (1 - t)/t from -inf, and
+    integrated with GK15.  Then the piece with the largest error estimate
+    is bisected until the summed estimate is within the leg policy's
+    tolerance, with QUADPACK's QAG strategy and no extrapolation, so each
+    node is evaluated once.  Returns (value, error estimate, ier): ier 0
+    when converged, 1 at the subdivision limit, 2 when QUADPACK's roundoff
+    test finds that bisection no longer reduces the error.
     """
-    routines = _quadpack()
-    policy = ((), 0, _ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE, _SUBDIVISION_LIMIT)
-    if points and (hi == math.inf or lo == -math.inf):
-        raise ValueError("Infinity inputs cannot be used with break points.")
+    import heapq  # here, not at module load: only the residue path needs it
+
     if hi == math.inf:
-        value, error, ier = routines._qagie(func, lo, 1, *policy)
+        integrand, rule, edges = (lambda t: func(lo + (1.0 - t) / t) / (t * t)), _GK15, (0.0, 1.0)
     elif lo == -math.inf:
-        value, error, ier = routines._qagie(func, hi, -1, *policy)
-    elif points:
-        value, error, ier = routines._qagpe(func, lo, hi, points + [0.0, 0.0], *policy)
+        integrand, rule, edges = (lambda t: func(hi - (1.0 - t) / t) / (t * t)), _GK15, (0.0, 1.0)
     else:
-        value, error, ier = routines._qagse(func, lo, hi, *policy)
-    if ier and ier not in _UNCONVERGED_REASONS:
-        raise ValueError(f"QUADPACK rejected the quadrature over [{lo:g}, {hi:g}] (ier {ier})")
-    return value, error, ier
+        integrand, rule, edges = func, _GK21, (lo, *points, hi)
+    pieces = []
+    for a, b in zip(edges, edges[1:]):
+        value, error, _ = _gauss_kronrod(integrand, a, b, rule)
+        pieces.append((-error, a, b, value))
+    heapq.heapify(pieces)
+    total = sum(piece[3] for piece in pieces)
+    error_sum = -sum(piece[0] for piece in pieces)
+    stalled = rising = 0  # QUADPACK's roundoff counters iroff1, iroff2
+    ier = 0
+    while error_sum > max(_ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE * abs(total)):
+        if len(pieces) >= _SUBDIVISION_LIMIT:
+            ier = 1
+            break
+        if stalled >= 6 or rising >= 20:
+            ier = 2
+            break
+        negative_error, a, b, value = heapq.heappop(pieces)
+        middle = 0.5 * (a + b)
+        left, left_error, left_resasc = _gauss_kronrod(integrand, a, middle, rule)
+        right, right_error, right_resasc = _gauss_kronrod(integrand, middle, b, rule)
+        area = left + right
+        area_error = left_error + right_error
+        if left_resasc != left_error and right_resasc != right_error:
+            if abs(value - area) <= 1e-5 * abs(area) and area_error >= -0.99 * negative_error:
+                stalled += 1
+            if len(pieces) > 8 and area_error > -negative_error:  # over 10 pieces after this step
+                rising += 1
+        total += area - value
+        error_sum += area_error + negative_error
+        heapq.heappush(pieces, (-left_error, a, middle, left))
+        heapq.heappush(pieces, (-right_error, middle, b, right))
+    return sum(piece[3] for piece in pieces), -sum(piece[0] for piece in pieces), ier
 
 
-def _leg(integrand, model: SMatrixModel, lo: float, hi: float) -> IntegralResult:
-    """Integral of the complex `integrand` over [lo, hi], one QUADPACK run per part.
+def _pole_window(model: SMatrixModel):
+    """The breakpoints E_R - w, E_R, E_R + w of every leg, w = `_POLE_WINDOW` * Gamma.
 
-    The two runs share one table of integrand values keyed by node: the real
-    run fills it and the imaginary run, whose nodes are mostly the same,
-    reads from it, so each node is evaluated once (QUADPACK's Gauss-Kronrod
-    nodes are interior to disjoint intervals, so a run meets a node once).
-    The integrand is pure, so a shared value is the float a second
-    evaluation would give.
-    Breakpoints: the pole and `_POLE_WINDOW` widths either side, where inside
-    (lo, hi).  The infinite legs start beyond it and get none (QUADPACK's
-    infinite-range routine takes none).  The leg converged when both runs
-    return status 0; otherwise it names itself and each failing status.
+    ValueError where the window leaves the float range: its legs could not
+    end at a finite energy.
     """
     center = float(model.pole.resonance_energy)
-    half = _POLE_WINDOW * float(model.pole.width)
-    points = sorted({p for p in (center - half, center, center + half) if lo < p < hi})
-    values = {}
+    width = float(model.pole.width)
+    window = (center - _POLE_WINDOW * width, center, center + _POLE_WINDOW * width)
+    if not all(map(math.isfinite, window)):
+        raise ValueError(f"pole window E_R +- {_POLE_WINDOW:g}*Gamma leaves the float range "
+                         f"(E_R {center!r}, Gamma {width!r})")
+    return window
 
-    def real_part(energy):
-        value = values[energy] = integrand(energy)
-        return value.real
 
-    def imag_part(energy):
-        value = values.get(energy)
-        return (integrand(energy) if value is None else value).imag
+def _leg(integrand, window, lo: float, hi: float) -> IntegralResult:
+    """Integral of the complex `integrand` over [lo, hi] by `quad`.
 
-    re_val, re_err, re_ier = quad(real_part, lo, hi, points)
-    im_val, im_err, im_ier = quad(imag_part, lo, hi, points)
-    failures = [f"ier {ier}, {_UNCONVERGED_REASONS[ier]}"
-                for ier in dict.fromkeys((re_ier, im_ier)) if ier]
-    unconverged = (f"leg [{lo:g}, {hi:g}]: {'; '.join(failures)}",) if failures else ()
-    return IntegralResult(complex(re_val, im_val), re_err + im_err, not failures, unconverged)
+    Breakpoints: the points of the pole `window` inside (lo, hi).  The
+    infinite legs start beyond the window and get none.  A leg that did not
+    converge names its interval and quad's status.
+    """
+    points = sorted({p for p in window if lo < p < hi})
+    value, error, ier = quad(integrand, lo, hi, points)
+    reason = "subdivision limit" if ier == 1 else "roundoff"
+    unconverged = (f"leg [{lo:g}, {hi:g}]: ier {ier}, {reason}",) if ier else ()
+    return IntegralResult(value, error, not ier, unconverged)
 
 
 def _combine(parts):
@@ -413,8 +522,9 @@ def direct_contour_integral(model: SMatrixModel, ket_fn: TestFunction,
                             bra_fn: TestFunction) -> IntegralResult:
     """Amplitude integral along the physical spectrum [0, inf)."""
     integrand = _amplitude_integrand(model, ket_fn, bra_fn)
-    split = max(1.0, float(model.pole.resonance_energy) + _POLE_WINDOW * float(model.pole.width))
-    return _combine([_leg(integrand, model, 0.0, split), _leg(integrand, model, split, math.inf)])
+    window = _pole_window(model)
+    split = max(1.0, window[-1])
+    return _combine([_leg(integrand, window, 0.0, split), _leg(integrand, window, split, math.inf)])
 
 
 def background_integral(model: SMatrixModel, ket_fn: TestFunction,
@@ -426,9 +536,10 @@ def background_integral(model: SMatrixModel, ket_fn: TestFunction,
     integral over (-inf, 0].
     """
     integrand = _amplitude_integrand(model, ket_fn, bra_fn)
-    split = min(-1.0, float(model.pole.resonance_energy) - _POLE_WINDOW * float(model.pole.width))
-    combined = _combine([_leg(integrand, model, split, 0.0),
-                         _leg(integrand, model, -math.inf, split)])
+    window = _pole_window(model)
+    split = min(-1.0, window[0])
+    combined = _combine([_leg(integrand, window, split, 0.0),
+                         _leg(integrand, window, -math.inf, split)])
     return IntegralResult(-combined.value, combined.error_estimate, combined.converged,
                           combined._unconverged)
 

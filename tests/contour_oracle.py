@@ -1,11 +1,12 @@
-"""Reference residue check for the tests: the slow paths the library replaced.
+"""Reference residue check for the tests: independent and slow paths.
 
-`smatrix._leg` evaluates each quadrature node once and lets QUADPACK's real
-and imaginary runs share the values; `two_run_leg` runs the two parts as
-separate QUADPACK runs that each evaluate the full complex integrand.
-`smatrix.residue_core` expands the product ket*bra at the pole as one
-series; `cauchy_product_residue_core` expands ket and bra separately and
-multiplies the two series term by term.
+`smatrix._leg` integrates the complex integrand in one adaptive
+Gauss-Kronrod pass; `two_run_leg` integrates its real and imaginary parts
+as two separate `scipy.integrate.quad` runs (compiled QUADPACK) under the
+same tolerances, subdivision limit and breakpoints, each run evaluating the
+full complex integrand.  `smatrix.residue_core` expands the product ket*bra
+at the pole as one series; `cauchy_product_residue_core` expands ket and
+bra separately and multiplies the two series term by term.
 """
 
 import warnings
@@ -17,11 +18,9 @@ from gamow.exact import ZERO
 from gamow.smatrix import IntegralResult
 
 
-def two_run_leg(integrand, model, lo, hi):
-    """Integral of the complex `integrand` over [lo, hi], each part its own run."""
-    center = float(model.pole.resonance_energy)
-    half = smatrix._POLE_WINDOW * float(model.pole.width)
-    points = sorted({p for p in (center - half, center, center + half) if lo < p < hi})
+def two_run_leg(integrand, window, lo, hi):
+    """Integral of the complex `integrand` over [lo, hi], each part its own scipy run."""
+    points = [p for p in window if lo < p < hi]
     kwargs = {"epsabs": smatrix._ABSOLUTE_TOLERANCE, "epsrel": smatrix._RELATIVE_TOLERANCE,
               "limit": smatrix._SUBDIVISION_LIMIT, "points": points or None}
     with warnings.catch_warnings(record=True) as caught:

@@ -411,6 +411,17 @@ class TestResidue:
             "(leg [0, 6.5]: ier 2, roundoff)\n"
         )
 
+    def test_pole_window_beyond_the_float_range_is_refused(self, tmp_path, capsys):
+        # E_R + 10 * Gamma overflows: the direct piece's finite leg would end at inf
+        document = dict(self.model_document(), E_R=1e308, Gamma=1e307)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(document))
+        assert main(["residue", "--config", str(model_path)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "E_R 1e+308, Gamma 1e+307" in captured.err
+        assert "leaves the float range" in captured.err
+
     def test_malformed_json_reports_location(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         model_path.write_text('{"E_R": 1.0,\n  "Gamma": }')
@@ -623,26 +634,27 @@ def run_python(code):
 
 
 def test_importing_the_cli_does_not_import_scipy():
-    """Nor numpy: both are imported by the residue path that needs them."""
+    """Nor numpy: no part of the package imports either."""
     code = "import sys, gamow.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
     assert run_python(code).stdout.strip() == "[]"
 
 
-def test_residue_does_not_import_scipy_integrate():
-    """The residue check loads only scipy's compiled QUADPACK module, and a later
-    `import scipy.integrate` in the same process still integrates correctly."""
+def test_every_command_runs_without_numpy_or_scipy(tmp_path):
+    """Neither is a dependency: with both unimportable, each subcommand exits 0."""
+    commands = [
+        ["residue", "--config", EXAMPLE_MODEL],
+        ["exp-check", "--r", "3"],
+        ["basis", "--r", "3"],
+        ["evolve", "--r", "2", "--n", "1"],
+    ]
     code = (
-        "import contextlib, io, sys\n"
+        "import sys\n"
+        "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
         "from gamow.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    status = main(['residue', '--config', {EXAMPLE_MODEL!r}])\n"
-        "print(status, sorted({'scipy.integrate', 'scipy.special'} & set(sys.modules)))\n"
-        "import scipy.integrate\n"
-        "print(scipy.integrate.quad(lambda x: x * x, 0.0, 3.0)[0])\n"
+        f"for argv in {commands!r}:\n"
+        f"    print(argv[0], main(argv + ['--out', {str(tmp_path / 'out')!r}]))\n"
     )
-    modules, integral = run_python(code).stdout.splitlines()
-    assert modules == f"{EXIT_OK} []"
-    assert float(integral) == pytest.approx(9.0, rel=1e-14)
+    assert run_python(code).stdout.splitlines() == [f"{argv[0]} {EXIT_OK}" for argv in commands]
 
 
 class TestBasis:
