@@ -49,7 +49,8 @@ def _write_output(text: str, out_path):
 
 
 def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Strict JSON: a NaN or infinity raises ValueError instead of writing a non-JSON token."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _equations_json(equations) -> str:
@@ -177,11 +178,15 @@ def cmd_evolve(args) -> int:
     evolved = evolve_operator(operator)
     r = pole.order
     rows = []
-    for t in config.grid():
-        for ket in range(r):
-            for bra in range(r):
-                value = evolved.value(ket, bra, t)
-                rows.append((t, ket, bra, value.real, value.imag, abs(value)))
+    try:
+        for t in config.grid():
+            for ket in range(r):
+                for bra in range(r):
+                    value = evolved.value(ket, bra, t)
+                    rows.append((t, ket, bra, value.real, value.imag, abs(value)))
+    except OverflowError:  # a coefficient or an entry modulus that no float holds
+        raise ValueError(f"operator coefficients beyond the float range (Gamma {config.width!r}, "
+                         f"operator {config.operator_spec!r})") from None
     if config.output_format == CSV_FORMAT:
         lines = ["t,entry_l,entry_m,re,im,modulus"]
         for t, ket, bra, re, im, modulus in rows:

@@ -380,7 +380,7 @@ class ConstraintSystem:
         Canonical: unit entry at each free unknown, zero at the others, in
         ascending order of the free unknown over `variables`.
         """
-        return [_line_table(n, line, self.j + 1) for n, line in self._solution_lines().items()]
+        return [binomial_pattern_matrix(self.j + 1, n) for n in self._solution_lines()]
 
     @property
     def solution_dimension(self) -> int:
@@ -488,8 +488,9 @@ def exponential_subspace_basis(pole: ComplexPole):
     """The pole-order many independent operators spanning the pure-exponential set.
 
     Member n has coefficients C(n,k) on dyads |k><n-k| (no prefactor).  Each
-    is verified pure-exponential under evolution, and the family is verified
-    linearly independent, before returning.
+    is verified pure-exponential under evolution, and the family linearly
+    independent on the lead dyads |0><n|, before returning: a column subset
+    of full rank r gives the whole table rank r.
     """
     r = pole.order
     members = [
@@ -500,8 +501,7 @@ def exponential_subspace_basis(pole: ComplexPole):
             raise ArithmeticError(
                 "basis member failed the pure-exponential check; evolution is inconsistent"
             )
-    keys = [(k, m) for k in range(r) for m in range(r)]
-    rows = [[member.coefficient(*key) for key in keys] for member in members]
+    rows = [[member.coefficient(0, n) for n in range(r)] for member in members]
     if matrix_rank(rows) != r:
         raise ArithmeticError("exponential basis members are linearly dependent")
     return members
@@ -549,11 +549,6 @@ class RestrictionReport:
         }
 
 
-def _line_table(n: int, line, bound: int) -> CoefficientMatrix:
-    """Block n's solution line as a dyad table: A[(n, k)] = line[k] at dyad (k, n - k)."""
-    return CoefficientMatrix(bound, {(k, n - k): c for k, c in enumerate(line)})
-
-
 def binomial_pattern_matrix(order: int, n: int) -> CoefficientMatrix:
     """Dyad coefficients C(n,k) on the anti-diagonal ket+bra = n."""
     if not 0 <= n <= order - 1:
@@ -568,20 +563,21 @@ def verify_restriction_equivalence(pole: ComplexPole) -> RestrictionReport:
 
     The certificate, block by block, gives the solutions over the r*r dyad
     coefficients: the multiples of C(n,k) for n < r and zero for n >= r.
-    The report compares that basis with the binomial-pattern operators.  The
-    basis is the canonical one over the dyads in (ket, bra) order.
+    Every certified line is C(n, .), so the basis is the binomial-pattern
+    operators of the certified blocks, and the pattern matches when those
+    blocks are exactly n = 0..r-1.
     """
     r = pole.order
     j = 2 * (r - 1)
     system = exponentiality_constraints(j)
-    basis = [_line_table(n, line, r) for n, line in system._solution_lines(order=r).items()]
+    blocks = list(system._solution_lines(order=r))
     return RestrictionReport(
         order=r,
         j=j,
         equation_count=len(system.equations),
         variable_count=r * r,
-        solution_dimension=len(basis),
+        solution_dimension=len(blocks),
         expected_dimension=r,
-        pattern_matches=basis == [binomial_pattern_matrix(r, n) for n in range(r)],
-        basis=basis,
+        pattern_matches=blocks == list(range(r)),
+        basis=[binomial_pattern_matrix(r, n) for n in blocks],
     )

@@ -383,7 +383,8 @@ def quad(func, lo, hi, points):
     tolerance, with QUADPACK's QAG strategy and no extrapolation, so each
     node is evaluated once.  Returns (value, error estimate, ier): ier 0
     when converged, 1 at the subdivision limit, 2 when QUADPACK's roundoff
-    test finds that bisection no longer reduces the error.
+    test finds that bisection no longer reduces the error, 3 at the first
+    sum or error estimate that is not finite (a non-finite integrand).
     """
     import heapq  # here, not at module load: only the residue path needs it
 
@@ -402,7 +403,13 @@ def quad(func, lo, hi, points):
     error_sum = -sum(piece[0] for piece in pieces)
     stalled = rising = 0  # QUADPACK's roundoff counters iroff1, iroff2
     ier = 0
-    while error_sum > max(_ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE * abs(total)):
+    while True:
+        if not (math.isfinite(total.real) and math.isfinite(total.imag)
+                and math.isfinite(error_sum)):
+            ier = 3
+            break
+        if error_sum <= max(_ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE * abs(total)):
+            break
         if len(pieces) >= _SUBDIVISION_LIMIT:
             ier = 1
             break
@@ -430,16 +437,21 @@ def quad(func, lo, hi, points):
 def _pole_window(model: SMatrixModel):
     """The breakpoints E_R - w, E_R, E_R + w of every leg, w = `_POLE_WINDOW` * Gamma.
 
-    ValueError where the window leaves the float range: its legs could not
-    end at a finite energy.
+    ValueError where the window leaves the float range, so that its legs
+    could not end at a finite energy, or where its points are not distinct
+    floats, so that no leg could resolve the pole.
     """
     center = float(model.pole.resonance_energy)
     width = float(model.pole.width)
     window = (center - _POLE_WINDOW * width, center, center + _POLE_WINDOW * width)
     if not all(map(math.isfinite, window)):
-        raise ValueError(f"pole window E_R +- {_POLE_WINDOW:g}*Gamma leaves the float range "
-                         f"(E_R {center!r}, Gamma {width!r})")
-    return window
+        problem = "leaves the float range"
+    elif not window[0] < center < window[2]:
+        problem = "has points that floats cannot tell apart"
+    else:
+        return window
+    raise ValueError(f"pole window E_R +- {_POLE_WINDOW:g}*Gamma {problem} "
+                     f"(E_R {center!r}, Gamma {width!r})")
 
 
 def _leg(integrand, window, lo: float, hi: float) -> IntegralResult:
@@ -447,10 +459,21 @@ def _leg(integrand, window, lo: float, hi: float) -> IntegralResult:
 
     Breakpoints: the points of the pole `window` inside (lo, hi).  The
     infinite legs start beyond the window and get none.  A leg that did not
-    converge names its interval and quad's status.
+    converge names its interval and quad's status.  A leg whose integrand
+    is not finite in floats, or overflows or divides by zero there, is a
+    model beyond the float range: ValueError, naming the leg and the window.
     """
     points = sorted({p for p in window if lo < p < hi})
-    value, error, ier = quad(integrand, lo, hi, points)
+    try:
+        value, error, ier = quad(integrand, lo, hi, points)
+    except (OverflowError, ZeroDivisionError):
+        ier = 3
+    if ier == 3:
+        raise ValueError(
+            f"leg [{lo:g}, {hi:g}]: ier 3, non-finite integrand; the model's E_R, Gamma, "
+            "laurent or background, or a test function, is beyond the float range there "
+            f"(pole window {window[0]:g}, {window[1]:g}, {window[2]:g})"
+        )
     reason = "subdivision limit" if ier == 1 else "roundoff"
     unconverged = (f"leg [{lo:g}, {hi:g}]: ier {ier}, {reason}",) if ier else ()
     return IntegralResult(value, error, not ier, unconverged)
@@ -583,17 +606,30 @@ def decomposition_check(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestF
 
     The discrepancy is relative to |direct| when that is nonzero, absolute
     otherwise.  A tolerance that is not positive and finite raises
-    ValueError; a violation (or unconverged quadrature) is reported through
-    `passed`, never raised.
+    ValueError, and so does a model whose pieces, residue term or
+    discrepancy leave the float range; a violation (or unconverged
+    quadrature) is reported through `passed`, never raised.
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
     direct = direct_contour_integral(model, ket_fn, bra_fn)
     background = background_integral(model, ket_fn, bra_fn)
-    residue = residue_expansion(model, ket_fn, bra_fn)
-    mismatch = abs(direct.value - (background.value + residue))
-    scale = abs(direct.value)
+    try:
+        residue = residue_expansion(model, ket_fn, bra_fn)
+        mismatch = abs(direct.value - (background.value + residue))
+        scale = abs(direct.value)
+    except OverflowError:
+        mismatch = scale = math.inf
     discrepancy = mismatch / scale if scale > 0 else mismatch
+    quadrature_error = direct.error_estimate + background.error_estimate
+    if not (math.isfinite(discrepancy) and math.isfinite(quadrature_error)):
+        # finite only if direct, background and residue are all finite
+        raise ValueError(
+            "the contour pieces, the residue term or their discrepancy leave the float "
+            f"range (E_R {float(model.pole.resonance_energy)!r}, Gamma "
+            f"{float(model.pole.width)!r}); the model's laurent or background, or a test "
+            "function, is too large or too small for floats"
+        )
     unconverged = tuple((name, piece._unconverged)
                         for name, piece in (("direct", direct), ("background", background))
                         if not piece.converged)
@@ -605,7 +641,7 @@ def decomposition_check(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestF
         discrepancy=discrepancy,
         tolerance=tolerance,
         passed=bool(discrepancy <= tolerance and converged),
-        quadrature_error=direct.error_estimate + background.error_estimate,
+        quadrature_error=quadrature_error,
         converged=converged,
         _unconverged=unconverged,
     )

@@ -609,6 +609,50 @@ class TestNonFiniteAndInvalidInputs:
         assert main([command, "--config", str(config_path)]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith(f"input error: {field}: expected ")
 
+    @pytest.mark.parametrize(
+        "change, expected",
+        [
+            # the amplitude overflows on the first leg: its sum is NaN
+            ({"laurent": [[1e308, 0.0], [0.1, 0.0]]}, ["leg [0, 6]", "non-finite", "laurent"]),
+            ({"Gamma": 1e200}, ["leg [0, 1e+201]", "non-finite", "Gamma"]),
+            # E_R +- 10*Gamma == E_R: no leg would sample the test functions' scale
+            ({"E_R": 1e200}, ["cannot tell apart", "E_R 1e+200, Gamma 0.5"]),
+            # 1 - 1e-299 == 1: nodes on the pole's real part, (z - pole)^2 underflows
+            ({"Gamma": 1e-300}, ["cannot tell apart", "E_R 1.0, Gamma 1e-300"]),
+            # the exact residue term overflows its conversion to a float
+            ({"E_R": 0.0, "Gamma": 1e156, "r": 1, "laurent": [[1.0, 1e300]], "test_functions": [
+                {"role": "ket", "num": [[1e14, 0.0]], "den": [[-4.0, 0.0], [0.0, -4.0], [1.0, 0.0]]},
+                {"role": "bra", "num": [[1e162, 0.0]], "den": [[0.0, -3e-300], [1e-300, 0.0]]},
+            ]}, ["leave the float range", "E_R 0.0, Gamma 1e+156", "laurent"]),
+        ],
+        ids=["laurent-1e308", "Gamma-1e200", "E_R-1e200", "Gamma-1e-300", "residue-term"],
+    )
+    def test_a_model_the_floats_cannot_resolve_is_an_input_error(
+        self, tmp_path, capsys, change, expected
+    ):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(dict(TestResidue().model_document(), **change)))
+        assert main(["residue", "--config", str(model_path)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+        for text in expected:
+            assert text in captured.err
+
+    def test_an_operator_coefficient_beyond_the_float_range_is_an_input_error(self, capsys):
+        # Gamma^2/2! = 5e615 is exact, but no float holds it
+        argv = ["evolve", "--r", "3", "--n", "2", "--energy", "1e308", "--gamma", "1e308",
+                "--t-end", "1e10"]
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: operator coefficients beyond the float range")
+        assert "Gamma 1e+308" in captured.err
+
+    def test_reports_never_hold_nan_or_infinity(self):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._dump_json({"discrepancy": math.nan})
+
     def test_nan_residue_tolerance(self, tmp_path):
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(TestResidue().model_document()))
@@ -801,3 +845,96 @@ def test_every_csv_cell_parses_back_to_the_library_value(config):
         value = evolved.value(ket, bra, t)
         assert (float(cells[0]), int(cells[1]), int(cells[2])) == (t, ket, bra)
         assert [float(cell) for cell in cells[3:]] == [value.real, value.imag, abs(value)]
+
+
+def _strict_json(text):
+    """Parse report JSON; a NaN or Infinity token fails the test."""
+    def refuse(token):
+        raise AssertionError(f"non-JSON constant {token} in the report")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in _numbers(item)]
+    return [value] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
+# magnitudes from 1e-300 to 1e300, either sign where a field takes both
+magnitude = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-300, 300))
+signed = st.builds(lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]), magnitude)
+
+
+def _scaled(coefficients, factor):
+    return [[factor * re, factor * im] for re, im in coefficients]
+
+
+@st.composite
+def scaled_residue_documents(draw):
+    """The bundled example with each field scaled; scaling a whole polynomial keeps its roots."""
+    document = TestResidue().model_document()
+    r = draw(st.integers(1, 3))
+    document.update(
+        E_R=draw(st.one_of(st.just(0.0), signed)),
+        Gamma=draw(magnitude),
+        r=r,
+        laurent=[[draw(signed), draw(signed)] for _ in range(r)],
+    )
+    background = document["background"]
+    for part in ("num", "den"):
+        background[part] = _scaled(background[part], draw(magnitude))
+    for function in document["test_functions"]:
+        for part in ("num", "den"):
+            function[part] = _scaled(function[part], draw(magnitude))
+    return document
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(scaled_residue_documents())
+def test_residue_reports_are_strict_json_with_an_honest_exit_code(document):
+    with tempfile.TemporaryDirectory() as workdir:
+        model_path = os.path.join(workdir, "model.json")
+        with open(model_path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        code, out, err = _run_main(["residue", "--config", model_path])
+    assert code in (EXIT_OK, EXIT_VERIFICATION_FAILURE, EXIT_INPUT_ERROR), err
+    if code == EXIT_INPUT_ERROR:
+        assert out == "" and err.startswith("input error: ")
+        return
+    report = _strict_json(out)
+    assert all(math.isfinite(x) for x in _numbers(report))
+    if code == EXIT_VERIFICATION_FAILURE:
+        assert report["discrepancy"] > report["tolerance"] or "leg [" in err
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_evolve_output_is_finite_with_an_honest_exit_code(data):
+    r = data.draw(st.integers(1, 4))
+    output_format = data.draw(st.sampled_from(["csv", "json"]))
+    argv = [
+        "evolve", "--r", str(r), "--n", str(data.draw(st.integers(0, r - 1))),
+        f"--energy={data.draw(st.one_of(st.just(0.0), signed))!r}",
+        f"--gamma={data.draw(magnitude)!r}", f"--t-end={data.draw(magnitude)!r}",
+        "--steps", str(data.draw(st.integers(2, 4))), "--format", output_format,
+    ]
+    code, out, err = _run_main(argv)
+    assert code in (EXIT_OK, EXIT_VERIFICATION_FAILURE, EXIT_INPUT_ERROR), err
+    if code == EXIT_INPUT_ERROR:
+        assert out == "" and err.startswith("input error: ")
+        return
+    if output_format == "json":
+        numbers = _numbers(_strict_json(out))
+    else:
+        numbers = [float(cell) for line in out.splitlines()[1:] for cell in line.split(",")]
+    assert all(math.isfinite(x) for x in numbers)

@@ -4,10 +4,13 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamow import operators
 from gamow.exact import ComplexRational, ONE, Polynomial, ZERO, binomial, matrix_rank
@@ -399,6 +402,28 @@ class TestExponentialSubspaceBasis:
                             lambda _, n, include_prefactor=True: members[n])
         with pytest.raises(ArithmeticError, match="linearly dependent"):
             exponential_subspace_basis(pole)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_a_member_replaced_by_a_combination_is_refused_iff_its_own_weight_is_zero(self, data):
+        """The lead-dyad check against the full table's rank, its oracle, up to r = 8."""
+        r = data.draw(st.integers(1, 8))
+        replaced = data.draw(st.integers(0, r - 1))
+        weights = data.draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))
+        pole = ComplexPole(0, 1, r)
+        members = [exponential_state_operator(pole, n, include_prefactor=False) for n in range(r)]
+        members[replaced] = sum((m * w for m, w in zip(members, weights)), members[0] * 0)
+        keys = [(k, m) for k in range(r) for m in range(r)]
+        full_rank = matrix_rank([[member.coefficient(*key) for key in keys] for member in members])
+        with mock.patch.object(operators, "exponential_state_operator",
+                               lambda _, n, include_prefactor=True: members[n]):
+            try:
+                exponential_subspace_basis(pole)
+                refused = False
+            except ArithmeticError as exc:
+                assert "linearly dependent" in str(exc)
+                refused = True
+        assert refused == (weights[replaced] == 0) == (full_rank != r)
 
 
 class TestVerifyRestrictionEquivalence:

@@ -620,6 +620,25 @@ class TestGaussKronrod:
         assert len(nodes) == 21 * (2 * smatrix._SUBDIVISION_LIMIT - 1)
         assert value.real == pytest.approx(10.0, rel=1e-5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.0, math.inf)])
+    def test_a_non_finite_integrand_is_status_three_at_once(self, bad, lo, hi):
+        # NaN compares False with the tolerance: without the status, the
+        # loop would report the NaN sum as converged
+        nodes = []
+        *_, ier = smatrix.quad(lambda x: nodes.append(x) or complex(bad if x > 0.5 else 1.0),
+                               lo, hi, [])
+        assert ier == 3
+        assert len(nodes) == (21 if hi == 1.0 else 15)
+
+    @pytest.mark.parametrize("fault", [OverflowError, ZeroDivisionError])
+    def test_a_leg_with_a_non_finite_integrand_is_an_input_error(self, fault):
+        def integrand(x):
+            raise fault("float range")
+
+        with pytest.raises(ValueError, match=r"leg \[0, 1\]: ier 3, non-finite integrand"):
+            smatrix._leg(integrand, (-9.0, 1.0, 11.0), 0.0, 1.0)
+
 
 class TestAmplitudeIntegrand:
     @settings(max_examples=200, deadline=None, derandomize=True)
