@@ -282,9 +282,8 @@ def cmd_basis(args) -> int:
         lines = ["n,ket,bra,re,im"]
         for n, member in enumerate(members):
             for (ket, bra), value in member.items():
-                lines.append(
-                    f"{n},{ket},{bra},{_fmt(float(value.real))},{_fmt(float(value.imag))}"
-                )
+                value = complex(value)
+                lines.append(f"{n},{ket},{bra},{_fmt(value.real)},{_fmt(value.imag)}")
         _write_output("\n".join(lines) + "\n", args.out)
     else:
         payload = [

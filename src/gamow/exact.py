@@ -1,7 +1,7 @@
 """Exact complex-rational arithmetic, polynomials, and linear algebra.
 
-Everything here stays inside the Gaussian rationals: numbers are complex
-values with `fractions.Fraction` real and imaginary parts, polynomials carry
+Everything here stays inside the Gaussian rationals: a number is one integer
+triple (re, im, den) for (re + i*im)/den in lowest terms, polynomials carry
 such numbers as coefficients, and the row reduction behind the nullspace
 routines never rounds.  Floating point enters only when a caller evaluates
 at a float/complex argument or converts explicitly.
@@ -11,6 +11,7 @@ operand demotes the result to `complex`.  Floats passed where an exact value
 is expected are embedded exactly (every double is a binary rational).
 """
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -81,16 +82,30 @@ def reject_unknown_keys(data: dict, allowed, where: str = ""):
 
 
 class ComplexRational:
-    """A complex number with exact rational real and imaginary parts."""
+    """A Gaussian rational (re + i*im)/den, held as one canonical integer triple.
 
-    __slots__ = ("real", "imag")
+    `triple` is (re, im, den) with den > 0 and gcd(re, im, den) == 1, zero
+    being (0, 0, 1), so equal values have equal triples.  Arithmetic is
+    integer arithmetic with one gcd per result; division multiplies by the
+    conjugate.  `real` and `imag` are read-only `Fraction` views of the parts.
+    """
 
-    def __init__(self, real=0, imag=0):
-        object.__setattr__(self, "real", as_fraction(real))
-        object.__setattr__(self, "imag", as_fraction(imag))
+    __slots__ = ("triple",)
 
-    def __setattr__(self, name, value):
+    def __new__(cls, real=0, imag=0):
+        if type(real) is int and type(imag) is int:
+            return _canonical(real, imag, 1)
+        a, b = _ratio(real)
+        c, d = _ratio(imag)
+        return _canonical(a * d, c * b, b * d)
+
+    def __setattr__(self, name, value=None):
         raise AttributeError("ComplexRational is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _canonical, self.triple
 
     @classmethod
     def from_value(cls, value) -> "ComplexRational":
@@ -98,79 +113,69 @@ class ComplexRational:
         if isinstance(value, ComplexRational):
             return value
         if isinstance(value, complex):
-            return cls(Fraction(value.real), Fraction(value.imag))
+            return cls(value.real, value.imag)
         return cls(value)
+
+    @property
+    def real(self) -> Fraction:
+        return Fraction(self.triple[0], self.triple[2])
+
+    @property
+    def imag(self) -> Fraction:
+        return Fraction(self.triple[1], self.triple[2])
 
     # -- arithmetic -------------------------------------------------------
 
-    def _coerce(self, other):
-        """Return the exact counterpart of `other`, or None for the float path."""
-        if isinstance(other, ComplexRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ComplexRational(other)
-        return None
-
     def __add__(self, other):
-        exact = self._coerce(other)
-        if exact is not None:
-            return ComplexRational(self.real + exact.real, self.imag + exact.imag)
-        if isinstance(other, (float, complex)):
-            return complex(self) + other
-        return NotImplemented
+        parts = _exact_parts(other)
+        if parts is None:
+            return complex(self) + other if isinstance(other, (float, complex)) else NotImplemented
+        a, b, d = self.triple
+        c, e, f = parts
+        return _canonical(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        exact = self._coerce(other)
-        if exact is not None:
-            return ComplexRational(self.real - exact.real, self.imag - exact.imag)
-        if isinstance(other, (float, complex)):
-            return complex(self) - other
-        return NotImplemented
+        parts = _exact_parts(other)
+        if parts is None:
+            return complex(self) - other if isinstance(other, (float, complex)) else NotImplemented
+        a, b, d = self.triple
+        c, e, f = parts
+        return _canonical(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
-        exact = self._coerce(other)
-        if exact is not None:
-            return ComplexRational(exact.real - self.real, exact.imag - self.imag)
-        if isinstance(other, (float, complex)):
-            return other - complex(self)
-        return NotImplemented
+        parts = _exact_parts(other)
+        if parts is None:
+            return other - complex(self) if isinstance(other, (float, complex)) else NotImplemented
+        return -self + other
 
     def __mul__(self, other):
-        exact = self._coerce(other)
-        if exact is not None:
-            return ComplexRational(
-                self.real * exact.real - self.imag * exact.imag,
-                self.real * exact.imag + self.imag * exact.real,
-            )
-        if isinstance(other, (float, complex)):
-            return complex(self) * other
-        return NotImplemented
+        parts = _exact_parts(other)
+        if parts is None:
+            return complex(self) * other if isinstance(other, (float, complex)) else NotImplemented
+        a, b, d = self.triple
+        c, e, f = parts
+        return _canonical(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        exact = self._coerce(other)
-        if exact is not None:
-            denom = exact.real * exact.real + exact.imag * exact.imag
-            if denom == 0:
-                raise ZeroDivisionError("division by zero ComplexRational")
-            return ComplexRational(
-                (self.real * exact.real + self.imag * exact.imag) / denom,
-                (self.imag * exact.real - self.real * exact.imag) / denom,
-            )
-        if isinstance(other, (float, complex)):
-            return complex(self) / other
-        return NotImplemented
+        parts = _exact_parts(other)
+        if parts is None:
+            return complex(self) / other if isinstance(other, (float, complex)) else NotImplemented
+        a, b, d = self.triple
+        c, e, f = parts
+        norm = c * c + e * e
+        if not norm:
+            raise ZeroDivisionError("division by zero ComplexRational")
+        return _canonical((a * c + b * e) * f, (b * c - a * e) * f, d * norm)
 
     def __rtruediv__(self, other):
-        exact = self._coerce(other)
-        if exact is not None:
-            return exact / self
-        if isinstance(other, (float, complex)):
-            return other / complex(self)
-        return NotImplemented
+        parts = _exact_parts(other)
+        if parts is None:
+            return other / complex(self) if isinstance(other, (float, complex)) else NotImplemented
+        return _canonical(*parts) / self
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
@@ -188,42 +193,42 @@ class ComplexRational:
         return result
 
     def __neg__(self):
-        return ComplexRational(-self.real, -self.imag)
+        return _canonical(-self.triple[0], -self.triple[1], self.triple[2])
 
     def __pos__(self):
         return self
 
     def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.real, -self.imag)
+        return _canonical(self.triple[0], -self.triple[1], self.triple[2])
 
     # -- conversions and comparisons --------------------------------------
 
     def __complex__(self) -> complex:
-        return complex(float(self.real), float(self.imag))
+        # Int true division is correctly rounded, as Fraction.__float__ is.
+        re, im, den = self.triple
+        return complex(re / den, im / den)
 
     def __abs__(self) -> float:
         return abs(complex(self))
 
     def __bool__(self) -> bool:
-        return bool(self.real) or bool(self.imag)
+        return bool(self.triple[0] or self.triple[1])
 
     def __eq__(self, other):
         # Floats and complexes compare exactly, as with Fraction: 1/3 the
         # double is not the rational 1/3.
-        exact = self._coerce(other)
-        if exact is not None:
-            return self.real == exact.real and self.imag == exact.imag
-        if isinstance(other, float):
-            return not self.imag and self.real == other
-        if isinstance(other, complex):
-            return self.real == other.real and self.imag == other.imag
+        parts = _exact_parts(other)
+        if parts is not None:
+            return self.triple == parts
+        if isinstance(other, (float, complex)):
+            return cmath.isfinite(other) and self == ComplexRational.from_value(other)
         return NotImplemented
 
     def __hash__(self):
         # CPython's complex hash, including its wrap-around in the unsigned
         # hash width, so values equal to ints, Fractions, floats or complexes
         # hash like them.
-        if not self.imag:
+        if not self.triple[1]:
             return hash(self.real)
         value = (hash(self.real) + _HASH_IMAG * hash(self.imag)) % _HASH_MODULUS
         if value >= _HASH_MODULUS // 2:
@@ -231,12 +236,45 @@ class ComplexRational:
         return -2 if value == -1 else value
 
     def __repr__(self):
-        if not self.imag:
+        if not self.triple[1]:
             return str(self.real)
-        if not self.real:
+        if not self.triple[0]:
             return f"{self.imag}*i"
-        sign = "+" if self.imag > 0 else "-"
+        sign = "+" if self.triple[1] > 0 else "-"
         return f"({self.real} {sign} {abs(self.imag)}*i)"
+
+
+_set_triple = ComplexRational.triple.__set__
+
+
+def _canonical(re: int, im: int, den: int) -> ComplexRational:
+    """The ComplexRational (re + i*im)/den of ints with den > 0, in lowest terms."""
+    divisor = math.gcd(re, im, den)
+    if divisor != 1:
+        re //= divisor
+        im //= divisor
+        den //= divisor
+    value = object.__new__(ComplexRational)
+    _set_triple(value, (re, im, den))
+    return value
+
+
+def _ratio(value) -> tuple:
+    """(numerator, denominator > 0) of an int, Fraction, float, or numeric string."""
+    if not isinstance(value, (int, float, Fraction)):
+        value = as_fraction(value)
+    return value.as_integer_ratio()
+
+
+def _exact_parts(value):
+    """The canonical triple of an exact operand, or None for the float path."""
+    if isinstance(value, ComplexRational):
+        return value.triple
+    if isinstance(value, int):
+        return value, 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    return None
 
 
 ZERO = ComplexRational(0)

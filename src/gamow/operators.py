@@ -42,6 +42,8 @@ from .exact import (
 )
 from .jordan import ComplexPole
 
+_ZERO_POLYNOMIAL = Polynomial.zero()
+
 
 @dataclass(frozen=True, slots=True)
 class CoefficientMatrix:
@@ -73,8 +75,8 @@ class CoefficientMatrix:
     def to_json_entries(self):
         """The nonzero entries as {"ket", "bra", "coeff": [re, im]} objects, in key order."""
         return [
-            {"ket": ket, "bra": bra, "coeff": [float(v.real), float(v.imag)]}
-            for (ket, bra), v in self.items()
+            {"ket": ket, "bra": bra, "coeff": [c.real, c.imag]}
+            for (ket, bra), v in self.items() for c in (complex(v),)
         ]
 
     def __hash__(self):
@@ -168,7 +170,7 @@ class TimePolynomialOperator:
         object.__setattr__(self, "table", cleaned)
 
     def entry_polynomial(self, ket_order: int, bra_order: int) -> Polynomial:
-        return self.table.get((ket_order, bra_order), Polynomial.zero())
+        return self.table.get((ket_order, bra_order), _ZERO_POLYNOMIAL)
 
     def items(self):
         return sorted(self.table.items())
@@ -221,12 +223,15 @@ def evolve_operator(operator: DyadicOperator) -> TimePolynomialOperator:
 
     with p = (k-l)+(m-mm) and the overall exp(-width*t) held implicitly.  The
     phase is (-1)^(k-l) * i^p, so the contributions are summed as exact
-    integer-weighted (re, im) pairs per (l, mm, p), and each sum is turned
-    by i^p, a swap of parts with a sign, once at the end.
+    integer-weighted (re, im) pairs per (l, mm, p), over the coefficients'
+    common denominator, and each sum is turned by i^p, a swap of parts with
+    a sign, once at the end.
     """
+    common = math.lcm(*(coeff.triple[2] for _, coeff in operator.items()))
     sums = {}
     for (k, m), coeff in operator.items():
-        re, im = (int(x) if x.denominator == 1 else x for x in (coeff.real, coeff.imag))
+        re, im, den = coeff.triple
+        re, im = re * (common // den), im * (common // den)
         for l in range(k + 1):
             ket = binomial(k, l) * (-1) ** (k - l)
             for mm in range(m + 1):
@@ -238,7 +243,7 @@ def evolve_operator(operator: DyadicOperator) -> TimePolynomialOperator:
     for (l, mm, power), (re, im) in sums.items():
         for _ in range(power % 4):
             re, im = -im, re
-        table.setdefault((l, mm), {})[power] = ComplexRational(re, im)
+        table.setdefault((l, mm), {})[power] = ComplexRational(re, im) / common
     return TimePolynomialOperator(operator.pole, {
         key: Polynomial([terms.get(p, 0) for p in range(max(terms) + 1)])
         for key, terms in table.items()

@@ -353,8 +353,9 @@ def _gauss_kronrod(func, a, b, rule):
         offset = half * x
         f1 = func(center - offset)
         f2 = func(center + offset)
-        kronrod += kronrod_weight * (f1 + f2)
-        gauss += gauss_weight * (f1 + f2)
+        both = f1 + f2
+        kronrod += kronrod_weight * both
+        gauss += gauss_weight * both
         resabs += kronrod_weight * (abs(f1) + abs(f2))
         pairs.append((kronrod_weight, f1, f2))
     mean = 0.5 * kronrod
@@ -493,13 +494,6 @@ def _horner_coefficients(polynomial: Polynomial):
     return tuple(complex(c) for c in reversed(polynomial.coefficients))
 
 
-def _horner(coefficients, z: complex) -> complex:
-    acc = 0j
-    for c in coefficients:
-        acc = acc * z + c
-    return acc
-
-
 def _amplitude_integrand(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestFunction):
     """ket(e) * model(e) * bra(e) at a real energy e, as a complex.
 
@@ -525,6 +519,7 @@ def _amplitude_integrand(model: SMatrixModel, ket_fn: TestFunction, bra_fn: Test
         bg_den = _horner_coefficients(background.denominator)
 
     def integrand(energy: float) -> complex:
+        # Horner's rule written out six times: a call per polynomial costs.
         z = complex(energy)
         shift = z - position
         total = 0j
@@ -533,10 +528,24 @@ def _amplitude_integrand(model: SMatrixModel, ket_fn: TestFunction, bra_fn: Test
             total += coeff / power
             power *= shift
         if background is not None:
-            total += _horner(bg_num, z) / _horner(bg_den, z)
-        ket = _horner(ket_num, z) / _horner(ket_den, z)
-        bra = _horner(bra_num, z) / _horner(bra_den, z)
-        return ket * total * bra
+            num = den = 0j
+            for c in bg_num:
+                num = num * z + c
+            for c in bg_den:
+                den = den * z + c
+            total += num / den
+        num = den = 0j
+        for c in ket_num:
+            num = num * z + c
+        for c in ket_den:
+            den = den * z + c
+        ket = num / den
+        num = den = 0j
+        for c in bra_num:
+            num = num * z + c
+        for c in bra_den:
+            den = den * z + c
+        return ket * total * (num / den)
 
     return integrand
 

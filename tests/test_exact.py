@@ -1,9 +1,14 @@
 """Tests for the exact arithmetic core."""
 
+import copy
 import math
+import operator
+import pickle
 from fractions import Fraction
+from importlib.resources import files
 
 import pytest
+from exact_oracle import FractionPair
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +24,7 @@ from gamow.exact import (
     nullspace,
     rref,
 )
+from gamow.smatrix import load_model_file
 
 
 def cr(re, im=0):
@@ -110,6 +116,126 @@ class TestComplexRational:
     def test_immutability(self):
         with pytest.raises(AttributeError):
             ONE.real = Fraction(2)
+        with pytest.raises(AttributeError):
+            ONE.triple = (2, 0, 1)
+
+    @pytest.mark.parametrize("name", ["real", "imag", "triple"])
+    def test_parts_cannot_be_deleted(self, name):
+        value = cr(Fraction(1, 3), -2)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert value.triple == (1, -6, 3) and value == cr(Fraction(1, 3), -2)
+
+
+def _bundled_model():
+    return load_model_file(files("gamow") / "data" / "residue_example.json")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cr(Fraction(-7, 12), 0.1) / 3,
+    lambda: ZERO,
+    lambda: Polynomial([cr(1, -2), Fraction(1, 3), 0.25]),
+    lambda: RationalFunction(Polynomial([1, cr(0, 2)]), Polynomial([cr(3, 1), 0, 5])),
+    _bundled_model,
+], ids=["complex-rational", "zero", "polynomial", "rational-function", "bundled-model"])
+def test_exact_values_survive_pickle_and_copy(make):
+    value = make()
+    for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(clone) is type(value) and clone == value
+
+
+# Oracle checks: ComplexRational against the Fraction-pair representation it
+# replaced, with parts up to 2^200 and mixed int, Fraction, float and complex
+# operands.  Results compare exactly: exact values by their parts, floats and
+# complexes bit for bit, failures by their exception type.
+
+_BIG = 2**200
+_RATIONALS = st.one_of(
+    st.just(0),
+    st.integers(-_BIG, _BIG),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_PAIRS = st.tuples(_RATIONALS, _RATIONALS)
+_PLAIN = st.one_of(
+    st.integers(-_BIG, _BIG),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+    st.floats(),
+    st.complex_numbers(),
+)
+_EXAMPLES = settings(max_examples=400, deadline=None, derandomize=True)
+
+
+def _outcome(function, *args):
+    try:
+        value = function(*args)
+    except (ZeroDivisionError, OverflowError) as exc:
+        return type(exc)
+    if isinstance(value, (ComplexRational, FractionPair)):
+        return "exact", value.real, value.imag
+    if isinstance(value, complex):
+        return "complex", value.real.hex(), value.imag.hex()
+    if isinstance(value, float):
+        return "float", value.hex()
+    return value
+
+
+def _assert_canonical(value):
+    re, im, den = value.triple
+    assert type(re) is int and type(im) is int and type(den) is int
+    assert den > 0 and math.gcd(re, im, den) == 1
+
+
+class TestAgainstFractionPairs:
+    @_EXAMPLES
+    @given(_PAIRS, st.one_of(_PAIRS, _PLAIN))
+    def test_binary_operations_match_the_oracle(self, pair, other):
+        new, old = cr(*pair), FractionPair(*pair)
+        if isinstance(other, tuple):
+            new_other, old_other = cr(*other), FractionPair(*other)
+        else:
+            new_other = old_other = other
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            assert _outcome(op, new, new_other) == _outcome(op, old, old_other)
+            assert _outcome(op, new_other, new) == _outcome(op, old_other, old)
+
+    @_EXAMPLES
+    @given(_PAIRS)
+    def test_unary_operations_and_conversions_match_the_oracle(self, pair):
+        new, old = cr(*pair), FractionPair(*pair)
+        operations = [operator.neg, lambda x: x.conjugate(), complex, abs, bool, repr, hash]
+        operations += [lambda x, n=n: x**n for n in range(-3, 6)]
+        for op in operations:
+            assert _outcome(op, new) == _outcome(op, old)
+
+    @_EXAMPLES
+    @given(_PAIRS, st.data())
+    def test_equality_and_hash_match_the_oracle(self, pair, data):
+        new, old = cr(*pair), FractionPair(*pair)
+        related = [old.real, old.imag, complex(old), float(old.real), math.floor(old.real)]
+        other = data.draw(st.one_of(_PLAIN, st.sampled_from(related), _PAIRS))
+        if isinstance(other, tuple):
+            assert (new == cr(*other)) is (old == FractionPair(*other))
+            other = cr(*other)
+        else:
+            assert (new == other) is (old == other) and (other == new) is (other == old)
+        assert hash(new) == hash(old)
+        if new == other:
+            assert hash(new) == hash(other)
+
+    @_EXAMPLES
+    @given(_PAIRS, st.one_of(_PAIRS, _RATIONALS,
+                             st.complex_numbers(allow_nan=False, allow_infinity=False)))
+    def test_every_result_is_canonical(self, pair, other):
+        new = cr(*pair)
+        other = cr(*other) if isinstance(other, tuple) else ComplexRational.from_value(other)
+        results = [new, other, -new, new.conjugate(), new + other, new - other, other - new,
+                   new * other, new**3]
+        results += [x / y for x, y in ((new, other), (other, new)) if y]
+        results += [new**-2] if new else []
+        for value in results:
+            _assert_canonical(value)
+        assert ZERO.triple == (0, 0, 1) and (new - new).triple == (0, 0, 1)
 
 
 class TestPolynomial:
