@@ -10,9 +10,8 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
-from .exact import ComplexRational, coefficient_from_json, reject_unknown_keys, typed_field
+from .exact import ComplexRational, Value, coefficient_from_json, reject_unknown_keys, typed_field
 from .jordan import ComplexPole
 from .operators import (
     CoefficientMatrix,
@@ -70,27 +69,30 @@ def _equations_json(equations) -> str:
     ) + "\n  ]"
 
 
-@dataclass(frozen=True, slots=True)
-class RunConfig:
+class RunConfig(Value):
     """Resolved evolve settings; t_start is 0, and ComplexPole checks E_R and Gamma."""
 
-    resonance_energy: float = 0.0
-    width: float = 1.0
-    order: int = 1
-    operator_spec: dict | None = None
-    t_end: float = 5.0
-    steps: int = 101
-    output_format: str = CSV_FORMAT
-    tolerance: float = 1e-12
+    __slots__ = ("resonance_energy", "width", "order", "operator_spec", "t_end", "steps",
+                 "output_format", "tolerance")
 
-    def __post_init__(self):
-        for name, value in (("grid t_end", self.t_end), ("tolerance", self.tolerance)):
+    def __init__(self, resonance_energy: float = 0.0, width: float = 1.0, order: int = 1,
+                 operator_spec: dict | None = None, t_end: float = 5.0, steps: int = 101,
+                 output_format: str = CSV_FORMAT, tolerance: float = 1e-12):
+        for name, value in (("grid t_end", t_end), ("tolerance", tolerance)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if self.steps < 2:
-            raise ValueError(f"grid needs at least 2 steps, got {self.steps}")
-        if self.output_format not in (CSV_FORMAT, JSON_FORMAT):
-            raise ValueError(f"unknown output format {self.output_format!r}")
+        if steps < 2:
+            raise ValueError(f"grid needs at least 2 steps, got {steps}")
+        if output_format not in (CSV_FORMAT, JSON_FORMAT):
+            raise ValueError(f"unknown output format {output_format!r}")
+        object.__setattr__(self, "resonance_energy", resonance_energy)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "operator_spec", operator_spec)
+        object.__setattr__(self, "t_end", t_end)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "output_format", output_format)
+        object.__setattr__(self, "tolerance", tolerance)
 
     def grid(self):
         return [self.t_end * i / (self.steps - 1) for i in range(self.steps)]

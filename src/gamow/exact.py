@@ -14,7 +14,6 @@ is expected are embedded exactly (every double is a binary rational).
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 _HASH_IMAG = sys.hash_info.imag
@@ -282,18 +281,63 @@ ONE = ComplexRational(1)
 I = ComplexRational(0, 1)
 
 
-@dataclass(frozen=True, slots=True)
-class Polynomial:
+class Value:
+    """Base of the package's immutable values: fields are the class's `__slots__`.
+
+    A subclass lists its fields in `__slots__` and sets each once in its
+    `__init__` with `object.__setattr__`; afterwards assignment and deletion
+    raise AttributeError.  Values of the same class are equal when their
+    fields are, and hash as the tuple of their fields.  The repr is
+    `Name(field=value, ...)`, and pickling and copying rebuild a value from
+    its fields without running `__init__` again.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self._fields())
+
+
+def _rebuild(cls, fields):
+    """The `cls` value with the given fields, set as they are: the pickle constructor."""
+    value = object.__new__(cls)
+    for name, field in zip(cls.__slots__, fields):
+        object.__setattr__(value, name, field)
+    return value
+
+
+class Polynomial(Value):
     """Dense univariate polynomial over ComplexRational coefficients.
 
     Coefficients are stored in ascending degree with trailing zeros trimmed;
     the zero polynomial has an empty coefficient tuple and degree -1.
     """
 
-    coefficients: tuple = ()
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        coeffs = [ComplexRational.from_value(c) for c in self.coefficients]
+    def __init__(self, coefficients: tuple = ()):
+        coeffs = [ComplexRational.from_value(c) for c in coefficients]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
@@ -431,8 +475,7 @@ class Polynomial:
         return self.format()
 
 
-@dataclass(frozen=True, slots=True)
-class RationalFunction:
+class RationalFunction(Value):
     """Quotient of two exact polynomials; closed under differentiation.
 
     No gcd reduction is performed: an unreduced quotient evaluates and
@@ -441,18 +484,18 @@ class RationalFunction:
     is that of the quotients, by cross-multiplication.
     """
 
-    numerator: Polynomial
-    denominator: Polynomial | None = None
+    __slots__ = ("numerator", "denominator")
 
-    def __post_init__(self):
-        if not isinstance(self.numerator, Polynomial):
-            object.__setattr__(self, "numerator", Polynomial.constant(self.numerator))
-        denominator = 1 if self.denominator is None else self.denominator
+    def __init__(self, numerator: Polynomial, denominator: Polynomial | None = None):
+        if not isinstance(numerator, Polynomial):
+            numerator = Polynomial.constant(numerator)
+        denominator = 1 if denominator is None else denominator
         if not isinstance(denominator, Polynomial):
             denominator = Polynomial.constant(denominator)
-            object.__setattr__(self, "denominator", denominator)
         if denominator.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
 
     @classmethod
     def from_coefficient_lists(cls, numerator, denominator) -> "RationalFunction":

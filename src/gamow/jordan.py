@@ -12,32 +12,31 @@ safe to call concurrently.
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ComplexRational, ZERO, ONE, as_fraction, binomial
+from .exact import ComplexRational, ZERO, ONE, Value, as_fraction, binomial
 
 _MINUS_I = ComplexRational(0, -1)
 
 
-@dataclass(frozen=True, slots=True)
-class ComplexPole:
+class ComplexPole(Value):
     """Resonance pole z = E - i*width/2 of a given order on the lower half-plane."""
 
-    resonance_energy: Fraction
-    width: Fraction
-    order: int
+    __slots__ = ("resonance_energy", "width", "order")
 
-    def __post_init__(self):
-        for name, value in (("resonance energy", self.resonance_energy), ("width", self.width)):
+    def __init__(self, resonance_energy: Fraction, width: Fraction, order: int):
+        for name, value in (("resonance energy", resonance_energy), ("width", width)):
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"pole {name} must be finite, got {value!r}")
-        object.__setattr__(self, "resonance_energy", as_fraction(self.resonance_energy))
-        object.__setattr__(self, "width", as_fraction(self.width))
-        if self.width <= 0:
-            raise ValueError(f"pole width must be positive, got {self.width}")
-        if not isinstance(self.order, int) or self.order < 1:
-            raise ValueError(f"pole order must be an integer >= 1, got {self.order!r}")
+        resonance_energy = as_fraction(resonance_energy)
+        width = as_fraction(width)
+        if width <= 0:
+            raise ValueError(f"pole width must be positive, got {width}")
+        if not isinstance(order, int) or order < 1:
+            raise ValueError(f"pole order must be an integer >= 1, got {order!r}")
+        object.__setattr__(self, "resonance_energy", resonance_energy)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "order", order)
 
     @property
     def position(self) -> ComplexRational:
@@ -56,8 +55,7 @@ def _check_time(t) -> Fraction:
     return t
 
 
-@dataclass(frozen=True, slots=True)
-class GamowChainVector:
+class GamowChainVector(Value):
     """Coefficient vector over the chain basis of a pole, with a symbolic phase.
 
     The stored value is  exp(-i*z*phase_time) * sum_k coefficients[k] e_k
@@ -65,18 +63,17 @@ class GamowChainVector:
     exactness of the coefficients; `to_numeric` evaluates everything in floats.
     """
 
-    pole: ComplexPole
-    coefficients: tuple
-    phase_time: Fraction = Fraction(0)
+    __slots__ = ("pole", "coefficients", "phase_time")
 
-    def __post_init__(self):
-        coeffs = tuple(ComplexRational.from_value(c) for c in self.coefficients)
-        if len(coeffs) != self.pole.order:
+    def __init__(self, pole: ComplexPole, coefficients: tuple, phase_time: Fraction = Fraction(0)):
+        coeffs = tuple(ComplexRational.from_value(c) for c in coefficients)
+        if len(coeffs) != pole.order:
             raise ValueError(
-                f"coefficient array length {len(coeffs)} does not match pole order {self.pole.order}"
+                f"coefficient array length {len(coeffs)} does not match pole order {pole.order}"
             )
+        object.__setattr__(self, "pole", pole)
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "phase_time", _check_time(self.phase_time))
+        object.__setattr__(self, "phase_time", _check_time(phase_time))
 
     @classmethod
     def basis(cls, pole: ComplexPole, k: int) -> "GamowChainVector":
@@ -101,22 +98,21 @@ class GamowChainVector:
         return [complex(c) * phase for c in self.coefficients]
 
 
-@dataclass(frozen=True, slots=True)
-class JordanBlockMatrix:
+class JordanBlockMatrix(Value):
     """The pole's Jordan block: z on the diagonal, k = 1..r-1 on the superdiagonal.
 
     Acting on the basis vector of order k this reproduces the chain relation
     H e_k = z e_k + k e_{k-1}.
     """
 
-    pole: ComplexPole
-    entries: tuple
+    __slots__ = ("pole", "entries")
 
-    def __post_init__(self):
-        rows = tuple(tuple(ComplexRational.from_value(c) for c in row) for row in self.entries)
-        r = self.pole.order
+    def __init__(self, pole: ComplexPole, entries: tuple):
+        rows = tuple(tuple(ComplexRational.from_value(c) for c in row) for row in entries)
+        r = pole.order
         if len(rows) != r or any(len(row) != r for row in rows):
             raise ValueError(f"entries must form an {r}x{r} matrix")
+        object.__setattr__(self, "pole", pole)
         object.__setattr__(self, "entries", rows)
 
     @property

@@ -30,12 +30,12 @@ Everything is an immutable value; all functions are pure and thread-safe.
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import (
     ComplexRational,
     Polynomial,
+    Value,
     ZERO,
     binomial,
     matrix_rank,
@@ -45,25 +45,23 @@ from .jordan import ComplexPole
 _ZERO_POLYNOMIAL = Polynomial.zero()
 
 
-@dataclass(frozen=True, slots=True)
-class CoefficientMatrix:
+class CoefficientMatrix(Value):
     """Sparse exact coefficient table keyed (ket_order, bra_order), both below `bound`."""
 
-    bound: int
-    entries: dict
+    __slots__ = ("bound", "entries")
 
-    def __post_init__(self):
-        bound = self.bound
+    def __init__(self, bound: int, entries: dict):
         if bound < 0:
             raise ValueError("order bound must be nonnegative")
         table = {}
-        for key, value in dict(self.entries).items():
+        for key, value in dict(entries).items():
             ket, bra = key
             if not (0 <= ket < bound and 0 <= bra < bound):
                 raise ValueError(f"dyad entry {key} out of range for order bound {bound}")
             value = ComplexRational.from_value(value)
             if value:
                 table[(ket, bra)] = value
+        object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "entries", table)
 
     def entry(self, key) -> ComplexRational:
@@ -83,19 +81,19 @@ class CoefficientMatrix:
         return hash((self.bound, tuple(self.items())))
 
 
-@dataclass(frozen=True, slots=True)
-class DyadicOperator:
+class DyadicOperator(Value):
     """Linear combination of chain dyads |ket k><bra m| over one pole."""
 
-    pole: ComplexPole
-    coefficients: CoefficientMatrix
+    __slots__ = ("pole", "coefficients")
 
-    def __post_init__(self):
-        if self.coefficients.bound != self.pole.order:
+    def __init__(self, pole: ComplexPole, coefficients: CoefficientMatrix):
+        if coefficients.bound != pole.order:
             raise ValueError(
-                f"coefficient order bound {self.coefficients.bound} does not match "
-                f"pole order {self.pole.order}"
+                f"coefficient order bound {coefficients.bound} does not match "
+                f"pole order {pole.order}"
             )
+        object.__setattr__(self, "pole", pole)
+        object.__setattr__(self, "coefficients", coefficients)
 
     def coefficient(self, ket_order: int, bra_order: int) -> ComplexRational:
         return self.coefficients.entry((ket_order, bra_order))
@@ -148,8 +146,7 @@ def exponential_state_operator(pole: ComplexPole, n: int,
     return operator * ComplexRational(pole.width**n / math.factorial(n))
 
 
-@dataclass(frozen=True, slots=True)
-class TimePolynomialOperator:
+class TimePolynomialOperator(Value):
     """Evolved dyadic operator: per-entry polynomials in t times exp(-width*t).
 
     The oscillatory phases cancel between ket and bra, so the numeric value
@@ -157,16 +154,16 @@ class TimePolynomialOperator:
     with P exact.  At t = 0 the table reproduces the originating operator.
     """
 
-    pole: ComplexPole
-    table: dict
+    __slots__ = ("pole", "table")
 
-    def __post_init__(self):
+    def __init__(self, pole: ComplexPole, table: dict):
         cleaned = {}
-        for key, poly in dict(self.table).items():
+        for key, poly in dict(table).items():
             if not isinstance(poly, Polynomial):
                 poly = Polynomial.constant(poly)
             if not poly.is_zero:
                 cleaned[tuple(key)] = poly
+        object.__setattr__(self, "pole", pole)
         object.__setattr__(self, "table", cleaned)
 
     def entry_polynomial(self, ket_order: int, bra_order: int) -> Polynomial:
@@ -258,8 +255,7 @@ def is_pure_exponential(evolved: TimePolynomialOperator) -> bool:
 # -- the exponential-decay characterization --------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class ConstraintEquation:
+class ConstraintEquation(Value):
     """One homogeneous cancellation condition, tagged by its (l, m, n) indices.
 
     The equation says the coefficient of t^(n-l-m) on dyad (l, m) vanishes:
@@ -267,13 +263,13 @@ class ConstraintEquation:
     running from l to n-m.  Terms are ((n, k), integer coefficient) pairs.
     """
 
-    l: int
-    m: int
-    n: int
-    terms: tuple
+    __slots__ = ("l", "m", "n", "terms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple((tuple(v), int(c)) for v, c in self.terms))
+    def __init__(self, l: int, m: int, n: int, terms: tuple):
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", tuple((tuple(v), int(c)) for v, c in terms))
 
     def evaluate(self, coefficients: CoefficientMatrix) -> ComplexRational:
         """The left-hand side at a dyad table, reading A[(n, k)] at dyad (k, n - k)."""
@@ -293,8 +289,7 @@ class ConstraintEquation:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class ConstraintSystem:
+class ConstraintSystem(Value):
     """The full homogeneous system over the total-order coefficient triangle.
 
     Every equation (l, m, n) involves only the unknowns (n, k) of its own
@@ -306,11 +301,11 @@ class ConstraintSystem:
     ArithmeticError.
     """
 
-    j: int
-    equations: tuple
+    __slots__ = ("j", "equations")
 
-    def __post_init__(self):
-        object.__setattr__(self, "equations", tuple(self.equations))
+    def __init__(self, j: int, equations: tuple):
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "equations", tuple(equations))
 
     @property
     def variables(self):
@@ -422,18 +417,26 @@ def exponentiality_constraints(j: int) -> ConstraintSystem:
     return ConstraintSystem(j, equations)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class BinomialRecursionFamily:
+class BinomialRecursionFamily(Value):
     """Closed-form solution family A[(n,k)] = C(n,k) * A[(n,0)].
 
     Built by chaining the two-term recursion
     A[(n,k)] = ((n-k+1)/k) * A[(n,k-1)]; the multipliers collapse to the
     binomial coefficients.  That every member solves the constraint system
     is the certificate's part (`binomial_family_matches_nullspace`).
+    Families compare by identity, and the repr leaves out the multipliers.
     """
 
-    j: int
-    multipliers: dict = field(repr=False)
+    __slots__ = ("j", "multipliers")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, j: int, multipliers: dict):
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "multipliers", multipliers)
+
+    def __repr__(self):
+        return f"BinomialRecursionFamily(j={self.j!r})"
 
     def multiplier(self, n: int, k: int) -> Fraction:
         return self.multipliers[(n, k)]
@@ -512,8 +515,7 @@ def exponential_subspace_basis(pole: ComplexPole):
     return members
 
 
-@dataclass(frozen=True, slots=True)
-class RestrictionReport:
+class RestrictionReport(Value):
     """Result of checking the constraint system restricted to a pole's dyad range.
 
     The system for j = 2*(order-1) is rewritten over the r*r dyad unknowns
@@ -522,17 +524,20 @@ class RestrictionReport:
     as a subspace, the span of the binomial-pattern operators.
     """
 
-    order: int
-    j: int
-    equation_count: int
-    variable_count: int
-    solution_dimension: int
-    expected_dimension: int
-    pattern_matches: bool
-    basis: tuple
+    __slots__ = ("order", "j", "equation_count", "variable_count", "solution_dimension",
+                 "expected_dimension", "pattern_matches", "basis")
 
-    def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(self.basis))
+    def __init__(self, order: int, j: int, equation_count: int, variable_count: int,
+                 solution_dimension: int, expected_dimension: int, pattern_matches: bool,
+                 basis: tuple):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "equation_count", equation_count)
+        object.__setattr__(self, "variable_count", variable_count)
+        object.__setattr__(self, "solution_dimension", solution_dimension)
+        object.__setattr__(self, "expected_dimension", expected_dimension)
+        object.__setattr__(self, "pattern_matches", pattern_matches)
+        object.__setattr__(self, "basis", tuple(basis))
 
     @property
     def passed(self) -> bool:

@@ -21,7 +21,7 @@ run on the complex integrand (`quad`: QUADPACK's rules, error estimate and
 roundoff test, global bisection), with breakpoints at the pole, so each node
 is evaluated once; the integrand's coefficients are converted to complex
 once per contour piece.  Whether every denominator root lies above the real
-axis is decided exactly, by a Sturm-chain count in the Gaussian rationals.
+axis is decided exactly, by a Sturm-chain count in integer arithmetic.
 Neither step imports numpy or scipy, whose import alone would cost more than
 everything else the command line does.
 """
@@ -29,13 +29,13 @@ everything else the command line does.
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
     ComplexRational,
     Polynomial,
     RationalFunction,
+    Value,
     ZERO,
     coefficient_from_json,
     reject_unknown_keys,
@@ -55,18 +55,19 @@ def _modulus_exponent(coefficients) -> int:
     """An e >= 0 with every root of the polynomial below 2**e in modulus.
 
     Fujiwara's bound 2 * max_k |a_k / a_n|^(1/(n-k)), rounded up to a power
-    of two from the bit lengths of the squared ratios, so it stays exact.
+    of two from the bit lengths of the squared ratios, each reduced to lowest
+    terms by one gcd, so it stays exact.
     """
-    def norm(c):
-        return c.real * c.real + c.imag * c.imag
-
     n = len(coefficients) - 1
-    lead = norm(coefficients[-1])
+    re, im, den = coefficients[-1].triple
+    lead_norm, lead_scale = re * re + im * im, den * den
     exponent = 0
     for k, c in enumerate(coefficients[:-1]):
-        if c:
-            ratio = norm(c) / lead
-            bits = ratio.numerator.bit_length() - ratio.denominator.bit_length() + 1
+        re, im, den = c.triple
+        if re or im:
+            num, denom = (re * re + im * im) * lead_scale, lead_norm * den * den
+            divisor = math.gcd(num, denom)
+            bits = (num // divisor).bit_length() - (denom // divisor).bit_length() + 1
             exponent = max(exponent, 1 - (-bits // (2 * (n - k))))
     return exponent
 
@@ -82,29 +83,36 @@ def _roots_above(polynomial: Polynomial, height) -> bool:
     sign changes of the Sturm chain of (P, Q) at -inf and +inf.  A common
     factor of P and Q, from a root on the line or a conjugate pair of
     roots, drops out of the index, so the index then stays above -n.
+
+    The chain is kept in integers: P and Q are scaled by their common
+    denominator, each division step multiplies the remainder by the
+    divisor's |lead| so that no sign changes, and each remainder is divided
+    by its content.  Every member is a positive multiple of the rational
+    chain's, with the same signs.
     """
     n = polynomial.degree
     if n < 1:
         return True
     shifted = polynomial.taylor_coefficients(ComplexRational(0, height), n + 1)
     scale = shifted[-1].conjugate()
-    chain = [[], []]
-    for c in shifted:
-        c = c * scale
-        chain[0].append(c.real)
-        chain[1].append(c.imag)
+    parts = [(c * scale).triple for c in shifted]
+    common = math.lcm(*(den for _, _, den in parts))
+    chain = [[re * (common // den) for re, _, den in parts],
+             [im * (common // den) for _, im, den in parts]]
     _trim(chain[1])
     while chain[-1]:
-        remainder = list(chain[-2])
+        remainder = chain[-2]
         divisor = chain[-1]
+        size = abs(divisor[-1])
         while len(remainder) >= len(divisor):
-            q = remainder[-1] / divisor[-1]
+            factor = remainder[-1] if divisor[-1] > 0 else -remainder[-1]
             shift = len(remainder) - len(divisor)
-            for i, c in enumerate(divisor):
-                remainder[shift + i] -= q * c
+            remainder = [size * c for c in remainder[:shift]] + [
+                size * c - factor * d for c, d in zip(remainder[shift:], divisor)]
             remainder.pop()
             _trim(remainder)
-        chain.append([-c for c in remainder])
+        content = math.gcd(*remainder) or 1
+        chain.append([-c // content for c in remainder])
     chain.pop()
     at_plus = [f[-1] > 0 for f in chain]
     at_minus = [(f[-1] > 0) == (len(f) % 2 == 1) for f in chain]
@@ -132,8 +140,7 @@ def _require_upper_half_plane_roots(function: RationalFunction, what: str):
         )
 
 
-@dataclass(frozen=True, slots=True)
-class TestFunction:
+class TestFunction(Value):
     """Rational stand-in for a half-plane-analytic wavefunction overlap.
 
     The denominator roots must lie strictly in the upper half-plane and the
@@ -145,14 +152,11 @@ class TestFunction:
     """
 
     __test__ = False  # domain type, not a pytest case
+    __slots__ = ("function", "role")
 
-    function: RationalFunction
-    role: str
-
-    def __post_init__(self):
-        if self.role not in (KET_ROLE, BRA_ROLE):
-            raise ValueError(f"role must be {KET_ROLE!r} or {BRA_ROLE!r}, got {self.role!r}")
-        function = self.function
+    def __init__(self, function: RationalFunction, role: str):
+        if role not in (KET_ROLE, BRA_ROLE):
+            raise ValueError(f"role must be {KET_ROLE!r} or {BRA_ROLE!r}, got {role!r}")
         _require_upper_half_plane_roots(function, "test function")
         if function.numerator.degree > function.denominator.degree:
             raise ValueError(
@@ -160,6 +164,8 @@ class TestFunction:
                 f"numerator degree {function.numerator.degree}, "
                 f"denominator degree {function.denominator.degree}"
             )
+        object.__setattr__(self, "function", function)
+        object.__setattr__(self, "role", role)
 
     @property
     def decay_degree(self) -> int:
@@ -170,8 +176,7 @@ class TestFunction:
         return self.function(z)
 
 
-@dataclass(frozen=True, slots=True)
-class SMatrixModel:
+class SMatrixModel(Value):
     """Principal part of exact order at one pole, plus analytic background.
 
     `laurent[n]` is the coefficient of 1/(z - pole)^{n+1}; the list length
@@ -184,13 +189,12 @@ class SMatrixModel:
     pole; a zero background is stored as None.
     """
 
-    pole: ComplexPole
-    laurent: tuple
-    background: RationalFunction | None = None
+    __slots__ = ("pole", "laurent", "background")
 
-    def __post_init__(self):
-        order = self.pole.order
-        coeffs = tuple(ComplexRational.from_value(c) for c in self.laurent)
+    def __init__(self, pole: ComplexPole, laurent: tuple,
+                 background: RationalFunction | None = None):
+        order = pole.order
+        coeffs = tuple(ComplexRational.from_value(c) for c in laurent)
         if len(coeffs) != order:
             raise ValueError(
                 f"need {order} principal-part coefficients for a pole of order "
@@ -201,14 +205,15 @@ class SMatrixModel:
                 f"top principal-part coefficient is zero: the pole would have order "
                 f"lower than the declared {order}"
             )
-        object.__setattr__(self, "laurent", coeffs)
-        background = self.background
         if background is not None and background.is_zero:
-            object.__setattr__(self, "background", None)
+            background = None
         elif background is not None:
             _require_upper_half_plane_roots(background, "background")
             if background.numerator.degree > background.denominator.degree:
                 raise ValueError("background must be bounded at infinity")
+        object.__setattr__(self, "pole", pole)
+        object.__setattr__(self, "laurent", coeffs)
+        object.__setattr__(self, "background", background)
 
     def __call__(self, z):
         """Evaluate the amplitude; exact for exact z, complex otherwise."""
@@ -318,18 +323,21 @@ _EPSILON = sys.float_info.epsilon  # QUADPACK's epmach
 _UNDERFLOW = sys.float_info.min  # QUADPACK's uflow
 
 
-@dataclass(frozen=True, slots=True)
-class IntegralResult:
+class IntegralResult(Value):
     """Value, quadrature error estimate, and convergence flag.
 
     `_unconverged` describes the legs whose quadrature did not converge,
     for the command line's failure message.
     """
 
-    value: complex
-    error_estimate: float
-    converged: bool
-    _unconverged: tuple = ()
+    __slots__ = ("value", "error_estimate", "converged", "_unconverged")
+
+    def __init__(self, value: complex, error_estimate: float, converged: bool,
+                 _unconverged: tuple = ()):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "error_estimate", error_estimate)
+        object.__setattr__(self, "converged", converged)
+        object.__setattr__(self, "_unconverged", _unconverged)
 
 
 def _gauss_kronrod(func, a, b, rule):
@@ -576,8 +584,7 @@ def background_integral(model: SMatrixModel, ket_fn: TestFunction,
                           combined._unconverged)
 
 
-@dataclass(frozen=True, slots=True)
-class DecompositionReport:
+class DecompositionReport(Value):
     """Contour-decomposition check: direct vs background + residue.
 
     `_unconverged` holds a (piece, legs) pair for each contour piece
@@ -586,15 +593,21 @@ class DecompositionReport:
     is not part of the JSON report.
     """
 
-    direct: complex
-    background: complex
-    residue: complex
-    discrepancy: float
-    tolerance: float
-    passed: bool
-    quadrature_error: float
-    converged: bool
-    _unconverged: tuple = ()
+    __slots__ = ("direct", "background", "residue", "discrepancy", "tolerance", "passed",
+                 "quadrature_error", "converged", "_unconverged")
+
+    def __init__(self, direct: complex, background: complex, residue: complex,
+                 discrepancy: float, tolerance: float, passed: bool, quadrature_error: float,
+                 converged: bool, _unconverged: tuple = ()):
+        object.__setattr__(self, "direct", direct)
+        object.__setattr__(self, "background", background)
+        object.__setattr__(self, "residue", residue)
+        object.__setattr__(self, "discrepancy", discrepancy)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "quadrature_error", quadrature_error)
+        object.__setattr__(self, "converged", converged)
+        object.__setattr__(self, "_unconverged", _unconverged)
 
     def to_json_dict(self):
         return {

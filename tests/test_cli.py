@@ -683,6 +683,21 @@ def test_importing_the_cli_does_not_import_scipy():
     assert run_python(code).stdout.strip() == "[]"
 
 
+def test_importing_the_cli_does_not_import_dataclasses_or_inspect():
+    """The value classes are plain slotted classes, so every command skips both imports.
+
+    Only what `import gamow.cli` adds counts, not what the interpreter's
+    start-up loaded before it.
+    """
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import gamow.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    assert run_python(code).stdout.strip() == "[]"
+
+
 def test_every_command_runs_without_numpy_or_scipy(tmp_path):
     """Neither is a dependency: with both unimportable, each subcommand exits 0."""
     commands = [

@@ -13,7 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
-from contour_oracle import cauchy_product_residue_core, two_run_leg
+from contour_oracle import (
+    cauchy_product_residue_core,
+    fraction_modulus_exponent,
+    fraction_roots_above,
+    two_run_leg,
+)
 from gamow import smatrix
 from gamow.exact import ComplexRational, ONE, Polynomial, RationalFunction, ZERO, binomial
 from gamow.jordan import ComplexPole
@@ -253,6 +258,33 @@ class TestExactRootTest:
         if float_root_refusal(function):
             with pytest.raises(ValueError, match="not above the real axis"):
                 TestFunction(function, "ket")
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            # roots below, on, just above and well above each tested height
+            st.builds(
+                lambda roots, lead: with_roots([1], roots).denominator * lead,
+                st.lists(st.builds(ComplexRational,
+                                   st.integers(-12, 12).map(lambda n: Fraction(n, 4)),
+                                   st.sampled_from([-1, 0, Fraction(1, 10**9), Fraction(1, 4),
+                                                    Fraction(257, 1024), 1, Fraction(3, 2)])),
+                         min_size=1, max_size=8),
+                leading_coefficients,
+            ),
+            # dense coefficients of degree 1 to 8
+            st.lists(st.builds(ComplexRational, st.fractions(-9, 9, max_denominator=9),
+                               st.fractions(-9, 9, max_denominator=9)),
+                     min_size=2, max_size=9).map(Polynomial).filter(lambda p: p.degree >= 1),
+        ),
+        st.sampled_from(["zero", "margin", "quarter"]),
+    )
+    def test_integer_chain_agrees_with_the_fraction_chain(self, polynomial, which):
+        exponent = smatrix._modulus_exponent(polynomial.coefficients)
+        assert exponent == fraction_modulus_exponent(polynomial.coefficients)
+        height = {"zero": 0, "margin": smatrix._ROOT_MARGIN * 2**exponent,
+                  "quarter": Fraction(1, 4)}[which]
+        assert smatrix._roots_above(polynomial, height) == fraction_roots_above(polynomial, height)
 
     def test_margin_scales_with_the_root_moduli(self):
         # Im 1e-9 * |root| is refused at any modulus; a root well above is not

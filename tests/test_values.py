@@ -1,12 +1,15 @@
 """Properties of the immutable value classes and of exact evolution.
 
-Every value class is a frozen dataclass: assignment raises, and instances
+Every value class keeps its fields in `__slots__` on the `exact.Value` base:
+assigning or deleting a field, or assigning any other name, raises
+AttributeError; pickles and copies are equal to the original; and instances
 built from equal int, Fraction or float inputs are equal and hash alike.
 Evolution obeys the semigroup law, and an evolved operator's entries are
 the products of the independent ket and bra evolutions.
 """
 
-from dataclasses import fields
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -14,7 +17,8 @@ from evolution_oracle import evolve_operator_by_products
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gamow.exact import ComplexRational, Polynomial, RationalFunction
+from gamow.cli import RunConfig
+from gamow.exact import ComplexRational, Polynomial, RationalFunction, Value
 from gamow.jordan import (
     ComplexPole,
     GamowChainVector,
@@ -32,7 +36,7 @@ from gamow.operators import (
     solve_binomial_recursion,
     verify_restriction_equivalence,
 )
-from gamow.smatrix import SMatrixModel, TestFunction
+from gamow.smatrix import DecompositionReport, IntegralResult, SMatrixModel, TestFunction
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -166,14 +170,65 @@ def one_of_each_value_class():
         verify_restriction_equivalence(pole),
         ket,
         SMatrixModel(pole, [1, 1]),
+        IntegralResult(1j, 1e-12, True),
+        DecompositionReport(1j, 0.5j, 0.5j, 0.0, 1e-8, True, 2e-12, True),
+        RunConfig(),
     ]
 
 
-@pytest.mark.parametrize("value", one_of_each_value_class(), ids=lambda value: type(value).__name__)
+def test_one_of_each_covers_every_value_class():
+    assert {type(value) for value in one_of_each_value_class()} == set(Value.__subclasses__())
+
+
+VALUES = pytest.mark.parametrize("value", one_of_each_value_class(),
+                                 ids=lambda value: type(value).__name__)
+
+
+@VALUES
 def test_assignment_raises(value):
-    for field in fields(value):
+    before = [getattr(value, name) for name in type(value).__slots__]
+    for name, field in zip(type(value).__slots__, before):
         with pytest.raises(AttributeError):
-            setattr(value, field.name, getattr(value, field.name))
+            setattr(value, name, field)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert [getattr(value, name) for name in type(value).__slots__] == before
+
+
+@VALUES
+def test_pickles_and_copies_are_equal(value):
+    for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(clone) is type(value)
+        fields = [getattr(clone, name) for name in type(value).__slots__]
+        assert fields == [getattr(value, name) for name in type(value).__slots__]
+        if type(value).__eq__ is not object.__eq__:  # the recursion family compares by identity
+            assert clone == value and hash(clone) == hash(value)
+
+
+def test_repr_hash_and_equality_are_those_of_the_fields():
+    pole = ComplexPole(1, 2, 2)
+    assert repr(pole) == (
+        "ComplexPole(resonance_energy=Fraction(1, 1), width=Fraction(2, 1), order=2)")
+    assert hash(pole) == hash((Fraction(1), Fraction(2), 2))
+    assert repr(solve_binomial_recursion(2)) == "BinomialRecursionFamily(j=2)"
+    assert solve_binomial_recursion(2) != solve_binomial_recursion(2)
+    result = IntegralResult(1j, 0.0, True)
+    assert result == IntegralResult(1j, 0.0, True, ())
+    assert result != DecompositionReport(1j, 0j, 1j, 0.0, 1e-8, True, 0.0, True)
+
+
+def test_unpickling_rebuilds_from_the_fields_without_init(monkeypatch):
+    model = SMatrixModel(ComplexPole(1, 2, 2), [1, 1])
+    data = pickle.dumps(model)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("__init__ ran while unpickling")
+
+    for cls in (SMatrixModel, ComplexPole):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    assert pickle.loads(data) == model
 
 
 def representations(value: Fraction):
