@@ -3,27 +3,20 @@
 The model is a principal part of prescribed order at one lower-half-plane
 pole plus an optional rational background, paired with rational stand-ins
 for the very well-behaved wavefunctions (poles confined to the upper
-half-plane, jointly decaying at infinity).  Because everything is rational,
-the pole contribution to the amplitude integral has an exact closed form,
-the Taylor coefficients of the product ket*bra at the pole (one power-series
-division) weighted by the principal-part coefficients, and the contour
-decomposition
+half-plane, jointly decaying at infinity).  So the pole's contribution to
+the amplitude integral is exact, the Taylor coefficients of ket*bra at the
+pole weighted by the principal-part coefficients, and
 
     integral over [0, inf) = background piece + residue term
 
-is an identity of the residue theorem on the closed contour (real axis plus
-a lower semicircle at infinity) rather than an approximation.  The
-background piece is the (-inf, 0] leg traversed outward from the origin,
-i.e. minus the conventionally oriented integral; that orientation is what
-the closed contour produces.  Each piece runs to infinity, as a finite leg
-past the pole window plus a tail.  Every leg is one adaptive Gauss-Kronrod
-run on the complex integrand (`quad`: QUADPACK's rules, error estimate and
-roundoff test, global bisection), with breakpoints at the pole, so each node
-is evaluated once; the integrand's coefficients are converted to complex
-once per contour piece.  Whether every denominator root lies above the real
-axis is decided exactly, by a Sturm-chain count in integer arithmetic.
-Neither step imports numpy or scipy, whose import alone would cost more than
-everything else the command line does.
+is the residue theorem on the closed contour (real axis plus a lower
+semicircle at infinity), with the background piece the (-inf, 0] leg
+traversed outward from the origin.  Each piece is integrated in the phase
+coordinates of the pole's Breit-Wigner peak (`_phase_leg`), each leg by one
+adaptive Gauss-Kronrod run on the complex integrand (`quad`).  Whether every
+denominator root lies above the real axis is decided exactly, by a
+Sturm-chain count in integers.  Neither step imports numpy or scipy, whose
+import alone costs more than the rest of a command.
 """
 
 import json
@@ -292,12 +285,11 @@ def residue_expansion(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestFun
 _ABSOLUTE_TOLERANCE = 1e-10
 _RELATIVE_TOLERANCE = 1e-10
 _SUBDIVISION_LIMIT = 200
-_POLE_WINDOW = 10.0
+_QUARTER = math.pi / 4
 
 
-# QUADPACK's Gauss-Kronrod rules (Piessens et al. 1983): the Kronrod and
-# Gauss weights of the centre node, then (x, Kronrod weight, Gauss weight)
-# for each abscissa pair +-x, the Gauss weight 0.0 at Kronrod-only nodes.
+# QUADPACK's GK21 rule (Piessens et al. 1983): the centre node's Kronrod and
+# Gauss weights, then (x, Kronrod weight, Gauss weight or 0.0) for each +-x.
 _GK21 = (0.1494455540029169, 0.0, (
     (0.9956571630258081, 0.011694638867371874, 0.0),
     (0.9739065285171717, 0.032558162307964725, 0.06667134430868814),
@@ -309,15 +301,6 @@ _GK21 = (0.1494455540029169, 0.0, (
     (0.4333953941292472, 0.13470921731147334, 0.26926671930999635),
     (0.2943928627014602, 0.14277593857706009, 0.0),
     (0.14887433898163122, 0.14773910490133849, 0.29552422471475287),
-))
-_GK15 = (0.20948214108472782, 0.4179591836734694, (
-    (0.9914553711208126, 0.022935322010529224, 0.0),
-    (0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
-    (0.8648644233597691, 0.10479001032225019, 0.0),
-    (0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
-    (0.5860872354676911, 0.1690047266392679, 0.0),
-    (0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
-    (0.20778495500789848, 0.20443294007529889, 0.0),
 ))
 _EPSILON = sys.float_info.epsilon  # QUADPACK's epmach
 _UNDERFLOW = sys.float_info.min  # QUADPACK's uflow
@@ -341,7 +324,7 @@ class IntegralResult(Value):
 
 
 def _gauss_kronrod(func, a, b, rule):
-    """One Gauss-Kronrod rule on [a, b], as QUADPACK's QK21/QK15I.
+    """One Gauss-Kronrod rule on [a, b], as QUADPACK's QK21.
 
     Returns (integral, error estimate, resasc), resasc the rule's measure of
     the integrand's spread about its mean, which the error estimate equals
@@ -380,32 +363,22 @@ def _gauss_kronrod(func, a, b, rule):
     return kronrod * half, error, resasc
 
 
-def quad(func, lo, hi, points):
-    """Adaptive Gauss-Kronrod integral of the complex `func` over [lo, hi], lo < hi.
+def quad(func, lo, hi, points, rule=_GK21):
+    """Adaptive Gauss-Kronrod integral of the complex `func` over [lo, hi], lo < hi finite.
 
-    A finite leg starts from GK21 on the pieces between the breakpoints
-    `points` (sorted, distinct, inside the interval).  A leg with one
-    infinite end is mapped onto (0, 1] as QUADPACK's QAGIE maps it,
-    x = lo + (1 - t)/t toward +inf and x = hi - (1 - t)/t from -inf, and
-    integrated with GK15.  Then the piece with the largest error estimate
-    is bisected until the summed estimate is within the leg policy's
-    tolerance, with QUADPACK's QAG strategy and no extrapolation, so each
-    node is evaluated once.  Returns (value, error estimate, ier): ier 0
-    when converged, 1 at the subdivision limit, 2 when QUADPACK's roundoff
-    test finds that bisection no longer reduces the error, 3 at the first
-    sum or error estimate that is not finite (a non-finite integrand).
+    `rule` on the pieces between the sorted breakpoints `points`, then
+    QUADPACK's QAG bisection of the worst piece, without extrapolation,
+    until the summed error estimate meets the leg policy.  Returns (value,
+    error estimate, ier): ier 0 when converged, 1 at the subdivision limit,
+    2 when QUADPACK's roundoff test finds that bisection no longer reduces
+    the error, 3 at the first sum or error estimate that is not finite.
     """
     import heapq  # here, not at module load: only the residue path needs it
 
-    if hi == math.inf:
-        integrand, rule, edges = (lambda t: func(lo + (1.0 - t) / t) / (t * t)), _GK15, (0.0, 1.0)
-    elif lo == -math.inf:
-        integrand, rule, edges = (lambda t: func(hi - (1.0 - t) / t) / (t * t)), _GK15, (0.0, 1.0)
-    else:
-        integrand, rule, edges = func, _GK21, (lo, *points, hi)
+    edges = (lo, *points, hi)
     pieces = []
     for a, b in zip(edges, edges[1:]):
-        value, error, _ = _gauss_kronrod(integrand, a, b, rule)
+        value, error, _ = _gauss_kronrod(func, a, b, rule)
         pieces.append((-error, a, b, value))
     heapq.heapify(pieces)
     total = sum(piece[3] for piece in pieces)
@@ -427,8 +400,8 @@ def quad(func, lo, hi, points):
             break
         negative_error, a, b, value = heapq.heappop(pieces)
         middle = 0.5 * (a + b)
-        left, left_error, left_resasc = _gauss_kronrod(integrand, a, middle, rule)
-        right, right_error, right_resasc = _gauss_kronrod(integrand, middle, b, rule)
+        left, left_error, left_resasc = _gauss_kronrod(func, a, middle, rule)
+        right, right_error, right_resasc = _gauss_kronrod(func, middle, b, rule)
         area = left + right
         area_error = left_error + right_error
         if left_resasc != left_error and right_resasc != right_error:
@@ -443,58 +416,63 @@ def quad(func, lo, hi, points):
     return sum(piece[3] for piece in pieces), -sum(piece[0] for piece in pieces), ier
 
 
-def _pole_window(model: SMatrixModel):
-    """The breakpoints E_R - w, E_R, E_R + w of every leg, w = `_POLE_WINDOW` * Gamma.
+def _phase_window(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestFunction):
+    """E_R, Gamma/2 and the rungs +-R*2^k, k = 0, 1, ... to the first beyond |E_R| + Gamma.
 
-    ValueError where the window leaves the float range, so that its legs
-    could not end at a finite energy, or where its points are not distinct
-    floats, so that no leg could resolve the pole.
+    R = 2^e bounds the test functions' and the background's denominator
+    roots, so legs broken at the rungs resolve their scale.  ValueError,
+    before any rung is built, where one would leave the float range or
+    E_R +- Gamma/2 are not distinct floats.
     """
-    center = float(model.pole.resonance_energy)
-    width = float(model.pole.width)
-    window = (center - _POLE_WINDOW * width, center, center + _POLE_WINDOW * width)
-    if not all(map(math.isfinite, window)):
-        problem = "leaves the float range"
-    elif not window[0] < center < window[2]:
-        problem = "has points that floats cannot tell apart"
+    center, width = float(model.pole.resonance_energy), float(model.pole.width)
+    half = 0.5 * width
+    exponent = max(_modulus_exponent(f.denominator.coefficients)
+                   for f in (ket_fn.function, bra_fn.function, model.background) if f is not None)
+    reach = abs(center) + width
+    top = max(exponent, math.frexp(reach)[1]) if math.isfinite(reach) else 1024
+    if top > 1023:
+        problem = f"rung 2^{top} leaves the float range"
+    elif not center - half < center < center + half:
+        problem = "pole window E_R +- Gamma/2 has points that floats cannot tell apart"
     else:
-        return window
-    raise ValueError(f"pole window E_R +- {_POLE_WINDOW:g}*Gamma {problem} "
-                     f"(E_R {center!r}, Gamma {width!r})")
+        return center, half, [s * 2.0**k for k in range(exponent, top + 1) for s in (-1, 1)]
+    raise ValueError(f"{problem} (E_R {center!r}, Gamma {width!r})")
 
 
-def _leg(integrand, window, lo: float, hi: float) -> IntegralResult:
-    """Integral of the complex `integrand` over [lo, hi] by `quad`.
+def _phase_leg(integrand, center: float, half: float, side: int, energies):
+    """The energy `integrand` times dE/dt in the phase coordinate t of one `side`.
 
-    Breakpoints: the points of the pole `window` inside (lo, hi).  The
-    infinite legs start beyond the window and get none.  A leg that did not
-    converge names its interval and quad's status.  A leg whose integrand
-    is not finite in floats, or overflows or divides by zero there, is a
-    model beyond the float range: ValueError, naming the leg and the window.
+    Side 0, |E - E_R| <= Gamma/2: t = theta = atan(2(E - E_R)/Gamma); sides
+    -1, +1, the tails below and above: t = u = pi/2 - |theta| in (0, pi/4],
+    E = +-inf at u = 0.  With s = tan(theta), E = E_R + s*Gamma/2, and the
+    pole factor (E - z)^-r dE/dt = (Gamma/2)^(1-r) (-i)^r cos^(r-2)(theta)
+    e^(i*r*theta) is smooth.  `energies` names the leg in `_leg`'s errors.
     """
-    points = sorted({p for p in window if lo < p < hi})
+    def leg(t: float) -> complex:
+        s = side / math.tan(t) if side else math.tan(t)
+        return integrand(center + half * s) * (half * (1.0 + s * s))
+
+    leg.energies = energies
+    return leg
+
+
+def _leg(integrand, breakpoints, lo: float, hi: float) -> IntegralResult:
+    """Integral of the `_phase_leg` `integrand` over [lo, hi] by `quad`.
+
+    A leg that did not converge names its energy interval and quad's status;
+    one whose integrand is not finite, overflows or divides by zero, is a
+    model beyond the float range: ValueError, naming the leg.
+    """
     try:
-        value, error, ier = quad(integrand, lo, hi, points)
+        value, error, ier = quad(integrand, lo, hi, breakpoints)
     except (OverflowError, ZeroDivisionError):
         ier = 3
+    name = "leg [{:g}, {:g}]: ier {}".format(*integrand.energies, ier)
     if ier == 3:
-        raise ValueError(
-            f"leg [{lo:g}, {hi:g}]: ier 3, non-finite integrand; the model's E_R, Gamma, "
-            "laurent or background, or a test function, is beyond the float range there "
-            f"(pole window {window[0]:g}, {window[1]:g}, {window[2]:g})"
-        )
-    reason = "subdivision limit" if ier == 1 else "roundoff"
-    unconverged = (f"leg [{lo:g}, {hi:g}]: ier {ier}, {reason}",) if ier else ()
+        raise ValueError(f"{name}, non-finite integrand: the model's E_R, Gamma, laurent or "
+                         "background, or a test function, is beyond the float range there")
+    unconverged = (f"{name}, {'subdivision limit' if ier == 1 else 'roundoff'}",) if ier else ()
     return IntegralResult(value, error, not ier, unconverged)
-
-
-def _combine(parts):
-    return IntegralResult(
-        sum(p.value for p in parts),
-        sum(p.error_estimate for p in parts),
-        all(p.converged for p in parts),
-        sum((p._unconverged for p in parts), ()),
-    )
 
 
 def _horner_coefficients(polynomial: Polynomial):
@@ -558,13 +536,41 @@ def _amplitude_integrand(model: SMatrixModel, ket_fn: TestFunction, bra_fn: Test
     return integrand
 
 
+def _outward_integral(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestFunction,
+                      sign: int) -> IntegralResult:
+    """Amplitude integral from E = 0 out to `sign` * inf, `sign` +1 or -1.
+
+    One leg per side of the pole that the half-line meets, in that side's
+    phase coordinate, ended by E = 0 and broken at the rungs in it.
+    """
+    integrand = _amplitude_integrand(model, ket_fn, bra_fn)
+    center, half, rungs = _phase_window(model, ket_fn, bra_fn)
+
+    def phase(side, energy):
+        return (math.atan2(half, side * (energy - center)) if side
+                else math.atan2(energy - center, half))
+
+    parts = []
+    for side, lo, low, high in ((-1, 0.0, -math.inf, center - half),
+                                (0, -_QUARTER, center - half, center + half),
+                                (1, 0.0, center + half, math.inf)):
+        hi, end = _QUARTER, phase(side, 0.0)
+        if (side < 1) == (sign > 0):  # t rises with E below and across the pole
+            lo = max(lo, end)
+        else:
+            hi = min(hi, end)
+        if lo < hi:
+            points = sorted({t for t in (phase(side, e) for e in rungs) if lo < t < hi})
+            energies = (max(low, 0.0), high) if sign > 0 else (low, min(high, 0.0))
+            parts.append(_leg(_phase_leg(integrand, center, half, side, energies), points, lo, hi))
+    return IntegralResult(sign * sum(p.value for p in parts), sum(p.error_estimate for p in parts),
+                          all(p.converged for p in parts), sum((p._unconverged for p in parts), ()))
+
+
 def direct_contour_integral(model: SMatrixModel, ket_fn: TestFunction,
                             bra_fn: TestFunction) -> IntegralResult:
     """Amplitude integral along the physical spectrum [0, inf)."""
-    integrand = _amplitude_integrand(model, ket_fn, bra_fn)
-    window = _pole_window(model)
-    split = max(1.0, window[-1])
-    return _combine([_leg(integrand, window, 0.0, split), _leg(integrand, window, split, math.inf)])
+    return _outward_integral(model, ket_fn, bra_fn, 1)
 
 
 def background_integral(model: SMatrixModel, ket_fn: TestFunction,
@@ -575,13 +581,7 @@ def background_integral(model: SMatrixModel, ket_fn: TestFunction,
     inherits), so the returned value is minus the conventionally oriented
     integral over (-inf, 0].
     """
-    integrand = _amplitude_integrand(model, ket_fn, bra_fn)
-    window = _pole_window(model)
-    split = min(-1.0, window[0])
-    combined = _combine([_leg(integrand, window, split, 0.0),
-                         _leg(integrand, window, -math.inf, split)])
-    return IntegralResult(-combined.value, combined.error_estimate, combined.converged,
-                          combined._unconverged)
+    return _outward_integral(model, ket_fn, bra_fn, -1)
 
 
 class DecompositionReport(Value):

@@ -4,7 +4,11 @@
 Gauss-Kronrod pass; `two_run_leg` integrates its real and imaginary parts
 as two separate `scipy.integrate.quad` runs (compiled QUADPACK) under the
 same tolerances, subdivision limit and breakpoints, each run evaluating the
-full complex integrand.  `smatrix.residue_core` expands the product ket*bra
+full complex integrand.  `smatrix` integrates each contour piece in the
+phase coordinates of the pole; `energy_layout_piece` is the layout it
+replaced, in energy: a finite leg split at the pole window E_R +- 10*Gamma
+and a tail mapped onto (0, 1] as QUADPACK's QAGIE maps it, integrated with
+GK15 (`energy_quad`).  `smatrix.residue_core` expands the product ket*bra
 at the pole as one series; `cauchy_product_residue_core` expands ket and
 bra separately and multiplies the two series term by term.
 `smatrix._roots_above` and `smatrix._modulus_exponent` work in integers;
@@ -12,6 +16,7 @@ bra separately and multiplies the two series term by term.
 in `Fraction` arithmetic, with exact rational division in the Sturm chain.
 """
 
+import math
 import warnings
 
 from scipy.integrate import IntegrationWarning, quad
@@ -21,9 +26,59 @@ from gamow.exact import ComplexRational, ZERO
 from gamow.smatrix import IntegralResult
 
 
-def two_run_leg(integrand, window, lo, hi):
+# QUADPACK's GK15 rule, in `smatrix._GK21`'s layout: the Kronrod and Gauss
+# weights of the centre node, then (x, Kronrod weight, Gauss weight) for
+# each abscissa pair +-x.
+GK15 = (0.20948214108472782, 0.4179591836734694, (
+    (0.9914553711208126, 0.022935322010529224, 0.0),
+    (0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
+    (0.8648644233597691, 0.10479001032225019, 0.0),
+    (0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
+    (0.5860872354676911, 0.1690047266392679, 0.0),
+    (0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
+    (0.20778495500789848, 0.20443294007529889, 0.0),
+))
+POLE_WINDOW = 10.0
+
+
+def energy_quad(func, lo, hi, points):
+    """`smatrix.quad` over [lo, hi], with an infinite end mapped onto (0, 1] as QAGIE maps it.
+
+    x = lo + (1 - t)/t toward +inf and x = hi - (1 - t)/t from -inf, with
+    GK15 and no breakpoints.
+    """
+    if hi == math.inf:
+        return smatrix.quad(lambda t: func(lo + (1.0 - t) / t) / (t * t), 0.0, 1.0, [], GK15)
+    if lo == -math.inf:
+        return smatrix.quad(lambda t: func(hi - (1.0 - t) / t) / (t * t), 0.0, 1.0, [], GK15)
+    return smatrix.quad(func, lo, hi, points)
+
+
+def energy_layout_piece(model, ket_fn, bra_fn, sign):
+    """The contour piece over [0, inf) for `sign` +1, over (-inf, 0] for -1, in energy.
+
+    A finite leg from 0 to past the pole window E_R +- 10*Gamma, broken at
+    its points, then a tail; the background piece is returned traversed
+    outward, as `smatrix.background_integral` returns it.
+    """
+    integrand = smatrix._amplitude_integrand(model, ket_fn, bra_fn)
+    center, width = float(model.pole.resonance_energy), float(model.pole.width)
+    window = (center - POLE_WINDOW * width, center, center + POLE_WINDOW * width)
+    if sign > 0:
+        split = max(1.0, window[-1])
+        ends = [(0.0, split), (split, math.inf)]
+    else:
+        split = min(-1.0, window[0])
+        ends = [(split, 0.0), (-math.inf, split)]
+    legs = [energy_quad(integrand, lo, hi, sorted({p for p in window if lo < p < hi}))
+            for lo, hi in ends]
+    return IntegralResult(sign * sum(value for value, _, _ in legs),
+                          sum(error for _, error, _ in legs), not any(ier for _, _, ier in legs))
+
+
+def two_run_leg(integrand, breakpoints, lo, hi):
     """Integral of the complex `integrand` over [lo, hi], each part its own scipy run."""
-    points = [p for p in window if lo < p < hi]
+    points = [p for p in breakpoints if lo < p < hi]
     kwargs = {"epsabs": smatrix._ABSOLUTE_TOLERANCE, "epsrel": smatrix._RELATIVE_TOLERANCE,
               "limit": smatrix._SUBDIVISION_LIMIT, "points": points or None}
     with warnings.catch_warnings(record=True) as caught:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from importlib.resources import files
 
 import pytest
@@ -388,13 +389,14 @@ class TestResidue:
         )
 
     def test_unconverged_piece_is_named(self, tmp_path, capsys):
-        # the order-10, Gamma = 1/2 model of the smatrix nonconvergence test,
-        # its Laurent coefficients rounded to floats: the direct piece's
-        # finite leg reports roundoff (QUADPACK status 2), the background
+        # the smatrix tests' higher-order model at order 24, Gamma = 1, its
+        # Laurent coefficients rounded to floats: the direct piece's leg
+        # across the peak, E_R +- Gamma/2, reports roundoff (QUADPACK status
+        # 2) with the discrepancy inside the tolerance, and the background
         # piece converges
-        laurent = [[(n % 5 - 2) / 4, 1 / (n + 2)] for n in range(10)]
+        laurent = [[(n % 5 - 2) / 4, 1 / (n + 2)] for n in range(24)]
         document = {
-            "E_R": 1.5, "Gamma": 0.5, "r": 10, "laurent": laurent,
+            "E_R": 1.5, "Gamma": 1.0, "r": 24, "laurent": laurent,
             "test_functions": [
                 {"role": "ket", "num": [[1.0, -0.5]], "den": [[-2.0, 1.0], [-0.5, -2.5], [1.0, 0.0]]},
                 {"role": "bra", "num": [[-0.75, 0.25]], "den": [[-0.5, -0.75], [1.0, 0.0]]},
@@ -408,11 +410,69 @@ class TestResidue:
         assert err == (
             f"contour decomposition check failed: discrepancy {payload['discrepancy']!r} "
             "against tolerance 1e-08; quadrature of the direct piece did not converge "
-            "(leg [0, 6.5]: ier 2, roundoff)\n"
+            "(leg [1, 2]: ier 2, roundoff)\n"
         )
 
+    def test_a_wide_pole_window_resolves_the_test_functions(self, tmp_path):
+        # E_R 0, Gamma 1e6: legs split only at E_R +- 10*Gamma missed the
+        # test functions' poles at |z| <= 5 (exit 1, discrepancy 3.56); the
+        # rungs +-R*2^k resolve them, and `direct` agrees with scipy's quad
+        from scipy.integrate import quad
+
+        document = dict(self.model_document(), E_R=0.0, Gamma=1e6)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(document))
+        out = tmp_path / "report.json"
+        assert main(["residue", "--config", str(model_path), "--out", str(out)]) == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["passed"] is True
+
+        def poly(coefficients, z):
+            return sum((complex(*c) if isinstance(c, list) else c) * z**k
+                       for k, c in enumerate(coefficients))
+
+        pole = complex(0.0, -0.5e6)
+        ket, bra = document["test_functions"]
+        background = document["background"]
+
+        def amplitude(e):
+            principal = sum(complex(*c) / (e - pole) ** (n + 1)
+                            for n, c in enumerate(document["laurent"]))
+            principal += poly(background["num"], e) / poly(background["den"], e)
+            return (poly(ket["num"], e) / poly(ket["den"], e) * principal
+                    * poly(bra["num"], e) / poly(bra["den"], e))
+
+        def integral(part, lo, hi):
+            return quad(lambda e: part(amplitude(e)), lo, hi, epsabs=1e-14, epsrel=1e-12)[0]
+
+        expected = sum(complex(integral(lambda a: a.real, lo, hi), integral(lambda a: a.imag, lo, hi))
+                       for lo, hi in ((0.0, 20.0), (20.0, math.inf)))
+        assert abs(expected - (-7.42e-4j)) < 1e-6
+        assert abs(complex(*payload["direct"]) - expected) <= 1e-8
+
+    def test_a_pole_window_far_wider_never_passes_silently(self, tmp_path, capsys):
+        # E_R 0, Gamma 1e90: legs split only at E_R +- 10*Gamma saw 0.0 for
+        # both pieces and passed; the true direct is -7.42e-4 i
+        document = dict(self.model_document(), E_R=0.0, Gamma=1e90)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(document))
+        code = main(["residue", "--config", str(model_path)])
+        out = capsys.readouterr().out
+        assert not (code == EXIT_OK or out and json.loads(out)["passed"])
+
+    def test_a_far_pole_exits_in_bounded_time(self, tmp_path):
+        # E_R 1e300, Gamma 1: about a thousand rungs up to |E_R| + Gamma, but
+        # E_R +- Gamma/2 == E_R is refused before any is built
+        document = dict(self.model_document(), E_R=1e300, Gamma=1.0)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(document))
+        start = time.perf_counter()
+        code = main(["residue", "--config", str(model_path)])
+        assert code in (EXIT_VERIFICATION_FAILURE, EXIT_INPUT_ERROR)
+        assert time.perf_counter() - start < 10.0
+
     def test_pole_window_beyond_the_float_range_is_refused(self, tmp_path, capsys):
-        # E_R + 10 * Gamma overflows: the direct piece's finite leg would end at inf
+        # |E_R| + Gamma = 1.1e308: the rung beyond it, 2^1024, overflows
         document = dict(self.model_document(), E_R=1e308, Gamma=1e307)
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(document))
@@ -613,17 +673,19 @@ class TestNonFiniteAndInvalidInputs:
         "change, expected",
         [
             # the amplitude overflows on the first leg: its sum is NaN
-            ({"laurent": [[1e308, 0.0], [0.1, 0.0]]}, ["leg [0, 6]", "non-finite", "laurent"]),
-            ({"Gamma": 1e200}, ["leg [0, 1e+201]", "non-finite", "Gamma"]),
-            # E_R +- 10*Gamma == E_R: no leg would sample the test functions' scale
+            ({"laurent": [[1e308, 0.0], [0.1, 0.0]]}, ["leg [0, 0.75]", "non-finite", "laurent"]),
+            ({"Gamma": 1e200}, ["leg [0, 5e+199]", "non-finite", "Gamma"]),
+            # E_R +- Gamma/2 == E_R: no leg would resolve the pole
             ({"E_R": 1e200}, ["cannot tell apart", "E_R 1e+200, Gamma 0.5"]),
             # 1 - 1e-299 == 1: nodes on the pole's real part, (z - pole)^2 underflows
             ({"Gamma": 1e-300}, ["cannot tell apart", "E_R 1.0, Gamma 1e-300"]),
-            # the exact residue term overflows its conversion to a float
+            # the exact residue term would overflow its conversion to a float;
+            # the leg across the peak meets the overflow first, at the test
+            # functions' scale, which it now samples
             ({"E_R": 0.0, "Gamma": 1e156, "r": 1, "laurent": [[1.0, 1e300]], "test_functions": [
                 {"role": "ket", "num": [[1e14, 0.0]], "den": [[-4.0, 0.0], [0.0, -4.0], [1.0, 0.0]]},
                 {"role": "bra", "num": [[1e162, 0.0]], "den": [[0.0, -3e-300], [1e-300, 0.0]]},
-            ]}, ["leave the float range", "E_R 0.0, Gamma 1e+156", "laurent"]),
+            ]}, ["leg [0, 5e+155]", "non-finite", "laurent"]),
         ],
         ids=["laurent-1e308", "Gamma-1e200", "E_R-1e200", "Gamma-1e-300", "residue-term"],
     )

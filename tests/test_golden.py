@@ -162,10 +162,10 @@ RESIDUE_MODELS = {
 }
 
 RESIDUE_GOLDEN = [
-    ("bundled-example", "c670b070c8c1710c7c0179dfdfa7f5b77a23770a422ddfe635cfa9c1218a9327"),
-    ("order1-background", "ccb7a442ef0d798d4c04bd11ab8c41144af1fb6b928b5712963c78cbe62b55e7"),
-    ("order4", "8eb2da09f253638a19d028c4d2d59774dd4d1d4e26440b4e056ff4f1611747c8"),
-    ("order6", "c61d59eafa4dd4132e8adf3e5bfc6e37f3a8d3d1a2553d2781837651e30ac54b"),
+    ("bundled-example", "7259dc172b4b0b191564c7ec68e89896342a42bbeedb71fb75b268eaec414ff8"),
+    ("order1-background", "6920c529edef894aa2bd925acb586009f8e6e150b9404482d9ce10476be0fa90"),
+    ("order4", "3e0f2c418254ae76035516251ca35bf3f7147b027f19bdf138b06a1e2f21a015"),
+    ("order6", "ea1c3d32b4320e0189cc3ed9ef891a3d10c60802b1406363d763d588c19cd7ae"),
 ]
 
 # The exact residue of each model, as the report writes it; it does not

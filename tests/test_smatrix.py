@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 from contour_oracle import (
+    GK15,
     cauchy_product_residue_core,
+    energy_layout_piece,
+    energy_quad,
     fraction_modulus_exponent,
     fraction_roots_above,
     two_run_leg,
@@ -77,10 +80,10 @@ HIGHER_ORDER_BRA = TestFunction(
 )
 
 
-def higher_order_model(order, width):
+def higher_order_model(order, width, energy=Fraction(3, 2)):
     laurent = [cr(Fraction(n % 5 - 2, 4), Fraction(1, n + 2)) for n in range(order)]
     background = with_roots([cr(Fraction(1, 4))], [cr(0, 2)]) if order % 2 else None
-    return SMatrixModel(ComplexPole(Fraction(3, 2), width, order), laurent, background)
+    return SMatrixModel(ComplexPole(energy, width, order), laurent, background)
 
 
 quarters = st.integers(-8, 8).map(lambda n: Fraction(n, 4))
@@ -490,15 +493,16 @@ class TestContourPieces:
         assert residue_core(model, slow_ket, constant_bra) is not None
 
     def test_nonconvergence_is_reported_not_hidden(self):
-        # the shapes of test_higher_orders_pass at order 10: QUADPACK reports
-        # roundoff on the direct piece's finite leg, and the report fails
-        model = higher_order_model(10, Fraction(1, 2))
+        # the shapes of test_higher_orders_pass at order 30: QUADPACK reports
+        # roundoff on the direct piece's leg across the peak, E_R +- Gamma/2,
+        # and the report fails
+        model = higher_order_model(30, Fraction(1, 2))
         result = direct_contour_integral(model, HIGHER_ORDER_KET, HIGHER_ORDER_BRA)
         assert not result.converged
         report = decomposition_check(model, HIGHER_ORDER_KET, HIGHER_ORDER_BRA)
         assert not report.converged
         assert not report.passed
-        assert report._unconverged == (("direct", ("leg [0, 6.5]: ier 2, roundoff",)),)
+        assert report._unconverged == (("direct", ("leg [1.25, 1.75]: ier 2, roundoff",)),)
 
     def test_background_matches_plain_quadrature(self):
         model = SMatrixModel(ComplexPole(1, 1, 2), [cr(0, -1), cr(Fraction(1, 4))])
@@ -525,6 +529,18 @@ class TestScipyOracle:
             result = piece(model, f, g)
             with mock.patch.object(smatrix, "_leg", two_run_leg):
                 oracle = piece(model, f, g)
+            assert result.converged and oracle.converged
+            assert abs(result.value - oracle.value) <= result.error_estimate + oracle.error_estimate
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(models(max_order=8), rational_functions(min_decay=1), rational_functions(min_decay=1))
+    def test_pieces_agree_with_the_energy_layout(self, model, ket_function, bra_function):
+        # the real-axis layout the phase legs replaced: a leg split at the
+        # window E_R +- 10*Gamma, then a QAGIE tail
+        f, g = TestFunction(ket_function, "ket"), TestFunction(bra_function, "bra")
+        for sign, piece in ((1, direct_contour_integral), (-1, background_integral)):
+            result = piece(model, f, g)
+            oracle = energy_layout_piece(model, f, g, sign)
             assert result.converged and oracle.converged
             assert abs(result.value - oracle.value) <= result.error_estimate + oracle.error_estimate
 
@@ -570,16 +586,16 @@ def scipy_complex_quad(func, lo, hi, points):
 
 
 class TestGaussKronrod:
-    """The rule tables and `smatrix.quad`, against numpy, exact integrals and scipy."""
+    """The rule tables, `quad` and the oracle's tails, against numpy, exact integrals and scipy."""
 
-    @pytest.mark.parametrize("rule, gauss_points", [(smatrix._GK21, 10), (smatrix._GK15, 7)])
+    @pytest.mark.parametrize("rule, gauss_points", [(smatrix._GK21, 10), (GK15, 7)])
     def test_gauss_nodes_and_weights_match_leggauss(self, rule, gauss_points):
         _, _, nodes, weights = rule_nodes(rule)
         reference_nodes, reference_weights = np.polynomial.legendre.leggauss(gauss_points)
         assert np.allclose(nodes, reference_nodes, rtol=0, atol=1e-15)
         assert np.allclose(weights, reference_weights, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("rule, degree", [(smatrix._GK21, 31), (smatrix._GK15, 22)])
+    @pytest.mark.parametrize("rule, degree", [(smatrix._GK21, 31), (GK15, 22)])
     def test_kronrod_rule_integrates_monomials_exactly(self, rule, degree):
         nodes, weights, _, _ = rule_nodes(rule)
         for k in range(degree + 1):
@@ -595,8 +611,22 @@ class TestGaussKronrod:
     def test_agrees_with_scipy_within_both_error_estimates(self, lo, hi, points):
         model = SMatrixModel(ComplexPole(1, 1, 2), [cr(0, -1), cr(Fraction(1, 4))])
         integrand = _amplitude_integrand(model, F_KET, G_BRA)
-        value, error, ier = smatrix.quad(integrand, lo, hi, points)
+        value, error, ier = energy_quad(integrand, lo, hi, points)
         expected, expected_error = scipy_complex_quad(integrand, lo, hi, points)
+        assert ier == 0
+        assert abs(value - expected) <= error + expected_error
+
+    @pytest.mark.parametrize("side, lo, hi", [(-1, -math.inf, 0.75), (0, 0.75, 1.25),
+                                              (1, 1.25, math.inf)])
+    def test_a_phase_leg_integrates_the_energy_integrand(self, side, lo, hi):
+        # E_R = 1, Gamma = 1/2: a side's whole phase range, [-pi/4, pi/4] or
+        # (0, pi/4], integrates the amplitude over that side's energies
+        model = SMatrixModel(ComplexPole(1, Fraction(1, 2), 2), [cr(0, -1), cr(Fraction(1, 4))])
+        integrand = _amplitude_integrand(model, F_KET, G_BRA)
+        leg = smatrix._phase_leg(integrand, 1.0, 0.25, side, (lo, hi))
+        start = 0.0 if side else -smatrix._QUARTER
+        value, error, ier = smatrix.quad(leg, start, smatrix._QUARTER, [])
+        expected, expected_error = scipy_complex_quad(integrand, lo, hi, [])
         assert ier == 0
         assert abs(value - expected) <= error + expected_error
 
@@ -609,7 +639,7 @@ class TestGaussKronrod:
             return math.cos(5.0 * x) / (1.0 + x * x)
 
         monkeypatch.setattr(smatrix, "_SUBDIVISION_LIMIT", 1)
-        value, error, ier = smatrix.quad(lambda x: complex(func(x)), lo, hi, [])
+        value, error, ier = energy_quad(lambda x: complex(func(x)), lo, hi, [])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegrationWarning)
             expected, expected_error = quad(func, lo, hi, limit=1)
@@ -630,8 +660,9 @@ class TestGaussKronrod:
         assert error == pytest.approx(50 * sys.float_info.epsilon * 22 / 3, rel=1e-3, abs=0)
 
     def test_hopeless_leg_stops_early_on_roundoff(self):
-        # the direct piece's finite leg of the order-10, Gamma = 1/2 model:
-        # status 2 with fewer evaluations than QUADPACK's run on its real part
+        # the energy layout's finite direct leg of the order-10, Gamma = 1/2
+        # model: status 2 with fewer evaluations than QUADPACK's run on its
+        # real part
         model = higher_order_model(10, Fraction(1, 2))
         integrand = _amplitude_integrand(model, HIGHER_ORDER_KET, HIGHER_ORDER_BRA)
         nodes = []
@@ -658,8 +689,8 @@ class TestGaussKronrod:
         # NaN compares False with the tolerance: without the status, the
         # loop would report the NaN sum as converged
         nodes = []
-        *_, ier = smatrix.quad(lambda x: nodes.append(x) or complex(bad if x > 0.5 else 1.0),
-                               lo, hi, [])
+        *_, ier = energy_quad(lambda x: nodes.append(x) or complex(bad if x > 0.5 else 1.0),
+                              lo, hi, [])
         assert ier == 3
         assert len(nodes) == (21 if hi == 1.0 else 15)
 
@@ -668,8 +699,9 @@ class TestGaussKronrod:
         def integrand(x):
             raise fault("float range")
 
-        with pytest.raises(ValueError, match=r"leg \[0, 1\]: ier 3, non-finite integrand"):
-            smatrix._leg(integrand, (-9.0, 1.0, 11.0), 0.0, 1.0)
+        leg = smatrix._phase_leg(integrand, 1.0, 0.25, 0, (0.75, 1.25))
+        with pytest.raises(ValueError, match=r"leg \[0.75, 1.25\]: ier 3, non-finite integrand"):
+            smatrix._leg(leg, [], -smatrix._QUARTER, smatrix._QUARTER)
 
 
 class TestAmplitudeIntegrand:
@@ -688,6 +720,27 @@ class TestAmplitudeIntegrand:
         integrand = _amplitude_integrand(model, f, g)
         for e in (energy, -energy):
             assert integrand(e) == complex(f(e)) * model(complex(e)) * complex(g(e))
+
+
+# (E_R, Gamma, r) of every `higher_order_model` that the real-axis layout
+# (`contour_oracle.energy_layout_piece`) passed: r <= 9 at Gamma = 1/2, r <= 18
+# at Gamma = 1, and far or wide poles at r <= 6 less the ones it failed
+REAL_AXIS_FAILURES = {
+    (-5, Fraction(1, 100), 4), (-5, Fraction(1, 100), 5), (-5, Fraction(1, 100), 6),
+    (20, Fraction(1, 100), 4), (20, Fraction(1, 100), 5), (20, Fraction(1, 100), 6),
+    (100, Fraction(1, 100), 5), (100, Fraction(1, 100), 6),
+    (10**4, Fraction(1, 100), 2), (10**4, Fraction(1, 100), 4), (10**4, Fraction(1, 100), 5),
+    (10**4, Fraction(1, 100), 6),
+    *((energy, 10**5, order) for energy in (-5, 20, 100, 10**4) for order in (2, 4, 6)),
+    *((10**4, 10**3, order) for order in (2, 4, 6)),
+}
+PASSED_ON_THE_REAL_AXIS = [
+    *((Fraction(3, 2), Fraction(1, 2), order) for order in range(1, 10)),
+    *((Fraction(3, 2), 1, order) for order in range(1, 19)),
+    *((energy, width, order) for energy in (-5, 20, 100, 10**4)
+      for width in (Fraction(1, 100), 10**3, 10**5) for order in range(1, 7)
+      if (energy, width, order) not in REAL_AXIS_FAILURES),
+]
 
 
 class TestDecomposition:
@@ -737,18 +790,49 @@ class TestDecomposition:
         assert report.converged
         assert report.passed
 
+    @pytest.mark.parametrize("energy, width, order", PASSED_ON_THE_REAL_AXIS)
+    def test_every_model_the_real_axis_layout_passed_still_passes(self, energy, width, order):
+        model = higher_order_model(order, width, energy)
+        report = decomposition_check(model, HIGHER_ORDER_KET, HIGHER_ORDER_BRA, tolerance=1e-8)
+        assert report.converged
+        assert report.passed
+
+    @pytest.mark.parametrize("shift", [1, 1j])
+    @pytest.mark.parametrize("width", [Fraction(1, 2), 1])
+    @pytest.mark.parametrize("order", range(1, 21))
+    def test_a_residue_off_by_a_hundred_tolerances_fails(self, order, width, shift, monkeypatch):
+        # the reach past r = 9 and r = 18 comes from the path, not from a
+        # check too coarse to see a wrong residue
+        model = higher_order_model(order, width)
+        direct = direct_contour_integral(model, HIGHER_ORDER_KET, HIGHER_ORDER_BRA).value
+        residue = smatrix.residue_expansion
+        monkeypatch.setattr(smatrix, "residue_expansion",
+                            lambda *args: residue(*args) + shift * 100 * 1e-8 * abs(direct))
+        report = decomposition_check(model, HIGHER_ORDER_KET, HIGHER_ORDER_BRA, tolerance=1e-8)
+        assert report.discrepancy > report.tolerance
+        assert not report.passed
+
     @pytest.mark.parametrize("tolerance", [math.inf, math.nan, 0.0, -1e-8])
     def test_tolerance_must_be_positive_and_finite(self, tolerance):
         model = unitary_first_order_model(ComplexPole(2, 1, 1))
         with pytest.raises(ValueError, match="positive and finite"):
             decomposition_check(model, F_KET, G_BRA, tolerance=tolerance)
 
+    def test_a_residue_term_beyond_the_float_range_is_an_input_error(self, monkeypatch):
+        # as the float conversion of an exact residue past 1.8e308 raises
+        def overflow(*args):
+            raise OverflowError("int too large to convert to float")
+
+        monkeypatch.setattr(smatrix, "residue_expansion", overflow)
+        model = unitary_first_order_model(ComplexPole(2, 1, 1))
+        with pytest.raises(ValueError, match="leave the float range"):
+            decomposition_check(model, F_KET, G_BRA)
+
     def test_failed_tolerance_reports_not_raises(self):
-        # the third-order pair: the first-order one now has discrepancy 0.0,
-        # which no positive tolerance fails
-        model = SMatrixModel(ComplexPole(2, 1, 3),
-                             [cr(0, -1), cr(Fraction(1, 4)), cr(Fraction(1, 10), Fraction(1, 5))])
-        report = decomposition_check(model, F_KET, G_BRA, tolerance=1e-30)
+        # an order-6 model: the first- and third-order spec pairs both have
+        # discrepancy 0.0, which no positive tolerance fails
+        model = higher_order_model(6, 1)
+        report = decomposition_check(model, HIGHER_ORDER_KET, HIGHER_ORDER_BRA, tolerance=1e-30)
         assert report.discrepancy > 0
         assert not report.passed  # nothing raised
 
