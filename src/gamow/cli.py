@@ -85,14 +85,8 @@ class RunConfig(Value):
             raise ValueError(f"grid needs at least 2 steps, got {steps}")
         if output_format not in (CSV_FORMAT, JSON_FORMAT):
             raise ValueError(f"unknown output format {output_format!r}")
-        object.__setattr__(self, "resonance_energy", resonance_energy)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "operator_spec", operator_spec)
-        object.__setattr__(self, "t_end", t_end)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "output_format", output_format)
-        object.__setattr__(self, "tolerance", tolerance)
+        Value.__init__(self, resonance_energy, width, order, operator_spec, t_end, steps,
+                       output_format, tolerance)
 
     def grid(self):
         return [self.t_end * i / (self.steps - 1) for i in range(self.steps)]
@@ -350,8 +344,10 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_INPUT_ERROR
-    except FileNotFoundError as exc:
-        print(f"file not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        if exc.filename is None:  # not the --config or --out file, e.g. a closed stdout
+            raise
+        print(f"cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (ValueError, ZeroDivisionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -284,15 +284,23 @@ I = ComplexRational(0, 1)
 class Value:
     """Base of the package's immutable values: fields are the class's `__slots__`.
 
-    A subclass lists its fields in `__slots__` and sets each once in its
-    `__init__` with `object.__setattr__`; afterwards assignment and deletion
-    raise AttributeError.  Values of the same class are equal when their
-    fields are, and hash as the tuple of their fields.  The repr is
-    `Name(field=value, ...)`, and pickling and copying rebuild a value from
-    its fields without running `__init__` again.
+    A subclass's `__init__` checks its arguments and ends in `Value.__init__`,
+    which binds the fields in `__slots__` order (TypeError on a wrong count);
+    afterwards assignment and deletion raise AttributeError.  Values of the
+    same class are equal when their fields are, and hash as the tuple of
+    their fields, a dict field as the tuple of its sorted items.  The repr
+    is `Name(field=value, ...)`, and pickling and copying rebuild a value
+    from its fields without running the subclass's `__init__` again.
     """
 
     __slots__ = ()
+
+    def __init__(self, *fields):
+        names = type(self).__slots__
+        if len(fields) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(fields)}")
+        for name, field in zip(names, fields):
+            object.__setattr__(self, name, field)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
@@ -309,7 +317,8 @@ class Value:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(tuple([tuple(sorted(field.items())) if isinstance(field, dict) else field
+                           for field in self._fields()]))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -322,8 +331,7 @@ class Value:
 def _rebuild(cls, fields):
     """The `cls` value with the given fields, set as they are: the pickle constructor."""
     value = object.__new__(cls)
-    for name, field in zip(cls.__slots__, fields):
-        object.__setattr__(value, name, field)
+    Value.__init__(value, *fields)
     return value
 
 
@@ -340,7 +348,7 @@ class Polynomial(Value):
         coeffs = [ComplexRational.from_value(c) for c in coefficients]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+        Value.__init__(self, tuple(coeffs))
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -494,8 +502,7 @@ class RationalFunction(Value):
             denominator = Polynomial.constant(denominator)
         if denominator.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
+        Value.__init__(self, numerator, denominator)
 
     @classmethod
     def from_coefficient_lists(cls, numerator, denominator) -> "RationalFunction":

@@ -34,9 +34,7 @@ class ComplexPole(Value):
             raise ValueError(f"pole width must be positive, got {width}")
         if not isinstance(order, int) or order < 1:
             raise ValueError(f"pole order must be an integer >= 1, got {order!r}")
-        object.__setattr__(self, "resonance_energy", resonance_energy)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "order", order)
+        Value.__init__(self, resonance_energy, width, order)
 
     @property
     def position(self) -> ComplexRational:
@@ -71,9 +69,7 @@ class GamowChainVector(Value):
             raise ValueError(
                 f"coefficient array length {len(coeffs)} does not match pole order {pole.order}"
             )
-        object.__setattr__(self, "pole", pole)
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "phase_time", _check_time(phase_time))
+        Value.__init__(self, pole, coeffs, _check_time(phase_time))
 
     @classmethod
     def basis(cls, pole: ComplexPole, k: int) -> "GamowChainVector":
@@ -112,8 +108,7 @@ class JordanBlockMatrix(Value):
         r = pole.order
         if len(rows) != r or any(len(row) != r for row in rows):
             raise ValueError(f"entries must form an {r}x{r} matrix")
-        object.__setattr__(self, "pole", pole)
-        object.__setattr__(self, "entries", rows)
+        Value.__init__(self, pole, rows)
 
     @property
     def size(self) -> int:

@@ -61,8 +61,7 @@ class CoefficientMatrix(Value):
             value = ComplexRational.from_value(value)
             if value:
                 table[(ket, bra)] = value
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "entries", table)
+        Value.__init__(self, bound, table)
 
     def entry(self, key) -> ComplexRational:
         return self.entries.get(tuple(key), ZERO)
@@ -77,9 +76,6 @@ class CoefficientMatrix(Value):
             for (ket, bra), v in self.items() for c in (complex(v),)
         ]
 
-    def __hash__(self):
-        return hash((self.bound, tuple(self.items())))
-
 
 class DyadicOperator(Value):
     """Linear combination of chain dyads |ket k><bra m| over one pole."""
@@ -92,8 +88,7 @@ class DyadicOperator(Value):
                 f"coefficient order bound {coefficients.bound} does not match "
                 f"pole order {pole.order}"
             )
-        object.__setattr__(self, "pole", pole)
-        object.__setattr__(self, "coefficients", coefficients)
+        Value.__init__(self, pole, coefficients)
 
     def coefficient(self, ket_order: int, bra_order: int) -> ComplexRational:
         return self.coefficients.entry((ket_order, bra_order))
@@ -163,8 +158,7 @@ class TimePolynomialOperator(Value):
                 poly = Polynomial.constant(poly)
             if not poly.is_zero:
                 cleaned[tuple(key)] = poly
-        object.__setattr__(self, "pole", pole)
-        object.__setattr__(self, "table", cleaned)
+        Value.__init__(self, pole, cleaned)
 
     def entry_polynomial(self, ket_order: int, bra_order: int) -> Polynomial:
         return self.table.get((ket_order, bra_order), _ZERO_POLYNOMIAL)
@@ -204,9 +198,6 @@ class TimePolynomialOperator(Value):
     def at_time_zero(self) -> DyadicOperator:
         entries = {key: poly.coefficient(0) for key, poly in self.table.items()}
         return DyadicOperator(self.pole, CoefficientMatrix(self.pole.order, entries))
-
-    def __hash__(self):
-        return hash((self.pole, tuple(self.items())))
 
 
 def evolve_operator(operator: DyadicOperator) -> TimePolynomialOperator:
@@ -266,10 +257,7 @@ class ConstraintEquation(Value):
     __slots__ = ("l", "m", "n", "terms")
 
     def __init__(self, l: int, m: int, n: int, terms: tuple):
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", tuple((tuple(v), int(c)) for v, c in terms))
+        Value.__init__(self, l, m, n, tuple((tuple(v), int(c)) for v, c in terms))
 
     def evaluate(self, coefficients: CoefficientMatrix) -> ComplexRational:
         """The left-hand side at a dyad table, reading A[(n, k)] at dyad (k, n - k)."""
@@ -304,8 +292,7 @@ class ConstraintSystem(Value):
     __slots__ = ("j", "equations")
 
     def __init__(self, j: int, equations: tuple):
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "equations", tuple(equations))
+        Value.__init__(self, j, tuple(equations))
 
     @property
     def variables(self):
@@ -431,10 +418,6 @@ class BinomialRecursionFamily(Value):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, j: int, multipliers: dict):
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "multipliers", multipliers)
-
     def __repr__(self):
         return f"BinomialRecursionFamily(j={self.j!r})"
 
@@ -530,14 +513,8 @@ class RestrictionReport(Value):
     def __init__(self, order: int, j: int, equation_count: int, variable_count: int,
                  solution_dimension: int, expected_dimension: int, pattern_matches: bool,
                  basis: tuple):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "equation_count", equation_count)
-        object.__setattr__(self, "variable_count", variable_count)
-        object.__setattr__(self, "solution_dimension", solution_dimension)
-        object.__setattr__(self, "expected_dimension", expected_dimension)
-        object.__setattr__(self, "pattern_matches", pattern_matches)
-        object.__setattr__(self, "basis", tuple(basis))
+        Value.__init__(self, order, j, equation_count, variable_count, solution_dimension,
+                       expected_dimension, pattern_matches, tuple(basis))
 
     @property
     def passed(self) -> bool:

@@ -119,18 +119,22 @@ def _trim(coefficients):
 
 
 def _require_upper_half_plane_roots(function: RationalFunction, what: str):
-    """Refuse `function` unless every denominator root lies above the axis by a margin.
+    """Refuse `function` unless its denominator roots lie above the axis and it is bounded.
 
     The exact test runs on the line Im z = 1e-9 * max(1, R), R >= every root
-    modulus, so a root within 1e-9 * max(1, |root|) of the axis is refused.
+    modulus, so a root within 1e-9 * max(1, |root|) of the axis is refused;
+    so is a numerator of higher degree than the denominator.
     """
-    denominator = function.denominator
+    numerator, denominator = function.numerator, function.denominator
     height = _ROOT_MARGIN * 2 ** _modulus_exponent(denominator.coefficients)
     if not _roots_above(denominator, height):
         raise ValueError(
             f"{what} must be analytic in the closed lower half-plane; a denominator root "
             f"is not above the real axis by more than {float(height):.3g}"
         )
+    if numerator.degree > denominator.degree:
+        raise ValueError(f"{what} must be bounded at infinity: numerator degree "
+                         f"{numerator.degree}, denominator degree {denominator.degree}")
 
 
 class TestFunction(Value):
@@ -151,14 +155,7 @@ class TestFunction(Value):
         if role not in (KET_ROLE, BRA_ROLE):
             raise ValueError(f"role must be {KET_ROLE!r} or {BRA_ROLE!r}, got {role!r}")
         _require_upper_half_plane_roots(function, "test function")
-        if function.numerator.degree > function.denominator.degree:
-            raise ValueError(
-                "test function must be bounded at infinity: "
-                f"numerator degree {function.numerator.degree}, "
-                f"denominator degree {function.denominator.degree}"
-            )
-        object.__setattr__(self, "function", function)
-        object.__setattr__(self, "role", role)
+        Value.__init__(self, function, role)
 
     @property
     def decay_degree(self) -> int:
@@ -202,11 +199,7 @@ class SMatrixModel(Value):
             background = None
         elif background is not None:
             _require_upper_half_plane_roots(background, "background")
-            if background.numerator.degree > background.denominator.degree:
-                raise ValueError("background must be bounded at infinity")
-        object.__setattr__(self, "pole", pole)
-        object.__setattr__(self, "laurent", coeffs)
-        object.__setattr__(self, "background", background)
+        Value.__init__(self, pole, coeffs, background)
 
     def __call__(self, z):
         """Evaluate the amplitude; exact for exact z, complex otherwise."""
@@ -317,10 +310,7 @@ class IntegralResult(Value):
 
     def __init__(self, value: complex, error_estimate: float, converged: bool,
                  _unconverged: tuple = ()):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "error_estimate", error_estimate)
-        object.__setattr__(self, "converged", converged)
-        object.__setattr__(self, "_unconverged", _unconverged)
+        Value.__init__(self, value, error_estimate, converged, _unconverged)
 
 
 def _gauss_kronrod(func, a, b, rule):
@@ -599,15 +589,8 @@ class DecompositionReport(Value):
     def __init__(self, direct: complex, background: complex, residue: complex,
                  discrepancy: float, tolerance: float, passed: bool, quadrature_error: float,
                  converged: bool, _unconverged: tuple = ()):
-        object.__setattr__(self, "direct", direct)
-        object.__setattr__(self, "background", background)
-        object.__setattr__(self, "residue", residue)
-        object.__setattr__(self, "discrepancy", discrepancy)
-        object.__setattr__(self, "tolerance", tolerance)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "quadrature_error", quadrature_error)
-        object.__setattr__(self, "converged", converged)
-        object.__setattr__(self, "_unconverged", _unconverged)
+        Value.__init__(self, direct, background, residue, discrepancy, tolerance, passed,
+                       quadrature_error, converged, _unconverged)
 
     def to_json_dict(self):
         return {
@@ -678,18 +661,21 @@ def _polynomial_from_json(values, where: str) -> Polynomial:
     return Polynomial([coefficient_from_json(v, f"{where}[{i}]") for i, v in enumerate(values)])
 
 
-def parse_test_function(data, where: str = "test_function") -> TestFunction:
-    """Build a test function from {"role", "num", "den"} (ascending coefficients)."""
+def _rational_from_json(data, where: str, fields=("num", "den")) -> RationalFunction:
+    """The quotient of the "num" and "den" coefficient lists of an object with `fields`."""
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected an object, got {data!r}")
-    reject_unknown_keys(data, ("role", "num", "den"), where)
-    for field in ("role", "num", "den"):
+    reject_unknown_keys(data, fields, where)
+    for field in fields:
         if field not in data:
             raise ValueError(f"{where}.{field}: missing required field")
-    function = RationalFunction(
-        _polynomial_from_json(data["num"], f"{where}.num"),
-        _polynomial_from_json(data["den"], f"{where}.den"),
-    )
+    return RationalFunction(_polynomial_from_json(data["num"], f"{where}.num"),
+                            _polynomial_from_json(data["den"], f"{where}.den"))
+
+
+def parse_test_function(data, where: str = "test_function") -> TestFunction:
+    """Build a test function from {"role", "num", "den"} (ascending coefficients)."""
+    function = _rational_from_json(data, where, ("role", "num", "den"))
     return TestFunction(function, data["role"])
 
 
@@ -718,14 +704,7 @@ def model_from_json(data):
     ]
     background = None
     if data.get("background") is not None:
-        bg = data["background"]
-        if not isinstance(bg, dict) or "num" not in bg or "den" not in bg:
-            raise ValueError('model.background: expected {"num": [...], "den": [...]}')
-        reject_unknown_keys(bg, ("num", "den"), "model.background")
-        background = RationalFunction(
-            _polynomial_from_json(bg["num"], "model.background.num"),
-            _polynomial_from_json(bg["den"], "model.background.den"),
-        )
+        background = _rational_from_json(data["background"], "model.background")
     functions = data["test_functions"]
     if not isinstance(functions, list) or len(functions) != 2:
         raise ValueError("model.test_functions: expected a list of exactly two entries")

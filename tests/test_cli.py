@@ -511,6 +511,43 @@ class TestResidue:
         assert main(["residue", "--config", "/nonexistent/model.json"]) == EXIT_INPUT_ERROR
 
 
+class TestUnreadablePaths:
+    """A --config that cannot be read or an --out that cannot be written is an input error.
+
+    Each exits 2 with one message naming the path and the reason, not a traceback.
+    A permission case is left out: the tests may run as root, who can open any file.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["residue", "--config", "{missing}"], "No such file or directory"),
+            (["residue", "--config", "{dir}"], "Is a directory"),
+            (["evolve", "--config", "{dir}"], "Is a directory"),
+            (["exp-check", "--r", "2", "--out", "{dir}"], "Is a directory"),
+            (["evolve", "--r", "2", "--n", "1", "--out", "{dir}"], "Is a directory"),
+        ],
+        ids=["missing-config", "residue-config-dir", "evolve-config-dir", "exp-check-out-dir",
+             "evolve-out-dir"],
+    )
+    def test_exits_2_naming_the_path(self, tmp_path, capsys, argv, reason):
+        paths = {"missing": str(tmp_path / "missing.json"), "dir": str(tmp_path)}
+        argv = [arg.format(**paths) for arg in argv]
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot open {argv[-1]}: {reason}\n"
+
+    def test_an_error_with_no_file_name_is_not_an_input_error(self, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        with pytest.raises(BrokenPipeError):
+            main(["basis", "--r", "2"])
+
+
 class TestNonFiniteAndInvalidInputs:
     """Bad numbers are input errors (exit 2), never a pass or a verification failure."""
 
@@ -618,6 +655,26 @@ class TestNonFiniteAndInvalidInputs:
         assert main(["residue", "--config", str(model_path)]) == EXIT_INPUT_ERROR
         where = "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)
         assert capsys.readouterr().err.startswith(f"input error: model{where}.{key}: unknown key")
+
+    @pytest.mark.parametrize("where", ["model.background", "model.test_functions[0]"])
+    @pytest.mark.parametrize("broken, message", [
+        ("no den", ".den: missing required field"),
+        ([1.0], ": expected an object, got [1.0]"),
+    ])
+    def test_background_and_test_functions_share_one_reader(
+        self, tmp_path, capsys, where, broken, message
+    ):
+        document = TestResidue().model_document()
+        parent, key = ((document, "background") if where == "model.background"
+                       else (document["test_functions"], 0))
+        if broken == "no den":
+            del parent[key]["den"]
+        else:
+            parent[key] = broken
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(document))
+        assert main(["residue", "--config", str(model_path)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"input error: {where}{message}\n"
 
     @pytest.mark.parametrize(
         "command, path, value, field",

@@ -182,7 +182,8 @@ class TestModelValidation:
             )  # pole at -i... wait: z + i has root -i (lower half-plane)
 
     def test_unbounded_background_rejected(self):
-        with pytest.raises(ValueError):
+        message = "background must be bounded at infinity: numerator degree 2, "
+        with pytest.raises(ValueError, match=message + "denominator degree 1"):
             SMatrixModel(
                 ComplexPole(1, 1, 1), [cr(1)], background=rational([0, 0, 1], [cr(0, -5), 1])
             )
@@ -198,7 +199,8 @@ class TestTestFunctionValidation:
             ket([1], [cr(-2), 1])  # root at 2
 
     def test_unbounded_function_rejected(self):
-        with pytest.raises(ValueError):
+        message = "test function must be bounded at infinity: numerator degree 2, "
+        with pytest.raises(ValueError, match=message + "denominator degree 1"):
             ket([0, 0, 1], [cr(0, -1), 1])
 
     def test_constant_is_admissible(self):

@@ -27,8 +27,10 @@ from gamow.jordan import (
     evolve_state,
 )
 from gamow.operators import (
+    BinomialRecursionFamily,
     CoefficientMatrix,
     DyadicOperator,
+    RestrictionReport,
     TimePolynomialOperator,
     evolve_operator,
     exponential_state_operator,
@@ -217,6 +219,42 @@ def test_repr_hash_and_equality_are_those_of_the_fields():
     result = IntegralResult(1j, 0.0, True)
     assert result == IntegralResult(1j, 0.0, True, ())
     assert result != DecompositionReport(1j, 0j, 1j, 0.0, 1e-8, True, 0.0, True)
+
+
+def test_a_wrong_field_count_raises_type_error():
+    """Not the ValueError of `zip(strict=True)`, which the command line reports as bad input."""
+    with pytest.raises(TypeError, match="BinomialRecursionFamily takes 2 fields, got 1"):
+        BinomialRecursionFamily(2)
+    with pytest.raises(TypeError, match="BinomialRecursionFamily takes 2 fields, got 3"):
+        BinomialRecursionFamily(2, {}, None)
+    for fields in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(TypeError, match=f"ComplexPole takes 3 fields, got {len(fields)}"):
+            Value.__init__(object.__new__(ComplexPole), *fields)
+
+
+def test_dict_fields_hash_as_sorted_items():
+    """The hashes of the former per-class overrides, so no set or dict order moves."""
+    entries = {(1, 0): ComplexRational(3), (0, 1): ComplexRational(1, 2)}
+    table = CoefficientMatrix(2, entries)
+    assert hash(table) == hash((2, tuple(sorted(entries.items()))))
+    pole = ComplexPole(1, 2, 2)
+    evolved = evolve_operator(DyadicOperator(pole, table))
+    assert len(evolved.table) > 1
+    assert hash(evolved) == hash((pole, tuple(sorted(evolved.table.items()))))
+
+
+def test_keyword_constructions_and_defaults():
+    report = DecompositionReport(direct=1j, background=0.5j, residue=0.5j, discrepancy=0.0,
+                                 tolerance=1e-8, passed=True, quadrature_error=2e-12,
+                                 converged=True)
+    assert report == DecompositionReport(1j, 0.5j, 0.5j, 0.0, 1e-8, True, 2e-12, True, ())
+    restriction = RestrictionReport(order=2, j=2, equation_count=3, variable_count=4,
+                                    solution_dimension=2, expected_dimension=2,
+                                    pattern_matches=True, basis=[])
+    assert restriction.basis == () and restriction.passed
+    pole = ComplexPole(resonance_energy=1, width=2, order=2)
+    assert pole == ComplexPole(1, 2, 2)
+    assert IntegralResult(1j, 0.0, True)._unconverged == ()
 
 
 def test_unpickling_rebuilds_from_the_fields_without_init(monkeypatch):
