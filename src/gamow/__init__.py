@@ -50,45 +50,3 @@ from .smatrix import (
     residue_expansion,
     unitary_first_order_model,
 )
-
-__all__ = [
-    "BinomialRecursionFamily",
-    "CoefficientMatrix",
-    "ComplexPole",
-    "ComplexRational",
-    "ConstraintSystem",
-    "DecompositionReport",
-    "DyadicOperator",
-    "GamowChainVector",
-    "IntegralResult",
-    "JordanBlockMatrix",
-    "Polynomial",
-    "RationalFunction",
-    "RestrictionReport",
-    "SMatrixModel",
-    "TestFunction",
-    "TimePolynomialOperator",
-    "background_integral",
-    "binomial_family_matches_nullspace",
-    "binomial_pattern_matrix",
-    "build_jordan_block",
-    "check_jordan_degree",
-    "decomposition_check",
-    "direct_contour_integral",
-    "evolve_ket",
-    "evolve_operator",
-    "evolve_state",
-    "exponential_state_operator",
-    "exponential_subspace_basis",
-    "exponentiality_constraints",
-    "is_pure_exponential",
-    "load_model_file",
-    "model_from_json",
-    "operator_from_coefficients",
-    "residue_core",
-    "residue_expansion",
-    "solve_binomial_recursion",
-    "survival_modulus",
-    "unitary_first_order_model",
-    "verify_restriction_equivalence",
-]

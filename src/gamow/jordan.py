@@ -41,10 +41,6 @@ class ComplexPole(Value):
         """Exact pole position E - i*width/2 (strictly below the real axis)."""
         return ComplexRational(self.resonance_energy, -self.width / 2)
 
-    @property
-    def position_complex(self) -> complex:
-        return complex(self.position)
-
 
 def _check_time(t) -> Fraction:
     t = as_fraction(t)
@@ -86,7 +82,7 @@ class GamowChainVector(Value):
         return -1
 
     def phase_factor(self) -> complex:
-        return cmath.exp(-1j * self.pole.position_complex * float(self.phase_time))
+        return cmath.exp(-1j * complex(self.pole.position) * float(self.phase_time))
 
     def to_numeric(self):
         """Coefficients as complex floats with the phase factor applied."""

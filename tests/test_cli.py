@@ -538,6 +538,31 @@ class TestUnreadablePaths:
         assert captured.out == ""
         assert captured.err == f"cannot open {argv[-1]}: {reason}\n"
 
+    @pytest.mark.parametrize(
+        "out, reason",
+        [
+            ("{dir}", "Is a directory"),
+            ("{dir}/missing/out.json", "No such file or directory"),
+            ("{file}/out.json", "Not a directory"),
+        ],
+        ids=["out-dir", "parent-missing", "parent-a-file"],
+    )
+    @pytest.mark.parametrize("command", ["evolve", "exp-check", "residue", "basis"])
+    def test_an_unwritable_out_is_refused_before_the_work(
+        self, tmp_path, capsys, monkeypatch, command, out, reason
+    ):
+        """The same line the late open would print, with the handler never called."""
+        def handler(args):
+            raise AssertionError(f"{command} ran although --out {args.out} cannot be written")
+
+        monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), handler)
+        existing = tmp_path / "file"
+        existing.write_text("kept")
+        out = out.format(dir=tmp_path, file=existing)
+        assert main([command, *REQUIRED_ARGS[command], "--out", out]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == ("", f"cannot open {out}: {reason}\n")
+        assert sorted(os.listdir(tmp_path)) == ["file"] and existing.read_text() == "kept"
+
     def test_an_error_with_no_file_name_is_not_an_input_error(self, monkeypatch):
         class ClosedPipe:
             def write(self, text):
@@ -815,6 +840,46 @@ def test_importing_the_cli_does_not_import_dataclasses_or_inspect():
         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
     )
     assert run_python(code).stdout.strip() == "[]"
+
+
+PUBLIC_NAMES = {
+    "exact": ["ComplexRational", "Polynomial", "RationalFunction"],
+    "jordan": [
+        "ComplexPole", "GamowChainVector", "JordanBlockMatrix", "build_jordan_block",
+        "check_jordan_degree", "evolve_ket", "evolve_state", "survival_modulus",
+    ],
+    "operators": [
+        "BinomialRecursionFamily", "CoefficientMatrix", "ConstraintSystem", "DyadicOperator",
+        "RestrictionReport", "TimePolynomialOperator", "binomial_family_matches_nullspace",
+        "binomial_pattern_matrix", "evolve_operator", "exponential_state_operator",
+        "exponential_subspace_basis", "exponentiality_constraints", "is_pure_exponential",
+        "operator_from_coefficients", "solve_binomial_recursion",
+        "verify_restriction_equivalence",
+    ],
+    "smatrix": [
+        "DecompositionReport", "IntegralResult", "SMatrixModel", "TestFunction",
+        "background_integral", "decomposition_check", "direct_contour_integral",
+        "load_model_file", "model_from_json", "residue_core", "residue_expansion",
+        "unitary_first_order_model",
+    ],
+}
+
+
+def test_the_star_import_binds_the_public_names_and_the_four_submodules():
+    """`from gamow import *` in a fresh interpreter: each public name once, from its own module.
+
+    A fresh interpreter, because a submodule imported later, such as
+    `gamow.cli`, becomes a package attribute that the star import also binds.
+    """
+    code = "from gamow import *\nprint(*sorted(name for name in dir() if name[0] != '_'))"
+    public = [name for names in PUBLIC_NAMES.values() for name in names]
+    assert len(public) == 39
+    assert run_python(code).stdout.split() == sorted([*public, *PUBLIC_NAMES])
+    for module, names in PUBLIC_NAMES.items():
+        for name in names:
+            value = getattr(gamow, name)
+            assert value.__module__ == f"gamow.{module}"
+            assert getattr(sys.modules[value.__module__], name) is value
 
 
 def test_every_command_runs_without_numpy_or_scipy(tmp_path):
