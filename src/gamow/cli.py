@@ -13,7 +13,7 @@ import math
 import os
 import sys
 
-from .exact import ComplexRational, Value, coefficient_from_json, reject_unknown_keys, typed_field
+from .exact import ComplexRational, coefficient_from_json, reject_unknown_keys, typed_field
 from .jordan import ComplexPole
 from .operators import (
     CoefficientMatrix,
@@ -71,46 +71,23 @@ def _equations_json(equations) -> str:
     ) + "\n  ]"
 
 
-class RunConfig(Value):
-    """Resolved evolve settings; t_start is 0, and ComplexPole checks E_R and Gamma."""
-
-    __slots__ = ("resonance_energy", "width", "order", "operator_spec", "t_end", "steps",
-                 "output_format", "tolerance")
-
-    def __init__(self, resonance_energy: float = 0.0, width: float = 1.0, order: int = 1,
-                 operator_spec: dict | None = None, t_end: float = 5.0, steps: int = 101,
-                 output_format: str = CSV_FORMAT, tolerance: float = 1e-12):
-        for name, value in (("grid t_end", t_end), ("tolerance", tolerance)):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if steps < 2:
-            raise ValueError(f"grid needs at least 2 steps, got {steps}")
-        if output_format not in (CSV_FORMAT, JSON_FORMAT):
-            raise ValueError(f"unknown output format {output_format!r}")
-        Value.__init__(self, resonance_energy, width, order, operator_spec, t_end, steps,
-                       output_format, tolerance)
-
-    def grid(self):
-        return [self.t_end * i / (self.steps - 1) for i in range(self.steps)]
-
-
-# One row per evolve setting: (RunConfig field, config key, flag dest, JSON
-# type).  The file value is type-checked, then a given flag overrides it.
+# One row per evolve setting: (config key, flag dest, JSON type, default).  The
+# file value is type-checked, then a given flag overrides it; --n stands for
+# the binomial operator of that order.
 _SETTINGS = (
-    ("resonance_energy", "E_R", "energy", float),
-    ("width", "Gamma", "gamma", float),
-    ("order", "r", "r", int),
-    ("t_end", "grid.t_end", "t_end", float),
-    ("steps", "grid.steps", "steps", int),
-    ("output_format", "format", "format", str),
-    ("tolerance", "tol", "tol", float),
+    ("E_R", "energy", float, 0.0),
+    ("Gamma", "gamma", float, 1.0),
+    ("r", "r", int, 1),
+    ("grid.t_end", "t_end", float, 5.0),
+    ("grid.steps", "steps", int, 101),
+    ("format", "format", str, CSV_FORMAT),
+    ("tol", "tol", float, 1e-12),
+    ("operator", "n", dict, {"kind": "binomial", "n": 0, "include_prefactor": True}),
 )
 
 
-def _build_operator(pole: ComplexPole, spec):
-    if not isinstance(spec, dict):
-        raise ValueError(f"operator: expected an object, got {spec!r}")
-    kind = spec.get("kind")
+def _build_operator(pole: ComplexPole, spec: dict):
+    kind = typed_field(spec, "kind", str, "operator.kind")
     if kind == "binomial":
         reject_unknown_keys(spec, ("kind", "n", "include_prefactor"), "operator")
         n = typed_field(spec, "n", int, "operator.n")
@@ -121,15 +98,14 @@ def _build_operator(pole: ComplexPole, spec):
         entries = [("operator", {key: value for key, value in spec.items() if key != "kind"})]
     elif kind == "coefficients":
         reject_unknown_keys(spec, ("kind", "entries"), "operator")
-        if not isinstance(spec.get("entries"), list):
-            raise ValueError('operator.entries: expected a list for kind "coefficients"')
-        entries = [(f"operator.entries[{i}]", entry) for i, entry in enumerate(spec["entries"])]
+        entries = typed_field(spec, "entries", list, "operator.entries")
+        entries = [(f"operator.entries[{i}]", entry) for i, entry in enumerate(entries)]
     else:
         raise ValueError(f"operator.kind: expected binomial | dyad | coefficients, got {kind!r}")
     table = {}
     for where, entry in entries:
         if not isinstance(entry, dict):
-            raise ValueError(f"{where}: expected an object with ket, bra, coeff")
+            raise ValueError(f"{where}: expected an object, got {entry!r}")
         reject_unknown_keys(entry, ("ket", "bra", "coeff"), where)
         key = tuple(typed_field(entry, field, int, f"{where}.{field}") for field in ("ket", "bra"))
         value = coefficient_from_json(entry.get("coeff", 1), f"{where}.coeff")
@@ -145,55 +121,64 @@ def _load_json_config(path) -> dict:
     return data
 
 
-def _resolve_run_config(args) -> RunConfig:
+def _resolve_run_config(args) -> dict:
+    """The evolve settings keyed by config key: the file's value or the default, or a given flag."""
     data = _load_json_config(args.config) if args.config else {}
-    reject_unknown_keys(data, ("E_R", "Gamma", "r", "operator", "grid", "format", "tol"))
+    paths = [key.split(".") for key, _, _, _ in _SETTINGS]
+    reject_unknown_keys(data, list(dict.fromkeys(path[0] for path in paths)))
     sections = {"": data, "grid": typed_field(data, "grid", dict, "grid", {})}
-    reject_unknown_keys(sections["grid"], ("t_end", "steps"), "grid")
-    values = {}
-    for field, key, flag, kind in _SETTINGS:
-        section, _, name = key.rpartition(".")
-        if name in sections[section]:
-            values[field] = typed_field(sections[section], name, kind, key)
-        if getattr(args, flag) is not None:
-            values[field] = getattr(args, flag)
-    spec = data.get("operator")
+    reject_unknown_keys(sections["grid"], [path[1] for path in paths if path[0] == "grid"], "grid")
+    flags = dict(vars(args))
     if args.n is not None:
-        if spec is not None:
+        if "operator" in data:
             raise ValueError("give either --n or an operator in the config file, not both")
-        spec = {"kind": "binomial", "n": args.n}
-        values.setdefault("order", max(1, args.n + 1))
-    if spec is None:
-        spec = {"kind": "binomial", "n": 0, "include_prefactor": True}
-    return RunConfig(operator_spec=spec, **values)
+        flags["n"] = {"kind": "binomial", "n": args.n}
+        if args.r is None and "r" not in data:
+            flags["r"] = max(1, args.n + 1)
+    settings = {}
+    for key, flag, kind, default in _SETTINGS:
+        section, _, name = key.rpartition(".")
+        settings[key] = typed_field(sections[section], name, kind, key, default)
+        if flags[flag] is not None:
+            settings[key] = flags[flag]
+    for key, name in (("grid.t_end", "grid t_end"), ("tol", "tolerance")):
+        if not (math.isfinite(settings[key]) and settings[key] > 0):
+            raise ValueError(f"{name} must be positive and finite, got {settings[key]!r}")
+    if settings["grid.steps"] < 2:
+        raise ValueError(f"grid needs at least 2 steps, got {settings['grid.steps']}")
+    if settings["format"] not in (CSV_FORMAT, JSON_FORMAT):
+        raise ValueError(f"unknown output format {settings['format']!r}")
+    return settings
 
 
 def cmd_evolve(args) -> int:
     """Write the decay curve of an evolved operator over a uniform time grid."""
-    config = _resolve_run_config(args)
-    pole = ComplexPole(config.resonance_energy, config.width, config.order)
-    operator = _build_operator(pole, config.operator_spec)
+    settings = _resolve_run_config(args)
+    width, tolerance, spec = settings["Gamma"], settings["tol"], settings["operator"]
+    pole = ComplexPole(settings["E_R"], width, settings["r"])
+    operator = _build_operator(pole, spec)
     evolved = evolve_operator(operator)
     r = pole.order
+    t_end, steps = settings["grid.t_end"], settings["grid.steps"]
     rows = []
     try:
-        for t in config.grid():
+        for t in [t_end * i / (steps - 1) for i in range(steps)]:
             for ket in range(r):
                 for bra in range(r):
                     value = evolved.value(ket, bra, t)
                     rows.append((t, ket, bra, value.real, value.imag, abs(value)))
     except OverflowError:  # a coefficient or an entry modulus that no float holds
-        raise ValueError(f"operator coefficients beyond the float range (Gamma {config.width!r}, "
-                         f"operator {config.operator_spec!r})") from None
-    if config.output_format == CSV_FORMAT:
+        raise ValueError(f"operator coefficients beyond the float range (Gamma {width!r}, "
+                         f"operator {spec!r})") from None
+    if settings["format"] == CSV_FORMAT:
         lines = ["t,entry_l,entry_m,re,im,modulus"]
         for t, ket, bra, re, im, modulus in rows:
             lines.append(f"{_fmt(t)},{ket},{bra},{_fmt(re)},{_fmt(im)},{_fmt(modulus)}")
         _write_output("\n".join(lines) + "\n", args.out)
     else:
         payload = {
-            "pole": {"E_R": config.resonance_energy, "Gamma": config.width, "r": r},
-            "operator": config.operator_spec,
+            "pole": {"E_R": settings["E_R"], "Gamma": width, "r": r},
+            "operator": spec,
             "rows": [
                 {"t": t, "entry_l": ket, "entry_m": bra, "re": re, "im": im, "modulus": modulus}
                 for t, ket, bra, re, im, modulus in rows
@@ -208,8 +193,8 @@ def cmd_evolve(args) -> int:
         }
         # relative above modulus 1, so that a large entry does not fail on one ulp
         for t, ket, bra, _, _, modulus in rows:
-            expected = base[(ket, bra)] * math.exp(-config.width * t)
-            if abs(modulus - expected) > config.tolerance * max(1.0, base[(ket, bra)]):
+            expected = base[(ket, bra)] * math.exp(-width * t)
+            if abs(modulus - expected) > tolerance * max(1.0, base[(ket, bra)]):
                 print(
                     f"pure-exponential contract violated at t={t}, entry ({ket},{bra}): "
                     f"modulus {modulus!r} vs expected {expected!r}",

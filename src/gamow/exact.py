@@ -30,7 +30,7 @@ def as_fraction(value) -> Fraction:
 
 
 _EXPECTED = {int: "an integer", float: "a number", bool: "true or false", dict: "an object",
-             str: "a string"}
+             list: "a list", str: "a string"}
 
 
 def _finite(number) -> bool:

@@ -655,10 +655,10 @@ def decomposition_check(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestF
 # -- JSON ingestion -----------------------------------------------------------
 
 
-def _polynomial_from_json(values, where: str) -> Polynomial:
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"{where}: expected a coefficient list, got {values!r}")
-    return Polynomial([coefficient_from_json(v, f"{where}[{i}]") for i, v in enumerate(values)])
+def _coefficients_from_json(data: dict, key: str, where: str) -> list:
+    """The required list data[key] of JSON coefficients; `where` is its path."""
+    values = typed_field(data, key, list, where)
+    return [coefficient_from_json(v, f"{where}[{i}]") for i, v in enumerate(values)]
 
 
 def _rational_from_json(data, where: str, fields=("num", "den")) -> RationalFunction:
@@ -666,17 +666,22 @@ def _rational_from_json(data, where: str, fields=("num", "den")) -> RationalFunc
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected an object, got {data!r}")
     reject_unknown_keys(data, fields, where)
-    for field in fields:
-        if field not in data:
-            raise ValueError(f"{where}.{field}: missing required field")
-    return RationalFunction(_polynomial_from_json(data["num"], f"{where}.num"),
-                            _polynomial_from_json(data["den"], f"{where}.den"))
+    num, den = (Polynomial(_coefficients_from_json(data, field, f"{where}.{field}"))
+                for field in ("num", "den"))
+    try:
+        return RationalFunction(num, den)
+    except ZeroDivisionError as exc:  # an empty or all-zero den
+        raise ValueError(f"{where}.den: {exc}") from None
 
 
 def parse_test_function(data, where: str = "test_function") -> TestFunction:
     """Build a test function from {"role", "num", "den"} (ascending coefficients)."""
     function = _rational_from_json(data, where, ("role", "num", "den"))
-    return TestFunction(function, data["role"])
+    role = typed_field(data, "role", str, f"{where}.role")
+    try:
+        return TestFunction(function, role)
+    except ValueError as exc:  # a role other than "ket" or "bra"
+        raise ValueError(f"{where}.role: {exc}") from None
 
 
 def model_from_json(data):
@@ -691,22 +696,15 @@ def model_from_json(data):
     reject_unknown_keys(
         data, ("E_R", "Gamma", "r", "laurent", "background", "test_functions"), "model"
     )
-    for field in ("E_R", "Gamma", "r", "laurent", "test_functions"):
-        if field not in data:
-            raise ValueError(f"model.{field}: missing required field")
     pole = ComplexPole(typed_field(data, "E_R", float, "model.E_R"),
                        typed_field(data, "Gamma", float, "model.Gamma"),
                        typed_field(data, "r", int, "model.r"))
-    if not isinstance(data["laurent"], list):
-        raise ValueError("model.laurent: expected a list")
-    laurent = [
-        coefficient_from_json(v, f"model.laurent[{i}]") for i, v in enumerate(data["laurent"])
-    ]
+    laurent = _coefficients_from_json(data, "laurent", "model.laurent")
     background = None
     if data.get("background") is not None:
         background = _rational_from_json(data["background"], "model.background")
-    functions = data["test_functions"]
-    if not isinstance(functions, list) or len(functions) != 2:
+    functions = typed_field(data, "test_functions", list, "model.test_functions")
+    if len(functions) != 2:
         raise ValueError("model.test_functions: expected a list of exactly two entries")
     parsed = [
         parse_test_function(entry, f"model.test_functions[{i}]")

@@ -6,11 +6,13 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import time
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,35 @@ from gamow.operators import (
 )
 
 EXAMPLE_MODEL = str(files("gamow") / "data" / "residue_example.json")
+
+
+MISSING = object()  # a field the test deletes from the document
+
+
+def assert_field_refused(status, capsys, field):
+    """Exit 2, nothing on stdout, and stderr naming `field` as missing or of the wrong type."""
+    assert status == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(rf"input error: {re.escape(field)}: "
+                        r"(missing required field|expected .+, got .+)\n", err), err
+
+
+def edited(document, path, value):
+    """`document` with the field at `path` (keys and indices) set to `value`, or deleted."""
+    target = document
+    for step in path[:-1]:
+        target = target[step]
+    if value is MISSING:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return document
+
+
+def field_name(path):
+    """The path of a document field as refusals name it, e.g. .test_functions[0].role."""
+    return "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)
 
 
 def exit_status(argv):
@@ -612,13 +643,78 @@ class TestNonFiniteAndInvalidInputs:
                 {"operator": {"kind": "binomial", "n": 0, "include_prefactor": "false"}},
                 "operator.include_prefactor",
             ),
+            ({"E_R": "0"}, "E_R"),
+            ({"Gamma": [1]}, "Gamma"),
+            ({"tol": "1e-9"}, "tol"),
+            ({"format": 3}, "format"),
+            ({"grid": {"t_end": "5"}}, "grid.t_end"),
+            ({"grid": {"steps": 10.0}}, "grid.steps"),
+            ({"operator": None}, "operator"),
+            ({"operator": {"n": 0}}, "operator.kind"),
+            ({"operator": {"kind": 1}}, "operator.kind"),
+            ({"operator": {"kind": "mystery"}}, "operator.kind"),
+            ({"operator": {"kind": "binomial"}}, "operator.n"),
+            ({"operator": {"kind": "binomial", "n": "1"}}, "operator.n"),
+            ({"r": 2, "operator": {"kind": "dyad", "bra": 0}}, "operator.ket"),
+            ({"r": 2, "operator": {"kind": "dyad", "ket": 0}}, "operator.bra"),
+            ({"r": 2, "operator": {"kind": "dyad", "ket": 0, "bra": "0"}}, "operator.bra"),
+            ({"r": 2, "operator": {"kind": "dyad", "ket": 0, "bra": 0, "coeff": "1"}},
+             "operator.coeff"),
+            ({"r": 2, "operator": {"kind": "coefficients"}}, "operator.entries"),
+            ({"r": 2, "operator": {"kind": "coefficients", "entries": 3}}, "operator.entries"),
+            ({"r": 2, "operator": {"kind": "coefficients", "entries": [3]}},
+             "operator.entries[0]"),
+            ({"r": 2, "operator": {"kind": "coefficients", "entries": [{"bra": 0}]}},
+             "operator.entries[0].ket"),
         ],
     )
     def test_config_field_of_the_wrong_type(self, tmp_path, capsys, document, field):
+        """Each config field, missing where it is required or of the wrong JSON type."""
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(document))
-        assert main(["evolve", "--config", str(config_path)]) == EXIT_INPUT_ERROR
-        assert capsys.readouterr().err.startswith(f"input error: {field}: expected ")
+        assert_field_refused(main(["evolve", "--config", str(config_path)]), capsys, field)
+
+    @pytest.mark.parametrize("path, value", [
+        *((path, MISSING) for path in [
+            ("E_R",), ("Gamma",), ("r",), ("laurent",), ("background", "num"),
+            ("background", "den"), ("test_functions",), ("test_functions", 0, "role"),
+            ("test_functions", 1, "num"), ("test_functions", 1, "den"),
+        ]),
+        (("E_R",), "1.0"),
+        (("Gamma",), [0.5]),
+        (("r",), 2.0),
+        (("laurent",), {"0": 1}),
+        (("laurent", 0), "x"),
+        (("background",), [1.0]),
+        (("background", "num"), 0.05),
+        (("background", "den"), "z"),
+        (("background", "den", 1), None),
+        (("test_functions",), {"ket": {}}),
+        (("test_functions", 0), "ket"),
+        (("test_functions", 0, "role"), 1),
+        (("test_functions", 1, "num"), True),
+        (("test_functions", 1, "den"), 3),
+        (("test_functions", 1, "num", 0), [1, 2, 3]),
+    ])
+    def test_model_field_missing_or_of_the_wrong_type(self, tmp_path, capsys, path, value):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(edited(TestResidue().model_document(), path, value)))
+        status = main(["residue", "--config", str(model_path)])
+        assert_field_refused(status, capsys, "model" + field_name(path))
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("test_functions", 0, "role"), "kat", "role must be 'ket' or 'bra', got 'kat'"),
+        (("background", "den"), [], "rational function with zero denominator"),
+        (("background", "den"), [0.0, [0, 0]], "rational function with zero denominator"),
+        (("test_functions", 1, "den"), [[0.0, 0.0]], "rational function with zero denominator"),
+    ])
+    def test_a_role_or_den_of_the_right_type_but_invalid_names_its_field(
+        self, tmp_path, capsys, path, value, message
+    ):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(edited(TestResidue().model_document(), path, value)))
+        assert main(["residue", "--config", str(model_path)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == ("", f"input error: model{field_name(path)}: {message}\n")
 
     def test_zero_order_names_the_flag(self, capsys):
         assert main(["exp-check", "--r", "0"]) == EXIT_INPUT_ERROR
@@ -670,16 +766,12 @@ class TestNonFiniteAndInvalidInputs:
         ],
     )
     def test_unknown_model_key_is_named(self, tmp_path, capsys, path, key):
-        document = TestResidue().model_document()
-        target = document
-        for step in path:
-            target = target[step]
-        target[key] = [1.0]
+        document = edited(TestResidue().model_document(), (*path, key), [1.0])
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(document))
         assert main(["residue", "--config", str(model_path)]) == EXIT_INPUT_ERROR
-        where = "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)
-        assert capsys.readouterr().err.startswith(f"input error: model{where}.{key}: unknown key")
+        where = field_name((*path, key))
+        assert capsys.readouterr().err.startswith(f"input error: model{where}: unknown key")
 
     @pytest.mark.parametrize("where", ["model.background", "model.test_functions[0]"])
     @pytest.mark.parametrize("broken, message", [
@@ -742,12 +834,8 @@ class TestNonFiniteAndInvalidInputs:
             document = TestResidue().model_document()
         else:
             document = {"r": 2, "operator": {"kind": "dyad", "ket": 0, "bra": 0}}
-        target = document
-        for step in path[:-1]:
-            target = target[step]
-        target[path[-1]] = value
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(document))
+        config_path.write_text(json.dumps(edited(document, path, value)))
         assert main([command, "--config", str(config_path)]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith(f"input error: {field}: expected ")
 
@@ -968,6 +1056,18 @@ def test_each_subcommand_takes_exactly_the_flags_it_reads():
     }
     assert taken == ACCEPTED_FLAGS
     assert sum(len(flags) for flags in taken.values()) == 19
+
+
+def test_the_readme_lists_each_evolve_setting_as_the_table_declares_it():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([\w.]+)` +\| `(--[\w-]+)` +\| (\w+)[^|]*\| `([^`]+)`", readme,
+                      re.MULTILINE)
+    kinds = {float: "number", int: "integer", str: "string", dict: "object"}
+    assert rows == [
+        (key, "--" + flag.replace("_", "-"), kinds[kind],
+         default if isinstance(default, str) else json.dumps(default))
+        for key, flag, kind, default in cli._SETTINGS
+    ]
 
 
 @pytest.mark.parametrize(

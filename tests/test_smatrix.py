@@ -22,6 +22,7 @@ from contour_oracle import (
     fraction_roots_above,
     two_run_leg,
 )
+from precision_oracle import oracle_check
 from gamow import smatrix
 from gamow.exact import ComplexRational, ONE, Polynomial, RationalFunction, ZERO, binomial
 from gamow.jordan import ComplexPole
@@ -520,6 +521,31 @@ class TestContourPieces:
         assert result.value == pytest.approx(-complex(expected_re, expected_im), abs=1e-9)
 
 
+class TestPrecisionOracle:
+    """The float check against 30-digit `mpmath.quad` pieces at the edge of its reach.
+
+    The oracle's own discrepancy certifies its pieces; the product's verdict
+    at r = 14 and 15, Gamma = 1/2, is pinned, so a change of the contour or of
+    the error rule moves the reach on purpose.
+    """
+
+    def test_the_last_pass_at_half_width_agrees_with_the_oracle(self):
+        model = higher_order_model(14, Fraction(1, 2))
+        report = decomposition_check(model, HIGHER_ORDER_KET, HIGHER_ORDER_BRA)
+        oracle = oracle_check(model, HIGHER_ORDER_KET, HIGHER_ORDER_BRA)
+        assert report.passed
+        assert oracle.discrepancy < 1e-12
+        assert abs(report.direct - oracle.direct) <= report.tolerance * abs(oracle.direct)
+
+    def test_the_first_failure_at_half_width_is_a_false_failure(self):
+        # the float direct is off by the cancellation floor eps * (2/Gamma)^(r-1)
+        model = higher_order_model(15, Fraction(1, 2))
+        report = decomposition_check(model, HIGHER_ORDER_KET, HIGHER_ORDER_BRA)
+        oracle = oracle_check(model, HIGHER_ORDER_KET, HIGHER_ORDER_BRA)
+        assert not report.passed  # `residue` exits 1
+        assert oracle.discrepancy < 1e-12
+
+
 class TestScipyOracle:
     """Contour pieces against two `scipy.integrate.quad` runs per leg."""
 
@@ -899,6 +925,12 @@ class TestJsonIngestion:
         document = self.good_document()
         document["laurent"][0] = [1.0, 2.0, 3.0]
         with pytest.raises(ValueError, match=r"laurent\[0\]"):
+            model_from_json(document)
+
+    def test_coefficient_lists_are_json_lists_not_tuples(self):
+        document = self.good_document()
+        document["background"]["num"] = tuple(document["background"]["num"])
+        with pytest.raises(ValueError, match=r"^model\.background\.num: expected a list, got \("):
             model_from_json(document)
 
     def test_wavefunction_parser(self):

@@ -17,7 +17,6 @@ from evolution_oracle import evolve_operator_by_products
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gamow.cli import RunConfig
 from gamow.exact import ComplexRational, Polynomial, RationalFunction, Value
 from gamow.jordan import (
     ComplexPole,
@@ -174,7 +173,6 @@ def one_of_each_value_class():
         SMatrixModel(pole, [1, 1]),
         IntegralResult(1j, 1e-12, True),
         DecompositionReport(1j, 0.5j, 0.5j, 0.0, 1e-8, True, 2e-12, True),
-        RunConfig(),
     ]
 
 
