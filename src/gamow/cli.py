@@ -117,7 +117,7 @@ def _load_json_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
+        raise ValueError(f"config: expected an object, got {data!r}")
     return data
 
 

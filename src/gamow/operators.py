@@ -12,12 +12,13 @@ characterizes the full family of coefficient tables for which that happens,
 both by certifying the homogeneous constraint system from its structure, one
 block per total order, and by the closed-form binomial recursion.
 
-The certificate needs no elimination.  Equation (k, 0, n) has coefficient 1
-at ket order k and no term below k, so in block n every ket order k < n is a
-pivot, also in the restriction to a pole's dyad range, which only drops
-unknowns.  The block's solutions are therefore the line through C(n, k) when
-its unknown k = n survives and C(n, k) satisfies every equation of the
-block, and zero when that unknown is cut.
+The certificate needs no elimination and is made once, when a system is
+built.  Equation (k, 0, n) has coefficient 1 at ket order k and no term
+below k, so in block n every ket order k < n is a pivot, and the block's
+solutions are the line through C(n, k) when C(n, k) satisfies all of its
+equations.  A restriction to a pole's dyad range only drops unknowns, so it
+is read off that certificate: a block keeps its line where its unknown
+k = n survives and is zero where that unknown is cut.
 
 Every coefficient table is keyed by dyad (ket_order, bra_order), both below
 the table's bound.  The constraint unknowns are indexed (total order n, ket
@@ -282,17 +283,40 @@ class ConstraintSystem(Value):
 
     Every equation (l, m, n) involves only the unknowns (n, k) of its own
     total order n, so the system splits into one integer block per n, with
-    n + 1 unknowns.  No block is solved: `_solution_lines` certifies each
-    from its structure, and the solution dimension, the nullspace basis and
-    the restricted view are all read off that certificate.  A system it
-    cannot certify, such as one with an equation dropped or altered, raises
-    ArithmeticError.
+    n + 1 unknowns.  No block is solved: each is certified from its
+    structure when the system is built (every ket order k < n leads some
+    equation, and C(n, k) satisfies them all), and a system that cannot be
+    certified, such as one with an equation dropped or altered, raises
+    ArithmeticError there.  The solution dimension, the nullspace basis and
+    the restricted view are all read off that certificate by
+    `_solution_lines`, with no further pass over the equations.
     """
 
     __slots__ = ("j", "equations")
 
     def __init__(self, j: int, equations: tuple):
-        Value.__init__(self, j, tuple(equations))
+        equations = tuple(equations)
+        by_order = {}
+        for eq in equations:
+            by_order.setdefault(eq.n, []).append(eq)
+        for n in range(j + 1):
+            line = [binomial(n, k) for k in range(n + 1)]
+            leads = set()
+            for eq in by_order.get(n, ()):
+                row = {}
+                for (_, k), coeff in eq.terms:
+                    row[k] = row.get(k, 0) + coeff
+                row = {k: c for k, c in row.items() if c}
+                if row:
+                    leads.add(min(row))
+                if sum(line[k] * c for k, c in row.items()):
+                    raise ArithmeticError(
+                        f"C({n}, k) violates constraint (l={eq.l}, m={eq.m}, n={n})"
+                    )
+            unled = set(range(n)) - leads
+            if unled:
+                raise ArithmeticError(f"block n={n}: no equation leads ket orders {sorted(unled)}")
+        Value.__init__(self, j, equations)
 
     @property
     def variables(self):
@@ -310,45 +334,20 @@ class ConstraintSystem(Value):
     def _solution_lines(self, order=None) -> dict:
         """{n: [C(n, 0), ..., C(n, n)]} for each block whose solutions are that line.
 
-        Block n holds the unknowns (n, k).  With `order`, only those whose ket
-        k and bra n - k are both below `order` survive, the others held at
-        zero: the restriction to the dyad range of a pole of that order.
-        Each surviving ket order k < n must lead some equation of the block
-        (lowest surviving term at k), which makes it a pivot, so the block's
-        solutions are at most a line.  If k = n survives and C(n, k)
-        satisfies every equation of the block, the line is through C(n, k),
-        canonical with unit entry at k = n; if k = n is cut, the block's only
-        solution is zero and it has no entry.  Anything else raises
-        ArithmeticError.
+        Read off the certificate: every block of the built system is that
+        line.  With `order`, only the unknowns (n, k) whose ket k and bra
+        n - k are both below `order` survive, the others held at zero: the
+        restriction to the dyad range of a pole of that order.  It only
+        drops unknowns, so each surviving pivot's equation keeps its term at
+        the pivot and has nothing below it, and every surviving ket order
+        below n is still a pivot.  Block n keeps its line when n < order,
+        where the restriction drops none of its unknowns; otherwise k = n is
+        cut, the block's only solution is zero, and it has no entry.
         """
         if order is not None and order < 1:
             raise ValueError(f"restriction order must be >= 1, got {order}")
-        by_order = {}
-        for eq in self.equations:
-            by_order.setdefault(eq.n, []).append(eq)
-        lines = {}
-        for n in range(self.j + 1):
-            lo, hi = (0, n) if order is None else (max(0, n - order + 1), min(n, order - 1))
-            line = [binomial(n, k) for k in range(n + 1)] if hi == n else None
-            leads = set()
-            for eq in by_order.get(n, ()):
-                row = {}
-                for (_, k), coeff in eq.terms:
-                    if lo <= k <= hi:
-                        row[k] = row.get(k, 0) + coeff
-                row = {k: c for k, c in row.items() if c}
-                if row:
-                    leads.add(min(row))
-                if line and sum(line[k] * c for k, c in row.items()):
-                    raise ArithmeticError(
-                        f"C({n}, k) violates constraint (l={eq.l}, m={eq.m}, n={n})"
-                    )
-            unled = set(range(lo, min(hi, n - 1) + 1)) - leads
-            if unled:
-                raise ArithmeticError(f"block n={n}: no equation leads ket orders {sorted(unled)}")
-            if line:
-                lines[n] = line
-        return lines
+        last = self.j if order is None else min(self.j, order - 1)
+        return {n: [binomial(n, k) for k in range(n + 1)] for n in range(last + 1)}
 
     def coefficient_rows(self):
         """The flat integer coefficient matrix over `variables`, one row per equation."""
@@ -387,8 +386,8 @@ def exponentiality_constraints(j: int) -> ConstraintSystem:
     """All cancellation conditions for total order bound j.
 
     Loop order is l outer, then m, then n (with n from m+l+1 up to j), which
-    fixes the reported equation ordering.  j=0 yields the empty system.  Built
-    once per j: the system is immutable.
+    fixes the reported equation ordering.  j=0 yields the empty system.  Built,
+    and so certified, once per j: the system is immutable.
     """
     if j < 0:
         raise ValueError("order bound j must be nonnegative")
@@ -546,10 +545,10 @@ def binomial_pattern_matrix(order: int, n: int) -> CoefficientMatrix:
 
 
 def verify_restriction_equivalence(pole: ComplexPole) -> RestrictionReport:
-    """Certify the constraint system restricted to the dyad range of the pole.
+    """The constraint system restricted to the dyad range of the pole.
 
-    The certificate, block by block, gives the solutions over the r*r dyad
-    coefficients: the multiples of C(n,k) for n < r and zero for n >= r.
+    Its certificate, read block by block, gives the solutions over the r*r
+    dyad coefficients: the multiples of C(n,k) for n < r and zero for n >= r.
     Every certified line is C(n, .), so the basis is the binomial-pattern
     operators of the certified blocks, and the pattern matches when those
     blocks are exactly n = 0..r-1.

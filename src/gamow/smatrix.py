@@ -692,7 +692,7 @@ def model_from_json(data):
     test_functions holding exactly one "ket" and one "bra" entry.
     """
     if not isinstance(data, dict):
-        raise ValueError(f"model document must be a JSON object, got {type(data).__name__}")
+        raise ValueError(f"model: expected an object, got {data!r}")
     reject_unknown_keys(
         data, ("E_R", "Gamma", "r", "laurent", "background", "test_functions"), "model"
     )

@@ -793,6 +793,18 @@ class TestNonFiniteAndInvalidInputs:
         assert main(["residue", "--config", str(model_path)]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == f"input error: {where}{message}\n"
 
+    @pytest.mark.parametrize("command, where", [("evolve", "config"), ("residue", "model")])
+    @pytest.mark.parametrize("document", [[1], "model"])
+    def test_a_document_that_is_not_an_object_is_refused_naming_its_path(
+        self, tmp_path, capsys, command, where, document
+    ):
+        path = tmp_path / "document.json"
+        path.write_text(json.dumps(document))
+        assert main([command, "--config", str(path)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == (
+            "", f"input error: {where}: expected an object, got {document!r}\n"
+        )
+
     @pytest.mark.parametrize(
         "command, path, value, field",
         [

@@ -2,11 +2,12 @@
 
 The constraint system is not solved: each total-order block is certified
 from its structure (every ket order below n leads some equation, and
-C(n, k) satisfies them all), and a system that cannot be certified raises.
-The flat Gaussian-rational `nullspace` over all unknowns, and sympy's
-`Matrix.nullspace`, are independent oracles: a certified system must have
-their dimension and their canonical vectors (unit at each free unknown, zero
-at the others, ascending column order).
+C(n, k) satisfies them all) when the system is built, and a system that
+cannot be certified raises there.  The flat Gaussian-rational `nullspace`
+over all unknowns, and sympy's `Matrix.nullspace`, are independent oracles:
+a certified system must have their dimension and their canonical vectors
+(unit at each free unknown, zero at the others, ascending column order),
+also restricted to the unknowns that survive a pole order.
 """
 
 from fractions import Fraction
@@ -36,16 +37,15 @@ def block_vectors(system):
             for m in system.nullspace_basis()]
 
 
-def flat_restricted_nullspace(r):
-    """The restricted system as one flat matrix over the r*r dyads, (ket, bra) order."""
-    system = exponentiality_constraints(2 * (r - 1))
-    keys = [(k, m) for k in range(r) for m in range(r)]
+def flat_restricted_nullspace(system, r):
+    """The system restricted to order r as one flat matrix over its dyads, (ket, bra) order."""
+    keys = [(k, m) for k in range(r) for m in range(r) if k + m <= system.j]
     index = {key: i for i, key in enumerate(keys)}
     rows = []
     for eq in system.equations:
         row = [0] * len(keys)
         for (n, k), coeff in eq.terms:
-            if k < r and n - k < r:
+            if (k, n - k) in index:
                 row[index[(k, n - k)]] += coeff
         rows.append(row)
     return keys, nullspace(rows, len(keys))
@@ -57,23 +57,21 @@ def sympy_nullspace(rows, num_columns):
 
 
 def altered(system, index, position, delta):
-    """The system with one coefficient of equation `index` changed by `delta`."""
+    """The equations of `system` with one coefficient of equation `index` changed by `delta`."""
     eq = system.equations[index]
     terms = list(eq.terms)
     variable, coeff = terms[position]
     terms[position] = (variable, coeff + delta)
     equations = list(system.equations)
     equations[index] = ConstraintEquation(eq.l, eq.m, eq.n, terms)
-    return ConstraintSystem(system.j, equations)
+    return equations
 
 
-def assert_refused(system):
-    with pytest.raises(ArithmeticError):
-        system.solution_dimension
-    with pytest.raises(ArithmeticError):
-        system.nullspace_basis()
-    with pytest.raises(ArithmeticError):
-        binomial_family_matches_nullspace(system, solve_binomial_recursion(system.j))
+def assert_refused(j, equations, message):
+    """Building the system raises ArithmeticError with exactly `message`."""
+    with pytest.raises(ArithmeticError) as refusal:
+        ConstraintSystem(j, equations)
+    assert str(refusal.value) == message
 
 
 class TestFlatOracle:
@@ -86,7 +84,7 @@ class TestFlatOracle:
 
     @pytest.mark.parametrize("r", range(1, 6))
     def test_restricted_basis_matches_flat_nullspace(self, r):
-        keys, flat = flat_restricted_nullspace(r)
+        keys, flat = flat_restricted_nullspace(exponentiality_constraints(2 * (r - 1)), r)
         report = verify_restriction_equivalence(ComplexPole(0, 1, r))
         assert report.solution_dimension == len(flat) == r
         assert [tuple(m.entry(key) for key in keys) for m in report.basis] == flat
@@ -102,17 +100,38 @@ class TestFlatOracle:
         full = exponentiality_constraints(j)
         keep = data.draw(st.lists(st.booleans(), min_size=full.equation_count,
                                   max_size=full.equation_count))
-        system = ConstraintSystem(j, [
-            eq for eq, kept in zip(full.equations, keep) if kept or (keep_units and eq.m == 0)
-        ])
-        flat = nullspace(system.coefficient_rows(), system.variable_count)
         try:
-            dimension = system.solution_dimension
+            system = ConstraintSystem(j, [
+                eq for eq, kept in zip(full.equations, keep) if kept or (keep_units and eq.m == 0)
+            ])
         except ArithmeticError:
             return  # refused, which is sound whatever the flat dimension
-        assert dimension == len(flat) == j + 1
+        flat = nullspace(system.coefficient_rows(), system.variable_count)
+        assert system.solution_dimension == len(flat) == j + 1
         assert block_vectors(system) == flat
         assert binomial_family_matches_nullspace(system, solve_binomial_recursion(j))
+
+    @ORACLE_SETTINGS
+    @given(j=st.integers(0, 5), data=st.data())
+    def test_restriction_read_off_the_certificate_is_the_flat_restricted_nullspace(self, j, data):
+        """Each restriction of a certified partial system agrees with the flat oracle.
+
+        Every equation (l, m, n) leads ket order l, so keeping a nonempty
+        subset of each group (l, n) draws a system that certifies.  For each
+        order the oracle is `flat_restricted_nullspace`: the nullspace of its
+        rows over the dyads that survive that order.
+        """
+        groups = {}
+        for eq in exponentiality_constraints(j).equations:
+            groups.setdefault((eq.l, eq.n), []).append(eq)
+        kept = [eq for group in groups.values()
+                for eq in data.draw(st.lists(st.sampled_from(group), min_size=1, unique=True))]
+        system = ConstraintSystem(j, kept)
+        for order in range(1, j + 2):
+            keys, flat = flat_restricted_nullspace(system, order)
+            lines = system._solution_lines(order)
+            assert [tuple(line[k] if k + m == n else 0 for k, m in keys)
+                    for n, line in lines.items()] == flat, f"order {order}"
 
     @pytest.mark.parametrize("j", range(1, 6))
     def test_unit_rows_alone_certify_the_same_nullspace(self, j):
@@ -134,22 +153,23 @@ class TestRefusal:
     def test_one_altered_coefficient_is_refused(self, lmn, position, delta):
         system = exponentiality_constraints(4)
         index = [(eq.l, eq.m, eq.n) for eq in system.equations].index(lmn)
-        assert_refused(altered(system, index, position, delta))
+        l, m, n = lmn
+        assert_refused(4, altered(system, index, position, delta),
+                       f"C({n}, k) violates constraint (l={l}, m={m}, n={n})")
 
     def test_a_missing_leading_row_is_refused(self):
         full = exponentiality_constraints(3)
-        system = ConstraintSystem(3, [eq for eq in full.equations
-                                      if (eq.l, eq.m, eq.n) != (2, 0, 3)])
         with pytest.raises(ArithmeticError, match="leads ket orders \\[2\\]"):
-            system.solution_dimension
+            ConstraintSystem(3, [eq for eq in full.equations if (eq.l, eq.m, eq.n) != (2, 0, 3)])
 
     def test_a_missing_leading_row_of_a_cut_block_is_refused(self):
-        """At order 3 block 3 keeps ket orders 1 and 2; only (2, 0, 3) leads 2."""
+        """Block 3 is cut at order 3 but keeps ket order 2 there; only (2, 0, 3) leads 2.
+
+        The system is refused when it is built, before any restriction is read.
+        """
         full = exponentiality_constraints(4)
-        system = ConstraintSystem(4, [eq for eq in full.equations
-                                      if (eq.l, eq.m, eq.n) != (2, 0, 3)])
         with pytest.raises(ArithmeticError, match="n=3"):
-            system._solution_lines(order=3)
+            ConstraintSystem(4, [eq for eq in full.equations if (eq.l, eq.m, eq.n) != (2, 0, 3)])
 
 
 class TestSympyOracle:
