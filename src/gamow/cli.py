@@ -1,19 +1,24 @@
 """Command-line front end: decay curves, theorem checks, residue reports.
 
-Exit codes: 0 all checks passed, 1 verification failure, 2 input error.
-Output is deterministic: fixed orderings and 17-significant-digit floats, so
-identical configs produce byte-identical files.
+Exit codes: 0 all checks passed, 1 verification failure, 2 input or I/O
+error.  An `--out` that cannot be opened is refused before the work, and a
+write that fails exits 2 with one stderr line; a failed run leaves a new
+`--out` empty and an existing one untouched.  Output is deterministic: fixed
+orderings and 17-significant-digit floats, so identical configs produce
+byte-identical files.  Coefficients are exact integers, written as floats
+wherever a float holds them.
 """
 
 import argparse
-import errno
+import contextlib
 import functools
 import json
 import math
-import os
 import sys
 
-from .exact import ComplexRational, coefficient_from_json, reject_unknown_keys, typed_field
+from .exact import (
+    ComplexRational, coefficient_from_json, json_number, reject_unknown_keys, typed_field,
+)
 from .jordan import ComplexPole
 from .operators import (
     CoefficientMatrix,
@@ -37,16 +42,24 @@ CSV_FORMAT = "csv"
 JSON_FORMAT = "json"
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+def _fmt(value) -> str:
+    """A float in 17 significant digits; an int, as `json_number` leaves one, exactly."""
+    return str(value) if isinstance(value, int) else format(float(value), ".17g")
 
 
 def _write_output(text: str, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
-    else:
+        return
+    try:  # flushed, so that a failed write fails here, inside main
+        if sys.stdout is None:  # started with stream 1 closed
+            raise OSError("Bad file descriptor")
         sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        sys.stdout = None  # and what it still holds is dropped, not written again at exit
+        raise
 
 
 def _dump_json(payload) -> str:
@@ -65,7 +78,7 @@ def _equations_json(equations) -> str:
             '          "k": %d,\n          "n": %d\n        }')
     return "[\n" + ",\n".join(
         f'    {{\n      "l": {eq.l},\n      "m": {eq.m},\n      "n": {eq.n},\n      "terms": [\n'
-        + ",\n".join(term % (float(c), k, n) for (n, k), c in eq.terms)
+        + ",\n".join(term % (json_number(c), k, n) for (n, k), c in eq.terms)
         + "\n      ]\n    }"
         for eq in equations
     ) + "\n  ]"
@@ -265,8 +278,9 @@ def cmd_basis(args) -> int:
         lines = ["n,ket,bra,re,im"]
         for n, member in enumerate(members):
             for (ket, bra), value in member.items():
-                value = complex(value)
-                lines.append(f"{n},{ket},{bra},{_fmt(value.real)},{_fmt(value.imag)}")
+                re, im, den = value.triple
+                lines.append(f"{n},{ket},{bra},{_fmt(json_number(re, den))},"
+                             f"{_fmt(json_number(im, den))}")
         _write_output("\n".join(lines) + "\n", args.out)
     else:
         payload = [
@@ -324,26 +338,19 @@ def main(argv=None) -> int:
     # looked up per call, so that a patched cmd_* function is the one that runs
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        if args.out:  # what opening --out would refuse after the work is refused before it
-            try:  # "PARENT/." fails as that open does, for a missing parent or one not a directory
-                os.stat(os.path.join(os.path.dirname(args.out), os.curdir))
-            except OSError as exc:
-                if exc.errno in (errno.ENOENT, errno.ENOTDIR):  # EACCES is left to the open
-                    raise OSError(exc.errno, exc.strerror, args.out) from None
-            # isdir only where OUT exists: its OSError on a new OUT costs a fresh process 0.7 MB
-            if os.access(args.out, os.F_OK) and os.path.isdir(args.out):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
-        return handler(args)
+        # Appending, this open refuses what the late "w" open would, truncating no --config.
+        # Held, it keeps a FIFO's reader until that open.
+        with open(args.out, "ab") if args.out else contextlib.nullcontext():
+            return handler(args)
     except json.JSONDecodeError as exc:
         print(
             f"invalid JSON in {args.config}: line {exc.lineno}, column {exc.colno}: {exc.msg}",
             file=sys.stderr,
         )
         return EXIT_INPUT_ERROR
-    except OSError as exc:
-        if exc.filename is None:  # not the --config or --out file, e.g. a closed stdout
-            raise
-        print(f"cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:  # with no file name, a failed write: a full device, a broken pipe
+        failed = f"open {exc.filename}" if exc.filename else f"write {args.out or 'stdout'}"
+        print(f"cannot {failed}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (ValueError, ZeroDivisionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

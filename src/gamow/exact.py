@@ -41,6 +41,24 @@ def _finite(number) -> bool:
         return False
 
 
+def json_number(numerator: int, denominator: int = 1):
+    """numerator/denominator as a JSON number: the float equal to it, else the exact integer.
+
+    An integer that no float holds, past 2**53 or past the float range, stays
+    an int, which JSON writes digit for digit; a non-integer rounds to the
+    nearest float, as int true division rounds it.
+    """
+    if denominator != 1:
+        if numerator % denominator:
+            return numerator / denominator
+        numerator //= denominator
+    try:
+        number = float(numerator)
+    except OverflowError:
+        return numerator
+    return number if number == numerator else numerator
+
+
 def typed_field(data: dict, key: str, kind, where: str, default=None):
     """data[key], or `default` when absent, checked to be a JSON value of `kind`.
 

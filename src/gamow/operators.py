@@ -39,6 +39,7 @@ from .exact import (
     Value,
     ZERO,
     binomial,
+    json_number,
     matrix_rank,
 )
 from .jordan import ComplexPole
@@ -73,8 +74,8 @@ class CoefficientMatrix(Value):
     def to_json_entries(self):
         """The nonzero entries as {"ket", "bra", "coeff": [re, im]} objects, in key order."""
         return [
-            {"ket": ket, "bra": bra, "coeff": [c.real, c.imag]}
-            for (ket, bra), v in self.items() for c in (complex(v),)
+            {"ket": ket, "bra": bra, "coeff": [json_number(re, den), json_number(im, den)]}
+            for (ket, bra), v in self.items() for re, im, den in (v.triple,)
         ]
 
 
@@ -273,7 +274,7 @@ class ConstraintEquation(Value):
             "m": self.m,
             "n": self.n,
             "terms": [
-                {"n": v[0], "k": v[1], "coeff": [float(c), 0.0]} for v, c in self.terms
+                {"n": v[0], "k": v[1], "coeff": [json_number(c), 0.0]} for v, c in self.terms
             ],
         }
 
@@ -381,13 +382,14 @@ class ConstraintSystem(Value):
         }
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def exponentiality_constraints(j: int) -> ConstraintSystem:
     """All cancellation conditions for total order bound j.
 
     Loop order is l outer, then m, then n (with n from m+l+1 up to j), which
-    fixes the reported equation ordering.  j=0 yields the empty system.  Built,
-    and so certified, once per j: the system is immutable.
+    fixes the reported equation ordering.  j=0 yields the empty system.  The
+    last system built, and so certified, is kept: `exp-check --r` asks for
+    the same j twice, and a large j's equations are not held past the next.
     """
     if j < 0:
         raise ValueError("order bound j must be nonnegative")

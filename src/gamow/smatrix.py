@@ -76,6 +76,9 @@ def _roots_above(polynomial: Polynomial, height) -> bool:
     sign changes of the Sturm chain of (P, Q) at -inf and +inf.  A common
     factor of P and Q, from a root on the line or a conjugate pair of
     roots, drops out of the index, so the index then stays above -n.
+    The factor conj(lead) gives P the top coefficient |lead|^2, so P has
+    degree n as that argument needs; without it an imaginary lead leaves
+    P of lower degree, a case the argument does not cover.
 
     The chain is kept in integers: P and Q are scaled by their common
     denominator, each division step multiplies the remainder by the
@@ -126,11 +129,11 @@ def _require_upper_half_plane_roots(function: RationalFunction, what: str):
     so is a numerator of higher degree than the denominator.
     """
     numerator, denominator = function.numerator, function.denominator
-    height = _ROOT_MARGIN * 2 ** _modulus_exponent(denominator.coefficients)
-    if not _roots_above(denominator, height):
-        raise ValueError(
+    exponent = _modulus_exponent(denominator.coefficients)
+    if not _roots_above(denominator, _ROOT_MARGIN * 2**exponent):
+        raise ValueError(  # the height from its exponent: as a float it may overflow
             f"{what} must be analytic in the closed lower half-plane; a denominator root "
-            f"is not above the real axis by more than {float(height):.3g}"
+            f"is not above the real axis by more than {float(_ROOT_MARGIN):.3g} * 2^{exponent}"
         )
     if numerator.degree > denominator.degree:
         raise ValueError(f"{what} must be bounded at infinity: numerator degree "

@@ -10,7 +10,9 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import time
+from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 import gamow
 from gamow import cli, operators
 from gamow.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFICATION_FAILURE, _build_parser, main
-from gamow.exact import ComplexRational
+from gamow.exact import ComplexRational, binomial
 from gamow.jordan import ComplexPole
 from gamow.operators import (
     CoefficientMatrix,
@@ -331,6 +333,16 @@ class TestExpCheck:
         assert len(built) == 56
         assert len({args[:3] for args in built}) == 56  # distinct (l, m, n)
 
+    def test_a_coefficient_past_2_to_53_is_written_exactly(self):
+        """Term k = 0 of equation (0, 24, 58) is C(58, 24), which no float holds."""
+        coefficient = binomial(58, 24)
+        assert float(coefficient) != coefficient
+        equation = operators.ConstraintEquation(0, 24, 58, [((58, 0), coefficient), ((58, 1), -58)])
+        written = json.loads(cli._equations_json([equation]))
+        assert written == [equation.to_json_dict()]
+        assert [term["coeff"] for term in written[0]["terms"]] == [[coefficient, 0.0], [-58.0, 0.0]]
+        assert [type(term["coeff"][0]) for term in written[0]["terms"]] == [int, float]
+
     def test_family_mismatch_fails_verification(self, tmp_path, capsys, monkeypatch):
         def mismatch(system, family):
             raise ArithmeticError("member 1 is not in the nullspace")
@@ -386,6 +398,19 @@ class TestResidue:
         assert payload["passed"] is True
         assert payload["tolerance"] == 1e-8
         assert payload["discrepancy"] < 1e-8
+
+    def test_a_refusal_past_the_float_range_stays_an_input_error(self, tmp_path, capsys):
+        """A ket lead of 1e-320 puts the root bound, and the refusal's height, past 2**1024."""
+        document = self.model_document()
+        document["test_functions"][0]["den"][-1] = [1e-320, 0.0]
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(document))
+        assert main(["residue", "--config", str(model_path)]) == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"input error: model\.test_functions\[0\]\.role: test function must "
+                            r"be analytic in the closed lower half-plane; a denominator root is "
+                            r"not above the real axis by more than 1e-09 \* 2\^\d+\n", err), err
 
     def test_impossible_tolerance_fails_cleanly(self, tmp_path):
         model_path = tmp_path / "model.json"
@@ -546,7 +571,7 @@ class TestUnreadablePaths:
     """A --config that cannot be read or an --out that cannot be written is an input error.
 
     Each exits 2 with one message naming the path and the reason, not a traceback.
-    A permission case is left out: the tests may run as root, who can open any file.
+    The permission case is skipped where the tests run as root, who can open any file.
     """
 
     @pytest.mark.parametrize(
@@ -594,14 +619,126 @@ class TestUnreadablePaths:
         assert capsys.readouterr() == ("", f"cannot open {out}: {reason}\n")
         assert sorted(os.listdir(tmp_path)) == ["file"] and existing.read_text() == "kept"
 
-    def test_an_error_with_no_file_name_is_not_an_input_error(self, monkeypatch):
+    def test_a_broken_pipe_is_a_failed_write(self, monkeypatch, capsys):
         class ClosedPipe:
             def write(self, text):
                 raise BrokenPipeError(32, "Broken pipe")
 
         monkeypatch.setattr(sys, "stdout", ClosedPipe())
-        with pytest.raises(BrokenPipeError):
-            main(["basis", "--r", "2"])
+        assert main(["basis", "--r", "2"]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "cannot write stdout: Broken pipe\n"
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                        reason="root opens any file")
+    @pytest.mark.parametrize("command", ["evolve", "exp-check", "residue", "basis"])
+    def test_a_permission_denied_out_is_refused_before_the_work(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def handler(args):
+            raise AssertionError(f"{command} ran although --out {args.out} cannot be written")
+
+        monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), handler)
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        locked.chmod(0o555)
+        try:
+            out = str(locked / "out.json")
+            assert main([command, *REQUIRED_ARGS[command], "--out", out]) == EXIT_INPUT_ERROR
+            assert capsys.readouterr() == ("", f"cannot open {out}: Permission denied\n")
+            assert os.listdir(locked) == []
+        finally:
+            locked.chmod(0o755)
+
+
+def checkout_env(**changes):
+    """The environment of a fresh interpreter that imports this checkout's gamow."""
+    search_path = [os.path.dirname(os.path.dirname(gamow.__file__))]
+    if os.environ.get("PYTHONPATH"):
+        search_path.append(os.environ["PYTHONPATH"])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(search_path), **changes)
+
+
+def run_cli(argv, buffered=True, **streams):
+    """`python -m gamow.cli ARGV` in a fresh interpreter, so that its exit flush runs too."""
+    env = checkout_env(PYTHONUNBUFFERED="" if buffered else "1")
+    return subprocess.Popen([sys.executable, "-m", "gamow.cli", *argv], env=env, text=True,
+                            stderr=subprocess.PIPE, **streams)
+
+
+class TestFailedWrites:
+    """A write that fails after the work exits 2 with one stderr line, never a traceback.
+
+    What a failed run leaves: a new --out stays empty, an existing one as it was.
+    """
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("command", ["evolve", "exp-check", "residue", "basis"])
+    def test_an_out_on_a_full_device(self, capsys, command):
+        assert main([command, *REQUIRED_ARGS[command], "--out", "/dev/full"]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == ("", "cannot write /dev/full: No space left on device\n")
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("stdout, reason", [
+        ("/dev/full", "No space left on device"),
+        (None, "Bad file descriptor"),  # stream 1 closed
+        (subprocess.PIPE, "Broken pipe"),  # its reader gone before the write
+    ], ids=["full-device", "closed", "broken-pipe"])
+    def test_stdout_that_cannot_be_written(self, stdout, reason, buffered):
+        if stdout == "/dev/full" and not os.path.exists(stdout):
+            pytest.skip("no /dev/full")
+        sink = open(stdout, "w") if stdout == "/dev/full" else None
+        streams = {"stdout": sink or stdout} if stdout else {"preexec_fn": lambda: os.close(1)}
+        with run_cli(["basis", "--r", "2"], buffered, **streams) as process:
+            if stdout is subprocess.PIPE:
+                process.stdout.close()
+            err = process.stderr.read()
+        if sink:
+            sink.close()
+        assert (process.returncode, err) == (EXIT_INPUT_ERROR, f"cannot write stdout: {reason}\n")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_named_pipe_out_receives_the_whole_output(self, tmp_path):
+        """The held check keeps the reader attached until the real write."""
+        expected = tmp_path / "basis.json"
+        assert main(["basis", "--r", "2", "--out", str(expected)]) == EXIT_OK
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        with run_cli(["basis", "--r", "2", "--out", str(fifo)]) as process:
+            try:
+                assert process.wait(timeout=60) == EXIT_OK
+            finally:
+                process.kill()  # had the reader gone, the late open would wait for another
+        reader.join(timeout=60)
+        assert received == [expected.read_bytes()]
+
+    @pytest.mark.parametrize("command, document", [
+        ("evolve", '{"r": 0.5}'),
+        ("residue", '{"E_R": 1.0}'),
+        ("evolve", '{"r": '),
+    ], ids=["evolve", "residue", "invalid-json"])
+    def test_a_bad_config_that_is_also_the_out_is_left_unchanged(
+        self, tmp_path, capsys, command, document
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(document)
+        assert main([command, "--config", str(config), "--out", str(config)]) == EXIT_INPUT_ERROR
+        assert config.read_text() == document
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("existing", [None, "kept"], ids=["new", "existing"])
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--t-end", "nan"],
+        ["exp-check", "--r", "0"],
+    ])
+    def test_a_failed_run_leaves_the_out_as_it_was(self, tmp_path, argv, existing):
+        out = tmp_path / "out"
+        if existing is not None:
+            out.write_text(existing)
+        assert main([*argv, "--out", str(out)]) == EXIT_INPUT_ERROR
+        assert out.read_text() == (existing or "")
 
 
 class TestNonFiniteAndInvalidInputs:
@@ -912,12 +1049,9 @@ class TestNonFiniteAndInvalidInputs:
 
 def run_python(code):
     """Run `code` in a fresh interpreter that imports this checkout's gamow."""
-    search_path = [os.path.dirname(os.path.dirname(gamow.__file__))]
-    if os.environ.get("PYTHONPATH"):
-        search_path.append(os.environ["PYTHONPATH"])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(search_path))
     return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=checkout_env(),
     )
 
 
@@ -1023,6 +1157,20 @@ class TestBasis:
 
     def test_missing_order_rejected(self):
         assert exit_status(["basis"]) == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_every_entry_is_its_binomial_exactly_past_2_to_53(self, tmp_path, fmt):
+        """At r = 58, C(57, 25) and C(57, 32) have no float; they are written as integers."""
+        out = tmp_path / f"basis.{fmt}"
+        assert main(["basis", "--r", "58", "--format", fmt, "--out", str(out)]) == EXIT_OK
+        if fmt == "json":
+            entries = [(member["n"], entry["ket"], entry["bra"], *entry["coeff"])
+                       for member in json.loads(out.read_text()) for entry in member["entries"]]
+        else:
+            rows = out.read_text().splitlines()[1:]
+            entries = [(int(n), int(ket), int(bra), Fraction(re), Fraction(im))
+                       for n, ket, bra, re, im in (row.split(",") for row in rows)]
+        assert entries == [(n, k, n - k, binomial(n, k), 0) for n in range(58) for k in range(n + 1)]
 
 
 def test_unknown_command_exits_with_usage_error():

@@ -1,6 +1,7 @@
 """Tests for the exact arithmetic core."""
 
 import copy
+import json
 import math
 import operator
 import pickle
@@ -20,6 +21,7 @@ from gamow.exact import (
     RationalFunction,
     ZERO,
     binomial,
+    json_number,
     matrix_rank,
     nullspace,
     rref,
@@ -362,3 +364,31 @@ def test_binomial():
     assert binomial(0, 0) == 1
     assert binomial(3, 5) == 0
     assert binomial(3, -1) == 0
+
+
+class TestJsonNumber:
+    """An exact value is written as the float equal to it, else as the exact integer."""
+
+    @pytest.mark.parametrize("parts", [(0,), (1,), (-7,), (2**53,), (-(2**53),), (2**60,),
+                                       (2**1023,), (1, 2), (-6, 2), (2**54, 1)])
+    def test_a_float_where_one_equals_the_value(self, parts):
+        number = json_number(*parts)
+        assert type(number) is float and number == Fraction(*parts)
+
+    @pytest.mark.parametrize("parts", [(2**53 + 1,), (-(2**53 + 1),), (binomial(57, 25),),
+                                       (2**1024,), (-(10**400),), (2 * (2**53 + 1), 2)])
+    def test_an_integer_that_no_float_holds_stays_exact(self, parts):
+        number = json_number(*parts)
+        assert type(number) is int and number == Fraction(*parts)
+        assert json.loads(json.dumps(number)) == number
+
+    @pytest.mark.parametrize("parts", [(1, 3), (2**60 + 1, 2), (-5, 2), (2 * 10**400 + 1, 10**400)])
+    def test_a_value_that_is_not_an_integer_rounds_as_float_does(self, parts):
+        number = json_number(*parts)
+        assert type(number) is float and number == float(Fraction(*parts))
+
+    @given(st.integers(-(2**1100), 2**1100) | st.integers(-(2**60), 2**60))
+    def test_every_integer_reads_back_as_itself(self, value):
+        number = json_number(value)
+        assert json.loads(json.dumps(number)) == value
+        assert type(number) is float or abs(value) > 2**53

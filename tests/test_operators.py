@@ -291,6 +291,14 @@ class TestExponentialityConstraints:
     def test_solution_dimension_is_bound_plus_one(self, j):
         assert exponentiality_constraints(j).solution_dimension == j + 1
 
+    def test_only_the_last_system_built_is_kept(self):
+        exponentiality_constraints.cache_clear()
+        system = exponentiality_constraints(3)
+        assert exponentiality_constraints(3) is system
+        exponentiality_constraints(4)
+        assert exponentiality_constraints(3) is not system
+        assert exponentiality_constraints(3) == system
+
     def test_json_schema(self):
         payload = exponentiality_constraints(1).to_json_dict()
         assert set(payload) == {"j", "equations", "solution_dimension"}

@@ -245,6 +245,24 @@ class TestExactRootTest:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
+        st.lists(st.builds(ComplexRational, st.integers(-8, 8).map(lambda n: Fraction(n, 2)),
+                           st.sampled_from([-2, -1, Fraction(-1, 2), Fraction(1, 2), 1, 2])),
+                 min_size=1, max_size=6),
+        st.sampled_from([cr(0, 1), cr(0, -1), cr(1, 1), cr(-1, 1), cr(3, -3)])
+        | st.builds(ComplexRational, st.integers(-9, 9), st.integers(-9, 9).filter(bool)),
+        st.sampled_from([0, Fraction(1, 4)]),
+    )
+    def test_agrees_with_np_roots_for_a_lead_that_is_not_real(self, roots, lead, height):
+        """Leads on the axes and the diagonals, and any Gaussian integer off the real axis.
+
+        Roots are at least 1/4 above or below each tested height.
+        """
+        polynomial = with_roots([1], roots).denominator * lead
+        numeric = np.roots([complex(c) for c in reversed(polynomial.coefficients)])
+        assert smatrix._roots_above(polynomial, height) == all(numeric.imag > 0.375)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
         st.lists(
             st.tuples(
                 st.floats(-1e6, 1e6, allow_nan=False),  # real part
