@@ -14,6 +14,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 
 from .exact import (
@@ -47,41 +48,42 @@ def _fmt(value) -> str:
     return str(value) if isinstance(value, int) else format(float(value), ".17g")
 
 
-def _write_output(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        return
-    try:  # flushed, so that a failed write fails here, inside main
-        if sys.stdout is None:  # started with stream 1 closed
-            raise OSError("Bad file descriptor")
-        sys.stdout.write(text)
-        sys.stdout.flush()
+def _write_output(out, *pieces: str):
+    """Write the pieces through `out`, the --out handle `main` holds, or else to stdout.
+
+    An --out that held bytes is emptied first.  Each piece is encoded on its
+    own, so no second full-size copy of the output is made, and a write
+    that takes part of a piece, as an unbuffered stdout's may, is repeated
+    for the rest: every byte is written, or OSError raises.
+    """
+    to_stdout = out is None
+    try:
+        if to_stdout:
+            if sys.stdout is None:  # started with stream 1 closed
+                raise OSError("Bad file descriptor")
+            out = getattr(sys.stdout, "buffer", None)
+            if out is None:  # a text stream, such as a redirect in a library call
+                for piece in pieces:
+                    sys.stdout.write(piece)
+                sys.stdout.flush()
+                return
+            sys.stdout.flush()  # what the text layer holds goes first
+        elif os.fstat(out.fileno()).st_size:
+            out.truncate(0)
+        for piece in pieces:
+            data = memoryview(piece.encode())
+            while data:
+                data = data[out.write(data):]
+        out.flush()  # so that a failed write fails here, inside main
     except OSError:
-        sys.stdout = None  # and what it still holds is dropped, not written again at exit
+        if to_stdout:
+            sys.stdout = None  # what it still holds is dropped, not written again at exit
         raise
 
 
 def _dump_json(payload) -> str:
     """Strict JSON: a NaN or infinity raises ValueError instead of writing a non-JSON token."""
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def _equations_json(equations) -> str:
-    """exp-check's "equations" list in the bytes `_dump_json` writes for a top-level value.
-
-    Written straight from the ConstraintEquations; `ConstraintSystem.to_json_dict` is its oracle.
-    """
-    if not equations:
-        return "[]"
-    term = ('        {\n          "coeff": [\n            %r,\n            0.0\n          ],\n'
-            '          "k": %d,\n          "n": %d\n        }')
-    return "[\n" + ",\n".join(
-        f'    {{\n      "l": {eq.l},\n      "m": {eq.m},\n      "n": {eq.n},\n      "terms": [\n'
-        + ",\n".join(term % (json_number(c), k, n) for (n, k), c in eq.terms)
-        + "\n      ]\n    }"
-        for eq in equations
-    ) + "\n  ]"
 
 
 # One row per evolve setting: (config key, flag dest, JSON type, default).  The
@@ -187,7 +189,7 @@ def cmd_evolve(args) -> int:
         lines = ["t,entry_l,entry_m,re,im,modulus"]
         for t, ket, bra, re, im, modulus in rows:
             lines.append(f"{_fmt(t)},{ket},{bra},{_fmt(re)},{_fmt(im)},{_fmt(modulus)}")
-        _write_output("\n".join(lines) + "\n", args.out)
+        _write_output(args.out, "\n".join(lines), "\n")
     else:
         payload = {
             "pole": {"E_R": settings["E_R"], "Gamma": width, "r": r},
@@ -197,7 +199,7 @@ def cmd_evolve(args) -> int:
                 for t, ket, bra, re, im, modulus in rows
             ],
         }
-        _write_output(_dump_json(payload), args.out)
+        _write_output(args.out, _dump_json(payload))
     if is_pure_exponential(evolved):
         base = {
             (ket, bra): abs(evolved.value(ket, bra, 0.0))
@@ -232,14 +234,14 @@ def cmd_exp_check(args) -> int:
         print(f"closed-form verification failed: {exc}", file=sys.stderr)
         family_matches = False
     dimension = system.solution_dimension
-    # the equation list, most of the bytes, is spliced in by its own writer below
+    # the equation list, most of the bytes, is written in the pieces the pass made
     payload = {"j": j, "equations": None, "solution_dimension": dimension}
     payload["expected_dimension"] = j + 1
     payload["binomial_family_matches"] = family_matches
     passed = dimension == j + 1 and family_matches
     if r is not None:
         pole = ComplexPole(0, 1, r)  # the characterization does not depend on E_R or Gamma
-        report = verify_restriction_equivalence(pole)
+        report = verify_restriction_equivalence(pole, system)
         forward_ok = True
         try:
             exponential_subspace_basis(pole)  # checks each member evolves purely exponentially
@@ -250,9 +252,8 @@ def cmd_exp_check(args) -> int:
         payload["forward_pure_exponential"] = forward_ok
         passed = passed and report.passed and forward_ok
     payload["passed"] = passed
-    equations = '"equations": ' + _equations_json(system.equations)
-    text = _dump_json(payload).replace('"equations": null', equations, 1)
-    _write_output(text, args.out)
+    head, _, tail = _dump_json(payload).partition("null")  # the one null: the equations' place
+    _write_output(args.out, head, *system.equations_json, tail)
     return EXIT_OK if passed else EXIT_VERIFICATION_FAILURE
 
 
@@ -261,7 +262,7 @@ def cmd_residue(args) -> int:
     model, ket_fn, bra_fn = load_model_file(args.config)
     tolerance = {} if args.tol is None else {"tolerance": args.tol}
     report = decomposition_check(model, ket_fn, bra_fn, **tolerance)
-    _write_output(_dump_json(report.to_json_dict()), args.out)
+    _write_output(args.out, _dump_json(report.to_json_dict()))
     if report.passed:
         return EXIT_OK
     reason = f"discrepancy {report.discrepancy!r} against tolerance {report.tolerance!r}"
@@ -281,7 +282,7 @@ def cmd_basis(args) -> int:
                 re, im, den = value.triple
                 lines.append(f"{n},{ket},{bra},{_fmt(json_number(re, den))},"
                              f"{_fmt(json_number(im, den))}")
-        _write_output("\n".join(lines) + "\n", args.out)
+        _write_output(args.out, "\n".join(lines), "\n")
     else:
         payload = [
             {
@@ -290,7 +291,7 @@ def cmd_basis(args) -> int:
             }
             for n, member in enumerate(members)
         ]
-        _write_output(_dump_json(payload), args.out)
+        _write_output(args.out, _dump_json(payload))
     return EXIT_OK
 
 
@@ -337,10 +338,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     # looked up per call, so that a patched cmd_* function is the one that runs
     handler = globals()["cmd_" + args.command.replace("-", "_")]
+    path = args.out
     try:
-        # Appending, this open refuses what the late "w" open would, truncating no --config.
-        # Held, it keeps a FIFO's reader until that open.
-        with open(args.out, "ab") if args.out else contextlib.nullcontext():
+        # Opened for append before the work, so an --out that cannot be written is refused
+        # first and one that is also the --config is read intact; the handler writes through
+        # this handle, which `_write_output` empties only when the output is ready.
+        with open(path, "ab") if path else contextlib.nullcontext() as args.out:
             return handler(args)
     except json.JSONDecodeError as exc:
         print(
@@ -349,7 +352,7 @@ def main(argv=None) -> int:
         )
         return EXIT_INPUT_ERROR
     except OSError as exc:  # with no file name, a failed write: a full device, a broken pipe
-        failed = f"open {exc.filename}" if exc.filename else f"write {args.out or 'stdout'}"
+        failed = f"open {exc.filename}" if exc.filename else f"write {path or 'stdout'}"
         print(f"cannot {failed}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (ValueError, ZeroDivisionError) as exc:

@@ -2,8 +2,8 @@
 
 Everything here stays inside the Gaussian rationals: a number is one integer
 triple (re, im, den) for (re + i*im)/den in lowest terms, polynomials carry
-such numbers as coefficients, and the row reduction behind the nullspace
-routines never rounds.  Floating point enters only when a caller evaluates
+such numbers as coefficients, and the row reduction behind the rank check
+never rounds.  Floating point enters only when a caller evaluates
 at a float/complex argument or converts explicitly.
 
 Mixing with floats follows the `Fraction` convention: a float or complex
@@ -634,24 +634,4 @@ def rref(rows):
 
 def matrix_rank(rows) -> int:
     return len(rref(rows)[1])
-
-
-def nullspace(rows, num_columns: int):
-    """Exact nullspace basis of a homogeneous system.
-
-    `rows` are the constraint coefficients over `num_columns` unknowns.  The
-    basis is canonical: one vector per free column, unit entry at the free
-    column, in ascending column order.
-    """
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free_columns = [c for c in range(num_columns) if c not in pivot_set]
-    basis = []
-    for free in free_columns:
-        vector = [ZERO] * num_columns
-        vector[free] = ONE
-        for pivot_row, pivot_col in zip(reduced, pivots):
-            vector[pivot_col] = -pivot_row[free]
-        basis.append(tuple(vector))
-    return basis
 

@@ -12,13 +12,15 @@ characterizes the full family of coefficient tables for which that happens,
 both by certifying the homogeneous constraint system from its structure, one
 block per total order, and by the closed-form binomial recursion.
 
-The certificate needs no elimination and is made once, when a system is
-built.  Equation (k, 0, n) has coefficient 1 at ket order k and no term
-below k, so in block n every ket order k < n is a pivot, and the block's
-solutions are the line through C(n, k) when C(n, k) satisfies all of its
-equations.  A restriction to a pole's dyad range only drops unknowns, so it
-is read off that certificate: a block keeps its line where its unknown
-k = n survives and is zero where that unknown is cut.
+The certificate needs no elimination and is made once, as a system is
+built: `exponentiality_constraints` generates, certifies and writes each
+equation in one pass and keeps only its text.  Equation (k, 0, n) has
+coefficient 1 at ket order k and no term below k, so in block n every ket
+order k < n is a pivot, and the block's solutions are the line through
+C(n, k) when C(n, k) satisfies all of its equations.  A restriction to a
+pole's dyad range only drops unknowns, so it is read off that certificate:
+a block keeps its line where its unknown k = n survives and is zero where
+that unknown is cut.
 
 Every coefficient table is keyed by dyad (ket_order, bra_order), both below
 the table's bound.  The constraint unknowns are indexed (total order n, ket
@@ -29,15 +31,14 @@ Everything is an immutable value; all functions are pure and thread-safe.
 """
 
 import cmath
-import functools
 import math
-from fractions import Fraction
 
 from .exact import (
     ComplexRational,
     Polynomial,
     Value,
     ZERO,
+    _rebuild,
     binomial,
     json_number,
     matrix_rank,
@@ -261,13 +262,6 @@ class ConstraintEquation(Value):
     def __init__(self, l: int, m: int, n: int, terms: tuple):
         Value.__init__(self, l, m, n, tuple((tuple(v), int(c)) for v, c in terms))
 
-    def evaluate(self, coefficients: CoefficientMatrix) -> ComplexRational:
-        """The left-hand side at a dyad table, reading A[(n, k)] at dyad (k, n - k)."""
-        total = ZERO
-        for (n, k), coeff in self.terms:
-            total = total + coefficients.entry((k, n - k)) * coeff
-        return total
-
     def to_json_dict(self):
         return {
             "l": self.l,
@@ -285,48 +279,36 @@ class ConstraintSystem(Value):
     Every equation (l, m, n) involves only the unknowns (n, k) of its own
     total order n, so the system splits into one integer block per n, with
     n + 1 unknowns.  No block is solved: each is certified from its
-    structure when the system is built (every ket order k < n leads some
-    equation, and C(n, k) satisfies them all), and a system that cannot be
-    certified, such as one with an equation dropped or altered, raises
-    ArithmeticError there.  The solution dimension, the nullspace basis and
-    the restricted view are all read off that certificate by
-    `_solution_lines`, with no further pass over the equations.
+    structure as the system is built (`_certified`: every ket order k < n
+    leads some equation, and C(n, k) satisfies them all), and a system that
+    cannot be certified, such as one with an equation dropped or altered,
+    raises ArithmeticError there.  The solution dimension and the
+    restricted view are read off that certificate by `_solution_lines`.
+    `ConstraintSystem(j, equations)` certifies a stored list, the oracle of
+    the generated system of `exponentiality_constraints`, which keeps only
+    `equations_json` (None for a stored list) and regenerates `equations`.
     """
 
-    __slots__ = ("j", "equations")
+    __slots__ = ("j", "stored", "equations_json")
 
     def __init__(self, j: int, equations: tuple):
         equations = tuple(equations)
-        by_order = {}
-        for eq in equations:
-            by_order.setdefault(eq.n, []).append(eq)
-        for n in range(j + 1):
-            line = [binomial(n, k) for k in range(n + 1)]
-            leads = set()
-            for eq in by_order.get(n, ()):
-                row = {}
-                for (_, k), coeff in eq.terms:
-                    row[k] = row.get(k, 0) + coeff
-                row = {k: c for k, c in row.items() if c}
-                if row:
-                    leads.add(min(row))
-                if sum(line[k] * c for k, c in row.items()):
-                    raise ArithmeticError(
-                        f"C({n}, k) violates constraint (l={eq.l}, m={eq.m}, n={n})"
-                    )
-            unled = set(range(n)) - leads
-            if unled:
-                raise ArithmeticError(f"block n={n}: no equation leads ket orders {sorted(unled)}")
-        Value.__init__(self, j, equations)
+        for _ in _certified(j, map(_stored_row, equations)):
+            pass
+        Value.__init__(self, j, equations, None)
 
     @property
-    def variables(self):
-        """All (total_order, ket_order) unknowns in ascending order."""
-        return [(n, k) for n in range(self.j + 1) for k in range(n + 1)]
+    def equations(self):
+        """The ConstraintEquations, in output order."""
+        if self.stored is not None:
+            return self.stored
+        return tuple(ConstraintEquation(l, m, n, [((n, k), c) for k, c in row.items()])
+                     for l, m, n, row in _equation_rows(self.j))
 
     @property
     def equation_count(self) -> int:
-        return len(self.equations)
+        """Generated: C(j + 2, 3), one equation (l, m, n) per l + m < n <= j."""
+        return binomial(self.j + 2, 3) if self.stored is None else len(self.stored)
 
     @property
     def variable_count(self) -> int:
@@ -350,31 +332,12 @@ class ConstraintSystem(Value):
         last = self.j if order is None else min(self.j, order - 1)
         return {n: [binomial(n, k) for k in range(n + 1)] for n in range(last + 1)}
 
-    def coefficient_rows(self):
-        """The flat integer coefficient matrix over `variables`, one row per equation."""
-        index = {v: i for i, v in enumerate(self.variables)}
-        rows = []
-        for eq in self.equations:
-            row = [0] * len(index)
-            for variable, coeff in eq.terms:
-                row[index[variable]] += coeff
-            rows.append(row)
-        return rows
-
-    def nullspace_basis(self):
-        """Exact solution basis, one dyad table of bound j + 1 per free parameter.
-
-        Canonical: unit entry at each free unknown, zero at the others, in
-        ascending order of the free unknown over `variables`.
-        """
-        return [binomial_pattern_matrix(self.j + 1, n) for n in self._solution_lines()]
-
     @property
     def solution_dimension(self) -> int:
         return len(self._solution_lines())
 
     def to_json_dict(self):
-        """JSON values; the test oracle of `cli._equations_json`: change both together."""
+        """JSON values; the test oracle of `equations_json`: change both together."""
         return {
             "j": self.j,
             "equations": [eq.to_json_dict() for eq in self.equations],
@@ -382,37 +345,86 @@ class ConstraintSystem(Value):
         }
 
 
-@functools.lru_cache(maxsize=1)
-def exponentiality_constraints(j: int) -> ConstraintSystem:
-    """All cancellation conditions for total order bound j.
+def _equation_rows(j: int):
+    """Each equation of bound j as (l, m, n, {k: coefficient}), k running from l to n - m.
 
     Loop order is l outer, then m, then n (with n from m+l+1 up to j), which
-    fixes the reported equation ordering.  j=0 yields the empty system.  The
-    last system built, and so certified, is kept: `exp-check --r` asks for
-    the same j twice, and a large j's equations are not held past the next.
+    fixes the reported equation ordering.  The coefficient at k is
+    C(k, l) * (-1)^(k-l) times C(n-k, m), each factor read off a table.
+    """
+    columns = [[binomial(d, i) for d in range(j + 1)] for i in range(j + 1)]  # [i][d]: C(d, i)
+    for l in range(j):
+        ket = [c if (k - l) % 2 == 0 else -c for k, c in enumerate(columns[l])]
+        for m in range(j - l):
+            bra = columns[m]
+            for n in range(m + l + 1, j + 1):
+                yield l, m, n, {k: ket[k] * bra[n - k] for k in range(l, n - m + 1)}
+
+
+def _stored_row(eq: ConstraintEquation):
+    """A stored equation as a row of `_certified`, its terms summed per ket order."""
+    row = {}
+    for (_, k), coeff in eq.terms:
+        row[k] = row.get(k, 0) + coeff
+    return eq.l, eq.m, eq.n, row
+
+
+def _certified(j: int, rows):
+    """Pass on each row (l, m, n, {k: coefficient}) of bound j once C(n, k) satisfies it.
+
+    A row's lowest ket order with a nonzero coefficient is the one it leads.
+    After the last row, each ket order k < n of every block n must have led
+    one, or ArithmeticError names the block.
+    """
+    lines = [[binomial(n, k) for k in range(n + 1)] for n in range(j + 1)]
+    leads = [set() for _ in lines]
+    for l, m, n, row in rows:
+        line = lines[n]
+        if sum(line[k] * coeff for k, coeff in row.items()):
+            raise ArithmeticError(f"C({n}, k) violates constraint (l={l}, m={m}, n={n})")
+        leads[n].add(min(filter(row.get, row), default=n))
+        yield l, m, n, row
+    for n, led in enumerate(leads):
+        unled = set(range(n)) - led
+        if unled:
+            raise ArithmeticError(f"block n={n}: no equation leads ket orders {sorted(unled)}")
+
+
+# An equation of exp-check's "equations" list, and one of its terms, as
+# json.dumps(indent=2, sort_keys=True) writes them there.
+_EQUATION = ('%s\n    {\n      "l": %d,\n      "m": %d,\n      "n": %d,\n      "terms": [\n'
+             '%s\n      ]\n    }')
+_TERM = ('        {\n          "coeff": [\n            %r,\n            0.0\n          ],\n'
+         '          "k": %d,\n          "n": %d\n        }')
+
+
+def exponentiality_constraints(j: int) -> ConstraintSystem:
+    """All cancellation conditions for total order bound j, in one pass.
+
+    Each equation is generated (`_equation_rows`), certified (`_certified`)
+    and written as the text of exp-check's "equations" list, then dropped:
+    the system keeps that text, one piece per equation and a closing one.
+    j=0 yields the empty system.
     """
     if j < 0:
         raise ValueError("order bound j must be nonnegative")
-    equations = []
-    for l in range(j):
-        for m in range(j - l):
-            for n in range(m + l + 1, j + 1):
-                terms = []
-                for k in range(l, n - m + 1):
-                    coeff = binomial(k, l) * binomial(n - k, m) * (-1) ** (k - l)
-                    terms.append(((n, k), coeff))
-                equations.append(ConstraintEquation(l, m, n, terms))
-    return ConstraintSystem(j, equations)
+    pieces = []
+    for l, m, n, row in _certified(j, _equation_rows(j)):
+        terms = ",\n".join([_TERM % (json_number(c), k, n) for k, c in row.items()])
+        pieces.append(_EQUATION % ("," if pieces else "[", l, m, n, terms))
+    pieces.append("\n  ]" if pieces else "[]")
+    return _rebuild(ConstraintSystem, (j, None, tuple(pieces)))  # certified by the pass
 
 
 class BinomialRecursionFamily(Value):
     """Closed-form solution family A[(n,k)] = C(n,k) * A[(n,0)].
 
     Built by chaining the two-term recursion
-    A[(n,k)] = ((n-k+1)/k) * A[(n,k-1)]; the multipliers collapse to the
-    binomial coefficients.  That every member solves the constraint system
-    is the certificate's part (`binomial_family_matches_nullspace`).
-    Families compare by identity, and the repr leaves out the multipliers.
+    A[(n,k)] = ((n-k+1)/k) * A[(n,k-1)] in integers; the multipliers
+    collapse to the binomial coefficients.  That every member solves the
+    constraint system is the certificate's part
+    (`binomial_family_matches_nullspace`).  Families compare by identity,
+    and the repr leaves out the multipliers.
     """
 
     __slots__ = ("j", "multipliers")
@@ -422,21 +434,8 @@ class BinomialRecursionFamily(Value):
     def __repr__(self):
         return f"BinomialRecursionFamily(j={self.j!r})"
 
-    def multiplier(self, n: int, k: int) -> Fraction:
+    def multiplier(self, n: int, k: int) -> int:
         return self.multipliers[(n, k)]
-
-    def basis(self):
-        """One dyad table of bound j + 1 per free parameter: unit A[(n0,0)], the rest forced."""
-        units = range(self.j + 1)
-        return [self.member([int(n == n0) for n in units]) for n0 in units]
-
-    def member(self, free_values) -> CoefficientMatrix:
-        """Dyad table of bound j + 1 with the given free parameters A[(n,0)]."""
-        free = [ComplexRational.from_value(v) for v in free_values]
-        if len(free) != self.j + 1:
-            raise ValueError(f"expected {self.j + 1} free parameters, got {len(free)}")
-        entries = {(k, n - k): free[n] * mult for (n, k), mult in self.multipliers.items()}
-        return CoefficientMatrix(self.j + 1, entries)
 
 
 def solve_binomial_recursion(j: int) -> BinomialRecursionFamily:
@@ -444,19 +443,21 @@ def solve_binomial_recursion(j: int) -> BinomialRecursionFamily:
 
     Equation (k-1, n-k, n) has just two terms, (n-k+1) * A[(n,k-1)] and
     -k * A[(n,k)], so it chains A[(n,k)] = ((n-k+1)/k) * A[(n,k-1)] down to
-    the free A[(n,0)]; the product must telescope to C(n,k).
+    the free A[(n,0)]; each step must divide exactly, and the product must
+    telescope to C(n,k).
     """
     if j < 0:
         raise ValueError("order bound j must be nonnegative")
     multipliers = {}
     for n in range(j + 1):
-        multipliers[(n, 0)] = Fraction(1)
+        value = multipliers[(n, 0)] = 1
         for k in range(1, n + 1):
-            multipliers[(n, k)] = Fraction(n - k + 1, k) * multipliers[(n, k - 1)]
-            if multipliers[(n, k)] != binomial(n, k):
-                raise ArithmeticError(
-                    f"recursion gave {multipliers[(n, k)]} at (n={n}, k={k}), expected C(n,k)"
-                )
+            product = value * (n - k + 1)
+            value, remainder = divmod(product, k)
+            if remainder or value != binomial(n, k):
+                gave = f"{product}/{k}" if remainder else value
+                raise ArithmeticError(f"recursion gave {gave} at (n={n}, k={k}), expected C(n,k)")
+            multipliers[(n, k)] = value
     return BinomialRecursionFamily(j, multipliers)
 
 
@@ -465,7 +466,7 @@ def binomial_family_matches_nullspace(system: ConstraintSystem,
     """True iff the closed-form family spans exactly the system's nullspace.
 
     Block by block: the certified solution line of each total order n must
-    be the multiples of family member n, all in exact arithmetic.
+    be the multiples of family member n, compared in integers.
     """
     if family.j != system.j:
         return False
@@ -546,23 +547,27 @@ def binomial_pattern_matrix(order: int, n: int) -> CoefficientMatrix:
     )
 
 
-def verify_restriction_equivalence(pole: ComplexPole) -> RestrictionReport:
-    """The constraint system restricted to the dyad range of the pole.
+def verify_restriction_equivalence(pole: ComplexPole, system=None) -> RestrictionReport:
+    """The constraint system of bound 2*(r-1) restricted to the dyad range of the pole.
 
     Its certificate, read block by block, gives the solutions over the r*r
     dyad coefficients: the multiples of C(n,k) for n < r and zero for n >= r.
     Every certified line is C(n, .), so the basis is the binomial-pattern
     operators of the certified blocks, and the pattern matches when those
-    blocks are exactly n = 0..r-1.
+    blocks are exactly n = 0..r-1.  A `system` already built for that bound
+    is read as it is; otherwise one is built, and so certified.
     """
     r = pole.order
     j = 2 * (r - 1)
-    system = exponentiality_constraints(j)
+    if system is None:
+        system = exponentiality_constraints(j)
+    elif system.j != j:
+        raise ValueError(f"a pole of order {r} restricts the system of bound {j}, not {system.j}")
     blocks = list(system._solution_lines(order=r))
     return RestrictionReport(
         order=r,
         j=j,
-        equation_count=len(system.equations),
+        equation_count=system.equation_count,
         variable_count=r * r,
         solution_dimension=len(blocks),
         expected_dimension=r,

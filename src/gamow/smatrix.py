@@ -122,22 +122,23 @@ def _trim(coefficients):
 
 
 def _require_upper_half_plane_roots(function: RationalFunction, what: str):
-    """Refuse `function` unless its denominator roots lie above the axis and it is bounded.
+    """Refuse `function` unless it is bounded and its denominator roots lie above the axis.
 
-    The exact test runs on the line Im z = 1e-9 * max(1, R), R >= every root
-    modulus, so a root within 1e-9 * max(1, |root|) of the axis is refused;
-    so is a numerator of higher degree than the denominator.
+    A numerator of higher degree than the denominator is refused first.  The
+    exact root test runs on the line Im z = 1e-9 * max(1, R), R >= every
+    root modulus, so a root within 1e-9 * max(1, |root|) of the axis is
+    refused.
     """
     numerator, denominator = function.numerator, function.denominator
+    if numerator.degree > denominator.degree:
+        raise ValueError(f"{what} must be bounded at infinity: numerator degree "
+                         f"{numerator.degree}, denominator degree {denominator.degree}")
     exponent = _modulus_exponent(denominator.coefficients)
     if not _roots_above(denominator, _ROOT_MARGIN * 2**exponent):
         raise ValueError(  # the height from its exponent: as a float it may overflow
             f"{what} must be analytic in the closed lower half-plane; a denominator root "
             f"is not above the real axis by more than {float(_ROOT_MARGIN):.3g} * 2^{exponent}"
         )
-    if numerator.degree > denominator.degree:
-        raise ValueError(f"{what} must be bounded at infinity: numerator degree "
-                         f"{numerator.degree}, denominator degree {denominator.degree}")
 
 
 class TestFunction(Value):
@@ -683,8 +684,10 @@ def parse_test_function(data, where: str = "test_function") -> TestFunction:
     role = typed_field(data, "role", str, f"{where}.role")
     try:
         return TestFunction(function, role)
-    except ValueError as exc:  # a role other than "ket" or "bra"
-        raise ValueError(f"{where}.role: {exc}") from None
+    except ValueError as exc:  # checked in turn: the role, the num's degree, the den's roots
+        field = ("role" if role not in (KET_ROLE, BRA_ROLE) else
+                 "num" if function.numerator.degree > function.denominator.degree else "den")
+        raise ValueError(f"{where}.{field}: {exc}") from None
 
 
 def model_from_json(data):

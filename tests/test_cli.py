@@ -306,42 +306,89 @@ class TestExpCheck:
             }
         ]
 
-    @pytest.mark.parametrize("argv", [["--j", str(j)] for j in range(11)]
+    @pytest.mark.parametrize("argv", [["--j", str(j)] for j in range(21)]
                              + [["--r", str(r)] for r in range(1, 9)])
     def test_text_is_the_json_dump_of_the_dict_payload(self, tmp_path, argv):
-        """The equation list is written without the encoder, in the encoder's bytes."""
+        """The equation list is written by the pass, in the encoder's bytes for the stored list."""
         out = tmp_path / "report.json"
         assert main(["exp-check", *argv, "--out", str(out)]) == EXIT_OK
         text = out.read_text()
         payload = json.loads(text)
-        system = operators.exponentiality_constraints(payload["j"])
-        payload["equations"] = system.to_json_dict()["equations"]
+        generated = operators.exponentiality_constraints(payload["j"])
+        stored = operators.ConstraintSystem(payload["j"], generated.equations)
+        payload["equations"] = stored.to_json_dict()["equations"]
         assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert (payload["equations"] == []) == (payload["j"] == 0)
 
     def test_missing_bounds_rejected(self):
         assert main(["exp-check"]) == EXIT_INPUT_ERROR
 
-    def test_constraint_system_is_built_once(self, tmp_path, monkeypatch):
-        built = []
-        equation = operators.ConstraintEquation
-        monkeypatch.setattr(
-            operators, "ConstraintEquation", lambda *args: built.append(args) or equation(*args)
-        )
-        operators.exponentiality_constraints.cache_clear()
-        assert main(["exp-check", "--r", "4", "--out", str(tmp_path / "report.json")]) == EXIT_OK
-        assert len(built) == 56
-        assert len({args[:3] for args in built}) == 56  # distinct (l, m, n)
+    def test_the_command_makes_one_pass_and_no_equation_values(self, tmp_path, monkeypatch):
+        """--r 4 generates its 56 equations once, for the system and its restriction alike."""
+        passes, generated = [], []
 
-    def test_a_coefficient_past_2_to_53_is_written_exactly(self):
-        """Term k = 0 of equation (0, 24, 58) is C(58, 24), which no float holds."""
+        def counted(j):
+            passes.append(j)
+            for row in rows(j):
+                generated.append(row[:3])
+                yield row
+
+        def no_equation_values(*args):
+            raise AssertionError("the command built a ConstraintEquation")
+
+        rows = operators._equation_rows
+        monkeypatch.setattr(operators, "_equation_rows", counted)
+        monkeypatch.setattr(operators, "ConstraintEquation", no_equation_values)
+        assert main(["exp-check", "--r", "4", "--out", str(tmp_path / "report.json")]) == EXIT_OK
+        assert passes == [6]
+        assert len(generated) == len(set(generated)) == 56 == math.comb(6 + 2, 3)
+
+    def test_a_coefficient_past_2_to_53_is_written_exactly(self, monkeypatch):
+        """Term k = 0 of equation (0, 24, 58) is C(58, 24), which no float holds.
+
+        The pass is given that equation alone, uncertified, and writes it as
+        the encoder writes the stored equation's JSON values.
+        """
         coefficient = binomial(58, 24)
         assert float(coefficient) != coefficient
+        row = (0, 24, 58, {0: coefficient, 1: -58})
+        monkeypatch.setattr(operators, "_equation_rows", lambda j: iter([row]))
+        monkeypatch.setattr(operators, "_certified", lambda j, rows: rows)
+        text = "".join(operators.exponentiality_constraints(58).equations_json)
         equation = operators.ConstraintEquation(0, 24, 58, [((58, 0), coefficient), ((58, 1), -58)])
-        written = json.loads(cli._equations_json([equation]))
-        assert written == [equation.to_json_dict()]
+        assert text == json.dumps({"equations": [equation.to_json_dict()]}, indent=2,
+                                  sort_keys=True)[
+            len('{\n  "equations": '):-len("\n}")]
+        written = json.loads(text)
         assert [term["coeff"] for term in written[0]["terms"]] == [[coefficient, 0.0], [-58.0, 0.0]]
         assert [type(term["coeff"][0]) for term in written[0]["terms"]] == [int, float]
+
+    @pytest.mark.parametrize("existing", [None, "kept"], ids=["new-out", "existing-out"])
+    @pytest.mark.parametrize("fault, message", [
+        ("altered", "C(3, k) violates constraint (l=1, m=0, n=3)"),
+        ("missing", "block n=3: no equation leads ket orders [2]"),
+    ])
+    def test_a_fault_in_the_pass_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, fault, message, existing
+    ):
+        """Equation (1, 0, 3) altered, or (2, 0, 3), the only one leading ket order 2, left out."""
+        def faulty(j):
+            for l, m, n, row in rows(j):
+                if (l, m, n) == (1, 0, 3) and fault == "altered":
+                    row = {**row, 2: row[2] + 1}
+                if (l, m, n) != (2, 0, 3) or fault != "missing":
+                    yield l, m, n, row
+
+        rows = operators._equation_rows
+        monkeypatch.setattr(operators, "_equation_rows", faulty)
+        out = tmp_path / "report.json"
+        if existing is not None:
+            out.write_text(existing)
+        assert main(["exp-check", "--r", "3", "--out", str(out)]) == EXIT_VERIFICATION_FAILURE
+        assert capsys.readouterr() == ("", f"verification failed: {message}\n")
+        assert out.read_text() == (existing or "")
+        assert main(["exp-check", "--r", "3"]) == EXIT_VERIFICATION_FAILURE
+        assert capsys.readouterr() == ("", f"verification failed: {message}\n")
 
     def test_family_mismatch_fails_verification(self, tmp_path, capsys, monkeypatch):
         def mismatch(system, family):
@@ -408,7 +455,7 @@ class TestResidue:
         assert main(["residue", "--config", str(model_path)]) == EXIT_INPUT_ERROR
         out, err = capsys.readouterr()
         assert out == ""
-        assert re.fullmatch(r"input error: model\.test_functions\[0\]\.role: test function must "
+        assert re.fullmatch(r"input error: model\.test_functions\[0\]\.den: test function must "
                             r"be analytic in the closed lower half-plane; a denominator root is "
                             r"not above the real axis by more than 1e-09 \* 2\^\d+\n", err), err
 
@@ -696,6 +743,25 @@ class TestFailedWrites:
             sink.close()
         assert (process.returncode, err) == (EXIT_INPUT_ERROR, f"cannot write stdout: {reason}\n")
 
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_a_reader_that_leaves_after_the_first_bytes(self, buffered):
+        """6 MB outgrow the pipe, so the write meets the reader gone part way, also unbuffered."""
+        with run_cli(["exp-check", "--r", "16"], buffered, stdout=subprocess.PIPE) as process:
+            assert process.stdout.read(10) == '{\n  "binom'
+            process.stdout.close()
+            err = process.stderr.read()
+        assert (process.returncode, err) == (EXIT_INPUT_ERROR, "cannot write stdout: Broken pipe\n")
+
+    def test_an_unbuffered_stdout_receives_the_whole_output(self, tmp_path):
+        """Every short write of the unbuffered stream is repeated for the rest of its piece."""
+        expected = tmp_path / "report.json"
+        assert main(["exp-check", "--r", "16", "--out", str(expected)]) == EXIT_OK
+        with run_cli(["exp-check", "--r", "16"], False, stdout=subprocess.PIPE) as process:
+            received = process.stdout.buffer.read()
+            err = process.stderr.read()
+        assert (process.returncode, err) == (EXIT_OK, "")
+        assert received == expected.read_bytes()
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_a_named_pipe_out_receives_the_whole_output(self, tmp_path):
         """The held check keeps the reader attached until the real write."""
@@ -852,6 +918,29 @@ class TestNonFiniteAndInvalidInputs:
         model_path.write_text(json.dumps(edited(TestResidue().model_document(), path, value)))
         assert main(["residue", "--config", str(model_path)]) == EXIT_INPUT_ERROR
         assert capsys.readouterr() == ("", f"input error: model{field_name(path)}: {message}\n")
+
+    @pytest.mark.parametrize("function, field, reason", [
+        ({"den": [[0.0, 4.0], [1.0, 0.0]]}, "den",
+         r"test function must be analytic in the closed lower half-plane; a denominator root "
+         r"is not above the real axis by more than 1e-09 \* 2\^-?\d+"),
+        ({"num": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}, "num",
+         "test function must be bounded at infinity: numerator degree 3, denominator degree 2"),
+        # both: the numerator's degree is checked first
+        ({"num": [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]], "den": [[0.0, 4.0], [1.0, 0.0]]}, "num",
+         "test function must be bounded at infinity: numerator degree 2, denominator degree 1"),
+    ], ids=["root-at-minus-4i", "numerator-degree", "both"])
+    def test_an_unanalytic_or_unbounded_test_function_names_den_or_num(
+        self, tmp_path, capsys, function, field, reason
+    ):
+        document = TestResidue().model_document()
+        document["test_functions"][0].update(function)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(document))
+        assert main(["residue", "--config", str(model_path)]) == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(rf"input error: model\.test_functions\[0\]\.{field}: {reason}\n",
+                            err), err
 
     def test_zero_order_names_the_flag(self, capsys):
         assert main(["exp-check", "--r", "0"]) == EXIT_INPUT_ERROR

@@ -1,5 +1,9 @@
 """The structural certificate of the constraint system against the flat exact and sympy oracles.
 
+`exponentiality_constraints` generates, certifies and writes the system in
+one pass; the stored-list `ConstraintSystem(j, equations)` is its oracle,
+and the equations themselves are checked against their definition.
+
 The constraint system is not solved: each total-order block is certified
 from its structure (every ket order below n leads some equation, and
 C(n, k) satisfies them all) when the system is built, and a system that
@@ -14,10 +18,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from constraint_oracle import coefficient_rows, nullspace, nullspace_basis, variables
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamow.exact import nullspace
+from gamow import operators
 from gamow.jordan import ComplexPole
 from gamow.operators import (
     BinomialRecursionFamily,
@@ -33,8 +38,8 @@ ORACLE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 def block_vectors(system):
-    return [tuple(m.entry((k, n - k)) for n, k in system.variables)
-            for m in system.nullspace_basis()]
+    return [tuple(m.entry((k, n - k)) for n, k in variables(system))
+            for m in nullspace_basis(system)]
 
 
 def flat_restricted_nullspace(system, r):
@@ -74,11 +79,49 @@ def assert_refused(j, equations, message):
     assert str(refusal.value) == message
 
 
-class TestFlatOracle:
+def with_fault(rows, lmn, change):
+    """The generator `rows` with equation `lmn` changed by `change`; dropped where that is None."""
+    def faulty(j):
+        for l, m, n, row in rows(j):
+            if (l, m, n) == lmn:
+                row = change(row)
+            if row is not None:
+                yield l, m, n, row
+
+    return faulty
+
+
+class TestGeneratedPass:
+    """The pass of `exponentiality_constraints` against the stored list and the definition."""
+
     @pytest.mark.parametrize("j", range(9))
+    def test_equations_are_the_definition_in_output_order(self, j):
+        """Equation (l, m, n): sum over k of C(k, l) C(n-k, m) (-1)^(k-l) A[(n, k)], k = l..n-m."""
+        def coefficient(l, m, n, k):
+            return (-1) ** (k - l) * int(sympy.binomial(k, l) * sympy.binomial(n - k, m))
+
+        expected = [
+            (l, m, n, tuple(((n, k), coefficient(l, m, n, k)) for k in range(l, n - m + 1)))
+            for l in range(j) for m in range(j - l) for n in range(l + m + 1, j + 1)
+        ]
+        system = exponentiality_constraints(j)
+        assert [(eq.l, eq.m, eq.n, eq.terms) for eq in system.equations] == expected
+        assert system.equation_count == len(expected) == sympy.binomial(j + 2, 3)
+
+    @pytest.mark.parametrize("j", [0, 1, 5, 12, 20])
+    def test_the_stored_list_certifies_with_the_closed_form_count(self, j):
+        """The stored path certifies the regenerated list; its length is C(j + 2, 3)."""
+        generated = exponentiality_constraints(j)
+        stored = ConstraintSystem(j, generated.equations)
+        assert stored.equations == generated.equations and stored.equations_json is None
+        assert stored.equation_count == generated.equation_count == sympy.binomial(j + 2, 3)
+
+
+class TestFlatOracle:
+    @pytest.mark.parametrize("j", [*range(9), 12])
     def test_same_dimension_and_canonical_vectors(self, j):
         system = exponentiality_constraints(j)
-        flat = nullspace(system.coefficient_rows(), system.variable_count)
+        flat = nullspace(coefficient_rows(system), system.variable_count)
         assert system.solution_dimension == len(flat) == j + 1
         assert block_vectors(system) == flat
 
@@ -106,7 +149,7 @@ class TestFlatOracle:
             ])
         except ArithmeticError:
             return  # refused, which is sound whatever the flat dimension
-        flat = nullspace(system.coefficient_rows(), system.variable_count)
+        flat = nullspace(coefficient_rows(system), system.variable_count)
         assert system.solution_dimension == len(flat) == j + 1
         assert block_vectors(system) == flat
         assert binomial_family_matches_nullspace(system, solve_binomial_recursion(j))
@@ -137,7 +180,7 @@ class TestFlatOracle:
     def test_unit_rows_alone_certify_the_same_nullspace(self, j):
         full = exponentiality_constraints(j)
         system = ConstraintSystem(j, [eq for eq in full.equations if eq.m == 0])
-        flat = nullspace(system.coefficient_rows(), system.variable_count)
+        flat = nullspace(coefficient_rows(system), system.variable_count)
         assert system.solution_dimension == len(flat) == j + 1
         assert block_vectors(system) == flat == block_vectors(full)
 
@@ -157,6 +200,33 @@ class TestRefusal:
         assert_refused(4, altered(system, index, position, delta),
                        f"C({n}, k) violates constraint (l={l}, m={m}, n={n})")
 
+    @pytest.mark.parametrize("lmn, position", [((1, 0, 3), 0), ((1, 0, 3), 2), ((0, 1, 3), 1),
+                                               ((1, 2, 4), 0)])
+    @pytest.mark.parametrize("delta", [1, -2])
+    def test_one_altered_coefficient_in_the_pass_is_refused_alike(
+        self, monkeypatch, lmn, position, delta
+    ):
+        """The stored list's message, for the same coefficient altered in the generated pass."""
+        def alter(row):
+            k = lmn[0] + position
+            return {**row, k: row[k] + delta}
+
+        monkeypatch.setattr(operators, "_equation_rows",
+                            with_fault(operators._equation_rows, lmn, alter))
+        with pytest.raises(ArithmeticError) as refusal:
+            exponentiality_constraints(4)
+        l, m, n = lmn
+        assert str(refusal.value) == f"C({n}, k) violates constraint (l={l}, m={m}, n={n})"
+
+    @pytest.mark.parametrize("j", [3, 4])
+    def test_a_missing_leading_row_in_the_pass_is_refused_alike(self, monkeypatch, j):
+        """Only (2, 0, 3) leads ket order 2 of block 3; the pass refuses at its end."""
+        monkeypatch.setattr(operators, "_equation_rows",
+                            with_fault(operators._equation_rows, (2, 0, 3), lambda row: None))
+        with pytest.raises(ArithmeticError) as refusal:
+            exponentiality_constraints(j)
+        assert str(refusal.value) == "block n=3: no equation leads ket orders [2]"
+
     def test_a_missing_leading_row_is_refused(self):
         full = exponentiality_constraints(3)
         with pytest.raises(ArithmeticError, match="leads ket orders \\[2\\]"):
@@ -173,11 +243,11 @@ class TestRefusal:
 
 
 class TestSympyOracle:
-    @pytest.mark.parametrize("j", range(6))
+    @pytest.mark.parametrize("j", [*range(6), 12, 20])
     def test_same_canonical_vectors(self, j):
         system = exponentiality_constraints(j)
         assert block_vectors(system) == sympy_nullspace(
-            system.coefficient_rows(), system.variable_count
+            coefficient_rows(system), system.variable_count
         )
 
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 from importlib.resources import files
 
 import pytest
+from constraint_oracle import nullspace
 from exact_oracle import FractionPair
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,6 @@ from gamow.exact import (
     binomial,
     json_number,
     matrix_rank,
-    nullspace,
     rref,
 )
 from gamow.smatrix import load_model_file

@@ -9,6 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
+from constraint_oracle import evaluate, family_basis, family_member, nullspace_basis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -291,13 +292,20 @@ class TestExponentialityConstraints:
     def test_solution_dimension_is_bound_plus_one(self, j):
         assert exponentiality_constraints(j).solution_dimension == j + 1
 
-    def test_only_the_last_system_built_is_kept(self):
-        exponentiality_constraints.cache_clear()
-        system = exponentiality_constraints(3)
-        assert exponentiality_constraints(3) is system
-        exponentiality_constraints(4)
-        assert exponentiality_constraints(3) is not system
-        assert exponentiality_constraints(3) == system
+    def test_each_call_builds_anew_and_a_built_system_is_read_as_it_is(self, monkeypatch):
+        """No cache: a call makes its pass; the restriction reads the system it is given."""
+        system = exponentiality_constraints(4)
+        assert exponentiality_constraints(4) is not system
+        assert exponentiality_constraints(4) == system
+        assert system.equation_count == binomial(4 + 2, 3) == len(system.equations) == 20
+        passes = []
+        rows = operators._equation_rows
+        monkeypatch.setattr(operators, "_equation_rows", lambda j: passes.append(j) or rows(j))
+        pole = ComplexPole(0, 1, 3)
+        assert verify_restriction_equivalence(pole, system) == verify_restriction_equivalence(pole)
+        assert passes == [4]
+        with pytest.raises(ValueError, match="bound 4, not 3"):
+            verify_restriction_equivalence(pole, exponentiality_constraints(3))
 
     def test_json_schema(self):
         payload = exponentiality_constraints(1).to_json_dict()
@@ -324,14 +332,23 @@ class TestSolveBinomialRecursion:
         for n in range(9):
             for k in range(n + 1):
                 assert family.multiplier(n, k) == binomial(n, k)
+                assert type(family.multiplier(n, k)) is int
+
+    def test_a_step_off_the_binomial_is_refused(self, monkeypatch):
+        """The chain is checked against C(n, k) at every step, here against a wrong C(4, 2)."""
+        monkeypatch.setattr(operators, "binomial",
+                            lambda n, k: 7 if (n, k) == (4, 2) else binomial(n, k))
+        with pytest.raises(ArithmeticError,
+                           match=r"^recursion gave 6 at \(n=4, k=2\), expected C\(n,k\)$"):
+            solve_binomial_recursion(4)
 
     def test_basis_members_satisfy_every_constraint(self):
         j = 5
         family = solve_binomial_recursion(j)
         system = exponentiality_constraints(j)
-        for member in family.basis():
+        for member in family_basis(family):
             for eq in system.equations:
-                assert eq.evaluate(member) == ZERO
+                assert evaluate(eq, member) == ZERO
 
     @pytest.mark.parametrize("j", range(6))
     def test_family_spans_exact_nullspace(self, j):
@@ -341,7 +358,7 @@ class TestSolveBinomialRecursion:
 
     def test_member_combines_free_parameters(self):
         family = solve_binomial_recursion(2)
-        member = family.member([1, 0, cr(0, 1)])
+        member = family_member(family, [1, 0, cr(0, 1)])
         assert member.entry((0, 0)) == 1
         assert member.entry((1, 0)) == ZERO
         assert member.entry((1, 1)) == cr(0, 2)
@@ -353,8 +370,8 @@ class TestBuildersAgree:
     @pytest.mark.parametrize("j", range(9))
     def test_each_total_order_gives_the_binomial_pattern(self, j):
         system = exponentiality_constraints(j)
-        recursion = solve_binomial_recursion(j).basis()
-        solved = system.nullspace_basis()
+        recursion = family_basis(solve_binomial_recursion(j))
+        solved = nullspace_basis(system)
         for n in range(j + 1):
             pattern = binomial_pattern_matrix(j + 1, n)
             assert recursion[n] == pattern
@@ -362,7 +379,7 @@ class TestBuildersAgree:
             assert scale != ZERO
             assert solved[n].entries == {key: v * scale for key, v in pattern.entries.items()}
         for member in recursion + solved:
-            assert all(eq.evaluate(member) == ZERO for eq in system.equations)
+            assert all(evaluate(eq, member) == ZERO for eq in system.equations)
 
 
 class TestExponentialSubspaceBasis:
