@@ -48,12 +48,12 @@ def _fmt(value) -> str:
     return str(value) if isinstance(value, int) else format(float(value), ".17g")
 
 
-def _write_output(out, *pieces: str):
-    """Write the pieces through `out`, the --out handle `main` holds, or else to stdout.
+def _write_output(out, pieces):
+    """Write the iterable `pieces` through `out`, the --out handle `main` holds, or to stdout.
 
-    An --out that held bytes is emptied first.  Each piece is encoded on its
-    own, so no second full-size copy of the output is made, and a write
-    that takes part of a piece, as an unbuffered stdout's may, is repeated
+    An --out that held bytes is emptied first.  Each piece is made and
+    encoded in its turn, so no full-size copy of the output is held, and a
+    write that takes part of a piece, as an unbuffered stdout's may, is repeated
     for the rest: every byte is written, or OSError raises.
     """
     to_stdout = out is None
@@ -84,6 +84,24 @@ def _write_output(out, *pieces: str):
 def _dump_json(payload) -> str:
     """Strict JSON: a NaN or infinity raises ValueError instead of writing a non-JSON token."""
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# An equation of exp-check's "equations" list, and one of its terms, as
+# `_dump_json` writes them there.
+_EQUATION = ('%s\n    {\n      "l": %d,\n      "m": %d,\n      "n": %d,\n      "terms": [\n'
+             '%s\n      ]\n    }')
+_TERM = ('        {\n          "coeff": [\n            %r,\n            0.0\n          ],\n'
+         '          "k": %d,\n          "n": %d\n        }')
+
+
+def _exp_check_json(payload, system):
+    """`_dump_json(payload)` with `system`'s rows in its one null: head, one piece per row, tail."""
+    head, _, tail = _dump_json(payload).partition("null")
+    yield head
+    for i, (l, m, n, row) in enumerate(system.rows):
+        terms = ",\n".join([_TERM % (json_number(c), k, n) for k, c in enumerate(row, l)])
+        yield _EQUATION % ("," if i else "[", l, m, n, terms)
+    yield ("\n  ]" if system.rows else "[]") + tail
 
 
 # One row per evolve setting: (config key, flag dest, JSON type, default).  The
@@ -189,7 +207,7 @@ def cmd_evolve(args) -> int:
         lines = ["t,entry_l,entry_m,re,im,modulus"]
         for t, ket, bra, re, im, modulus in rows:
             lines.append(f"{_fmt(t)},{ket},{bra},{_fmt(re)},{_fmt(im)},{_fmt(modulus)}")
-        _write_output(args.out, "\n".join(lines), "\n")
+        _write_output(args.out, ["\n".join(lines), "\n"])
     else:
         payload = {
             "pole": {"E_R": settings["E_R"], "Gamma": width, "r": r},
@@ -199,7 +217,7 @@ def cmd_evolve(args) -> int:
                 for t, ket, bra, re, im, modulus in rows
             ],
         }
-        _write_output(args.out, _dump_json(payload))
+        _write_output(args.out, [_dump_json(payload)])
     if is_pure_exponential(evolved):
         base = {
             (ket, bra): abs(evolved.value(ket, bra, 0.0))
@@ -234,10 +252,9 @@ def cmd_exp_check(args) -> int:
         print(f"closed-form verification failed: {exc}", file=sys.stderr)
         family_matches = False
     dimension = system.solution_dimension
-    # the equation list, most of the bytes, is written in the pieces the pass made
-    payload = {"j": j, "equations": None, "solution_dimension": dimension}
-    payload["expected_dimension"] = j + 1
-    payload["binomial_family_matches"] = family_matches
+    # the equation list, most of the bytes, is streamed from the certified rows
+    payload = {"j": j, "equations": None, "solution_dimension": dimension,
+               "expected_dimension": j + 1, "binomial_family_matches": family_matches}
     passed = dimension == j + 1 and family_matches
     if r is not None:
         pole = ComplexPole(0, 1, r)  # the characterization does not depend on E_R or Gamma
@@ -252,8 +269,7 @@ def cmd_exp_check(args) -> int:
         payload["forward_pure_exponential"] = forward_ok
         passed = passed and report.passed and forward_ok
     payload["passed"] = passed
-    head, _, tail = _dump_json(payload).partition("null")  # the one null: the equations' place
-    _write_output(args.out, head, *system.equations_json, tail)
+    _write_output(args.out, _exp_check_json(payload, system))
     return EXIT_OK if passed else EXIT_VERIFICATION_FAILURE
 
 
@@ -262,7 +278,7 @@ def cmd_residue(args) -> int:
     model, ket_fn, bra_fn = load_model_file(args.config)
     tolerance = {} if args.tol is None else {"tolerance": args.tol}
     report = decomposition_check(model, ket_fn, bra_fn, **tolerance)
-    _write_output(args.out, _dump_json(report.to_json_dict()))
+    _write_output(args.out, [_dump_json(report.to_json_dict())])
     if report.passed:
         return EXIT_OK
     reason = f"discrepancy {report.discrepancy!r} against tolerance {report.tolerance!r}"
@@ -282,7 +298,7 @@ def cmd_basis(args) -> int:
                 re, im, den = value.triple
                 lines.append(f"{n},{ket},{bra},{_fmt(json_number(re, den))},"
                              f"{_fmt(json_number(im, den))}")
-        _write_output(args.out, "\n".join(lines), "\n")
+        _write_output(args.out, ["\n".join(lines), "\n"])
     else:
         payload = [
             {
@@ -291,7 +307,7 @@ def cmd_basis(args) -> int:
             }
             for n, member in enumerate(members)
         ]
-        _write_output(args.out, _dump_json(payload))
+        _write_output(args.out, [_dump_json(payload)])
     return EXIT_OK
 
 

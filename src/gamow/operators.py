@@ -13,8 +13,8 @@ both by certifying the homogeneous constraint system from its structure, one
 block per total order, and by the closed-form binomial recursion.
 
 The certificate needs no elimination and is made once, as a system is
-built: `exponentiality_constraints` generates, certifies and writes each
-equation in one pass and keeps only its text.  Equation (k, 0, n) has
+built: `exponentiality_constraints` generates and certifies each equation
+in one pass and keeps its integer row.  Equation (k, 0, n) has
 coefficient 1 at ket order k and no term below k, so in block n every ket
 order k < n is a pivot, and the block's solutions are the line through
 C(n, k) when C(n, k) satisfies all of its equations.  A restriction to a
@@ -263,14 +263,8 @@ class ConstraintEquation(Value):
         Value.__init__(self, l, m, n, tuple((tuple(v), int(c)) for v, c in terms))
 
     def to_json_dict(self):
-        return {
-            "l": self.l,
-            "m": self.m,
-            "n": self.n,
-            "terms": [
-                {"n": v[0], "k": v[1], "coeff": [json_number(c), 0.0]} for v, c in self.terms
-            ],
-        }
+        terms = [{"n": v[0], "k": v[1], "coeff": [json_number(c), 0.0]} for v, c in self.terms]
+        return {"l": self.l, "m": self.m, "n": self.n, "terms": terms}
 
 
 class ConstraintSystem(Value):
@@ -284,31 +278,25 @@ class ConstraintSystem(Value):
     cannot be certified, such as one with an equation dropped or altered,
     raises ArithmeticError there.  The solution dimension and the
     restricted view are read off that certificate by `_solution_lines`.
-    `ConstraintSystem(j, equations)` certifies a stored list, the oracle of
-    the generated system of `exponentiality_constraints`, which keeps only
-    `equations_json` (None for a stored list) and regenerates `equations`.
+    The system keeps the rows it certified, (l, m, n, integer coefficients
+    at k = l..n-m); `ConstraintSystem(j, equations)` makes them from a
+    stored list, the oracle of `exponentiality_constraints`.
     """
 
-    __slots__ = ("j", "stored", "equations_json")
+    __slots__ = ("j", "rows")
 
-    def __init__(self, j: int, equations: tuple):
-        equations = tuple(equations)
-        for _ in _certified(j, map(_stored_row, equations)):
-            pass
-        Value.__init__(self, j, equations, None)
+    def __init__(self, j: int, equations):
+        Value.__init__(self, j, tuple(_certified(j, (_stored_row(j, eq) for eq in equations))))
 
     @property
     def equations(self):
-        """The ConstraintEquations, in output order."""
-        if self.stored is not None:
-            return self.stored
-        return tuple(ConstraintEquation(l, m, n, [((n, k), c) for k, c in row.items()])
-                     for l, m, n, row in _equation_rows(self.j))
+        """The ConstraintEquations, in output order, with a term at every k = l..n-m."""
+        return tuple(ConstraintEquation(l, m, n, [((n, k), c) for k, c in enumerate(row, l)])
+                     for l, m, n, row in self.rows)
 
     @property
     def equation_count(self) -> int:
-        """Generated: C(j + 2, 3), one equation (l, m, n) per l + m < n <= j."""
-        return binomial(self.j + 2, 3) if self.stored is None else len(self.stored)
+        return len(self.rows)
 
     @property
     def variable_count(self) -> int:
@@ -337,7 +325,7 @@ class ConstraintSystem(Value):
         return len(self._solution_lines())
 
     def to_json_dict(self):
-        """JSON values; the test oracle of `equations_json`: change both together."""
+        """JSON values; the test oracle of the text exp-check writes from the rows."""
         return {
             "j": self.j,
             "equations": [eq.to_json_dict() for eq in self.equations],
@@ -346,7 +334,7 @@ class ConstraintSystem(Value):
 
 
 def _equation_rows(j: int):
-    """Each equation of bound j as (l, m, n, {k: coefficient}), k running from l to n - m.
+    """Each equation of bound j as a row (l, m, n, coefficients at k = l..n-m).
 
     Loop order is l outer, then m, then n (with n from m+l+1 up to j), which
     fixes the reported equation ordering.  The coefficient at k is
@@ -358,19 +346,30 @@ def _equation_rows(j: int):
         for m in range(j - l):
             bra = columns[m]
             for n in range(m + l + 1, j + 1):
-                yield l, m, n, {k: ket[k] * bra[n - k] for k in range(l, n - m + 1)}
+                yield l, m, n, tuple([ket[k] * bra[n - k] for k in range(l, n - m + 1)])
 
 
-def _stored_row(eq: ConstraintEquation):
-    """A stored equation as a row of `_certified`, its terms summed per ket order."""
-    row = {}
-    for (_, k), coeff in eq.terms:
-        row[k] = row.get(k, 0) + coeff
-    return eq.l, eq.m, eq.n, row
+def _stored_row(j: int, eq: ConstraintEquation):
+    """A stored equation as a row of `_certified`, its terms summed per ket order.
+
+    ValueError names an equation outside bound j, or a term whose unknown is
+    not (n, k) with l <= k <= n - m.
+    """
+    l, m, n = eq.l, eq.m, eq.n
+    if not 0 <= l <= n - m <= n <= j:
+        raise ValueError(f"equation (l={l}, m={m}, n={n}) is not one of bound {j}")
+    row = [0] * (n - m - l + 1)
+    for term in eq.terms:
+        (block, k), coeff = term
+        if not (block == n and l <= k <= n - m):
+            raise ValueError(f"equation (l={l}, m={m}, n={n}): term {term} is not at an "
+                             f"unknown (n={n}, k) with {l} <= k <= {n - m}")
+        row[k - l] += coeff
+    return l, m, n, tuple(row)
 
 
 def _certified(j: int, rows):
-    """Pass on each row (l, m, n, {k: coefficient}) of bound j once C(n, k) satisfies it.
+    """Pass on each row (l, m, n, coefficients at k = l..n-m) once C(n, k) satisfies it.
 
     A row's lowest ket order with a nonzero coefficient is the one it leads.
     After the last row, each ket order k < n of every block n must have led
@@ -379,10 +378,9 @@ def _certified(j: int, rows):
     lines = [[binomial(n, k) for k in range(n + 1)] for n in range(j + 1)]
     leads = [set() for _ in lines]
     for l, m, n, row in rows:
-        line = lines[n]
-        if sum(line[k] * coeff for k, coeff in row.items()):
+        if sum(map(int.__mul__, lines[n][l:], row)):
             raise ArithmeticError(f"C({n}, k) violates constraint (l={l}, m={m}, n={n})")
-        leads[n].add(min(filter(row.get, row), default=n))
+        leads[n].add(next((k for k, coeff in enumerate(row, l) if coeff), n))
         yield l, m, n, row
     for n, led in enumerate(leads):
         unled = set(range(n)) - led
@@ -390,30 +388,16 @@ def _certified(j: int, rows):
             raise ArithmeticError(f"block n={n}: no equation leads ket orders {sorted(unled)}")
 
 
-# An equation of exp-check's "equations" list, and one of its terms, as
-# json.dumps(indent=2, sort_keys=True) writes them there.
-_EQUATION = ('%s\n    {\n      "l": %d,\n      "m": %d,\n      "n": %d,\n      "terms": [\n'
-             '%s\n      ]\n    }')
-_TERM = ('        {\n          "coeff": [\n            %r,\n            0.0\n          ],\n'
-         '          "k": %d,\n          "n": %d\n        }')
-
-
 def exponentiality_constraints(j: int) -> ConstraintSystem:
     """All cancellation conditions for total order bound j, in one pass.
 
-    Each equation is generated (`_equation_rows`), certified (`_certified`)
-    and written as the text of exp-check's "equations" list, then dropped:
-    the system keeps that text, one piece per equation and a closing one.
-    j=0 yields the empty system.
+    Each equation is generated (`_equation_rows`) and certified
+    (`_certified`), and the system keeps the certified rows.  j=0 yields the
+    empty system.
     """
     if j < 0:
         raise ValueError("order bound j must be nonnegative")
-    pieces = []
-    for l, m, n, row in _certified(j, _equation_rows(j)):
-        terms = ",\n".join([_TERM % (json_number(c), k, n) for k, c in row.items()])
-        pieces.append(_EQUATION % ("," if pieces else "[", l, m, n, terms))
-    pieces.append("\n  ]" if pieces else "[]")
-    return _rebuild(ConstraintSystem, (j, None, tuple(pieces)))  # certified by the pass
+    return _rebuild(ConstraintSystem, (j, tuple(_certified(j, _equation_rows(j)))))
 
 
 class BinomialRecursionFamily(Value):
@@ -520,9 +504,7 @@ class RestrictionReport(Value):
 
     @property
     def passed(self) -> bool:
-        return (
-            self.solution_dimension == self.expected_dimension and self.pattern_matches
-        )
+        return self.solution_dimension == self.expected_dimension and self.pattern_matches
 
     def to_json_dict(self):
         return {

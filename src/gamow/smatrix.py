@@ -125,9 +125,9 @@ def _require_upper_half_plane_roots(function: RationalFunction, what: str):
     """Refuse `function` unless it is bounded and its denominator roots lie above the axis.
 
     A numerator of higher degree than the denominator is refused first.  The
-    exact root test runs on the line Im z = 1e-9 * max(1, R), R >= every
-    root modulus, so a root within 1e-9 * max(1, |root|) of the axis is
-    refused.
+    exact root test runs on the line Im z = 1e-9 * max(1, R), R >= every root
+    modulus, and every root must lie above it, so one far root sets the margin
+    for all: -4 - 4i z + 1e-320 z^2, with roots i and about 4e320 i, is refused.
     """
     numerator, denominator = function.numerator, function.denominator
     if numerator.degree > denominator.degree:

@@ -240,6 +240,24 @@ class TestEvolve:
             assert rows[1]["t"] == 0 and (rows[1]["entry_l"], rows[1]["entry_m"]) == (0, 1)
             assert rows[1]["modulus"] == 2.0
 
+    @pytest.mark.parametrize("energy", ["7.25", "1e300", "-3.5"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_the_curve_does_not_depend_on_the_resonance_energy(self, tmp_path, fmt, energy):
+        """The phases of ket and bra cancel, so E_R shows only as pole.E_R in the JSON."""
+        def curve(value):
+            out = tmp_path / f"{value}.{fmt}"
+            assert main(["evolve", "--r", "4", "--n", "3", "--steps", "21", "--format", fmt,
+                         f"--energy={value}", "--out", str(out)]) == EXIT_OK
+            return out.read_bytes()
+
+        reference, shifted = curve("0"), curve(energy)
+        if fmt == "csv":
+            assert shifted == reference
+        else:
+            reference, shifted = json.loads(reference), json.loads(shifted)
+            assert (reference["pole"].pop("E_R"), shifted["pole"].pop("E_R")) == (0, float(energy))
+            assert shifted == reference
+
     def test_contract_tolerance_scales_with_a_large_modulus(self, tmp_path, capsys):
         """Moduli near 3e6 differ by an ulp (4.7e-10), far above an absolute 1e-12."""
         config_path = tmp_path / "config.json"
@@ -343,25 +361,49 @@ class TestExpCheck:
         assert passes == [6]
         assert len(generated) == len(set(generated)) == 56 == math.comb(6 + 2, 3)
 
+    def test_the_equations_are_streamed_one_piece_each(self, tmp_path, monkeypatch):
+        """`_write_output` gets an iterator: the head, one piece per equation, then the tail.
+
+        Each equation's piece is the text of that equation alone, and at j = 6
+        the head and the tail are shorter than the longest of them.
+        """
+        handed = []
+
+        def recording(out, pieces):
+            assert iter(pieces) is pieces
+            write(out, (handed.append(piece) or piece for piece in pieces))
+
+        write = cli._write_output
+        monkeypatch.setattr(cli, "_write_output", recording)
+        out = tmp_path / "report.json"
+        assert main(["exp-check", "--j", "6", "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == "".join(handed)
+        equations = operators.exponentiality_constraints(6).to_json_dict()["equations"]
+        head, *pieces, tail = handed
+        assert len(pieces) == len(equations) == 56
+        assert [json.loads(piece[1:]) for piece in pieces] == equations
+        assert max(map(len, handed)) == max(map(len, pieces)) > max(len(head), len(tail))
+        assert tail.startswith("\n  ],\n") and head.endswith('"equations": ')
+
     def test_a_coefficient_past_2_to_53_is_written_exactly(self, monkeypatch):
         """Term k = 0 of equation (0, 24, 58) is C(58, 24), which no float holds.
 
-        The pass is given that equation alone, uncertified, and writes it as
-        the encoder writes the stored equation's JSON values.
+        The pass is given that equation alone, uncertified, and its row is
+        written as the encoder writes the stored equation's JSON values.
         """
         coefficient = binomial(58, 24)
         assert float(coefficient) != coefficient
-        row = (0, 24, 58, {0: coefficient, 1: -58})
+        row = (0, 24, 58, (coefficient, -58))
         monkeypatch.setattr(operators, "_equation_rows", lambda j: iter([row]))
         monkeypatch.setattr(operators, "_certified", lambda j, rows: rows)
-        text = "".join(operators.exponentiality_constraints(58).equations_json)
+        system = operators.exponentiality_constraints(58)
+        text = "".join(cli._exp_check_json({"equations": None}, system))
         equation = operators.ConstraintEquation(0, 24, 58, [((58, 0), coefficient), ((58, 1), -58)])
         assert text == json.dumps({"equations": [equation.to_json_dict()]}, indent=2,
-                                  sort_keys=True)[
-            len('{\n  "equations": '):-len("\n}")]
-        written = json.loads(text)
-        assert [term["coeff"] for term in written[0]["terms"]] == [[coefficient, 0.0], [-58.0, 0.0]]
-        assert [type(term["coeff"][0]) for term in written[0]["terms"]] == [int, float]
+                                  sort_keys=True) + "\n"
+        terms = json.loads(text)["equations"][0]["terms"]
+        assert [term["coeff"] for term in terms] == [[coefficient, 0.0], [-58.0, 0.0]]
+        assert [type(term["coeff"][0]) for term in terms] == [int, float]
 
     @pytest.mark.parametrize("existing", [None, "kept"], ids=["new-out", "existing-out"])
     @pytest.mark.parametrize("fault, message", [
@@ -375,7 +417,7 @@ class TestExpCheck:
         def faulty(j):
             for l, m, n, row in rows(j):
                 if (l, m, n) == (1, 0, 3) and fault == "altered":
-                    row = {**row, 2: row[2] + 1}
+                    row = (row[0], row[1] + 1, *row[2:])  # the coefficient at k = 2
                 if (l, m, n) != (2, 0, 3) or fault != "missing":
                     yield l, m, n, row
 

@@ -1,6 +1,6 @@
 """The structural certificate of the constraint system against the flat exact and sympy oracles.
 
-`exponentiality_constraints` generates, certifies and writes the system in
+`exponentiality_constraints` generates and certifies the system's rows in
 one pass; the stored-list `ConstraintSystem(j, equations)` is its oracle,
 and the equations themselves are checked against their definition.
 
@@ -15,6 +15,7 @@ also restricted to the unknowns that survive a pole order.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -110,11 +111,12 @@ class TestGeneratedPass:
 
     @pytest.mark.parametrize("j", [0, 1, 5, 12, 20])
     def test_the_stored_list_certifies_with_the_closed_form_count(self, j):
-        """The stored path certifies the regenerated list; its length is C(j + 2, 3)."""
+        """The stored path certifies the generated list into the same rows, C(j + 2, 3) of them."""
         generated = exponentiality_constraints(j)
         stored = ConstraintSystem(j, generated.equations)
-        assert stored.equations == generated.equations and stored.equations_json is None
-        assert stored.equation_count == generated.equation_count == sympy.binomial(j + 2, 3)
+        assert stored == generated and stored.rows == generated.rows
+        assert stored.equations == generated.equations
+        assert stored.equation_count == len(generated.rows) == sympy.binomial(j + 2, 3)
 
 
 class TestFlatOracle:
@@ -208,8 +210,7 @@ class TestRefusal:
     ):
         """The stored list's message, for the same coefficient altered in the generated pass."""
         def alter(row):
-            k = lmn[0] + position
-            return {**row, k: row[k] + delta}
+            return (*row[:position], row[position] + delta, *row[position + 1:])
 
         monkeypatch.setattr(operators, "_equation_rows",
                             with_fault(operators._equation_rows, lmn, alter))
@@ -226,6 +227,39 @@ class TestRefusal:
         with pytest.raises(ArithmeticError) as refusal:
             exponentiality_constraints(j)
         assert str(refusal.value) == "block n=3: no equation leads ket orders [2]"
+
+    def test_a_term_outside_its_equations_block_is_refused(self):
+        """Equation (0, 0, 1) with its terms moved onto (2, 0) and (2, 1) is another system.
+
+        The flat oracle gives it two free unit vectors in block 1 and none in
+        block 2, so no reading of it as the C(n, k) lines may certify it.
+        """
+        full = exponentiality_constraints(3)
+        moved = [ConstraintEquation(0, 0, 1, [((2, 0), 1), ((2, 1), -1)])
+                 if (eq.l, eq.m, eq.n) == (0, 0, 1) else eq for eq in full.equations]
+        flat = nullspace(coefficient_rows(SimpleNamespace(j=3, equations=moved)), 10)
+        blocks = [{n for (n, _), x in zip(variables(full), vector) if x} for vector in flat]
+        assert blocks == [{0}, {1}, {1}, {3}]
+        with pytest.raises(ValueError) as refusal:
+            ConstraintSystem(3, moved)
+        assert str(refusal.value) == ("equation (l=0, m=0, n=1): term ((2, 0), 1) is not at an "
+                                      "unknown (n=1, k) with 0 <= k <= 1")
+
+    @pytest.mark.parametrize("equation, message", [
+        (ConstraintEquation(0, 0, 1, [((1, 0), 1), ((1, 5), 1)]),
+         "equation (l=0, m=0, n=1): term ((1, 5), 1) is not at an unknown (n=1, k) "
+         "with 0 <= k <= 1"),
+        (ConstraintEquation(0, 1, 3, [((3, 3), 1)]),
+         "equation (l=0, m=1, n=3): term ((3, 3), 1) is not at an unknown (n=3, k) "
+         "with 0 <= k <= 2"),
+        (ConstraintEquation(0, 0, 4, []), "equation (l=0, m=0, n=4) is not one of bound 3"),
+        (ConstraintEquation(2, 2, 3, []), "equation (l=2, m=2, n=3) is not one of bound 3"),
+    ])
+    def test_a_term_past_its_equations_range_is_refused(self, equation, message):
+        """A ket order past n - m, or an equation past the bound, is an input error."""
+        with pytest.raises(ValueError) as refusal:
+            ConstraintSystem(3, [*exponentiality_constraints(3).equations, equation])
+        assert str(refusal.value) == message
 
     def test_a_missing_leading_row_is_refused(self):
         full = exponentiality_constraints(3)

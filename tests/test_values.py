@@ -255,6 +255,15 @@ def test_keyword_constructions_and_defaults():
     assert IntegralResult(1j, 0.0, True)._unconverged == ()
 
 
+@pytest.mark.parametrize("dimension, matches", [(1, True), (2, False)])
+def test_a_restriction_passes_only_when_both_of_its_checks_do(dimension, matches):
+    report = RestrictionReport(order=2, j=2, equation_count=3, variable_count=4,
+                               solution_dimension=dimension, expected_dimension=2,
+                               pattern_matches=matches, basis=[])
+    assert report.passed is False
+    assert report.to_json_dict()["passed"] is False
+
+
 def test_unpickling_rebuilds_from_the_fields_without_init(monkeypatch):
     model = SMatrixModel(ComplexPole(1, 2, 2), [1, 1])
     data = pickle.dumps(model)
