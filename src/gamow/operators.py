@@ -38,7 +38,6 @@ from .exact import (
     Polynomial,
     Value,
     ZERO,
-    _rebuild,
     binomial,
     json_number,
     matrix_rank,
@@ -249,24 +248,6 @@ def is_pure_exponential(evolved: TimePolynomialOperator) -> bool:
 # -- the exponential-decay characterization --------------------------------
 
 
-class ConstraintEquation(Value):
-    """One homogeneous cancellation condition, tagged by its (l, m, n) indices.
-
-    The equation says the coefficient of t^(n-l-m) on dyad (l, m) vanishes:
-    sum over k of A[(n,k)] * C(k,l) * C(n-k,m) * (-1)^(k-l) = 0, with k
-    running from l to n-m.  Terms are ((n, k), integer coefficient) pairs.
-    """
-
-    __slots__ = ("l", "m", "n", "terms")
-
-    def __init__(self, l: int, m: int, n: int, terms: tuple):
-        Value.__init__(self, l, m, n, tuple((tuple(v), int(c)) for v, c in terms))
-
-    def to_json_dict(self):
-        terms = [{"n": v[0], "k": v[1], "coeff": [json_number(c), 0.0]} for v, c in self.terms]
-        return {"l": self.l, "m": self.m, "n": self.n, "terms": terms}
-
-
 class ConstraintSystem(Value):
     """The full homogeneous system over the total-order coefficient triangle.
 
@@ -278,21 +259,17 @@ class ConstraintSystem(Value):
     cannot be certified, such as one with an equation dropped or altered,
     raises ArithmeticError there.  The solution dimension and the
     restricted view are read off that certificate by `_solution_lines`.
-    The system keeps the rows it certified, (l, m, n, integer coefficients
-    at k = l..n-m); `ConstraintSystem(j, equations)` makes them from a
-    stored list, the oracle of `exponentiality_constraints`.
+    `ConstraintSystem(j, rows)` takes the rows as (l, m, n, integer
+    coefficients at k = l..n-m), refuses a malformed one with a ValueError,
+    and keeps them as it certified them.
     """
 
     __slots__ = ("j", "rows")
 
-    def __init__(self, j: int, equations):
-        Value.__init__(self, j, tuple(_certified(j, (_stored_row(j, eq) for eq in equations))))
-
-    @property
-    def equations(self):
-        """The ConstraintEquations, in output order, with a term at every k = l..n-m."""
-        return tuple(ConstraintEquation(l, m, n, [((n, k), c) for k, c in enumerate(row, l)])
-                     for l, m, n, row in self.rows)
+    def __init__(self, j: int, rows):
+        if j < 0:
+            raise ValueError("order bound j must be nonnegative")
+        Value.__init__(self, j, tuple(_certified(j, rows)))
 
     @property
     def equation_count(self) -> int:
@@ -325,12 +302,11 @@ class ConstraintSystem(Value):
         return len(self._solution_lines())
 
     def to_json_dict(self):
-        """JSON values; the test oracle of the text exp-check writes from the rows."""
-        return {
-            "j": self.j,
-            "equations": [eq.to_json_dict() for eq in self.equations],
-            "solution_dimension": self.solution_dimension,
-        }
+        """JSON values, made from the rows: the test oracle of the text exp-check writes."""
+        equations = [{"l": l, "m": m, "n": n, "terms": [
+            {"n": n, "k": k, "coeff": [json_number(c), 0.0]} for k, c in enumerate(row, l)
+        ]} for l, m, n, row in self.rows]
+        return {"j": self.j, "equations": equations, "solution_dimension": self.solution_dimension}
 
 
 def _equation_rows(j: int):
@@ -349,36 +325,32 @@ def _equation_rows(j: int):
                 yield l, m, n, tuple([ket[k] * bra[n - k] for k in range(l, n - m + 1)])
 
 
-def _stored_row(j: int, eq: ConstraintEquation):
-    """A stored equation as a row of `_certified`, its terms summed per ket order.
-
-    ValueError names an equation outside bound j, or a term whose unknown is
-    not (n, k) with l <= k <= n - m.
-    """
-    l, m, n = eq.l, eq.m, eq.n
-    if not 0 <= l <= n - m <= n <= j:
-        raise ValueError(f"equation (l={l}, m={m}, n={n}) is not one of bound {j}")
-    row = [0] * (n - m - l + 1)
-    for term in eq.terms:
-        (block, k), coeff = term
-        if not (block == n and l <= k <= n - m):
-            raise ValueError(f"equation (l={l}, m={m}, n={n}): term {term} is not at an "
-                             f"unknown (n={n}, k) with {l} <= k <= {n - m}")
-        row[k - l] += coeff
-    return l, m, n, tuple(row)
-
-
 def _certified(j: int, rows):
     """Pass on each row (l, m, n, coefficients at k = l..n-m) once C(n, k) satisfies it.
 
-    A row's lowest ket order with a nonzero coefficient is the one it leads.
-    After the last row, each ket order k < n of every block n must have led
-    one, or ArithmeticError names the block.
+    ValueError names a row that is not one of bound j, whose length is not
+    n - m - l + 1, or with a coefficient that is not an int.  A row's lowest
+    ket order with a nonzero coefficient is the one it leads.  After the
+    last row, each ket order k < n of every block n must have led one, or
+    ArithmeticError names the block.
     """
     lines = [[binomial(n, k) for k in range(n + 1)] for n in range(j + 1)]
     leads = [set() for _ in lines]
     for l, m, n, row in rows:
-        if sum(map(int.__mul__, lines[n][l:], row)):
+        row = tuple(row)
+        if not 0 <= l <= n - m <= n <= j:
+            raise ValueError(f"equation (l={l}, m={m}, n={n}) is not one of bound {j}")
+        if len(row) != n - m - l + 1:
+            raise ValueError(f"equation (l={l}, m={m}, n={n}): {len(row)} coefficients, "
+                             f"expected one at each k = {l}..{n - m}")
+        line = lines[n][l:]
+        try:
+            residual = sum(map(int.__mul__, line, row))
+        except TypeError:  # int.__mul__ gives NotImplemented for a coefficient that is no int
+            bad = next(c for c in row if not isinstance(c, int))
+            raise ValueError(f"equation (l={l}, m={m}, n={n}): coefficient {bad!r} "
+                             "is not an int") from None
+        if residual:
             raise ArithmeticError(f"C({n}, k) violates constraint (l={l}, m={m}, n={n})")
         leads[n].add(next((k for k, coeff in enumerate(row, l) if coeff), n))
         yield l, m, n, row
@@ -391,74 +363,53 @@ def _certified(j: int, rows):
 def exponentiality_constraints(j: int) -> ConstraintSystem:
     """All cancellation conditions for total order bound j, in one pass.
 
-    Each equation is generated (`_equation_rows`) and certified
-    (`_certified`), and the system keeps the certified rows.  j=0 yields the
-    empty system.
+    Each equation is generated (`_equation_rows`) and certified by the
+    constructor as it is read, and the system keeps the certified rows.
+    j=0 yields the empty system.
     """
-    if j < 0:
-        raise ValueError("order bound j must be nonnegative")
-    return _rebuild(ConstraintSystem, (j, tuple(_certified(j, _equation_rows(j)))))
+    return ConstraintSystem(j, _equation_rows(j))
 
 
-class BinomialRecursionFamily(Value):
-    """Closed-form solution family A[(n,k)] = C(n,k) * A[(n,0)].
-
-    Built by chaining the two-term recursion
-    A[(n,k)] = ((n-k+1)/k) * A[(n,k-1)] in integers; the multipliers
-    collapse to the binomial coefficients.  That every member solves the
-    constraint system is the certificate's part
-    (`binomial_family_matches_nullspace`).  Families compare by identity,
-    and the repr leaves out the multipliers.
-    """
-
-    __slots__ = ("j", "multipliers")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __repr__(self):
-        return f"BinomialRecursionFamily(j={self.j!r})"
-
-    def multiplier(self, n: int, k: int) -> int:
-        return self.multipliers[(n, k)]
-
-
-def solve_binomial_recursion(j: int) -> BinomialRecursionFamily:
-    """Solve the cancellation conditions by the two-term recursion.
+def solve_binomial_recursion(j: int) -> tuple:
+    """The closed-form family A[(n,k)] = C(n,k) * A[(n,0)], by the two-term recursion.
 
     Equation (k-1, n-k, n) has just two terms, (n-k+1) * A[(n,k-1)] and
     -k * A[(n,k)], so it chains A[(n,k)] = ((n-k+1)/k) * A[(n,k-1)] down to
     the free A[(n,0)]; each step must divide exactly, and the product must
-    telescope to C(n,k).
+    telescope to C(n,k), or ArithmeticError names the step.  The family is
+    returned as a table of ints, row n the multipliers (C(n,0), ..., C(n,n))
+    of member n, for n = 0..j.  That every member solves the constraint
+    system is the certificate's part (`binomial_family_matches_nullspace`).
     """
     if j < 0:
         raise ValueError("order bound j must be nonnegative")
-    multipliers = {}
+    family = []
     for n in range(j + 1):
-        value = multipliers[(n, 0)] = 1
+        member = [1]
         for k in range(1, n + 1):
-            product = value * (n - k + 1)
+            product = member[-1] * (n - k + 1)
             value, remainder = divmod(product, k)
             if remainder or value != binomial(n, k):
                 gave = f"{product}/{k}" if remainder else value
                 raise ArithmeticError(f"recursion gave {gave} at (n={n}, k={k}), expected C(n,k)")
-            multipliers[(n, k)] = value
-    return BinomialRecursionFamily(j, multipliers)
+            member.append(value)
+        family.append(tuple(member))
+    return tuple(family)
 
 
-def binomial_family_matches_nullspace(system: ConstraintSystem,
-                                      family: BinomialRecursionFamily) -> bool:
+def binomial_family_matches_nullspace(system: ConstraintSystem, family: tuple) -> bool:
     """True iff the closed-form family spans exactly the system's nullspace.
 
     Block by block: the certified solution line of each total order n must
-    be the multiples of family member n, compared in integers.
+    be the multiples of row n of the family, a table of ints as
+    `solve_binomial_recursion` gives it, compared in integers.
     """
-    if family.j != system.j:
-        return False
-    for n, line in system._solution_lines().items():
-        member = [family.multiplier(n, k) for k in range(n + 1)]
-        if not (member[n] and all(m == member[n] * c for m, c in zip(member, line))):
-            return False
-    return True
+    lines = system._solution_lines()
+    return len(family) == len(lines) and all(
+        len(member) == len(line) and member[-1]
+        and all(x == member[-1] * c for x, c in zip(member, line))
+        for member, line in zip(family, lines.values())
+    )
 
 
 def exponential_subspace_basis(pole: ComplexPole):

@@ -1,14 +1,65 @@
 """The constraint system's oracle-side views, which no command reads.
 
-The flat integer matrix of a system over all (j+1)(j+2)/2 unknowns and its
-exact nullspace by Gaussian elimination, the canonical basis read off the
-certificate, the left-hand side of one equation at a dyad table, and the
-members of the closed-form recursion family: the tests compare the
-certificate against these, and against sympy.
+The stored-list oracle of `exponentiality_constraints`: a system's rows as
+`ConstraintEquation`s with their (n, k) terms, and a stored list of them
+turned back into rows and built by the same constructor.  The flat integer
+matrix of a system over all (j+1)(j+2)/2 unknowns and its exact nullspace
+by Gaussian elimination, the canonical basis read off the certificate, the
+left-hand side of one equation at a dyad table, and the members of the
+closed-form recursion family: the tests compare the certificate against
+these, and against sympy.
 """
 
+from typing import NamedTuple
+
 from gamow.exact import ONE, ZERO, ComplexRational, rref
-from gamow.operators import CoefficientMatrix, binomial_pattern_matrix
+from gamow.operators import CoefficientMatrix, ConstraintSystem, binomial_pattern_matrix
+
+
+class ConstraintEquation(NamedTuple):
+    """One homogeneous cancellation condition, tagged by its (l, m, n) indices.
+
+    The equation says the coefficient of t^(n-l-m) on dyad (l, m) vanishes:
+    sum over k of A[(n,k)] * C(k,l) * C(n-k,m) * (-1)^(k-l) = 0, with k
+    running from l to n-m.  Terms are ((n, k), integer coefficient) pairs.
+    """
+
+    l: int
+    m: int
+    n: int
+    terms: tuple
+
+
+def equations(system):
+    """The system's rows as ConstraintEquations, in output order, with a term at every k = l..n-m."""
+    return tuple(ConstraintEquation(l, m, n, tuple(((n, k), c) for k, c in enumerate(row, l)))
+                 for l, m, n, row in system.rows)
+
+
+def stored_row(eq):
+    """A stored equation as a constructor row, its terms summed per ket order.
+
+    ValueError names a term whose unknown is not (n, k) with l <= k <= n - m,
+    or whose coefficient is not an int; the constructor refuses an equation
+    outside the bound.
+    """
+    l, m, n = eq.l, eq.m, eq.n
+    row = [0] * (n - m - l + 1)
+    for term in eq.terms:
+        (block, k), coeff = term
+        if not (block == n and l <= k <= n - m):
+            raise ValueError(f"equation (l={l}, m={m}, n={n}): term {term} is not at an "
+                             f"unknown (n={n}, k) with {l} <= k <= {n - m}")
+        if not isinstance(coeff, int):
+            raise ValueError(f"equation (l={l}, m={m}, n={n}): term {term} has a coefficient "
+                             "that is not an int")
+        row[k - l] += coeff
+    return l, m, n, tuple(row)
+
+
+def stored_system(j, stored):
+    """The system of bound j that a stored list of ConstraintEquations makes, certified alike."""
+    return ConstraintSystem(j, map(stored_row, stored))
 
 
 def variables(system):
@@ -16,11 +67,14 @@ def variables(system):
     return [(n, k) for n in range(system.j + 1) for k in range(n + 1)]
 
 
-def coefficient_rows(system):
-    """The flat integer coefficient matrix over `variables`, one row per equation."""
+def coefficient_rows(system, stored=None):
+    """The flat integer coefficient matrix over `variables`, one row per equation.
+
+    The equations are the system's, or a `stored` list of ConstraintEquations.
+    """
     index = {v: i for i, v in enumerate(variables(system))}
     rows = []
-    for eq in system.equations:
+    for eq in equations(system) if stored is None else stored:
         row = [0] * len(index)
         for variable, coeff in eq.terms:
             row[index[variable]] += coeff
@@ -66,15 +120,19 @@ def evaluate(equation, coefficients: CoefficientMatrix) -> ComplexRational:
 
 
 def family_member(family, free_values) -> CoefficientMatrix:
-    """Dyad table of bound j + 1 with the given free parameters A[(n,0)] of the recursion family."""
+    """Dyad table of bound j + 1 with the given free parameters A[(n,0)] of the recursion family.
+
+    The family is the table of `solve_binomial_recursion(j)`, one row per total order n.
+    """
     free = [ComplexRational.from_value(v) for v in free_values]
-    if len(free) != family.j + 1:
-        raise ValueError(f"expected {family.j + 1} free parameters, got {len(free)}")
-    entries = {(k, n - k): free[n] * mult for (n, k), mult in family.multipliers.items()}
-    return CoefficientMatrix(family.j + 1, entries)
+    if len(free) != len(family):
+        raise ValueError(f"expected {len(family)} free parameters, got {len(free)}")
+    entries = {(k, n - k): free[n] * mult
+               for n, member in enumerate(family) for k, mult in enumerate(member)}
+    return CoefficientMatrix(len(family), entries)
 
 
 def family_basis(family):
     """One dyad table per free parameter of the family: unit A[(n0,0)], the rest forced."""
-    units = range(family.j + 1)
+    units = range(len(family))
     return [family_member(family, [int(n == n0) for n in units]) for n0 in units]

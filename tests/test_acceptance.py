@@ -126,7 +126,7 @@ def test_recursion_equals_closed_form():
         family = solve_binomial_recursion(8)
         for n in range(9):
             for k in range(n + 1):
-                assert family.multiplier(n, k) == binomial(n, k)
+                assert family[n][k] == binomial(n, k)
 
 
 def test_binomial_identity_and_collapse():

@@ -17,6 +17,7 @@ from importlib.resources import files
 from pathlib import Path
 
 import pytest
+from constraint_oracle import equations, stored_system
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -333,7 +334,7 @@ class TestExpCheck:
         text = out.read_text()
         payload = json.loads(text)
         generated = operators.exponentiality_constraints(payload["j"])
-        stored = operators.ConstraintSystem(payload["j"], generated.equations)
+        stored = stored_system(payload["j"], equations(generated))
         payload["equations"] = stored.to_json_dict()["equations"]
         assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert (payload["equations"] == []) == (payload["j"] == 0)
@@ -341,9 +342,9 @@ class TestExpCheck:
     def test_missing_bounds_rejected(self):
         assert main(["exp-check"]) == EXIT_INPUT_ERROR
 
-    def test_the_command_makes_one_pass_and_no_equation_values(self, tmp_path, monkeypatch):
+    def test_the_command_makes_one_pass_and_one_system(self, tmp_path, monkeypatch):
         """--r 4 generates its 56 equations once, for the system and its restriction alike."""
-        passes, generated = [], []
+        passes, generated, built = [], [], []
 
         def counted(j):
             passes.append(j)
@@ -351,14 +352,15 @@ class TestExpCheck:
                 generated.append(row[:3])
                 yield row
 
-        def no_equation_values(*args):
-            raise AssertionError("the command built a ConstraintEquation")
+        def counted_init(self, j, given):
+            built.append(j)
+            init(self, j, given)
 
-        rows = operators._equation_rows
+        rows, init = operators._equation_rows, operators.ConstraintSystem.__init__
         monkeypatch.setattr(operators, "_equation_rows", counted)
-        monkeypatch.setattr(operators, "ConstraintEquation", no_equation_values)
+        monkeypatch.setattr(operators.ConstraintSystem, "__init__", counted_init)
         assert main(["exp-check", "--r", "4", "--out", str(tmp_path / "report.json")]) == EXIT_OK
-        assert passes == [6]
+        assert passes == built == [6]
         assert len(generated) == len(set(generated)) == 56 == math.comb(6 + 2, 3)
 
     def test_the_equations_are_streamed_one_piece_each(self, tmp_path, monkeypatch):
@@ -389,7 +391,7 @@ class TestExpCheck:
         """Term k = 0 of equation (0, 24, 58) is C(58, 24), which no float holds.
 
         The pass is given that equation alone, uncertified, and its row is
-        written as the encoder writes the stored equation's JSON values.
+        written as the encoder writes the system's JSON values.
         """
         coefficient = binomial(58, 24)
         assert float(coefficient) != coefficient
@@ -398,8 +400,7 @@ class TestExpCheck:
         monkeypatch.setattr(operators, "_certified", lambda j, rows: rows)
         system = operators.exponentiality_constraints(58)
         text = "".join(cli._exp_check_json({"equations": None}, system))
-        equation = operators.ConstraintEquation(0, 24, 58, [((58, 0), coefficient), ((58, 1), -58)])
-        assert text == json.dumps({"equations": [equation.to_json_dict()]}, indent=2,
+        assert text == json.dumps({"equations": system.to_json_dict()["equations"]}, indent=2,
                                   sort_keys=True) + "\n"
         terms = json.loads(text)["equations"][0]["terms"]
         assert [term["coeff"] for term in terms] == [[coefficient, 0.0], [-58.0, 0.0]]
@@ -1214,7 +1215,7 @@ PUBLIC_NAMES = {
         "check_jordan_degree", "evolve_ket", "evolve_state", "survival_modulus",
     ],
     "operators": [
-        "BinomialRecursionFamily", "CoefficientMatrix", "ConstraintSystem", "DyadicOperator",
+        "CoefficientMatrix", "ConstraintSystem", "DyadicOperator",
         "RestrictionReport", "TimePolynomialOperator", "binomial_family_matches_nullspace",
         "binomial_pattern_matrix", "evolve_operator", "exponential_state_operator",
         "exponential_subspace_basis", "exponentiality_constraints", "is_pure_exponential",
@@ -1238,7 +1239,7 @@ def test_the_star_import_binds_the_public_names_and_the_four_submodules():
     """
     code = "from gamow import *\nprint(*sorted(name for name in dir() if name[0] != '_'))"
     public = [name for names in PUBLIC_NAMES.values() for name in names]
-    assert len(public) == 39
+    assert len(public) == 38
     assert run_python(code).stdout.split() == sorted([*public, *PUBLIC_NAMES])
     for module, names in PUBLIC_NAMES.items():
         for name in names:
@@ -1528,3 +1529,89 @@ def test_evolve_output_is_finite_with_an_honest_exit_code(data):
     else:
         numbers = [float(cell) for line in out.splitlines()[1:] for cell in line.split(",")]
     assert all(math.isfinite(x) for x in numbers)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(gamma=st.sampled_from([0.7, 1.0, 3.25]), n=st.integers(0, 4), k=st.integers(-200, 200))
+def test_evolve_under_gamma_scaling_scales_time_and_values_by_powers_of_two(gamma, n, k):
+    """Gamma * 2^k over t_end * 2^-k: t scales by 2^-k, re, im and modulus by 2^(kn), exactly.
+
+    The decay factor exp(-Gamma t) is unchanged and the prefactor Gamma^n/n!
+    scales by 2^(kn).  With |kn| <= 800 every value here stays a normal
+    float, so each product by a power of two is exact.
+    """
+    def curve(width, t_end):
+        code, out, err = _run_main(["evolve", "--r", "5", "--n", str(n), f"--gamma={width!r}",
+                                    f"--t-end={t_end!r}", "--steps", "41"])
+        assert (code, err) == (EXIT_OK, "")
+        return [[float(cell) for cell in line.split(",")] for line in out.splitlines()[1:]]
+
+    reference, scaled = curve(gamma, 5.0), curve(math.ldexp(gamma, k), math.ldexp(5.0, -k))
+    assert len(scaled) == len(reference) == 41 * 25
+    for (t, ket, bra, *values), (t2, ket2, bra2, *values2) in zip(reference, scaled):
+        assert (t2, ket2, bra2) == (math.ldexp(t, -k), ket, bra)
+        assert values2 == [math.ldexp(x, k * n) for x in values]
+
+
+# the edge values of the input fuzzer: out of range, non-finite, subnormal or of another type
+EDGE_VALUES = [0, -1, 10**400, 1e308, -0.0, 1e-320, math.inf, "a string", True, None, [], {}]
+
+
+def _field_paths(value, path=()):
+    """The path of every field below `value`, nested ones included, as keys and indices."""
+    children = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for step, child in children:
+        yield (*path, step)
+        yield from _field_paths(child, (*path, step))
+
+
+def _full_evolve_configs():
+    """An evolve config that sets every key, once for each operator kind."""
+    common = {"E_R": 1.5, "Gamma": 0.5, "r": 3, "grid": {"t_end": 4.0, "steps": 5},
+              "format": "json", "tol": 1e-10}
+    return [dict(common, operator=operator) for operator in (
+        {"kind": "binomial", "n": 2, "include_prefactor": True},
+        {"kind": "dyad", "ket": 1, "bra": 2, "coeff": [0.5, -1.0]},
+        {"kind": "coefficients", "entries": [{"ket": 0, "bra": 1, "coeff": 2.0},
+                                             {"ket": 2, "bra": 0, "coeff": [0.0, 1.0]}]},
+    )]
+
+
+def _nonfinite_in(out):
+    """True where the output, a CSV table or a JSON document, holds a NaN or infinity."""
+    if out.startswith("t,entry_l"):
+        numbers = [float(cell) for line in out.splitlines()[1:] for cell in line.split(",")]
+    else:
+        try:
+            numbers = _numbers(_strict_json(out))
+        except AssertionError:  # a NaN or Infinity token
+            return True
+    return not all(math.isfinite(x) for x in numbers)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_fuzzed_inputs_exit_0_1_or_2_and_an_input_error_writes_nothing(data):
+    """One or two fields of the bundled model or of a full evolve config set to an edge value.
+
+    Nothing escapes `main`, the exit code is 0, 1 or 2, exit 2 writes
+    nothing to stdout, and exit 0 writes no NaN or infinity.
+    """
+    command = data.draw(st.sampled_from(["residue", "evolve"]))
+    document = (TestResidue().model_document() if command == "residue"
+                else data.draw(st.sampled_from(_full_evolve_configs())))
+    paths = data.draw(st.lists(st.sampled_from(list(_field_paths(document))), min_size=1,
+                               max_size=2, unique=True))
+    for path in sorted(paths, key=len, reverse=True):  # a field before the object holding it
+        edited(document, path, data.draw(st.sampled_from(EDGE_VALUES)))
+    with tempfile.TemporaryDirectory() as workdir:
+        config_path = os.path.join(workdir, "input.json")
+        with open(config_path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)  # inf is written as the Infinity that json.load reads
+        code, out, err = _run_main([command, "--config", config_path])
+    assert code in (EXIT_OK, EXIT_VERIFICATION_FAILURE, EXIT_INPUT_ERROR), err
+    if code == EXIT_INPUT_ERROR:
+        assert out == "", err
+    if code == EXIT_OK:
+        assert not _nonfinite_in(out), out

@@ -1,8 +1,10 @@
 """The structural certificate of the constraint system against the flat exact and sympy oracles.
 
 `exponentiality_constraints` generates and certifies the system's rows in
-one pass; the stored-list `ConstraintSystem(j, equations)` is its oracle,
-and the equations themselves are checked against their definition.
+one pass through `ConstraintSystem(j, rows)`, the one constructor, which
+refuses a malformed row; the stored-list `stored_system(j, equations)` of
+the oracle is built by that constructor too, and the equations themselves
+are checked against their definition.
 
 The constraint system is not solved: each total-order block is certified
 from its structure (every ket order below n leads some equation, and
@@ -15,19 +17,25 @@ also restricted to the unknowns that survive a pole order.
 """
 
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 import sympy
-from constraint_oracle import coefficient_rows, nullspace, nullspace_basis, variables
+from constraint_oracle import (
+    ConstraintEquation,
+    coefficient_rows,
+    equations,
+    nullspace,
+    nullspace_basis,
+    stored_row,
+    stored_system,
+    variables,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamow import operators
 from gamow.jordan import ComplexPole
 from gamow.operators import (
-    BinomialRecursionFamily,
-    ConstraintEquation,
     ConstraintSystem,
     binomial_family_matches_nullspace,
     exponentiality_constraints,
@@ -48,7 +56,7 @@ def flat_restricted_nullspace(system, r):
     keys = [(k, m) for k in range(r) for m in range(r) if k + m <= system.j]
     index = {key: i for i, key in enumerate(keys)}
     rows = []
-    for eq in system.equations:
+    for eq in equations(system):
         row = [0] * len(keys)
         for (n, k), coeff in eq.terms:
             if (k, n - k) in index:
@@ -64,19 +72,19 @@ def sympy_nullspace(rows, num_columns):
 
 def altered(system, index, position, delta):
     """The equations of `system` with one coefficient of equation `index` changed by `delta`."""
-    eq = system.equations[index]
+    stored = list(equations(system))
+    eq = stored[index]
     terms = list(eq.terms)
     variable, coeff = terms[position]
     terms[position] = (variable, coeff + delta)
-    equations = list(system.equations)
-    equations[index] = ConstraintEquation(eq.l, eq.m, eq.n, terms)
-    return equations
+    stored[index] = eq._replace(terms=tuple(terms))
+    return stored
 
 
-def assert_refused(j, equations, message):
-    """Building the system raises ArithmeticError with exactly `message`."""
+def assert_refused(j, stored, message):
+    """Building the system from the stored list raises ArithmeticError with exactly `message`."""
     with pytest.raises(ArithmeticError) as refusal:
-        ConstraintSystem(j, equations)
+        stored_system(j, stored)
     assert str(refusal.value) == message
 
 
@@ -106,16 +114,17 @@ class TestGeneratedPass:
             for l in range(j) for m in range(j - l) for n in range(l + m + 1, j + 1)
         ]
         system = exponentiality_constraints(j)
-        assert [(eq.l, eq.m, eq.n, eq.terms) for eq in system.equations] == expected
+        assert [(eq.l, eq.m, eq.n, eq.terms) for eq in equations(system)] == expected
         assert system.equation_count == len(expected) == sympy.binomial(j + 2, 3)
 
     @pytest.mark.parametrize("j", [0, 1, 5, 12, 20])
     def test_the_stored_list_certifies_with_the_closed_form_count(self, j):
         """The stored path certifies the generated list into the same rows, C(j + 2, 3) of them."""
         generated = exponentiality_constraints(j)
-        stored = ConstraintSystem(j, generated.equations)
+        stored = stored_system(j, equations(generated))
         assert stored == generated and stored.rows == generated.rows
-        assert stored.equations == generated.equations
+        assert ConstraintSystem(j, generated.rows) == generated
+        assert equations(stored) == equations(generated)
         assert stored.equation_count == len(generated.rows) == sympy.binomial(j + 2, 3)
 
 
@@ -146,8 +155,8 @@ class TestFlatOracle:
         keep = data.draw(st.lists(st.booleans(), min_size=full.equation_count,
                                   max_size=full.equation_count))
         try:
-            system = ConstraintSystem(j, [
-                eq for eq, kept in zip(full.equations, keep) if kept or (keep_units and eq.m == 0)
+            system = stored_system(j, [
+                eq for eq, kept in zip(equations(full), keep) if kept or (keep_units and eq.m == 0)
             ])
         except ArithmeticError:
             return  # refused, which is sound whatever the flat dimension
@@ -167,11 +176,11 @@ class TestFlatOracle:
         rows over the dyads that survive that order.
         """
         groups = {}
-        for eq in exponentiality_constraints(j).equations:
+        for eq in equations(exponentiality_constraints(j)):
             groups.setdefault((eq.l, eq.n), []).append(eq)
         kept = [eq for group in groups.values()
                 for eq in data.draw(st.lists(st.sampled_from(group), min_size=1, unique=True))]
-        system = ConstraintSystem(j, kept)
+        system = stored_system(j, kept)
         for order in range(1, j + 2):
             keys, flat = flat_restricted_nullspace(system, order)
             lines = system._solution_lines(order)
@@ -181,7 +190,7 @@ class TestFlatOracle:
     @pytest.mark.parametrize("j", range(1, 6))
     def test_unit_rows_alone_certify_the_same_nullspace(self, j):
         full = exponentiality_constraints(j)
-        system = ConstraintSystem(j, [eq for eq in full.equations if eq.m == 0])
+        system = stored_system(j, [eq for eq in equations(full) if eq.m == 0])
         flat = nullspace(coefficient_rows(system), system.variable_count)
         assert system.solution_dimension == len(flat) == j + 1
         assert block_vectors(system) == flat == block_vectors(full)
@@ -197,7 +206,7 @@ class TestRefusal:
     @pytest.mark.parametrize("delta", [1, -2])
     def test_one_altered_coefficient_is_refused(self, lmn, position, delta):
         system = exponentiality_constraints(4)
-        index = [(eq.l, eq.m, eq.n) for eq in system.equations].index(lmn)
+        index = [row[:3] for row in system.rows].index(lmn)
         l, m, n = lmn
         assert_refused(4, altered(system, index, position, delta),
                        f"C({n}, k) violates constraint (l={l}, m={m}, n={n})")
@@ -236,12 +245,12 @@ class TestRefusal:
         """
         full = exponentiality_constraints(3)
         moved = [ConstraintEquation(0, 0, 1, [((2, 0), 1), ((2, 1), -1)])
-                 if (eq.l, eq.m, eq.n) == (0, 0, 1) else eq for eq in full.equations]
-        flat = nullspace(coefficient_rows(SimpleNamespace(j=3, equations=moved)), 10)
+                 if (eq.l, eq.m, eq.n) == (0, 0, 1) else eq for eq in equations(full)]
+        flat = nullspace(coefficient_rows(full, moved), 10)
         blocks = [{n for (n, _), x in zip(variables(full), vector) if x} for vector in flat]
         assert blocks == [{0}, {1}, {1}, {3}]
         with pytest.raises(ValueError) as refusal:
-            ConstraintSystem(3, moved)
+            stored_system(3, moved)
         assert str(refusal.value) == ("equation (l=0, m=0, n=1): term ((2, 0), 1) is not at an "
                                       "unknown (n=1, k) with 0 <= k <= 1")
 
@@ -258,13 +267,62 @@ class TestRefusal:
     def test_a_term_past_its_equations_range_is_refused(self, equation, message):
         """A ket order past n - m, or an equation past the bound, is an input error."""
         with pytest.raises(ValueError) as refusal:
-            ConstraintSystem(3, [*exponentiality_constraints(3).equations, equation])
+            stored_system(3, [*equations(exponentiality_constraints(3)), equation])
+        assert str(refusal.value) == message
+
+    @pytest.mark.parametrize("row, message", [
+        ((0, 0, 1, (1, Fraction(-1))),
+         "equation (l=0, m=0, n=1): coefficient Fraction(-1, 1) is not an int"),
+        ((0, 0, 1, (1.0, -1)), "equation (l=0, m=0, n=1): coefficient 1.0 is not an int"),
+        ((0, 0, 1, (1, "-1")), "equation (l=0, m=0, n=1): coefficient '-1' is not an int"),
+        ((0, 1, 3, (1, -2)),
+         "equation (l=0, m=1, n=3): 2 coefficients, expected one at each k = 0..2"),
+        ((0, 1, 3, (1, -2, 1, 0)),
+         "equation (l=0, m=1, n=3): 4 coefficients, expected one at each k = 0..2"),
+        ((0, 0, 4, (1, -4, 6, -4, 1)), "equation (l=0, m=0, n=4) is not one of bound 3"),
+        ((-1, 0, 1, (0, 1, -1)), "equation (l=-1, m=0, n=1) is not one of bound 3"),
+        ((0, -1, 1, (1, -1, 0)), "equation (l=0, m=-1, n=1) is not one of bound 3"),
+        ((0, 0, -1, ()), "equation (l=0, m=0, n=-1) is not one of bound 3"),
+        ((2, 2, 3, ()), "equation (l=2, m=2, n=3) is not one of bound 3"),
+    ], ids=["fraction", "float", "string", "short", "long", "n-past-j", "l-negative",
+            "m-negative", "n-negative", "l-past-n-m"])
+    def test_a_malformed_row_is_refused_by_the_constructor(self, row, message):
+        """A coefficient that is not an int, a row of the wrong length or outside the bound.
+
+        Each would otherwise be read: `map` stops at the shorter of a row and
+        its line, so a short row would certify, and a Fraction or float
+        coefficient would enter the certified rows.
+        """
+        rows = [*exponentiality_constraints(3).rows, row]
+        with pytest.raises(ValueError) as refusal:
+            ConstraintSystem(3, rows)
+        assert str(refusal.value) == message
+
+    def test_the_constructor_refuses_a_negative_bound(self):
+        with pytest.raises(ValueError, match="^order bound j must be nonnegative$"):
+            ConstraintSystem(-1, [])
+
+    @pytest.mark.parametrize("terms, message", [
+        ([((1, 0), Fraction(3, 2)), ((1, 1), -1.9)],
+         "equation (l=0, m=0, n=1): term ((1, 0), Fraction(3, 2)) has a coefficient that is "
+         "not an int"),
+        ([((1, 0), 1), ((1, 1), -1.0)],
+         "equation (l=0, m=0, n=1): term ((1, 1), -1.0) has a coefficient that is not an int"),
+    ], ids=["fraction-and-float", "float"])
+    def test_a_stored_term_that_is_not_an_int_is_refused(self, terms, message):
+        """Not truncated: (3/2) A[(1, 0)] - 1.9 A[(1, 1)] = 0 is not the equation of bound 1."""
+        equation = ConstraintEquation(0, 0, 1, terms)
+        with pytest.raises(ValueError) as refusal:
+            stored_row(equation)
+        assert str(refusal.value) == message
+        with pytest.raises(ValueError) as refusal:
+            stored_system(1, [equation])
         assert str(refusal.value) == message
 
     def test_a_missing_leading_row_is_refused(self):
         full = exponentiality_constraints(3)
         with pytest.raises(ArithmeticError, match="leads ket orders \\[2\\]"):
-            ConstraintSystem(3, [eq for eq in full.equations if (eq.l, eq.m, eq.n) != (2, 0, 3)])
+            stored_system(3, [eq for eq in equations(full) if (eq.l, eq.m, eq.n) != (2, 0, 3)])
 
     def test_a_missing_leading_row_of_a_cut_block_is_refused(self):
         """Block 3 is cut at order 3 but keeps ket order 2 there; only (2, 0, 3) leads 2.
@@ -273,7 +331,7 @@ class TestRefusal:
         """
         full = exponentiality_constraints(4)
         with pytest.raises(ArithmeticError, match="n=3"):
-            ConstraintSystem(4, [eq for eq in full.equations if (eq.l, eq.m, eq.n) != (2, 0, 3)])
+            stored_system(4, [eq for eq in equations(full) if (eq.l, eq.m, eq.n) != (2, 0, 3)])
 
 
 class TestSympyOracle:
@@ -305,8 +363,16 @@ class TestSolutionLines:
 
     @pytest.mark.parametrize("key, value", [((2, 1), Fraction(3)), ((2, 2), Fraction(0))])
     def test_a_family_off_the_line_does_not_match(self, key, value):
-        multipliers = dict(solve_binomial_recursion(2).multipliers)
-        multipliers[key] = value
+        family = [list(member) for member in solve_binomial_recursion(2)]
+        n, k = key
+        family[n][k] = value
         assert not binomial_family_matches_nullspace(
-            exponentiality_constraints(2), BinomialRecursionFamily(2, multipliers)
+            exponentiality_constraints(2), tuple(map(tuple, family))
         )
+
+    @pytest.mark.parametrize("family", [((1,), (1, 1), (1, 2)), ((1,), (1, 1), (1, 2, 1, 0)),
+                                        ((1,), (2, 2), (3, 6, 3))])
+    def test_a_family_row_of_another_length_does_not_match_and_multiples_do(self, family):
+        """Row n must have n + 1 entries; a nonzero multiple of C(n, .) spans the same line."""
+        matches = binomial_family_matches_nullspace(exponentiality_constraints(2), family)
+        assert matches == (family == ((1,), (2, 2), (3, 6, 3)))

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from constraint_oracle import evaluate, family_basis, family_member, nullspace_basis
+from constraint_oracle import equations, evaluate, family_basis, family_member, nullspace_basis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -274,13 +274,14 @@ class TestExponentialityConstraints:
     def test_single_equation_at_bound_one(self):
         system = exponentiality_constraints(1)
         assert system.equation_count == 1
-        eq = system.equations[0]
+        assert system.rows == ((0, 0, 1, (1, -1)),)
+        eq = equations(system)[0]
         assert (eq.l, eq.m, eq.n) == (0, 0, 1)
         assert eq.terms == (((1, 0), 1), ((1, 1), -1))
 
     def test_bound_two_dimension_and_ordering(self):
         system = exponentiality_constraints(2)
-        assert [(eq.l, eq.m, eq.n) for eq in system.equations] == [
+        assert [row[:3] for row in system.rows] == [
             (0, 0, 1),
             (0, 0, 2),
             (0, 1, 2),
@@ -297,7 +298,7 @@ class TestExponentialityConstraints:
         system = exponentiality_constraints(4)
         assert exponentiality_constraints(4) is not system
         assert exponentiality_constraints(4) == system
-        assert system.equation_count == binomial(4 + 2, 3) == len(system.equations) == 20
+        assert system.equation_count == binomial(4 + 2, 3) == len(system.rows) == 20
         passes = []
         rows = operators._equation_rows
         monkeypatch.setattr(operators, "_equation_rows", lambda j: passes.append(j) or rows(j))
@@ -321,18 +322,30 @@ class TestExponentialityConstraints:
 
 class TestSolveBinomialRecursion:
     def test_frozen_multipliers(self):
-        family = solve_binomial_recursion(4)
-        assert family.multiplier(1, 1) == 1
-        assert family.multiplier(2, 1) == 2
-        assert family.multiplier(2, 2) == 1
-        assert family.multiplier(4, 2) == 6
+        assert solve_binomial_recursion(4) == (
+            (1,), (1, 1), (1, 2, 1), (1, 3, 3, 1), (1, 4, 6, 4, 1))
 
-    def test_closed_form_up_to_eight(self):
-        family = solve_binomial_recursion(8)
-        for n in range(9):
-            for k in range(n + 1):
-                assert family.multiplier(n, k) == binomial(n, k)
-                assert type(family.multiplier(n, k)) is int
+    @pytest.mark.parametrize("j", [0, 1, 8, 20])
+    def test_the_family_is_the_table_of_binomials(self, j):
+        family = solve_binomial_recursion(j)
+        assert family == tuple(tuple(math.comb(n, k) for k in range(n + 1)) for n in range(j + 1))
+        assert all(type(member) is tuple for member in family)
+        assert {type(x) for member in family for x in member} == {int}
+
+    def test_two_calls_give_equal_families(self):
+        """A plain table compares by its entries, not by identity."""
+        assert solve_binomial_recursion(2) == solve_binomial_recursion(2)
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError, match="^order bound j must be nonnegative$"):
+            solve_binomial_recursion(-1)
+
+    def test_a_step_that_does_not_divide_is_refused(self, monkeypatch):
+        """A chain that leaves a remainder names the product it could not divide."""
+        monkeypatch.setattr(operators, "divmod", lambda a, b: (a // b, 1), raising=False)
+        with pytest.raises(ArithmeticError,
+                           match=r"^recursion gave 1/1 at \(n=1, k=1\), expected C\(n,k\)$"):
+            solve_binomial_recursion(1)
 
     def test_a_step_off_the_binomial_is_refused(self, monkeypatch):
         """The chain is checked against C(n, k) at every step, here against a wrong C(4, 2)."""
@@ -347,7 +360,7 @@ class TestSolveBinomialRecursion:
         family = solve_binomial_recursion(j)
         system = exponentiality_constraints(j)
         for member in family_basis(family):
-            for eq in system.equations:
+            for eq in equations(system):
                 assert evaluate(eq, member) == ZERO
 
     @pytest.mark.parametrize("j", range(6))
@@ -379,7 +392,7 @@ class TestBuildersAgree:
             assert scale != ZERO
             assert solved[n].entries == {key: v * scale for key, v in pattern.entries.items()}
         for member in recursion + solved:
-            assert all(evaluate(eq, member) == ZERO for eq in system.equations)
+            assert all(evaluate(eq, member) == ZERO for eq in equations(system))
 
 
 class TestExponentialSubspaceBasis:

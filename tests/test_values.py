@@ -17,7 +17,7 @@ from evolution_oracle import evolve_operator_by_products
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gamow.exact import ComplexRational, Polynomial, RationalFunction, Value
+from gamow.exact import ComplexRational, Polynomial, RationalFunction, Value, _rebuild
 from gamow.jordan import (
     ComplexPole,
     GamowChainVector,
@@ -26,15 +26,14 @@ from gamow.jordan import (
     evolve_state,
 )
 from gamow.operators import (
-    BinomialRecursionFamily,
     CoefficientMatrix,
+    ConstraintSystem,
     DyadicOperator,
     RestrictionReport,
     TimePolynomialOperator,
     evolve_operator,
     exponential_state_operator,
     exponentiality_constraints,
-    solve_binomial_recursion,
     verify_restriction_equivalence,
 )
 from gamow.smatrix import DecompositionReport, IntegralResult, SMatrixModel, TestFunction
@@ -165,9 +164,7 @@ def one_of_each_value_class():
         operator.coefficients,
         operator,
         evolve_operator(operator),
-        system.equations[0],
         system,
-        solve_binomial_recursion(2),
         verify_restriction_equivalence(pole),
         ket,
         SMatrixModel(pole, [1, 1]),
@@ -203,8 +200,7 @@ def test_pickles_and_copies_are_equal(value):
         assert type(clone) is type(value)
         fields = [getattr(clone, name) for name in type(value).__slots__]
         assert fields == [getattr(value, name) for name in type(value).__slots__]
-        if type(value).__eq__ is not object.__eq__:  # the recursion family compares by identity
-            assert clone == value and hash(clone) == hash(value)
+        assert clone == value and hash(clone) == hash(value)
 
 
 def test_repr_hash_and_equality_are_those_of_the_fields():
@@ -212,8 +208,10 @@ def test_repr_hash_and_equality_are_those_of_the_fields():
     assert repr(pole) == (
         "ComplexPole(resonance_energy=Fraction(1, 1), width=Fraction(2, 1), order=2)")
     assert hash(pole) == hash((Fraction(1), Fraction(2), 2))
-    assert repr(solve_binomial_recursion(2)) == "BinomialRecursionFamily(j=2)"
-    assert solve_binomial_recursion(2) != solve_binomial_recursion(2)
+    system = exponentiality_constraints(1)
+    assert repr(system) == "ConstraintSystem(j=1, rows=((0, 0, 1, (1, -1)),))"
+    assert system == ConstraintSystem(1, [(0, 0, 1, (1, -1))])
+    assert hash(system) == hash((1, ((0, 0, 1, (1, -1)),)))
     result = IntegralResult(1j, 0.0, True)
     assert result == IntegralResult(1j, 0.0, True, ())
     assert result != DecompositionReport(1j, 0j, 1j, 0.0, 1e-8, True, 0.0, True)
@@ -221,10 +219,9 @@ def test_repr_hash_and_equality_are_those_of_the_fields():
 
 def test_a_wrong_field_count_raises_type_error():
     """Not the ValueError of `zip(strict=True)`, which the command line reports as bad input."""
-    with pytest.raises(TypeError, match="BinomialRecursionFamily takes 2 fields, got 1"):
-        BinomialRecursionFamily(2)
-    with pytest.raises(TypeError, match="BinomialRecursionFamily takes 2 fields, got 3"):
-        BinomialRecursionFamily(2, {}, None)
+    for fields in ((2,), (2, (), None)):
+        with pytest.raises(TypeError, match=f"ConstraintSystem takes 2 fields, got {len(fields)}"):
+            _rebuild(ConstraintSystem, fields)
     for fields in ((1, 2), (1, 2, 3, 4)):
         with pytest.raises(TypeError, match=f"ComplexPole takes 3 fields, got {len(fields)}"):
             Value.__init__(object.__new__(ComplexPole), *fields)
