@@ -19,7 +19,6 @@ from .jordan import (
     survival_modulus,
 )
 from .operators import (
-    CoefficientMatrix,
     ConstraintSystem,
     DyadicOperator,
     RestrictionReport,

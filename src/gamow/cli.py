@@ -22,7 +22,6 @@ from .exact import (
 )
 from .jordan import ComplexPole
 from .operators import (
-    CoefficientMatrix,
     binomial_family_matches_nullspace,
     evolve_operator,
     exponential_state_operator,
@@ -143,7 +142,7 @@ def _build_operator(pole: ComplexPole, spec: dict):
         key = tuple(typed_field(entry, field, int, f"{where}.{field}") for field in ("ket", "bra"))
         value = coefficient_from_json(entry.get("coeff", 1), f"{where}.coeff")
         table[key] = table.get(key, ComplexRational(0)) + value
-    return operator_from_coefficients(pole, CoefficientMatrix(pole.order, table))
+    return operator_from_coefficients(pole, table)
 
 
 def _load_json_config(path) -> dict:
@@ -300,13 +299,7 @@ def cmd_basis(args) -> int:
                              f"{_fmt(json_number(im, den))}")
         _write_output(args.out, ["\n".join(lines), "\n"])
     else:
-        payload = [
-            {
-                "n": n,
-                "entries": member.coefficients.to_json_entries(),
-            }
-            for n, member in enumerate(members)
-        ]
+        payload = [{"n": n, "entries": m.to_json_entries()} for n, m in enumerate(members)]
         _write_output(args.out, [_dump_json(payload)])
     return EXIT_OK
 

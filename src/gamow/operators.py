@@ -47,14 +47,17 @@ from .jordan import ComplexPole
 _ZERO_POLYNOMIAL = Polynomial.zero()
 
 
-class CoefficientMatrix(Value):
-    """Sparse exact coefficient table keyed (ket_order, bra_order), both below `bound`."""
+class DyadicOperator(Value):
+    """Linear combination of chain dyads |ket k><bra m| over one pole.
 
-    __slots__ = ("bound", "entries")
+    `entries` holds the nonzero exact coefficients keyed (ket_order,
+    bra_order), both below the pole's order, or a ValueError names the dyad.
+    """
 
-    def __init__(self, bound: int, entries: dict):
-        if bound < 0:
-            raise ValueError("order bound must be nonnegative")
+    __slots__ = ("pole", "entries")
+
+    def __init__(self, pole: ComplexPole, entries: dict):
+        bound = pole.order
         table = {}
         for key, value in dict(entries).items():
             ket, bra = key
@@ -63,10 +66,10 @@ class CoefficientMatrix(Value):
             value = ComplexRational.from_value(value)
             if value:
                 table[(ket, bra)] = value
-        Value.__init__(self, bound, table)
+        Value.__init__(self, pole, table)
 
-    def entry(self, key) -> ComplexRational:
-        return self.entries.get(tuple(key), ZERO)
+    def coefficient(self, ket_order: int, bra_order: int) -> ComplexRational:
+        return self.entries.get((ket_order, bra_order), ZERO)
 
     def items(self):
         return sorted(self.entries.items())
@@ -78,52 +81,26 @@ class CoefficientMatrix(Value):
             for (ket, bra), v in self.items() for re, im, den in (v.triple,)
         ]
 
-
-class DyadicOperator(Value):
-    """Linear combination of chain dyads |ket k><bra m| over one pole."""
-
-    __slots__ = ("pole", "coefficients")
-
-    def __init__(self, pole: ComplexPole, coefficients: CoefficientMatrix):
-        if coefficients.bound != pole.order:
-            raise ValueError(
-                f"coefficient order bound {coefficients.bound} does not match "
-                f"pole order {pole.order}"
-            )
-        Value.__init__(self, pole, coefficients)
-
-    def coefficient(self, ket_order: int, bra_order: int) -> ComplexRational:
-        return self.coefficients.entry((ket_order, bra_order))
-
-    def items(self):
-        return self.coefficients.items()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coefficients.entries
-
     def __add__(self, other):
         if not isinstance(other, DyadicOperator):
             return NotImplemented
         if self.pole != other.pole:
             raise ValueError("cannot add operators over different poles")
-        merged = dict(self.coefficients.entries)
-        for key, value in other.coefficients.entries.items():
+        merged = dict(self.entries)
+        for key, value in other.entries.items():
             merged[key] = merged.get(key, ZERO) + value
-        return DyadicOperator(self.pole, CoefficientMatrix(self.pole.order, merged))
+        return DyadicOperator(self.pole, merged)
 
     def __mul__(self, scalar):
         scalar = ComplexRational.from_value(scalar)
-        scaled = {k: v * scalar for k, v in self.coefficients.entries.items()}
-        return DyadicOperator(self.pole, CoefficientMatrix(self.pole.order, scaled))
+        return DyadicOperator(self.pole, {k: v * scalar for k, v in self.entries.items()})
 
     __rmul__ = __mul__
 
 
-def operator_from_coefficients(pole: ComplexPole,
-                               coefficients: CoefficientMatrix) -> DyadicOperator:
-    """Operator with exactly the given coefficient table."""
-    return DyadicOperator(pole, coefficients)
+def operator_from_coefficients(pole: ComplexPole, entries: dict) -> DyadicOperator:
+    """Operator with exactly the given coefficient table, keyed (ket_order, bra_order)."""
+    return DyadicOperator(pole, entries)
 
 
 def exponential_state_operator(pole: ComplexPole, n: int,
@@ -137,10 +114,8 @@ def exponential_state_operator(pole: ComplexPole, n: int,
     r = pole.order
     if not 0 <= n <= r - 1:
         raise ValueError(f"operator order n={n} requires chain orders up to n; pole order is {r}")
-    operator = DyadicOperator(pole, binomial_pattern_matrix(r, n))
-    if not include_prefactor:
-        return operator
-    return operator * ComplexRational(pole.width**n / math.factorial(n))
+    scale = pole.width**n / math.factorial(n) if include_prefactor else 1
+    return DyadicOperator(pole, {k: c * scale for k, c in binomial_pattern_matrix(r, n).items()})
 
 
 class TimePolynomialOperator(Value):
@@ -198,8 +173,7 @@ class TimePolynomialOperator(Value):
         return value
 
     def at_time_zero(self) -> DyadicOperator:
-        entries = {key: poly.coefficient(0) for key, poly in self.table.items()}
-        return DyadicOperator(self.pole, CoefficientMatrix(self.pole.order, entries))
+        return DyadicOperator(self.pole, {key: p.coefficient(0) for key, p in self.table.items()})
 
 
 def evolve_operator(operator: DyadicOperator) -> TimePolynomialOperator:
@@ -438,46 +412,62 @@ def exponential_subspace_basis(pole: ComplexPole):
 class RestrictionReport(Value):
     """Result of checking the constraint system restricted to a pole's dyad range.
 
-    The system for j = 2*(order-1) is rewritten over the r*r dyad unknowns
-    (entries outside the dyad range are structurally zero); the report
-    records the exact solution dimension and whether the nullspace equals,
-    as a subspace, the span of the binomial-pattern operators.
+    The system for j = 2*(order-1), rewritten over the r*r dyad unknowns,
+    keeps the certified solution line C(n, .) of each block n in `blocks`,
+    ascending; a block outside 0..r-1 is refused.  The solution dimension,
+    the basis (their binomial-pattern operators) and the verdict (the
+    blocks are 0..r-1, so the pattern operators span the nullspace) are
+    read off them.
     """
 
-    __slots__ = ("order", "j", "equation_count", "variable_count", "solution_dimension",
-                 "expected_dimension", "pattern_matches", "basis")
+    __slots__ = ("pole", "equation_count", "blocks")
 
-    def __init__(self, order: int, j: int, equation_count: int, variable_count: int,
-                 solution_dimension: int, expected_dimension: int, pattern_matches: bool,
-                 basis: tuple):
-        Value.__init__(self, order, j, equation_count, variable_count, solution_dimension,
-                       expected_dimension, pattern_matches, tuple(basis))
+    def __init__(self, pole: ComplexPole, equation_count: int, blocks):
+        blocks = tuple(blocks)
+        for i, n in enumerate(blocks):
+            if not (blocks[i - 1] if i else -1) < n < pole.order:
+                raise ValueError(f"block {n} of {blocks}: out of order or not below {pole.order}")
+        Value.__init__(self, pole, equation_count, blocks)
+
+    @property
+    def j(self) -> int:
+        return 2 * (self.pole.order - 1)
+
+    @property
+    def solution_dimension(self) -> int:
+        return len(self.blocks)
+
+    @property
+    def basis(self) -> tuple:
+        return tuple(exponential_state_operator(self.pole, n, include_prefactor=False)
+                     for n in self.blocks)
 
     @property
     def passed(self) -> bool:
-        return self.solution_dimension == self.expected_dimension and self.pattern_matches
+        return self.blocks == tuple(range(self.pole.order))
+
+    pattern_matches = passed
 
     def to_json_dict(self):
+        r = self.pole.order
         return {
-            "r": self.order,
+            "r": r,
             "j": self.j,
             "equation_count": self.equation_count,
-            "variable_count": self.variable_count,
+            "variable_count": r * r,
             "solution_dimension": self.solution_dimension,
-            "expected_dimension": self.expected_dimension,
+            "expected_dimension": r,
             "pattern_matches": self.pattern_matches,
             "passed": self.passed,
             "basis": [{"entries": member.to_json_entries()} for member in self.basis],
         }
 
 
-def binomial_pattern_matrix(order: int, n: int) -> CoefficientMatrix:
-    """Dyad coefficients C(n,k) on the anti-diagonal ket+bra = n."""
+def binomial_pattern_matrix(order: int, n: int) -> dict:
+    """Dyad coefficients {(k, n-k): C(n,k)} on the anti-diagonal ket+bra = n."""
     if not 0 <= n <= order - 1:
         raise ValueError(f"pattern order n={n} out of range for order {order}")
-    return CoefficientMatrix(
-        order, {(k, n - k): ComplexRational(binomial(n, k)) for k in range(n + 1)}
-    )
+    return {(k, n - k): binomial(n, k) for k in range(n + 1)}
 
 
 def verify_restriction_equivalence(pole: ComplexPole, system=None) -> RestrictionReport:
@@ -485,10 +475,8 @@ def verify_restriction_equivalence(pole: ComplexPole, system=None) -> Restrictio
 
     Its certificate, read block by block, gives the solutions over the r*r
     dyad coefficients: the multiples of C(n,k) for n < r and zero for n >= r.
-    Every certified line is C(n, .), so the basis is the binomial-pattern
-    operators of the certified blocks, and the pattern matches when those
-    blocks are exactly n = 0..r-1.  A `system` already built for that bound
-    is read as it is; otherwise one is built, and so certified.
+    The report holds the certified blocks.  A `system` already built for
+    that bound is read as it is; otherwise one is built, and so certified.
     """
     r = pole.order
     j = 2 * (r - 1)
@@ -496,14 +484,4 @@ def verify_restriction_equivalence(pole: ComplexPole, system=None) -> Restrictio
         system = exponentiality_constraints(j)
     elif system.j != j:
         raise ValueError(f"a pole of order {r} restricts the system of bound {j}, not {system.j}")
-    blocks = list(system._solution_lines(order=r))
-    return RestrictionReport(
-        order=r,
-        j=j,
-        equation_count=system.equation_count,
-        variable_count=r * r,
-        solution_dimension=len(blocks),
-        expected_dimension=r,
-        pattern_matches=blocks == list(range(r)),
-        basis=[binomial_pattern_matrix(r, n) for n in blocks],
-    )
+    return RestrictionReport(pole, system.equation_count, system._solution_lines(order=r))

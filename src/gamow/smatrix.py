@@ -304,17 +304,20 @@ _UNDERFLOW = sys.float_info.min  # QUADPACK's uflow
 
 
 class IntegralResult(Value):
-    """Value, quadrature error estimate, and convergence flag.
+    """Value and quadrature error estimate of an integral, and its unconverged legs.
 
-    `_unconverged` describes the legs whose quadrature did not converge,
-    for the command line's failure message.
+    `_unconverged` describes each leg whose quadrature did not converge, for
+    the command line's failure message; the result has converged if none.
     """
 
-    __slots__ = ("value", "error_estimate", "converged", "_unconverged")
+    __slots__ = ("value", "error_estimate", "_unconverged")
 
-    def __init__(self, value: complex, error_estimate: float, converged: bool,
-                 _unconverged: tuple = ()):
-        Value.__init__(self, value, error_estimate, converged, _unconverged)
+    def __init__(self, value: complex, error_estimate: float, _unconverged: tuple):
+        Value.__init__(self, value, error_estimate, tuple(_unconverged))
+
+    @property
+    def converged(self) -> bool:
+        return not self._unconverged
 
 
 def _gauss_kronrod(func, a, b, rule):
@@ -466,7 +469,7 @@ def _leg(integrand, breakpoints, lo: float, hi: float) -> IntegralResult:
         raise ValueError(f"{name}, non-finite integrand: the model's E_R, Gamma, laurent or "
                          "background, or a test function, is beyond the float range there")
     unconverged = (f"{name}, {'subdivision limit' if ier == 1 else 'roundoff'}",) if ier else ()
-    return IntegralResult(value, error, not ier, unconverged)
+    return IntegralResult(value, error, unconverged)
 
 
 def _horner_coefficients(polynomial: Polynomial):
@@ -558,7 +561,7 @@ def _outward_integral(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestFun
             energies = (max(low, 0.0), high) if sign > 0 else (low, min(high, 0.0))
             parts.append(_leg(_phase_leg(integrand, center, half, side, energies), points, lo, hi))
     return IntegralResult(sign * sum(p.value for p in parts), sum(p.error_estimate for p in parts),
-                          all(p.converged for p in parts), sum((p._unconverged for p in parts), ()))
+                          sum((p._unconverged for p in parts), ()))
 
 
 def direct_contour_integral(model: SMatrixModel, ket_fn: TestFunction,
@@ -583,18 +586,27 @@ class DecompositionReport(Value):
 
     `_unconverged` holds a (piece, legs) pair for each contour piece
     ("direct", "background") whose quadrature did not converge, `legs`
-    describing each failed leg, for the command line's failure message; it
-    is not part of the JSON report.
+    describing each failed leg, for the command line's failure message and
+    not the JSON report.  The check has converged when it holds none, and
+    passes when it has and the discrepancy is within the tolerance.
     """
 
-    __slots__ = ("direct", "background", "residue", "discrepancy", "tolerance", "passed",
-                 "quadrature_error", "converged", "_unconverged")
+    __slots__ = ("direct", "background", "residue", "discrepancy", "tolerance",
+                 "quadrature_error", "_unconverged")
 
     def __init__(self, direct: complex, background: complex, residue: complex,
-                 discrepancy: float, tolerance: float, passed: bool, quadrature_error: float,
-                 converged: bool, _unconverged: tuple = ()):
-        Value.__init__(self, direct, background, residue, discrepancy, tolerance, passed,
-                       quadrature_error, converged, _unconverged)
+                 discrepancy: float, tolerance: float, quadrature_error: float,
+                 _unconverged: tuple):
+        Value.__init__(self, direct, background, residue, discrepancy, tolerance,
+                       quadrature_error, tuple(_unconverged))
+
+    @property
+    def converged(self) -> bool:
+        return not self._unconverged
+
+    @property
+    def passed(self) -> bool:
+        return self.discrepancy <= self.tolerance and self.converged
 
     def to_json_dict(self):
         return {
@@ -639,20 +651,16 @@ def decomposition_check(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestF
             f"{float(model.pole.width)!r}); the model's laurent or background, or a test "
             "function, is too large or too small for floats"
         )
-    unconverged = tuple((name, piece._unconverged)
-                        for name, piece in (("direct", direct), ("background", background))
-                        if not piece.converged)
-    converged = not unconverged
     return DecompositionReport(
         direct=direct.value,
         background=background.value,
         residue=residue,
         discrepancy=discrepancy,
         tolerance=tolerance,
-        passed=bool(discrepancy <= tolerance and converged),
         quadrature_error=quadrature_error,
-        converged=converged,
-        _unconverged=unconverged,
+        _unconverged=[(name, piece._unconverged)
+                      for name, piece in (("direct", direct), ("background", background))
+                      if not piece.converged],
     )
 
 

@@ -13,7 +13,13 @@ these, and against sympy.
 from typing import NamedTuple
 
 from gamow.exact import ONE, ZERO, ComplexRational, rref
-from gamow.operators import CoefficientMatrix, ConstraintSystem, binomial_pattern_matrix
+from gamow.jordan import ComplexPole
+from gamow.operators import ConstraintSystem, DyadicOperator, binomial_pattern_matrix
+
+
+def dyad_table(bound, entries) -> DyadicOperator:
+    """A dyad table of the given bound, as the operator over a pole of that order."""
+    return DyadicOperator(ComplexPole(0, 1, bound), entries)
 
 
 class ConstraintEquation(NamedTuple):
@@ -108,18 +114,19 @@ def nullspace_basis(system):
     Canonical: unit entry at each free unknown, zero at the others, in
     ascending order of the free unknown over `variables`.
     """
-    return [binomial_pattern_matrix(system.j + 1, n) for n in system._solution_lines()]
+    return [dyad_table(system.j + 1, binomial_pattern_matrix(system.j + 1, n))
+            for n in system._solution_lines()]
 
 
-def evaluate(equation, coefficients: CoefficientMatrix) -> ComplexRational:
+def evaluate(equation, table: DyadicOperator) -> ComplexRational:
     """The left-hand side of `equation` at a dyad table, reading A[(n, k)] at dyad (k, n - k)."""
     total = ZERO
     for (n, k), coeff in equation.terms:
-        total = total + coefficients.entry((k, n - k)) * coeff
+        total = total + table.coefficient(k, n - k) * coeff
     return total
 
 
-def family_member(family, free_values) -> CoefficientMatrix:
+def family_member(family, free_values) -> DyadicOperator:
     """Dyad table of bound j + 1 with the given free parameters A[(n,0)] of the recursion family.
 
     The family is the table of `solve_binomial_recursion(j)`, one row per total order n.
@@ -129,7 +136,7 @@ def family_member(family, free_values) -> CoefficientMatrix:
         raise ValueError(f"expected {len(family)} free parameters, got {len(free)}")
     entries = {(k, n - k): free[n] * mult
                for n, member in enumerate(family) for k, mult in enumerate(member)}
-    return CoefficientMatrix(len(family), entries)
+    return dyad_table(len(family), entries)
 
 
 def family_basis(family):

@@ -73,7 +73,8 @@ def energy_layout_piece(model, ket_fn, bra_fn, sign):
     legs = [energy_quad(integrand, lo, hi, sorted({p for p in window if lo < p < hi}))
             for lo, hi in ends]
     return IntegralResult(sign * sum(value for value, _, _ in legs),
-                          sum(error for _, error, _ in legs), not any(ier for _, _, ier in legs))
+                          sum(error for _, error, _ in legs),
+                          [f"leg {i}: ier {ier}" for i, (_, _, ier) in enumerate(legs) if ier])
 
 
 def two_run_leg(integrand, breakpoints, lo, hi):
@@ -85,8 +86,8 @@ def two_run_leg(integrand, breakpoints, lo, hi):
         warnings.simplefilter("always", IntegrationWarning)
         re_val, re_err = quad(lambda e: integrand(e).real, lo, hi, **kwargs)
         im_val, im_err = quad(lambda e: integrand(e).imag, lo, hi, **kwargs)
-    converged = not any(issubclass(w.category, IntegrationWarning) for w in caught)
-    return IntegralResult(complex(re_val, im_val), re_err + im_err, converged)
+    unconverged = [str(w.message) for w in caught if issubclass(w.category, IntegrationWarning)]
+    return IntegralResult(complex(re_val, im_val), re_err + im_err, unconverged)
 
 
 def cauchy_product_residue_core(model, ket_fn, bra_fn):

@@ -15,7 +15,6 @@ from gamow.cli import EXIT_OK, main
 from gamow.exact import ComplexRational, ONE, ZERO, binomial
 from gamow.jordan import ComplexPole, build_jordan_block, check_jordan_degree, evolve_ket, evolve_state
 from gamow.operators import (
-    CoefficientMatrix,
     binomial_family_matches_nullspace,
     evolve_operator,
     exponential_subspace_basis,
@@ -114,7 +113,7 @@ def test_reverse_direction_random_violators_all_fail():
                 if satisfies_binomial_pattern(entries, r):
                     continue
                 drawn += 1
-                operator = operator_from_coefficients(pole, CoefficientMatrix(r, entries))
+                operator = operator_from_coefficients(pole, entries)
                 assert not is_pure_exponential(evolve_operator(operator)), (
                     f"false pass at r={r}: {entries}"
                 )

@@ -27,7 +27,6 @@ from gamow.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFICATION_FAILURE, _bui
 from gamow.exact import ComplexRational, binomial
 from gamow.jordan import ComplexPole
 from gamow.operators import (
-    CoefficientMatrix,
     evolve_operator,
     exponential_state_operator,
     operator_from_coefficients,
@@ -339,8 +338,22 @@ class TestExpCheck:
         assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert (payload["equations"] == []) == (payload["j"] == 0)
 
-    def test_missing_bounds_rejected(self):
-        assert main(["exp-check"]) == EXIT_INPUT_ERROR
+    @pytest.mark.parametrize("flags, message", [
+        ([], "exp-check needs --j or --r"),
+        (["--r", "2", "--j", "3"], "a pole of order 2 restricts the system of bound 2, not 3"),
+    ], ids=["no-bound", "mismatched-bound"])
+    @pytest.mark.parametrize("existing", [None, "kept"], ids=["stdout", "existing-out"])
+    def test_a_refused_bound_writes_one_line_and_nothing_else(
+        self, tmp_path, capsys, flags, message, existing
+    ):
+        out = tmp_path / "out.json"
+        argv = ["exp-check", *flags]
+        if existing is not None:
+            out.write_text(existing)
+            argv += ["--out", str(out)]
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
+        assert (out.read_text() if existing else None) == existing
 
     def test_the_command_makes_one_pass_and_one_system(self, tmp_path, monkeypatch):
         """--r 4 generates its 56 equations once, for the system and its restriction alike."""
@@ -1215,7 +1228,7 @@ PUBLIC_NAMES = {
         "check_jordan_degree", "evolve_ket", "evolve_state", "survival_modulus",
     ],
     "operators": [
-        "CoefficientMatrix", "ConstraintSystem", "DyadicOperator",
+        "ConstraintSystem", "DyadicOperator",
         "RestrictionReport", "TimePolynomialOperator", "binomial_family_matches_nullspace",
         "binomial_pattern_matrix", "evolve_operator", "exponential_state_operator",
         "exponential_subspace_basis", "exponentiality_constraints", "is_pure_exponential",
@@ -1239,7 +1252,7 @@ def test_the_star_import_binds_the_public_names_and_the_four_submodules():
     """
     code = "from gamow import *\nprint(*sorted(name for name in dir() if name[0] != '_'))"
     public = [name for names in PUBLIC_NAMES.values() for name in names]
-    assert len(public) == 38
+    assert len(public) == 37
     assert run_python(code).stdout.split() == sorted([*public, *PUBLIC_NAMES])
     for module, names in PUBLIC_NAMES.items():
         for name in names:
@@ -1406,7 +1419,7 @@ def library_operator(pole, spec):
         )
     entries = spec["entries"] if spec["kind"] == "coefficients" else [spec]
     table = {(e["ket"], e["bra"]): ComplexRational(*e["coeff"]) for e in entries}
-    return operator_from_coefficients(pole, CoefficientMatrix(pole.order, table))
+    return operator_from_coefficients(pole, table)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

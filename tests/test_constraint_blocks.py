@@ -47,7 +47,7 @@ ORACLE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 def block_vectors(system):
-    return [tuple(m.entry((k, n - k)) for n, k in variables(system))
+    return [tuple(m.coefficient(k, n - k) for n, k in variables(system))
             for m in nullspace_basis(system)]
 
 
@@ -141,7 +141,7 @@ class TestFlatOracle:
         keys, flat = flat_restricted_nullspace(exponentiality_constraints(2 * (r - 1)), r)
         report = verify_restriction_equivalence(ComplexPole(0, 1, r))
         assert report.solution_dimension == len(flat) == r
-        assert [tuple(m.entry(key) for key in keys) for m in report.basis] == flat
+        assert [tuple(m.coefficient(*key) for key in keys) for m in report.basis] == flat
 
     @ORACLE_SETTINGS
     @given(j=st.integers(0, 5), keep_units=st.booleans(), data=st.data())

@@ -9,7 +9,9 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from constraint_oracle import equations, evaluate, family_basis, family_member, nullspace_basis
+from constraint_oracle import (
+    dyad_table, equations, evaluate, family_basis, family_member, nullspace_basis,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +19,7 @@ from gamow import operators
 from gamow.exact import ComplexRational, ONE, Polynomial, ZERO, binomial, matrix_rank
 from gamow.jordan import ComplexPole, build_jordan_block, evolve_ket
 from gamow.operators import (
-    CoefficientMatrix,
+    DyadicOperator,
     binomial_family_matches_nullspace,
     binomial_pattern_matrix,
     evolve_operator,
@@ -36,20 +38,28 @@ def cr(re, im=0):
 
 
 def dyad_operator(pole, entries):
-    return operator_from_coefficients(pole, CoefficientMatrix(pole.order, entries))
+    return operator_from_coefficients(pole, entries)
 
 
-class TestCoefficientMatrix:
+class TestOperatorTable:
     def test_dyad_range_validation(self):
-        with pytest.raises(ValueError):
-            CoefficientMatrix(2, {(2, 0): 1})
-        with pytest.raises(ValueError):
-            CoefficientMatrix(2, {(0, -1): 1})
+        pole = ComplexPole(0, 1, 2)
+        with pytest.raises(ValueError, match=r"^dyad entry \(2, 0\) out of range for order bound 2$"):
+            DyadicOperator(pole, {(2, 0): 1})
+        with pytest.raises(ValueError, match=r"dyad entry \(0, -1\) out of range"):
+            DyadicOperator(pole, {(0, -1): 1})
 
     def test_zero_entries_dropped(self):
-        matrix = CoefficientMatrix(2, {(0, 0): 0, (1, 0): 2})
-        assert matrix.entries == {(1, 0): cr(2)}
-        assert matrix.entry((0, 0)) == ZERO
+        operator = DyadicOperator(ComplexPole(0, 1, 2), {(0, 0): 0, (1, 0): 2})
+        assert operator.entries == {(1, 0): cr(2)}
+        assert operator.coefficient(0, 0) == ZERO
+
+    def test_pattern_table_is_a_dict_of_binomials(self):
+        assert binomial_pattern_matrix(4, 2) == {(0, 2): 1, (1, 1): 2, (2, 0): 1}
+        assert binomial_pattern_matrix(1, 0) == {(0, 0): 1}
+        for n in (-1, 4):
+            with pytest.raises(ValueError, match=f"pattern order n={n} out of range for order 4"):
+                binomial_pattern_matrix(4, n)
 
 
 class TestExponentialStateOperator:
@@ -88,7 +98,7 @@ class TestExponentialStateOperator:
 class TestOperatorConstruction:
     def test_zero_operator(self):
         pole = ComplexPole(0, 1, 2)
-        assert dyad_operator(pole, {}).is_zero
+        assert not dyad_operator(pole, {}).entries
 
     def test_single_entry(self):
         pole = ComplexPole(0, 1, 2)
@@ -372,9 +382,9 @@ class TestSolveBinomialRecursion:
     def test_member_combines_free_parameters(self):
         family = solve_binomial_recursion(2)
         member = family_member(family, [1, 0, cr(0, 1)])
-        assert member.entry((0, 0)) == 1
-        assert member.entry((1, 0)) == ZERO
-        assert member.entry((1, 1)) == cr(0, 2)
+        assert member.coefficient(0, 0) == 1
+        assert member.coefficient(1, 0) == ZERO
+        assert member.coefficient(1, 1) == cr(0, 2)
 
 
 class TestBuildersAgree:
@@ -387,10 +397,10 @@ class TestBuildersAgree:
         solved = nullspace_basis(system)
         for n in range(j + 1):
             pattern = binomial_pattern_matrix(j + 1, n)
-            assert recursion[n] == pattern
-            scale = solved[n].entry((0, n))  # the pattern's entry there is C(n, 0) = 1
+            assert recursion[n] == dyad_table(j + 1, pattern)
+            scale = solved[n].coefficient(0, n)  # the pattern's entry there is C(n, 0) = 1
             assert scale != ZERO
-            assert solved[n].entries == {key: v * scale for key, v in pattern.entries.items()}
+            assert solved[n].entries == {key: v * scale for key, v in pattern.items()}
         for member in recursion + solved:
             assert all(evaluate(eq, member) == ZERO for eq in equations(system))
 
@@ -413,12 +423,12 @@ class TestExponentialSubspaceBasis:
     def test_members_match_pattern_matrices(self):
         pole = ComplexPole(1, 2, 4)
         for n, member in enumerate(exponential_subspace_basis(pole)):
-            assert member.coefficients == binomial_pattern_matrix(4, n)
+            assert member == DyadicOperator(pole, binomial_pattern_matrix(4, n))
 
     @pytest.mark.parametrize("r", range(1, 9))
     def test_members_sit_on_disjoint_supports_and_have_full_rank(self, r):
         members = exponential_subspace_basis(ComplexPole(0, 1, r))
-        supports = [set(member.coefficients.entries) for member in members]
+        supports = [set(member.entries) for member in members]
         assert all(supports) and len(set().union(*supports)) == sum(map(len, supports))
         keys = [(k, m) for k in range(r) for m in range(r)]
         assert matrix_rank([[member.coefficient(*key) for key in keys] for member in members]) == r
@@ -475,14 +485,19 @@ class TestVerifyRestrictionEquivalence:
     def test_order_two_forces_corner_to_zero(self):
         report = verify_restriction_equivalence(ComplexPole(0, 1, 2))
         for member in report.basis:
-            assert member.entry((1, 1)) == ZERO
+            assert member.coefficient(1, 1) == ZERO
 
     def test_order_three_couples_center_to_corner(self):
         # every solution has entry(ket=1,bra=1) = 2 * entry(ket=0,bra=2)
         report = verify_restriction_equivalence(ComplexPole(0, 1, 3))
         for member in report.basis:
-            assert member.entry((1, 1)) == 2 * member.entry((0, 2))
-            assert member.entry((1, 1)) == 2 * member.entry((2, 0))
+            assert member.coefficient(1, 1) == 2 * member.coefficient(0, 2)
+            assert member.coefficient(1, 1) == 2 * member.coefficient(2, 0)
+
+    def test_a_system_of_another_bound_is_refused(self):
+        with pytest.raises(ValueError, match=r"^a pole of order 2 restricts the system of "
+                                             r"bound 2, not 3$"):
+            verify_restriction_equivalence(ComplexPole(0, 1, 2), exponentiality_constraints(3))
 
     def test_report_json_fields(self):
         payload = verify_restriction_equivalence(ComplexPole(0, 1, 2)).to_json_dict()

@@ -17,7 +17,7 @@ from evolution_oracle import evolve_operator_by_products
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gamow.exact import ComplexRational, Polynomial, RationalFunction, Value, _rebuild
+from gamow.exact import ComplexRational, Polynomial, RationalFunction, Value, _rebuild, binomial
 from gamow.jordan import (
     ComplexPole,
     GamowChainVector,
@@ -26,7 +26,6 @@ from gamow.jordan import (
     evolve_state,
 )
 from gamow.operators import (
-    CoefficientMatrix,
     ConstraintSystem,
     DyadicOperator,
     RestrictionReport,
@@ -64,7 +63,7 @@ def operators(draw):
     pole = draw(poles())
     keys = [(k, m) for k in range(pole.order) for m in range(pole.order)]
     entries = draw(st.dictionaries(st.sampled_from(keys), gaussian, max_size=len(keys)))
-    return DyadicOperator(pole, CoefficientMatrix(pole.order, entries))
+    return DyadicOperator(pole, entries)
 
 
 polynomials = st.lists(gaussian, max_size=4).map(Polynomial)
@@ -111,7 +110,7 @@ def rational_operators(draw):
     pole = ComplexPole(draw(dyadic), 1, draw(st.integers(1, 6)))
     keys = [(k, m) for k in range(pole.order) for m in range(pole.order)]
     entries = draw(st.dictionaries(st.sampled_from(keys), coefficients, max_size=len(keys)))
-    return DyadicOperator(pole, CoefficientMatrix(pole.order, entries))
+    return DyadicOperator(pole, entries)
 
 
 class TestEvolutionByRotation:
@@ -119,9 +118,9 @@ class TestEvolutionByRotation:
 
     @PROPERTY_SETTINGS
     @given(rational_operators())
-    @example(DyadicOperator(ComplexPole(0, 1, 3), CoefficientMatrix(3, {})))
-    @example(DyadicOperator(ComplexPole(0, 1, 2), CoefficientMatrix(
-        2, {(0, 0): 0, (1, 1): ComplexRational(Fraction(1, 3), Fraction(-2, 7))})))
+    @example(DyadicOperator(ComplexPole(0, 1, 3), {}))
+    @example(DyadicOperator(ComplexPole(0, 1, 2), {
+        (0, 0): 0, (1, 1): ComplexRational(Fraction(1, 3), Fraction(-2, 7))}))
     def test_random_operators(self, op):
         assert evolve_operator(op) == evolve_operator_by_products(op)
 
@@ -154,22 +153,21 @@ def one_of_each_value_class():
     pole = ComplexPole(1, 2, 2)
     system = exponentiality_constraints(2)
     ket = TestFunction(RationalFunction(Polynomial([1]), Polynomial([-1j, 1])), "ket")
-    operator = DyadicOperator(pole, CoefficientMatrix(2, {(0, 1): 1}))
+    operator = DyadicOperator(pole, {(0, 1): 1})
     return [
         Polynomial([1, 2]),
         RationalFunction(Polynomial([1]), Polynomial([2, 1])),
         pole,
         GamowChainVector.basis(pole, 1),
         build_jordan_block(pole),
-        operator.coefficients,
         operator,
         evolve_operator(operator),
         system,
         verify_restriction_equivalence(pole),
         ket,
         SMatrixModel(pole, [1, 1]),
-        IntegralResult(1j, 1e-12, True),
-        DecompositionReport(1j, 0.5j, 0.5j, 0.0, 1e-8, True, 2e-12, True),
+        IntegralResult(1j, 1e-12, ()),
+        DecompositionReport(1j, 0.5j, 0.5j, 0.0, 1e-8, 2e-12, ()),
     ]
 
 
@@ -212,9 +210,10 @@ def test_repr_hash_and_equality_are_those_of_the_fields():
     assert repr(system) == "ConstraintSystem(j=1, rows=((0, 0, 1, (1, -1)),))"
     assert system == ConstraintSystem(1, [(0, 0, 1, (1, -1))])
     assert hash(system) == hash((1, ((0, 0, 1, (1, -1)),)))
-    result = IntegralResult(1j, 0.0, True)
-    assert result == IntegralResult(1j, 0.0, True, ())
-    assert result != DecompositionReport(1j, 0j, 1j, 0.0, 1e-8, True, 0.0, True)
+    result = IntegralResult(1j, 0.0, ())
+    assert repr(result) == "IntegralResult(value=1j, error_estimate=0.0, _unconverged=())"
+    assert result == IntegralResult(1j, 0.0, []) and hash(result) == hash((1j, 0.0, ()))
+    assert result != DecompositionReport(1j, 0j, 1j, 0.0, 1e-8, 0.0, ())
 
 
 def test_a_wrong_field_count_raises_type_error():
@@ -230,35 +229,90 @@ def test_a_wrong_field_count_raises_type_error():
 def test_dict_fields_hash_as_sorted_items():
     """The hashes of the former per-class overrides, so no set or dict order moves."""
     entries = {(1, 0): ComplexRational(3), (0, 1): ComplexRational(1, 2)}
-    table = CoefficientMatrix(2, entries)
-    assert hash(table) == hash((2, tuple(sorted(entries.items()))))
     pole = ComplexPole(1, 2, 2)
-    evolved = evolve_operator(DyadicOperator(pole, table))
+    operator = DyadicOperator(pole, entries)
+    assert hash(operator) == hash((pole, tuple(sorted(entries.items()))))
+    evolved = evolve_operator(operator)
     assert len(evolved.table) > 1
     assert hash(evolved) == hash((pole, tuple(sorted(evolved.table.items()))))
 
 
-def test_keyword_constructions_and_defaults():
+def test_keyword_constructions():
     report = DecompositionReport(direct=1j, background=0.5j, residue=0.5j, discrepancy=0.0,
-                                 tolerance=1e-8, passed=True, quadrature_error=2e-12,
-                                 converged=True)
-    assert report == DecompositionReport(1j, 0.5j, 0.5j, 0.0, 1e-8, True, 2e-12, True, ())
-    restriction = RestrictionReport(order=2, j=2, equation_count=3, variable_count=4,
-                                    solution_dimension=2, expected_dimension=2,
-                                    pattern_matches=True, basis=[])
-    assert restriction.basis == () and restriction.passed
+                                 tolerance=1e-8, quadrature_error=2e-12, _unconverged=[])
+    assert report == DecompositionReport(1j, 0.5j, 0.5j, 0.0, 1e-8, 2e-12, ())
+    assert report._unconverged == () and report.converged and report.passed
     pole = ComplexPole(resonance_energy=1, width=2, order=2)
     assert pole == ComplexPole(1, 2, 2)
-    assert IntegralResult(1j, 0.0, True)._unconverged == ()
+    restriction = RestrictionReport(pole=pole, equation_count=4, blocks=[0, 1])
+    assert restriction == RestrictionReport(pole, 4, (0, 1)) == verify_restriction_equivalence(pole)
+    assert restriction.blocks == (0, 1) and restriction.passed
+    result = IntegralResult(value=1j, error_estimate=0.0, _unconverged=[])
+    assert result._unconverged == () and result.converged
 
 
-@pytest.mark.parametrize("dimension, matches", [(1, True), (2, False)])
-def test_a_restriction_passes_only_when_both_of_its_checks_do(dimension, matches):
-    report = RestrictionReport(order=2, j=2, equation_count=3, variable_count=4,
-                               solution_dimension=dimension, expected_dimension=2,
-                               pattern_matches=matches, basis=[])
-    assert report.passed is False
-    assert report.to_json_dict()["passed"] is False
+@pytest.mark.parametrize("blocks", [(), (0,)], ids=["no-block", "block-0"])
+def test_a_restriction_passes_only_with_every_block(blocks):
+    report = RestrictionReport(ComplexPole(0, 1, 2), 3, blocks)
+    assert report.passed is False and report.pattern_matches is False
+    payload = report.to_json_dict()
+    assert payload["passed"] is False and payload["pattern_matches"] is False
+    assert payload["solution_dimension"] == len(blocks) < payload["expected_dimension"] == 2
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 6).flatmap(
+    lambda r: st.tuples(st.just(r), st.sets(st.integers(0, r - 1)).map(sorted).map(tuple))))
+def test_a_restriction_reads_its_figures_off_its_blocks(drawn):
+    r, blocks = drawn
+    report = RestrictionReport(ComplexPole(Fraction(1, 3), 2, r), 7, blocks)
+    payload = report.to_json_dict()
+    complete = blocks == tuple(range(r))
+    assert payload == {
+        "r": r, "j": 2 * (r - 1), "equation_count": 7, "variable_count": r * r,
+        "solution_dimension": len(blocks), "expected_dimension": r,
+        "pattern_matches": complete, "passed": complete,
+        "basis": [{"entries": [{"ket": k, "bra": n - k, "coeff": [binomial(n, k), 0]}
+                               for k in range(n + 1)]} for n in blocks],
+    }
+    assert (report.j, report.solution_dimension) == (payload["j"], len(blocks))
+    assert report.passed is report.pattern_matches is complete
+    assert [member.pole for member in report.basis] == [report.pole] * len(blocks)
+
+
+@pytest.mark.parametrize("blocks", [(2,), (0, 1, 2), (-1,), (1, 0), (0, 0), (0, 2, 1)],
+                         ids=str)
+def test_a_restriction_refuses_a_block_out_of_range_or_order(blocks):
+    with pytest.raises(ValueError, match=r"^block -?\d of \(.*\): out of order or not below 2$"):
+        RestrictionReport(ComplexPole(0, 1, 2), 3, blocks)
+
+
+@PROPERTY_SETTINGS
+@given(st.floats(0, 1e-6), st.floats(1e-12, 1e-6),
+       st.lists(st.sampled_from(["leg [0, 1]: ier 1, subdivision limit",
+                                 "leg [1, inf]: ier 2, roundoff"]), max_size=2))
+def test_verdicts_are_read_off_the_recorded_figures(discrepancy, tolerance, legs):
+    result = IntegralResult(1j, 1e-12, legs)
+    assert result.converged is (not legs)
+    unconverged = [("direct", tuple(legs))] if legs else []
+    report = DecompositionReport(1j, 0.5j, 0.5j, discrepancy, tolerance, 2e-12, unconverged)
+    assert report.converged is (not legs)
+    assert report.passed is (discrepancy <= tolerance and not legs)
+    assert report.to_json_dict()["passed"] is report.passed
+    assert report.to_json_dict()["converged"] is report.converged
+
+
+@pytest.mark.parametrize("construct", [
+    lambda: RestrictionReport(order=3, j=7, equation_count=3, variable_count=4,
+                              solution_dimension=2, expected_dimension=2, pattern_matches=True,
+                              basis=[]),
+    lambda: DecompositionReport(1j, 0j, 0j, 5.0, 1e-8, True, 0.0, False),
+    lambda: IntegralResult(1j, 0.0, True, ("leg x",)),
+], ids=["restriction", "decomposition", "integral"])
+def test_a_derived_figure_cannot_be_given(construct):
+    """A verdict beside the facts it follows from could contradict them, so none is a field."""
+    with pytest.raises(TypeError):
+        construct()
 
 
 def test_unpickling_rebuilds_from_the_fields_without_init(monkeypatch):
@@ -319,9 +373,7 @@ class TestEqualInputsGiveEqualValues:
     def test_coefficient_tables_and_operators(self, value, order, data):
         pole = ComplexPole(1, 1, order)
         key = (data.draw(st.integers(0, order - 1)), data.draw(st.integers(0, order - 1)))
-        tables = [CoefficientMatrix(order, {key: v}) for v in representations(value)]
-        assert_equal_and_hash_alike(tables)
-        operators = [DyadicOperator(pole, table) for table in tables]
+        operators = [DyadicOperator(pole, {key: v}) for v in representations(value)]
         assert_equal_and_hash_alike(operators)
         assert_equal_and_hash_alike([evolve_operator(op) for op in operators])
         assert_equal_and_hash_alike(
