@@ -1,0 +1,239 @@
+"""The command line's exit contract as one table of probes, and the runner for them.
+
+A probe row runs one subcommand as a subprocess, in a fresh directory, and
+checks what a user sees: the exit code (0 when the claim is reproduced, 1
+when a check fails, 2 for bad input), stderr and stdout.  A new refusal is
+one more row.
+
+tests/test_cli_probes.py runs the rows under pytest against this checkout.
+As a script, this file runs them against any command line and prints one
+line per row:
+
+    PYTHONPATH=src python tests/cli_probes.py python -m gamow.cli
+    python tests/cli_probes.py gamow        # the installed console script
+
+It exits 1 when a row does not hold.  A row that needs a non-root user or
+/dev/full is skipped where that does not hold; every other row runs.  The
+subprocess imports the gamow this file imported, from whatever directory.
+"""
+
+import contextlib
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from importlib.resources import files
+from typing import NamedTuple
+
+import gamow
+
+EXAMPLE = str(files("gamow") / "data" / "residue_example.json")
+MODEL = object()  # as a row's document: the bundled example, read when the row runs
+INPUT = "input.json"  # where a row's document is written
+
+# the stdout rules; any other rule is the sha256 of stdout
+EMPTY, FINITE, NOT_PASSED = "empty", "no NaN or Infinity", 'no "passed": true'
+
+
+class Contains(str):
+    """A stderr rule that any stderr holding this text meets; a plain str is the exact line."""
+
+
+class Row(NamedTuple):
+    name: str
+    argv: tuple
+    exit: int
+    stderr: str = ""  # the one line, or Contains(text); "" is nothing on stderr
+    stdout: str = EMPTY
+    document: object = None  # written to input.json with `edits` applied, unless None
+    edits: dict = {}  # a key, or a path of keys and indices, to the value set there
+    needs: str = None  # "non-root" (and a read-only directory `locked`) or "/dev/full"
+    seconds: float = 60.0  # the time limit
+    stdout_to: str = None  # a file that stdout is opened on instead of a pipe
+    script_only: str = None  # why tier-1 leaves the row to the script, unless None
+
+
+def _model(name, edits, line):
+    """A bundled example with `edits` that residue refuses with `line`."""
+    return Row(name, ("residue", "--config", INPUT), 2, line, document=MODEL, edits=edits)
+
+
+_BEYOND = ("input error: leg [0, {}]: ier 3, non-finite integrand: the model's E_R, Gamma, "
+           "laurent or background, or a test function, is beyond the float range there")
+_APART = ("input error: pole window E_R +- Gamma/2 has points that floats cannot tell apart "
+          "(E_R {}, Gamma {})")
+_DENIED = "cannot open locked/out.json: Permission denied"
+_SLOW = "slow: the two large outputs take about 3 s"
+_UNWRITABLE = "TestUnreadablePaths pins the line in-process, and that the handler never runs"
+# the least argv each subcommand runs with
+REQUIRED_ARGS = {"evolve": (), "exp-check": ("--r", "2"), "residue": ("--config", EXAMPLE),
+                 "basis": ("--r", "3")}
+
+ROWS = [
+    # each subcommand reproduces its claim; evolve's floats come from libm, so it has no digest
+    Row("exp-check-r3", ("exp-check", "--r", "3"), 0,
+        stdout="151e532e4c65b7e9cfa08ea290e48e92d3dad364c993d4e290359a1983638618"),
+    Row("residue-example", ("residue", "--config", EXAMPLE), 0,
+        stdout="7259dc172b4b0b191564c7ec68e89896342a42bbeedb71fb75b268eaec414ff8"),
+    Row("basis-r3", ("basis", "--r", "3"), 0,
+        stdout="0dbd72d3d66fb5a805a8f44640ea8057b6d822f2937c063d08cd723521c5d14c"),
+    Row("evolve-r2-n1", ("evolve", "--r", "2", "--n", "1"), 0, stdout=FINITE),
+    # the large outputs, byte for byte: about 3 s together
+    Row("exp-check-r30", ("exp-check", "--r", "30"), 0, script_only=_SLOW,
+        stdout="35bb9443c4a3e3c2f1f16fa33ca134363fbfbc68c65b185c589c12fb684c0e99"),
+    Row("basis-r58-csv", ("basis", "--r", "58", "--format", "csv"), 0, script_only=_SLOW,
+        stdout="1083d0c0df315e4b721e5e5dfe627fb804e583ec4d96b5081c5447096dd23e07"),
+    # models the floats cannot resolve
+    _model("residue-laurent-1e308", {"laurent": [[1e308, 0.0], [0.1, 0.0]]},
+           _BEYOND.format("0.75")),
+    _model("residue-gamma-1e200", {"Gamma": 1e200}, _BEYOND.format("5e+199")),
+    _model("residue-energy-1e200", {"E_R": 1e200}, _APART.format("1e+200", "0.5")),
+    _model("residue-gamma-1e-300", {"Gamma": 1e-300}, _APART.format("1.0", "1e-300")),
+    # the exact residue term would overflow its float; the leg across the peak meets that first
+    _model("residue-term-beyond-float", {
+        "E_R": 0.0, "Gamma": 1e156, "r": 1, "laurent": [[1.0, 1e300]], "test_functions": [
+            {"role": "ket", "num": [[1e14, 0.0]], "den": [[-4.0, 0.0], [0.0, -4.0], [1.0, 0.0]]},
+            {"role": "bra", "num": [[1e162, 0.0]], "den": [[0.0, -3e-300], [1e-300, 0.0]]},
+        ]}, _BEYOND.format("5e+155")),
+    # a ket lead of 1e-320 puts the root test's height past the float range
+    _model("residue-ket-lead-1e-320", {("test_functions", 0, "den", -1): [1e-320, 0.0]},
+           "input error: model.test_functions[0].den: test function must be analytic in the "
+           "closed lower half-plane; a denominator root is not above the real axis by more "
+           "than 1e-09 * 2^1067"),
+    Row("evolve-coefficient-beyond-float", ("evolve", "--r", "3", "--n", "2", "--energy",
+                                            "1e308", "--gamma", "1e308", "--t-end", "1e10"), 2,
+        "input error: operator coefficients beyond the float range (Gamma 1e+308, "
+        "operator {'kind': 'binomial', 'n': 2})"),
+    # a pole window far wider than the test functions' scale: resolved, or a failed check
+    Row("residue-wide-1e6", ("residue", "--config", INPUT), 0, stdout=FINITE,
+        document=MODEL, edits={"E_R": 0.0, "Gamma": 1e6}),
+    Row("residue-wide-1e90", ("residue", "--config", INPUT), 1,
+        Contains("contour decomposition check failed: "), NOT_PASSED,
+        document=MODEL, edits={"E_R": 0.0, "Gamma": 1e90}),
+    # a document field of the right type but a bad value, or of the wrong type
+    _model("residue-role-kat", {("test_functions", 0, "role"): "kat"},
+           "input error: model.test_functions[0].role: role must be 'ket' or 'bra', got 'kat'"),
+    Row("evolve-entries-not-a-list", ("evolve", "--config", INPUT), 2,
+        "input error: operator.entries: expected a list, got 3",
+        document={"operator": {"kind": "coefficients", "entries": 3}}),
+    # a document that is not an object
+    *(Row(f"{command}-document-{kind}", (command, "--config", INPUT), 2,
+          f"input error: {where}: expected an object, got {document!r}", document=document)
+      for command, where in (("evolve", "config"), ("residue", "model"))
+      for kind, document in (("list", [1]), ("string", "model"))),
+    # a --config that cannot be read, or an --out that cannot be opened, named with the reason
+    Row("residue-config-dir", ("residue", "--config", "."), 2, "cannot open .: Is a directory"),
+    Row("residue-config-missing", ("residue", "--config", "missing.json"), 2,
+        "cannot open missing.json: No such file or directory"),
+    Row("evolve-config-dir", ("evolve", "--config", "."), 2, "cannot open .: Is a directory"),
+    Row("evolve-out-dir", ("evolve", "--r", "2", "--n", "1", "--out", "."), 2,
+        "cannot open .: Is a directory", script_only=_UNWRITABLE),
+    # exp-check --r 30 computes for seconds, so a one-second limit shows it was refused first
+    Row("exp-check-out-dir", ("exp-check", "--r", "30", "--out", "."), 2,
+        "cannot open .: Is a directory", seconds=1, script_only=_UNWRITABLE),
+    Row("basis-out-parent-missing", ("basis", "--r", "3", "--out", "missing/out.json"), 2,
+        "cannot open missing/out.json: No such file or directory", script_only=_UNWRITABLE),
+    Row("exp-check-out-permission-denied", ("exp-check", "--r", "30", "--out", "locked/out.json"),
+        2, _DENIED, needs="non-root", seconds=1, script_only=_UNWRITABLE),
+    *(Row(f"{command}-out-permission-denied", (command, *REQUIRED_ARGS[command], "--out",
+                                               "locked/out.json"), 2, _DENIED, needs="non-root",
+          script_only=_UNWRITABLE)
+      for command in ("evolve", "residue", "basis")),
+    # a write that fails after the work: one line, to a file or to stdout
+    *(Row(f"{command}-out-full-device", (command, *args, "--out", "/dev/full"), 2,
+          "cannot write /dev/full: No space left on device", needs="/dev/full")
+      for command, args in REQUIRED_ARGS.items()),
+    Row("basis-stdout-full-device", ("basis", "--r", "3"), 2,
+        "cannot write stdout: No space left on device", needs="/dev/full", stdout_to="/dev/full",
+        script_only="TestFailedWrites pins the line, as a subprocess"),
+]
+
+
+def unmet(row):
+    """Why `row` cannot run here, or None where it can."""
+    if row.needs == "non-root" and os.geteuid() == 0:
+        return "root opens any file"
+    if row.needs == "/dev/full" and not os.path.exists("/dev/full"):
+        return "no /dev/full"
+    return None
+
+
+def child_env(**changes):
+    """The environment of a fresh interpreter, in any directory, that imports this gamow."""
+    search_path = [os.path.dirname(os.path.dirname(gamow.__file__))]
+    if os.environ.get("PYTHONPATH"):
+        search_path.append(os.environ["PYTHONPATH"])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(search_path), **changes)
+
+
+def _document(row):
+    if row.document is MODEL:
+        with open(EXAMPLE, encoding="utf-8") as handle:
+            document = json.load(handle)
+    else:
+        document = json.loads(json.dumps(row.document))
+    for path, value in row.edits.items():
+        *parents, last = (path,) if isinstance(path, str) else path
+        target = document
+        for step in parents:
+            target = target[step]
+        target[last] = value
+    return document
+
+
+def run(row, command):
+    """Run `row` as a subprocess of the command line `command`; what it broke, [] if nothing."""
+    with tempfile.TemporaryDirectory() as where:
+        if row.document is not None:
+            with open(os.path.join(where, INPUT), "w", encoding="utf-8") as handle:
+                json.dump(_document(row), handle)
+        if row.needs == "non-root":
+            os.mkdir(os.path.join(where, "locked"))
+            os.chmod(os.path.join(where, "locked"), 0o555)
+        with open(row.stdout_to, "wb") if row.stdout_to else (
+                contextlib.nullcontext(subprocess.PIPE)) as stdout:
+            try:
+                done = subprocess.run([*command, *row.argv], cwd=where, env=child_env(),
+                                      stdout=stdout, stderr=subprocess.PIPE, timeout=row.seconds)
+            except subprocess.TimeoutExpired:
+                return [f"no exit within {row.seconds:g} s"]
+    out, err = done.stdout or b"", done.stderr.decode("utf-8", "replace")
+    faults = []
+    if done.returncode != row.exit:
+        faults.append(f"exit {done.returncode}, expected {row.exit}")
+    if isinstance(row.stderr, Contains):
+        if row.stderr not in err:
+            faults.append(f"stderr {err!r} does not hold {str(row.stderr)!r}")
+    elif err != (row.stderr and row.stderr + "\n"):
+        faults.append(f"stderr {err!r}, expected {row.stderr!r}")
+    if row.stdout == EMPTY:
+        broken = out != b""
+    elif row.stdout == FINITE:
+        broken = b"NaN" in out or b"Infinity" in out
+    elif row.stdout == NOT_PASSED:
+        broken = b'"passed": true' in out
+    else:
+        broken = hashlib.sha256(out).hexdigest() != row.stdout
+    if broken:
+        faults.append(f"stdout breaks the rule {row.stdout!r}: {out[:200]!r}")
+    return faults
+
+
+def main(command):
+    failed = 0
+    for row in ROWS:
+        reason = unmet(row)
+        faults = [] if reason else run(row, command)
+        failed += bool(faults)
+        verdict = f"skipped: {reason}" if reason else "; ".join(faults) or "ok"
+        print(f"{row.name}: {verdict}", flush=True)
+    print(f"{failed} of {len(ROWS)} rows failed against {' '.join(command)}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) < 2:
+        sys.exit("usage: python tests/cli_probes.py COMMAND [ARG...]")
+    sys.exit(main(sys.argv[1:]))

@@ -17,6 +17,7 @@ from importlib.resources import files
 from pathlib import Path
 
 import pytest
+from cli_probes import REQUIRED_ARGS, child_env
 from constraint_oracle import equations, stored_system
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -502,19 +503,6 @@ class TestResidue:
         assert payload["tolerance"] == 1e-8
         assert payload["discrepancy"] < 1e-8
 
-    def test_a_refusal_past_the_float_range_stays_an_input_error(self, tmp_path, capsys):
-        """A ket lead of 1e-320 puts the root bound, and the refusal's height, past 2**1024."""
-        document = self.model_document()
-        document["test_functions"][0]["den"][-1] = [1e-320, 0.0]
-        model_path = tmp_path / "model.json"
-        model_path.write_text(json.dumps(document))
-        assert main(["residue", "--config", str(model_path)]) == EXIT_INPUT_ERROR
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert re.fullmatch(r"input error: model\.test_functions\[0\]\.den: test function must "
-                            r"be analytic in the closed lower half-plane; a denominator root is "
-                            r"not above the real axis by more than 1e-09 \* 2\^\d+\n", err), err
-
     def test_impossible_tolerance_fails_cleanly(self, tmp_path):
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(self.model_document()))
@@ -609,16 +597,6 @@ class TestResidue:
         assert abs(expected - (-7.42e-4j)) < 1e-6
         assert abs(complex(*payload["direct"]) - expected) <= 1e-8
 
-    def test_a_pole_window_far_wider_never_passes_silently(self, tmp_path, capsys):
-        # E_R 0, Gamma 1e90: legs split only at E_R +- 10*Gamma saw 0.0 for
-        # both pieces and passed; the true direct is -7.42e-4 i
-        document = dict(self.model_document(), E_R=0.0, Gamma=1e90)
-        model_path = tmp_path / "model.json"
-        model_path.write_text(json.dumps(document))
-        code = main(["residue", "--config", str(model_path)])
-        out = capsys.readouterr().out
-        assert not (code == EXIT_OK or out and json.loads(out)["passed"])
-
     def test_a_far_pole_exits_in_bounded_time(self, tmp_path):
         # E_R 1e300, Gamma 1: about a thousand rungs up to |E_R| + Gamma, but
         # E_R +- Gamma/2 == E_R is refused before any is built
@@ -666,36 +644,16 @@ class TestResidue:
     def test_missing_config_flag(self):
         assert exit_status(["residue"]) == EXIT_INPUT_ERROR
 
-    def test_missing_file(self):
-        assert main(["residue", "--config", "/nonexistent/model.json"]) == EXIT_INPUT_ERROR
-
 
 class TestUnreadablePaths:
     """A --config that cannot be read or an --out that cannot be written is an input error.
 
     Each exits 2 with one message naming the path and the reason, not a traceback.
-    The permission case is skipped where the tests run as root, who can open any file.
+    The --config cases are probe rows of cli_probes.py; the --out cases are
+    pinned here, with the subcommand's handler never run, and cli_probes.py runs
+    its --out rows only as a script.  The permission case is skipped where the
+    tests run as root, who can open any file.
     """
-
-    @pytest.mark.parametrize(
-        "argv, reason",
-        [
-            (["residue", "--config", "{missing}"], "No such file or directory"),
-            (["residue", "--config", "{dir}"], "Is a directory"),
-            (["evolve", "--config", "{dir}"], "Is a directory"),
-            (["exp-check", "--r", "2", "--out", "{dir}"], "Is a directory"),
-            (["evolve", "--r", "2", "--n", "1", "--out", "{dir}"], "Is a directory"),
-        ],
-        ids=["missing-config", "residue-config-dir", "evolve-config-dir", "exp-check-out-dir",
-             "evolve-out-dir"],
-    )
-    def test_exits_2_naming_the_path(self, tmp_path, capsys, argv, reason):
-        paths = {"missing": str(tmp_path / "missing.json"), "dir": str(tmp_path)}
-        argv = [arg.format(**paths) for arg in argv]
-        assert main(argv) == EXIT_INPUT_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"cannot open {argv[-1]}: {reason}\n"
 
     @pytest.mark.parametrize(
         "out, reason",
@@ -753,17 +711,9 @@ class TestUnreadablePaths:
             locked.chmod(0o755)
 
 
-def checkout_env(**changes):
-    """The environment of a fresh interpreter that imports this checkout's gamow."""
-    search_path = [os.path.dirname(os.path.dirname(gamow.__file__))]
-    if os.environ.get("PYTHONPATH"):
-        search_path.append(os.environ["PYTHONPATH"])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(search_path), **changes)
-
-
 def run_cli(argv, buffered=True, **streams):
     """`python -m gamow.cli ARGV` in a fresh interpreter, so that its exit flush runs too."""
-    env = checkout_env(PYTHONUNBUFFERED="" if buffered else "1")
+    env = child_env(PYTHONUNBUFFERED="" if buffered else "1")
     return subprocess.Popen([sys.executable, "-m", "gamow.cli", *argv], env=env, text=True,
                             stderr=subprocess.PIPE, **streams)
 
@@ -773,12 +723,6 @@ class TestFailedWrites:
 
     What a failed run leaves: a new --out stays empty, an existing one as it was.
     """
-
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    @pytest.mark.parametrize("command", ["evolve", "exp-check", "residue", "basis"])
-    def test_an_out_on_a_full_device(self, capsys, command):
-        assert main([command, *REQUIRED_ARGS[command], "--out", "/dev/full"]) == EXIT_INPUT_ERROR
-        assert capsys.readouterr() == ("", "cannot write /dev/full: No space left on device\n")
 
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("stdout, reason", [
@@ -1075,18 +1019,6 @@ class TestNonFiniteAndInvalidInputs:
         assert main(["residue", "--config", str(model_path)]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == f"input error: {where}{message}\n"
 
-    @pytest.mark.parametrize("command, where", [("evolve", "config"), ("residue", "model")])
-    @pytest.mark.parametrize("document", [[1], "model"])
-    def test_a_document_that_is_not_an_object_is_refused_naming_its_path(
-        self, tmp_path, capsys, command, where, document
-    ):
-        path = tmp_path / "document.json"
-        path.write_text(json.dumps(document))
-        assert main([command, "--config", str(path)]) == EXIT_INPUT_ERROR
-        assert capsys.readouterr() == (
-            "", f"input error: {where}: expected an object, got {document!r}\n"
-        )
-
     @pytest.mark.parametrize(
         "command, path, value, field",
         [
@@ -1133,48 +1065,6 @@ class TestNonFiniteAndInvalidInputs:
         assert main([command, "--config", str(config_path)]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith(f"input error: {field}: expected ")
 
-    @pytest.mark.parametrize(
-        "change, expected",
-        [
-            # the amplitude overflows on the first leg: its sum is NaN
-            ({"laurent": [[1e308, 0.0], [0.1, 0.0]]}, ["leg [0, 0.75]", "non-finite", "laurent"]),
-            ({"Gamma": 1e200}, ["leg [0, 5e+199]", "non-finite", "Gamma"]),
-            # E_R +- Gamma/2 == E_R: no leg would resolve the pole
-            ({"E_R": 1e200}, ["cannot tell apart", "E_R 1e+200, Gamma 0.5"]),
-            # 1 - 1e-299 == 1: nodes on the pole's real part, (z - pole)^2 underflows
-            ({"Gamma": 1e-300}, ["cannot tell apart", "E_R 1.0, Gamma 1e-300"]),
-            # the exact residue term would overflow its conversion to a float;
-            # the leg across the peak meets the overflow first, at the test
-            # functions' scale, which it now samples
-            ({"E_R": 0.0, "Gamma": 1e156, "r": 1, "laurent": [[1.0, 1e300]], "test_functions": [
-                {"role": "ket", "num": [[1e14, 0.0]], "den": [[-4.0, 0.0], [0.0, -4.0], [1.0, 0.0]]},
-                {"role": "bra", "num": [[1e162, 0.0]], "den": [[0.0, -3e-300], [1e-300, 0.0]]},
-            ]}, ["leg [0, 5e+155]", "non-finite", "laurent"]),
-        ],
-        ids=["laurent-1e308", "Gamma-1e200", "E_R-1e200", "Gamma-1e-300", "residue-term"],
-    )
-    def test_a_model_the_floats_cannot_resolve_is_an_input_error(
-        self, tmp_path, capsys, change, expected
-    ):
-        model_path = tmp_path / "model.json"
-        model_path.write_text(json.dumps(dict(TestResidue().model_document(), **change)))
-        assert main(["residue", "--config", str(model_path)]) == EXIT_INPUT_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("input error: ")
-        for text in expected:
-            assert text in captured.err
-
-    def test_an_operator_coefficient_beyond_the_float_range_is_an_input_error(self, capsys):
-        # Gamma^2/2! = 5e615 is exact, but no float holds it
-        argv = ["evolve", "--r", "3", "--n", "2", "--energy", "1e308", "--gamma", "1e308",
-                "--t-end", "1e10"]
-        assert main(argv) == EXIT_INPUT_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("input error: operator coefficients beyond the float range")
-        assert "Gamma 1e+308" in captured.err
-
     def test_reports_never_hold_nan_or_infinity(self):
         with pytest.raises(ValueError, match="not JSON compliant"):
             cli._dump_json({"discrepancy": math.nan})
@@ -1196,7 +1086,7 @@ def run_python(code):
     """Run `code` in a fresh interpreter that imports this checkout's gamow."""
     return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env=checkout_env(),
+        env=child_env(),
     )
 
 
@@ -1332,10 +1222,6 @@ ACCEPTED_FLAGS = {
     "exp-check": {"--out", "--r", "--j"},
     "residue": {"--config", "--out", "--tol"},
     "basis": {"--out", "--format", "--r"},
-}
-REQUIRED_ARGS = {
-    "evolve": [], "exp-check": ["--r", "2"], "residue": ["--config", EXAMPLE_MODEL],
-    "basis": ["--r", "2"],
 }
 ALL_FLAGS = sorted(set().union(*ACCEPTED_FLAGS.values()))
 
@@ -1603,13 +1489,22 @@ def _nonfinite_in(out):
     return not all(math.isfinite(x) for x in numbers)
 
 
+# the line of each check whose failure exits 1, never another ArithmeticError caught in main
+CHECK_FAILED = {
+    "residue": r"contour decomposition check failed: .+\n",
+    "evolve": r"pure-exponential contract violated at .+\n"
+              r"|verification failed: entry \(\d+,\d+\) at t=\S+ exceeds the float range\n",
+}
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.data())
 def test_fuzzed_inputs_exit_0_1_or_2_and_an_input_error_writes_nothing(data):
     """One or two fields of the bundled model or of a full evolve config set to an edge value.
 
-    Nothing escapes `main`, the exit code is 0, 1 or 2, exit 2 writes
-    nothing to stdout, and exit 0 writes no NaN or infinity.
+    Nothing escapes `main`, the exit code is 0, 1 or 2, exit 1 comes with the
+    failing check's own line, exit 2 writes nothing to stdout, and exit 0
+    writes no NaN or infinity.
     """
     command = data.draw(st.sampled_from(["residue", "evolve"]))
     document = (TestResidue().model_document() if command == "residue"
@@ -1624,6 +1519,8 @@ def test_fuzzed_inputs_exit_0_1_or_2_and_an_input_error_writes_nothing(data):
             json.dump(document, handle)  # inf is written as the Infinity that json.load reads
         code, out, err = _run_main([command, "--config", config_path])
     assert code in (EXIT_OK, EXIT_VERIFICATION_FAILURE, EXIT_INPUT_ERROR), err
+    if code == EXIT_VERIFICATION_FAILURE:
+        assert re.fullmatch(CHECK_FAILED[command], err), err
     if code == EXIT_INPUT_ERROR:
         assert out == "", err
     if code == EXIT_OK:
