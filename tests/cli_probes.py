@@ -21,6 +21,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -34,7 +35,7 @@ MODEL = object()  # as a row's document: the bundled example, read when the row 
 INPUT = "input.json"  # where a row's document is written
 
 # the stdout rules; any other rule is the sha256 of stdout
-EMPTY, FINITE, NOT_PASSED = "empty", "no NaN or Infinity", 'no "passed": true'
+EMPTY, FINITE, NOT_PASSED = "empty", "no NaN or Infinity, nor nan or inf", 'no "passed": true'
 
 
 class Contains(str):
@@ -80,6 +81,9 @@ ROWS = [
     Row("basis-r3", ("basis", "--r", "3"), 0,
         stdout="0dbd72d3d66fb5a805a8f44640ea8057b6d822f2937c063d08cd723521c5d14c"),
     Row("evolve-r2-n1", ("evolve", "--r", "2", "--n", "1"), 0, stdout=FINITE),
+    # t_end * i overflows from i = 2 on, and every grid point must still be finite
+    Row("evolve-t-end-1e308", ("evolve", "--r", "1", "--t-end", "1e308", "--steps", "5"), 0,
+        stdout=FINITE),
     # the large outputs, byte for byte: about 3 s together
     Row("exp-check-r30", ("exp-check", "--r", "30"), 0, script_only=_SLOW,
         stdout="35bb9443c4a3e3c2f1f16fa33ca134363fbfbc68c65b185c589c12fb684c0e99"),
@@ -211,7 +215,7 @@ def run(row, command):
     if row.stdout == EMPTY:
         broken = out != b""
     elif row.stdout == FINITE:
-        broken = b"NaN" in out or b"Infinity" in out
+        broken = re.search(rb"NaN|Infinity|\b(nan|inf)\b", out) is not None  # JSON or CSV
     elif row.stdout == NOT_PASSED:
         broken = b'"passed": true' in out
     else:

@@ -207,6 +207,14 @@ class TestEvolve:
                 assert float(row[3]) == pytest.approx(expected, rel=1e-12)
                 assert float(row[5]) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("t_end", [1e308, sys.float_info.max])
+    def test_a_grid_whose_products_overflow_stays_finite(self, capsys, t_end):
+        """t_end * i passes the largest float, yet the points rise to exactly t_end."""
+        assert main(["evolve", "--r", "1", f"--t-end={t_end!r}", "--steps", "5"]) == EXIT_OK
+        times = [float(line.split(",")[0]) for line in capsys.readouterr().out.splitlines()[1:]]
+        assert times[0] == 0 and times[-1] == t_end and len(times) == 5
+        assert all(math.isfinite(t) and t > before for before, t in zip(times, times[1:]))
+
     def test_value_beyond_the_float_range_fails_and_writes_nothing(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({
@@ -269,15 +277,38 @@ class TestEvolve:
         assert capsys.readouterr().err == ""
 
     def test_contract_violation_fails_verification(self, tmp_path, capsys, monkeypatch):
-        """A dyad's entries carry powers of t, so claiming it is pure exponential must fail."""
+        """2|0><0| + |1><1| evolves to (2 + t^2) at (0,0) and +-i t at (0,1) and (1,0).
+
+        Claimed pure exponential, it fails first at t = 1.25 on (0,0), the first
+        row of that step, against its t = 0 modulus 2: 3.5625 e^-1.25 vs 2 e^-1.25.
+        """
         monkeypatch.setattr(cli, "is_pure_exponential", lambda evolved: True)
         out = tmp_path / "curve.csv"
-        argv = ["evolve", "--r", "2", "--steps", "5", "--out", str(out)]
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"operator": {"kind": "dyad", "ket": 0, "bra": 1}}))
-        assert main([*argv, "--config", str(config_path)]) == EXIT_VERIFICATION_FAILURE
-        assert capsys.readouterr().err.startswith("pure-exponential contract violated at t=")
-        assert out.read_text().startswith("t,entry_l,entry_m,re,im,modulus\n")
+        config_path.write_text(json.dumps({"r": 2, "grid": {"steps": 5}, "operator": {
+            "kind": "coefficients", "entries": [{"ket": 0, "bra": 0, "coeff": 2},
+                                                {"ket": 1, "bra": 1}]}}))
+        argv = ["evolve", "--config", str(config_path), "--out", str(out)]
+        assert main(argv) == EXIT_VERIFICATION_FAILURE
+        assert capsys.readouterr() == ("", (
+            "pure-exponential contract violated at t=1.25, entry (0,0): "
+            f"modulus {3.5625 * math.exp(-1.25)!r} vs expected {2.0 * math.exp(-1.25)!r}\n"))
+        lines = out.read_text().splitlines()
+        assert lines[0] == "t,entry_l,entry_m,re,im,modulus" and len(lines) == 1 + 5 * 4
+
+    def test_each_value_is_computed_once(self, tmp_path, monkeypatch):
+        """One pass over a pure-exponential curve: steps * r^2 evaluations, none again at t = 0."""
+        calls = []
+
+        def counted(self, ket, bra, t):
+            calls.append((t, ket, bra))
+            return value(self, ket, bra, t)
+
+        value = operators.TimePolynomialOperator.value
+        monkeypatch.setattr(operators.TimePolynomialOperator, "value", counted)
+        argv = ["evolve", "--r", "3", "--n", "2", "--steps", "7", "--out", str(tmp_path / "c.csv")]
+        assert main(argv) == EXIT_OK
+        assert len(calls) == len(set(calls)) == 7 * 3**2
 
 
 class TestExpCheck:
@@ -1356,6 +1387,8 @@ def _numbers(value):
 # magnitudes from 1e-300 to 1e300, either sign where a field takes both
 magnitude = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-300, 300))
 signed = st.builds(lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]), magnitude)
+# on to the largest float, where a grid's t_end * i overflows
+huge = st.floats(1e300, sys.float_info.max)
 
 
 def _scaled(coefficients, factor):
@@ -1415,13 +1448,14 @@ def test_evolve_output_is_finite_with_an_honest_exit_code(data):
     argv = [
         "evolve", "--r", str(r), "--n", str(data.draw(st.integers(0, r - 1))),
         f"--energy={data.draw(st.one_of(st.just(0.0), signed))!r}",
-        f"--gamma={data.draw(magnitude)!r}", f"--t-end={data.draw(magnitude)!r}",
+        f"--gamma={data.draw(magnitude)!r}", f"--t-end={data.draw(magnitude | huge)!r}",
         "--steps", str(data.draw(st.integers(2, 4))), "--format", output_format,
     ]
     code, out, err = _run_main(argv)
     assert code in (EXIT_OK, EXIT_VERIFICATION_FAILURE, EXIT_INPUT_ERROR), err
-    if code == EXIT_INPUT_ERROR:
-        assert out == "" and err.startswith("input error: ")
+    if code == EXIT_INPUT_ERROR:  # every flag is valid: only Gamma^n/n! can be refused
+        assert out == "" and err.startswith("input error: operator coefficients beyond the "
+                                            "float range (Gamma "), err
         return
     if output_format == "json":
         numbers = _numbers(_strict_json(out))
