@@ -9,13 +9,14 @@ byte-identical files.  Coefficients are exact integers, written as floats
 wherever a float holds them.
 """
 
-import argparse
 import contextlib
 import functools
 import json
 import math
 import os
 import sys
+import types
+from json.encoder import encode_basestring_ascii
 
 from .exact import (
     ComplexRational, coefficient_from_json, json_number, reject_unknown_keys, typed_field,
@@ -81,8 +82,48 @@ def _write_output(out, pieces):
 
 
 def _dump_json(payload) -> str:
-    """Strict JSON: a NaN or infinity raises ValueError instead of writing a non-JSON token."""
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """`json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\\n"`, formed here.
+
+    json's `indent` encoder is pure Python; `_json_text` writes the same text
+    in one recursive pass.  A NaN or infinity raises json's ValueError instead
+    of writing a non-JSON token.
+    """
+    return _json_text(payload, "\n") + "\n"
+
+
+def _json_text(value, newline):
+    """The JSON text of `value`, each line after its first indented as `newline` is.
+
+    It takes exactly dict (str keys), list, tuple, str, int, float, bool and
+    None; any other type, a subclass too, raises TypeError.
+    """
+    kind = type(value)
+    if kind is float:
+        text = float.__repr__(value)
+        if text in ("nan", "inf", "-inf"):
+            raise ValueError(f"Out of range float values are not JSON compliant: {text}")
+        return text
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = newline + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(key) + ": " + _json_text(value[key], inner)
+                 for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 # An equation of exp-check's "equations" list, and one of its terms, as
@@ -199,8 +240,8 @@ def cmd_evolve(args) -> int:
     violation = None
     try:
         for i in range(last + 1):
-            t = t_end * i / last
-            if math.isinf(t):  # t_end * i overflowed; i / last <= 1 keeps t finite
+            t = t_end * i / last if i < last else t_end
+            if math.isinf(t):  # t_end * i overflowed; i / last < 1 keeps t finite
                 t = t_end * (i / last)
             for ket, bra in entries:
                 value = evolved.value(ket, bra, t)
@@ -315,23 +356,27 @@ _OPTIONS = {
     "--steps": {"type": int, "help": "number of grid points (>= 2)"},
 }
 
+# (name, help, flags); a trailing "!" marks a required flag
+_COMMANDS = (
+    ("evolve", "evolve an operator and write its decay curve",
+     "--config --out --format --tol --r --gamma --energy --n --t-end --steps"),
+    ("exp-check", "verify the pure-exponential characterization", "--out --r --j"),
+    ("residue", "contour-decomposition check for a model file", "--config! --out --tol"),
+    ("basis", "emit the pure-exponential operator basis", "--out --format --r!"),
+)
+
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; `main` finds each handler by name."""
+def _build_parser():
+    """The argparse parser, built once per process from `_COMMANDS` and `_OPTIONS`."""
+    import argparse  # only help and usage errors need it; see _read_argv
+
     parser = argparse.ArgumentParser(
         prog="gamow",
         description="Exact Jordan-block calculus for higher-order resonance states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # (name, help, flags); a trailing "!" marks a required flag
-    for name, help_text, flags in (
-        ("evolve", "evolve an operator and write its decay curve",
-         "--config --out --format --tol --r --gamma --energy --n --t-end --steps"),
-        ("exp-check", "verify the pure-exponential characterization", "--out --r --j"),
-        ("residue", "contour-decomposition check for a model file", "--config! --out --tol"),
-        ("basis", "emit the pure-exponential operator basis", "--out --format --r!"),
-    ):
+    for name, help_text, flags in _COMMANDS:
         command = sub.add_parser(name, help=help_text)
         for flag in flags.split():
             option = flag.rstrip("!")
@@ -339,8 +384,43 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_argv(argv):
+    """The namespace `_build_parser().parse_args(argv)` gives, for an argv it surely accepts.
+
+    That is the form COMMAND (--flag VALUE)*: each flag one the command takes,
+    spelled in full, each VALUE not starting with "-", of the flag's type and
+    among its choices, and every required flag given; a repeated flag keeps
+    its last value, and a flag not given is None.  For any other argv this
+    returns None, and argparse reads it, with its help and usage errors.
+    """
+    if not argv or len(argv) % 2 == 0:
+        return None
+    for name, _, flags in _COMMANDS:
+        if argv[0] == name:
+            break
+    else:
+        return None
+    values = {flag.rstrip("!"): None for flag in flags.split()}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        if flag not in values or text.startswith("-"):
+            return None
+        option = _OPTIONS[flag]
+        try:
+            value = option.get("type", str)(text)
+        except (TypeError, ValueError):
+            return None
+        if value not in option.get("choices", [value]):
+            return None
+        values[flag] = value
+    if any(values[flag[:-1]] is None for flag in flags.split() if flag.endswith("!")):
+        return None
+    return types.SimpleNamespace(
+        command=name, **{flag[2:].replace("-", "_"): value for flag, value in values.items()})
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv) or _build_parser().parse_args(argv)
     # looked up per call, so that a patched cmd_* function is the one that runs
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     path = args.out

@@ -34,12 +34,15 @@ EXAMPLE = str(files("gamow") / "data" / "residue_example.json")
 MODEL = object()  # as a row's document: the bundled example, read when the row runs
 INPUT = "input.json"  # where a row's document is written
 
-# the stdout rules; any other rule is the sha256 of stdout
+# the stdout rules, besides Contains(text); any other rule is the sha256 of stdout
 EMPTY, FINITE, NOT_PASSED = "empty", "no NaN or Infinity, nor nan or inf", 'no "passed": true'
 
 
 class Contains(str):
-    """A stderr rule that any stderr holding this text meets; a plain str is the exact line."""
+    """A stderr or stdout rule that a stream holding this text meets.
+
+    A plain str as the stderr rule is the exact line.
+    """
 
 
 class Row(NamedTuple):
@@ -81,6 +84,14 @@ ROWS = [
     Row("basis-r3", ("basis", "--r", "3"), 0,
         stdout="0dbd72d3d66fb5a805a8f44640ea8057b6d822f2937c063d08cd723521c5d14c"),
     Row("evolve-r2-n1", ("evolve", "--r", "2", "--n", "1"), 0, stdout=FINITE),
+    # spellings that only argparse reads: the same bytes, help, or a usage error
+    Row("exp-check-r-equals-3", ("exp-check", "--r=3"), 0,
+        stdout="151e532e4c65b7e9cfa08ea290e48e92d3dad364c993d4e290359a1983638618"),
+    Row("residue-conf-abbreviated", ("residue", "--conf", EXAMPLE), 0,
+        stdout="7259dc172b4b0b191564c7ec68e89896342a42bbeedb71fb75b268eaec414ff8"),
+    Row("basis-help", ("basis", "-h"), 0, stdout=Contains("usage: gamow basis")),
+    Row("evolve-energy-minus-1e3", ("evolve", "--r", "2", "--n", "1", "--energy", "-1e3"), 2,
+        Contains("gamow evolve: error: argument --energy: expected one argument")),
     # t_end * i overflows from i = 2 on, and every grid point must still be finite
     Row("evolve-t-end-1e308", ("evolve", "--r", "1", "--t-end", "1e308", "--steps", "5"), 0,
         stdout=FINITE),
@@ -212,7 +223,9 @@ def run(row, command):
             faults.append(f"stderr {err!r} does not hold {str(row.stderr)!r}")
     elif err != (row.stderr and row.stderr + "\n"):
         faults.append(f"stderr {err!r}, expected {row.stderr!r}")
-    if row.stdout == EMPTY:
+    if isinstance(row.stdout, Contains):
+        broken = row.stdout.encode() not in out
+    elif row.stdout == EMPTY:
         broken = out != b""
     elif row.stdout == FINITE:
         broken = re.search(rb"NaN|Infinity|\b(nan|inf)\b", out) is not None  # JSON or CSV

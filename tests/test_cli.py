@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -214,6 +215,22 @@ class TestEvolve:
         times = [float(line.split(",")[0]) for line in capsys.readouterr().out.splitlines()[1:]]
         assert times[0] == 0 and times[-1] == t_end and len(times) == 5
         assert all(math.isfinite(t) and t > before for before, t in zip(times, times[1:]))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("t_end, steps", [(0.1, 4), (0.3, 110), (0.01, 30), (0.9, 10)])
+    def test_the_grid_ends_at_t_end_where_its_product_is_inexact(self, capsys, fmt, t_end,
+                                                                   steps):
+        """(t_end * (steps - 1)) / (steps - 1) is not t_end here, yet the last point is."""
+        last = steps - 1
+        assert t_end * last / last != t_end
+        assert main(["evolve", "--t-end", repr(t_end), "--steps", str(steps),
+                     "--format", fmt]) == EXIT_OK
+        out = capsys.readouterr().out
+        if fmt == "csv":
+            times = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+        else:
+            times = [row["t"] for row in json.loads(out)["rows"]]
+        assert times == [t_end * i / last for i in range(last)] + [t_end]
 
     def test_value_beyond_the_float_range_fails_and_writes_nothing(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -1299,6 +1316,147 @@ def test_the_readme_lists_each_evolve_setting_as_the_table_declares_it():
 )
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(command, flag):
     assert exit_status([command, *REQUIRED_ARGS[command], flag, "1"]) == EXIT_INPUT_ERROR
+
+
+# -- the argv reader against argparse ------------------------------------------
+
+# flags and values, well-formed or not: an abbreviation, an = spelling, help, a
+# negative number, a value argparse or the flag's type refuses, a wrong case
+ARGV_TOKENS = [*ALL_FLAGS, "--con", "--t", "--r=3", "--help", "-h", "--", "-1", "-1e3", "",
+               " 3", "3_0", "nan", "inf", "csv", "CSV", "json", "0", "3", "2.5", "x.json",
+               "basis"]
+ARGV_VALUES = ["0", "1", "3", "2.5", "1e3", "csv", "json", "x.json"]
+
+
+def random_argv(rng):
+    """A command and flag-value pairs, mostly ones it takes, at times with a stray token."""
+    command = rng.choice([*ACCEPTED_FLAGS, "conjure", "-h"])
+    flags = sorted(ACCEPTED_FLAGS.get(command, ALL_FLAGS))
+    argv = [command]
+    for _ in range(rng.randint(0, 4)):
+        argv.append(rng.choice(flags if rng.random() < 0.7 else ARGV_TOKENS))
+        argv.append(rng.choice(ARGV_VALUES if rng.random() < 0.7 else ARGV_TOKENS))
+    if rng.random() < 0.3:
+        argv.insert(rng.randint(0, len(argv)), rng.choice(ARGV_TOKENS))
+    return argv
+
+
+def parsed_by_argparse(argv):
+    """`_build_parser().parse_args(argv)`, or None where argparse exits (help or usage error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def test_the_argv_reader_gives_what_argparse_gives_or_leaves_the_argv_to_it():
+    """Each argv the reader takes, argparse takes too, with the same value of each type.
+
+    50,000 argv from a fixed seed.  `repr` compares the values, since nan != nan.
+    """
+    rng = random.Random(33)
+    taken = 0
+    for _ in range(50000):
+        argv = random_argv(rng)
+        read = cli._read_argv(argv)
+        if read is None:
+            continue
+        parsed = parsed_by_argparse(argv)
+        assert parsed is not None, argv
+        assert {key: (repr(value), type(value)) for key, value in vars(read).items()} == {
+            key: (repr(value), type(value)) for key, value in vars(parsed).items()}, argv
+        taken += 1
+    assert taken >= 4000
+
+
+@pytest.mark.parametrize("argv", [
+    ["exp-check", "--r=3"], ["residue", "--conf", EXAMPLE_MODEL], ["basis", "-h"],
+    ["evolve", "--energy", "-1e3"], ["evolve", "--energy", "-1000"], ["basis"],
+    ["basis", "--format", "CSV", "--r", "3"], ["exp-check", "--r", "3_0", "--r"],
+    ["exp-check", "--", "--r", "3"], ["evolve", "--t", "1"], [],
+])
+def test_the_argv_reader_leaves_any_other_spelling_to_argparse(argv):
+    assert cli._read_argv(argv) is None
+
+
+def test_well_formed_commands_never_load_argparse(tmp_path):
+    """Neither `import gamow.cli` nor a well-formed command of each kind loads argparse.
+
+    The bench's argv shapes; a reader that silently fell back to argparse would
+    load it.  The last command's `--r=3` is left to argparse, which shows the check can fail.
+    """
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"r": 2, "operator": {"kind": "dyad", "ket": 1, "bra": 0}}))
+    commands = [
+        ["exp-check", "--r", "3"], ["exp-check", "--j", "5"], ["basis", "--r", "4"],
+        ["basis", "--format", "csv", "--r", "3"], ["residue", "--config", EXAMPLE_MODEL],
+        ["evolve", "--r", "2", "--n", "1"], ["evolve", "--config", str(config)],
+    ]
+    code = (
+        "import sys\n"
+        "import gamow.cli\n"
+        "print('argparse' in sys.modules, 'gettext' in sys.modules)\n"
+        f"for argv in {commands!r}:\n"
+        f"    print(argv[0], gamow.cli.main(argv + ['--out', {str(tmp_path / 'out')!r}]),\n"
+        "          'argparse' in sys.modules)\n"
+        f"gamow.cli.main(['exp-check', '--r=3', '--out', {str(tmp_path / 'out')!r}])\n"
+        "print('argparse' in sys.modules)\n"
+    )
+    assert run_python(code).stdout.splitlines() == [
+        "False False", *(f"{argv[0]} {EXIT_OK} False" for argv in commands), "True"]
+
+
+# -- the report writer against json.dumps ---------------------------------------
+
+json_text = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f \ud800é😀'))
+json_scalars = (
+    st.none() | st.booleans() | st.integers()
+    | st.integers(2**63 - 2, 2**64) | st.integers(2**1024, 2**1100).map(lambda n: -n)
+    | st.floats()  # with -0.0 and subnormals
+    | st.sampled_from([-0.0, 5e-324, 2.2250738585072009e-308, 0.1, 1 / 3, 1e16, 1e22,
+                       9007199254740993.0, 1.7976931348623157e308])
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+    | json_text
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(json_text, children, max_size=4)),
+    max_leaves=16,
+)
+
+
+def encoded(encode, value):
+    """The text `encode(value)` gives, or the type and message of what it raises."""
+    try:
+        return encode(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_the_report_writer_writes_what_json_dumps_writes():
+    """Byte for byte, and a NaN or infinity anywhere raises the same ValueError."""
+    outcomes = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(json_values)
+    def same_text(value):
+        expected = encoded(
+            lambda v: json.dumps(v, indent=2, sort_keys=True, allow_nan=False) + "\n", value)
+        assert encoded(cli._dump_json, value) == expected
+        outcomes.append(type(expected))
+
+    same_text()
+    assert outcomes.count(str) >= 100 and outcomes.count(tuple) >= 40
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"x", 1j, object(), [1, {"a": {3}}]])
+def test_the_report_writer_refuses_a_value_json_cannot_write(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+    with pytest.raises(TypeError):
+        cli._dump_json(value)
 
 
 # -- CSV round trip ------------------------------------------------------------
