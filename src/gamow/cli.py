@@ -11,6 +11,7 @@ wherever a float holds them.
 
 import contextlib
 import functools
+import importlib
 import json
 import math
 import os
@@ -22,18 +23,40 @@ from .exact import (
     ComplexRational, coefficient_from_json, json_number, reject_unknown_keys, typed_field,
 )
 from .jordan import ComplexPole
-from .operators import (
-    binomial_family_matches_nullspace,
-    evolve_operator,
-    exponential_state_operator,
-    exponential_subspace_basis,
-    exponentiality_constraints,
-    is_pure_exponential,
-    operator_from_coefficients,
-    solve_binomial_recursion,
-    verify_restriction_equivalence,
-)
-from .smatrix import decomposition_check, load_model_file
+
+# The names the handlers call from each pipeline module, and the pipeline each command
+# runs.  Every command uses `exact` and `jordan`, imported above; a pipeline module is
+# imported on its first command, and its names bound here then, so that a process loads
+# only the pipeline it runs.  A name already set here, by a test or a tracer, is kept.
+_PIPELINES = {
+    "operators": (
+        "binomial_family_matches_nullspace", "evolve_operator", "exponential_state_operator",
+        "exponential_subspace_basis", "exponentiality_constraints", "is_pure_exponential",
+        "operator_from_coefficients", "solve_binomial_recursion", "verify_restriction_equivalence",
+    ),
+    "smatrix": ("decomposition_check", "load_model_file"),
+}
+_PIPELINE_OF = {"evolve": "operators", "exp-check": "operators", "basis": "operators",
+                "residue": "smatrix"}
+_unbound = set(_PIPELINES)
+
+
+def _bind(pipeline):
+    """Import the module `pipeline` and bind here each of its names not already set."""
+    module = importlib.import_module(f"{__package__}.{pipeline}")
+    namespace = globals()
+    for name in _PIPELINES[pipeline]:
+        namespace.setdefault(name, getattr(module, name))
+    _unbound.discard(pipeline)
+
+
+def __getattr__(name):
+    """A pipeline name asked for before its first command, as `getattr` or a patch asks."""
+    for pipeline, names in _PIPELINES.items():
+        if name in names:
+            _bind(pipeline)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
@@ -196,7 +219,7 @@ def _load_json_config(path) -> dict:
 
 def _resolve_run_config(args) -> dict:
     """The evolve settings keyed by config key: the file's value or the default, or a given flag."""
-    data = _load_json_config(args.config) if args.config else {}
+    data = _load_json_config(args.config) if args.config is not None else {}
     paths = [key.split(".") for key, _, _, _ in _SETTINGS]
     reject_unknown_keys(data, list(dict.fromkeys(path[0] for path in paths)))
     sections = {"": data, "grid": typed_field(data, "grid", dict, "grid", {})}
@@ -421,6 +444,9 @@ def _read_argv(argv):
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_argv(argv) or _build_parser().parse_args(argv)
+    pipeline = _PIPELINE_OF[args.command]
+    if pipeline in _unbound:
+        _bind(pipeline)
     # looked up per call, so that a patched cmd_* function is the one that runs
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     path = args.out
@@ -428,7 +454,7 @@ def main(argv=None) -> int:
         # Opened for append before the work, so an --out that cannot be written is refused
         # first and one that is also the --config is read intact; the handler writes through
         # this handle, which `_write_output` empties only when the output is ready.
-        with open(path, "ab") if path else contextlib.nullcontext() as args.out:
+        with open(path, "ab") if path is not None else contextlib.nullcontext() as args.out:
             return handler(args)
     except json.JSONDecodeError as exc:
         print(
@@ -437,7 +463,7 @@ def main(argv=None) -> int:
         )
         return EXIT_INPUT_ERROR
     except OSError as exc:  # with no file name, a failed write: a full device, a broken pipe
-        failed = f"open {exc.filename}" if exc.filename else f"write {path or 'stdout'}"
+        failed = f"write {path or 'stdout'}" if exc.filename is None else f"open {exc.filename}"
         print(f"cannot {failed}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (ValueError, ZeroDivisionError) as exc:

@@ -19,6 +19,7 @@ Sturm-chain count in integers.  Neither step imports numpy or scipy, whose
 import alone costs more than the rest of a command.
 """
 
+import heapq  # at module load: only the residue path loads this module
 import json
 import math
 import sys
@@ -370,8 +371,6 @@ def quad(func, lo, hi, points, rule=_GK21):
     2 when QUADPACK's roundoff test finds that bisection no longer reduces
     the error, 3 at the first sum or error estimate that is not finite.
     """
-    import heapq  # here, not at module load: only the residue path needs it
-
     edges = (lo, *points, hi)
     pieces = []
     for a, b in zip(edges, edges[1:]):

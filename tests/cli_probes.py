@@ -69,6 +69,7 @@ _BEYOND = ("input error: leg [0, {}]: ier 3, non-finite integrand: the model's E
 _APART = ("input error: pole window E_R +- Gamma/2 has points that floats cannot tell apart "
           "(E_R {}, Gamma {})")
 _DENIED = "cannot open locked/out.json: Permission denied"
+_EMPTY = "cannot open : No such file or directory"
 _SLOW = "slow: the two large outputs take about 3 s"
 _UNWRITABLE = "TestUnreadablePaths pins the line in-process, and that the handler never runs"
 # the least argv each subcommand runs with
@@ -143,6 +144,11 @@ ROWS = [
     Row("residue-config-missing", ("residue", "--config", "missing.json"), 2,
         "cannot open missing.json: No such file or directory"),
     Row("evolve-config-dir", ("evolve", "--config", "."), 2, "cannot open .: Is a directory"),
+    # an empty path is a path that cannot be opened, not a path left out
+    Row("exp-check-out-empty", ("exp-check", "--r", "1", "--out", ""), 2, _EMPTY),
+    Row("basis-out-empty", ("basis", "--r", "1", "--out", ""), 2, _EMPTY),
+    Row("evolve-config-empty", ("evolve", "--config", "", "--r", "1", "--steps", "2"), 2, _EMPTY),
+    Row("residue-config-empty", ("residue", "--config", ""), 2, _EMPTY),
     Row("evolve-out-dir", ("evolve", "--r", "2", "--n", "1", "--out", "."), 2,
         "cannot open .: Is a directory", script_only=_UNWRITABLE),
     # exp-check --r 30 computes for seconds, so a one-second limit shows it was refused first

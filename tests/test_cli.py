@@ -709,8 +709,9 @@ class TestUnreadablePaths:
             ("{dir}", "Is a directory"),
             ("{dir}/missing/out.json", "No such file or directory"),
             ("{file}/out.json", "Not a directory"),
+            ("", "No such file or directory"),  # a path like any other, not "no --out"
         ],
-        ids=["out-dir", "parent-missing", "parent-a-file"],
+        ids=["out-dir", "parent-missing", "parent-a-file", "empty"],
     )
     @pytest.mark.parametrize("command", ["evolve", "exp-check", "residue", "basis"])
     def test_an_unwritable_out_is_refused_before_the_work(
@@ -1199,6 +1200,14 @@ def test_the_star_import_binds_the_public_names_and_the_four_submodules():
             assert getattr(sys.modules[value.__module__], name) is value
 
 
+def test_the_package_lists_its_public_names_before_loading_them():
+    """`dir(gamow)` holds every name of `__all__` while `import gamow` has loaded no submodule."""
+    code = ("import sys, gamow\n"
+            "print(set(gamow.__all__) <= set(dir(gamow)),\n"
+            "      *sorted(name for name in sys.modules if name.startswith('gamow')))\n")
+    assert run_python(code).stdout.split() == ["True", "gamow"]
+
+
 def test_every_command_runs_without_numpy_or_scipy(tmp_path):
     """Neither is a dependency: with both unimportable, each subcommand exits 0."""
     commands = [
@@ -1380,11 +1389,19 @@ def test_the_argv_reader_leaves_any_other_spelling_to_argparse(argv):
     assert cli._read_argv(argv) is None
 
 
-def test_well_formed_commands_never_load_argparse(tmp_path):
-    """Neither `import gamow.cli` nor a well-formed command of each kind loads argparse.
+PIPELINE_MODULES = ("gamow.operators", "gamow.smatrix")
 
-    The bench's argv shapes; a reader that silently fell back to argparse would
-    load it.  The last command's `--r=3` is left to argparse, which shows the check can fail.
+
+def test_well_formed_commands_never_load_argparse(tmp_path):
+    """A command loads its own pipeline module and never argparse.
+
+    `import gamow` loads no submodule, and `import gamow.cli` neither pipeline
+    module nor argparse.  Then `residue` loads `gamow.smatrix` and never
+    `gamow.operators`; the other three commands the reverse.  Each command runs
+    in its own fresh interpreter, since one process accumulates modules.  The
+    argv shapes are the bench's; a reader that silently fell back to argparse
+    would load it.  The last run's `--r=3` is left to argparse, which shows the
+    check can fail.
     """
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"r": 2, "operator": {"kind": "dyad", "ket": 1, "bra": 0}}))
@@ -1392,19 +1409,68 @@ def test_well_formed_commands_never_load_argparse(tmp_path):
         ["exp-check", "--r", "3"], ["exp-check", "--j", "5"], ["basis", "--r", "4"],
         ["basis", "--format", "csv", "--r", "3"], ["residue", "--config", EXAMPLE_MODEL],
         ["evolve", "--r", "2", "--n", "1"], ["evolve", "--config", str(config)],
+        ["exp-check", "--r=3"],
     ]
+    for argv in commands:
+        code = (
+            "import sys\n"
+            f"pipelines = {PIPELINE_MODULES!r}\n"
+            "import gamow\n"
+            "print(*sorted(name for name in sys.modules if name.startswith('gamow')))\n"
+            "import gamow.cli\n"
+            "print('argparse' in sys.modules, 'gettext' in sys.modules,\n"
+            "      [name for name in pipelines if name in sys.modules])\n"
+            f"status = gamow.cli.main({argv!r} + ['--out', {str(tmp_path / 'out')!r}])\n"
+            "print(status, 'argparse' in sys.modules,\n"
+            "      [name for name in pipelines if name in sys.modules])\n"
+        )
+        pipeline = "gamow.smatrix" if argv[0] == "residue" else "gamow.operators"
+        argparse_loaded = argv[-1] == "--r=3"
+        assert run_python(code).stdout.splitlines() == [
+            "gamow", "False False []", f"{EXIT_OK} {argparse_loaded} [{pipeline!r}]"], argv
+
+
+def test_a_name_set_on_the_cli_before_its_pipeline_loads_is_the_one_that_runs(tmp_path):
+    """A patch point holds before its pipeline module loads, as tests and the bench tracer set it.
+
+    In a fresh interpreter, `gamow.cli.load_model_file` and
+    `gamow.cli.exponential_subspace_basis` are set to recording wrappers
+    while neither pipeline module is loaded.  Asking `gamow.cli` for another
+    name of `smatrix` loads it and keeps the wrapper.  Each wrapper then runs
+    in its command, which writes the bytes an unpatched run writes.  A handler
+    that imported its names itself would bypass the wrappers.
+    """
+    commands = {"residue": ["residue", "--config", EXAMPLE_MODEL], "basis": ["basis", "--r", "4"]}
     code = (
         "import sys\n"
         "import gamow.cli\n"
-        "print('argparse' in sys.modules, 'gettext' in sys.modules)\n"
-        f"for argv in {commands!r}:\n"
-        f"    print(argv[0], gamow.cli.main(argv + ['--out', {str(tmp_path / 'out')!r}]),\n"
-        "          'argparse' in sys.modules)\n"
-        f"gamow.cli.main(['exp-check', '--r=3', '--out', {str(tmp_path / 'out')!r}])\n"
-        "print('argparse' in sys.modules)\n"
+        "calls = []\n"
+        "def recording(module, name):\n"
+        "    def wrapper(*args):\n"
+        "        calls.append(name)\n"
+        "        return getattr(sys.modules[module], name)(*args)\n"
+        "    return wrapper\n"
+        "wrappers = {'load_model_file': recording('gamow.smatrix', 'load_model_file'),\n"
+        "            'exponential_subspace_basis':\n"
+        "                recording('gamow.operators', 'exponential_subspace_basis')}\n"
+        "for name, wrapper in wrappers.items():\n"
+        "    setattr(gamow.cli, name, wrapper)\n"
+        f"print([name for name in {PIPELINE_MODULES!r} if name in sys.modules])\n"
+        "check = gamow.cli.decomposition_check\n"
+        "print(check is sys.modules['gamow.smatrix'].decomposition_check,\n"
+        "      gamow.cli.load_model_file is wrappers['load_model_file'])\n"
+        f"for command, argv in {commands!r}.items():\n"
+        f"    out = {str(tmp_path / 'patched-')!r} + command\n"
+        "    print(command, gamow.cli.main([*argv, '--out', out]))\n"
+        "print(*calls)\n"
+        "print(all(getattr(gamow.cli, name) is wrapper for name, wrapper in wrappers.items()))\n"
     )
     assert run_python(code).stdout.splitlines() == [
-        "False False", *(f"{argv[0]} {EXIT_OK} False" for argv in commands), "True"]
+        "[]", "True True", f"residue {EXIT_OK}", f"basis {EXIT_OK}",
+        "load_model_file exponential_subspace_basis", "True"]
+    for command, argv in commands.items():
+        assert main([*argv, "--out", str(tmp_path / command)]) == EXIT_OK
+        assert (tmp_path / f"patched-{command}").read_bytes() == (tmp_path / command).read_bytes()
 
 
 # -- the report writer against json.dumps ---------------------------------------
