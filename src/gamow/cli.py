@@ -19,44 +19,32 @@ import sys
 import types
 from json.encoder import encode_basestring_ascii
 
+from . import _HOME, _PUBLIC
 from .exact import (
     ComplexRational, coefficient_from_json, json_number, reject_unknown_keys, typed_field,
 )
 from .jordan import ComplexPole
 
-# The names the handlers call from each pipeline module, and the pipeline each command
-# runs.  Every command uses `exact` and `jordan`, imported above; a pipeline module is
-# imported on its first command, and its names bound here then, so that a process loads
-# only the pipeline it runs.  A name already set here, by a test or a tracer, is kept.
-_PIPELINES = {
-    "operators": (
-        "binomial_family_matches_nullspace", "evolve_operator", "exponential_state_operator",
-        "exponential_subspace_basis", "exponentiality_constraints", "is_pure_exponential",
-        "operator_from_coefficients", "solve_binomial_recursion", "verify_restriction_equivalence",
-    ),
-    "smatrix": ("decomposition_check", "load_model_file"),
-}
-_PIPELINE_OF = {"evolve": "operators", "exp-check": "operators", "basis": "operators",
-                "residue": "smatrix"}
-_unbound = set(_PIPELINES)
 
-
+# Every command uses `exact` and `jordan`, imported above.  Its pipeline module, named in
+# its `_COMMANDS` row, is imported on first use and its public names bound here then, so a
+# process loads only the pipeline it runs.  A name already set, by a test or tracer, is kept.
 def _bind(pipeline):
-    """Import the module `pipeline` and bind here each of its names not already set."""
+    """Import the module `pipeline` and bind here each of its public names not already set."""
     module = importlib.import_module(f"{__package__}.{pipeline}")
     namespace = globals()
-    for name in _PIPELINES[pipeline]:
+    for name in _PUBLIC[pipeline]:
         namespace.setdefault(name, getattr(module, name))
     _unbound.discard(pipeline)
 
 
 def __getattr__(name):
     """A pipeline name asked for before its first command, as `getattr` or a patch asks."""
-    for pipeline, names in _PIPELINES.items():
-        if name in names:
-            _bind(pipeline)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    pipeline = _HOME.get(name)
+    if pipeline not in _unbound:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(pipeline)
+    return globals()[name]
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
@@ -304,6 +292,9 @@ def cmd_exp_check(args) -> int:
     if r is not None and r < 1:
         raise ValueError(f"--r must be a pole order >= 1, got {r}")
     j = args.j if args.j is not None else 2 * (r - 1)
+    # refused before any system is built, but a negative j keeps the system's own line
+    if r is not None and 0 <= j != 2 * (r - 1):
+        raise ValueError(f"a pole of order {r} restricts the system of bound {2 * r - 2}, not {j}")
     system = exponentiality_constraints(j)
     try:
         family_matches = binomial_family_matches_nullspace(system, solve_binomial_recursion(j))
@@ -379,14 +370,17 @@ _OPTIONS = {
     "--steps": {"type": int, "help": "number of grid points (>= 2)"},
 }
 
-# (name, help, flags); a trailing "!" marks a required flag
-_COMMANDS = (
-    ("evolve", "evolve an operator and write its decay curve",
-     "--config --out --format --tol --r --gamma --energy --n --t-end --steps"),
-    ("exp-check", "verify the pure-exponential characterization", "--out --r --j"),
-    ("residue", "contour-decomposition check for a model file", "--config! --out --tol"),
-    ("basis", "emit the pure-exponential operator basis", "--out --format --r!"),
-)
+# One row per command: (pipeline module, help, flags); a trailing "!" marks a required
+# flag.  The handler is `cmd_<name>`.
+_COMMANDS = {
+    "evolve": ("operators", "evolve an operator and write its decay curve",
+               "--config --out --format --tol --r --gamma --energy --n --t-end --steps"),
+    "exp-check": ("operators", "verify the pure-exponential characterization", "--out --r --j"),
+    "residue": ("smatrix", "contour-decomposition check for a model file",
+                "--config! --out --tol"),
+    "basis": ("operators", "emit the pure-exponential operator basis", "--out --format --r!"),
+}
+_unbound = {pipeline for pipeline, _, _ in _COMMANDS.values()}
 
 
 @functools.cache
@@ -399,7 +393,7 @@ def _build_parser():
         description="Exact Jordan-block calculus for higher-order resonance states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, flags in _COMMANDS:
+    for name, (_, help_text, flags) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         for flag in flags.split():
             option = flag.rstrip("!")
@@ -416,13 +410,9 @@ def _read_argv(argv):
     its last value, and a flag not given is None.  For any other argv this
     returns None, and argparse reads it, with its help and usage errors.
     """
-    if not argv or len(argv) % 2 == 0:
+    if not argv or len(argv) % 2 == 0 or argv[0] not in _COMMANDS:
         return None
-    for name, _, flags in _COMMANDS:
-        if argv[0] == name:
-            break
-    else:
-        return None
+    name, flags = argv[0], _COMMANDS[argv[0]][2]
     values = {flag.rstrip("!"): None for flag in flags.split()}
     for flag, text in zip(argv[1::2], argv[2::2]):
         if flag not in values or text.startswith("-"):
@@ -444,7 +434,7 @@ def _read_argv(argv):
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_argv(argv) or _build_parser().parse_args(argv)
-    pipeline = _PIPELINE_OF[args.command]
+    pipeline = _COMMANDS[args.command][0]
     if pipeline in _unbound:
         _bind(pipeline)
     # looked up per call, so that a patched cmd_* function is the one that runs

@@ -139,6 +139,10 @@ ROWS = [
           f"input error: {where}: expected an object, got {document!r}", document=document)
       for command, where in (("evolve", "config"), ("residue", "model"))
       for kind, document in (("list", [1]), ("string", "model"))),
+    # a --j that the --r pole does not restrict: building the system of bound 100 takes
+    # seconds, so a one-second limit shows it was refused first
+    Row("exp-check-r2-j100", ("exp-check", "--r", "2", "--j", "100"), 2,
+        "input error: a pole of order 2 restricts the system of bound 2, not 100", seconds=1),
     # a --config that cannot be read, or an --out that cannot be opened, named with the reason
     Row("residue-config-dir", ("residue", "--config", "."), 2, "cannot open .: Is a directory"),
     Row("residue-config-missing", ("residue", "--config", "missing.json"), 2,

@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import builtins
 import contextlib
+import dis
 import io
 import json
 import math
@@ -13,6 +15,7 @@ import sys
 import tempfile
 import threading
 import time
+import types
 from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
@@ -1471,6 +1474,45 @@ def test_a_name_set_on_the_cli_before_its_pipeline_loads_is_the_one_that_runs(tm
     for command, argv in commands.items():
         assert main([*argv, "--out", str(tmp_path / command)]) == EXIT_OK
         assert (tmp_path / f"patched-{command}").read_bytes() == (tmp_path / command).read_bytes()
+
+
+def global_loads(code):
+    """The names that `code`, and each code object nested in it, load as globals."""
+    names = {op.argval for op in dis.get_instructions(code) if op.opname == "LOAD_GLOBAL"}
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= global_loads(const)
+    return names
+
+
+def test_every_global_name_a_cli_function_loads_is_bound_when_its_command_runs():
+    """Read off the bytecode, so that a call of an unbound name fails here, not on its rare path.
+
+    Each global name a `gamow.cli` function loads is a builtin, a name `cli`
+    sets at import (read in a fresh interpreter, before any pipeline binds), or
+    a public name of a pipeline module in `_COMMANDS`.  A `cmd_*` handler, with
+    the `cli` functions it calls, loads pipeline names only from its own row's
+    pipeline: one loading the other pipeline's would find it unbound.
+    """
+    at_import = set(run_python("import gamow.cli\nprint(*vars(gamow.cli))").stdout.split())
+    functions = {name: getattr(value, "__wrapped__", value) for name, value in vars(cli).items()
+                 if name in at_import and callable(value)
+                 and getattr(value, "__module__", None) == cli.__name__}
+    every_load = {name: global_loads(function.__code__) for name, function in functions.items()}
+    loads = {name: names - set(dir(builtins)) - at_import for name, names in every_load.items()}
+    calls = {name: names & functions.keys() for name, names in every_load.items()}
+    pipelines = {pipeline for pipeline, _, _ in cli._COMMANDS.values()}
+    bound = set().union(*(gamow._PUBLIC[pipeline] for pipeline in pipelines))
+    assert {name: names - bound for name, names in loads.items() if names - bound} == {}
+    for command, (pipeline, _, _) in cli._COMMANDS.items():
+        reached, todo = set(), ["cmd_" + command.replace("-", "_")]
+        while todo:  # the handler and the cli functions it calls, at any depth
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                todo.extend(calls[name])
+        used = set().union(*(loads[name] for name in reached))
+        assert used and used <= set(gamow._PUBLIC[pipeline]), (command, used)
 
 
 # -- the report writer against json.dumps ---------------------------------------
