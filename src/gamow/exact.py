@@ -59,6 +59,19 @@ def json_number(numerator: int, denominator: int = 1):
     return number if number == numerator else numerator
 
 
+def ordered_sum(terms):
+    """0 plus each of `terms`, added left to right with plain `+`.
+
+    The one sum for floats that reach the output: sum() compensates float
+    sums from Python 3.12 on, which moves a reported float's last digits, so
+    a report would differ between supported interpreters.
+    """
+    total = 0
+    for term in terms:
+        total += term
+    return total
+
+
 def typed_field(data: dict, key: str, kind, where: str, default=None):
     """data[key], or `default` when absent, checked to be a JSON value of `kind`.
 

@@ -41,6 +41,7 @@ from .exact import (
     binomial,
     json_number,
     matrix_rank,
+    ordered_sum,
 )
 from .jordan import ComplexPole
 
@@ -163,8 +164,8 @@ class TimePolynomialOperator(Value):
         if not cmath.isfinite(value):
             log_t, rate = math.log(float(t)), float(self.pole.width) * float(t)
             try:
-                value = sum(complex(c) * math.exp(p * log_t - rate)
-                            for p, c in enumerate(poly.coefficients))
+                value = ordered_sum(complex(c) * math.exp(p * log_t - rate)
+                                    for p, c in enumerate(poly.coefficients))
             except OverflowError:
                 value = math.inf
             if not cmath.isfinite(value):

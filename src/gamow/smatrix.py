@@ -32,6 +32,7 @@ from .exact import (
     Value,
     ZERO,
     coefficient_from_json,
+    ordered_sum,
     reject_unknown_keys,
     typed_field,
 )
@@ -377,8 +378,8 @@ def quad(func, lo, hi, points, rule=_GK21):
         value, error, _ = _gauss_kronrod(func, a, b, rule)
         pieces.append((-error, a, b, value))
     heapq.heapify(pieces)
-    total = sum(piece[3] for piece in pieces)
-    error_sum = -sum(piece[0] for piece in pieces)
+    total = ordered_sum(piece[3] for piece in pieces)
+    error_sum = -ordered_sum(piece[0] for piece in pieces)
     stalled = rising = 0  # QUADPACK's roundoff counters iroff1, iroff2
     ier = 0
     while True:
@@ -409,7 +410,8 @@ def quad(func, lo, hi, points, rule=_GK21):
         error_sum += area_error + negative_error
         heapq.heappush(pieces, (-left_error, a, middle, left))
         heapq.heappush(pieces, (-right_error, middle, b, right))
-    return sum(piece[3] for piece in pieces), -sum(piece[0] for piece in pieces), ier
+    return (ordered_sum(piece[3] for piece in pieces),
+            -ordered_sum(piece[0] for piece in pieces), ier)
 
 
 def _phase_window(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestFunction):
@@ -559,7 +561,8 @@ def _outward_integral(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestFun
             points = sorted({t for t in (phase(side, e) for e in rungs) if lo < t < hi})
             energies = (max(low, 0.0), high) if sign > 0 else (low, min(high, 0.0))
             parts.append(_leg(_phase_leg(integrand, center, half, side, energies), points, lo, hi))
-    return IntegralResult(sign * sum(p.value for p in parts), sum(p.error_estimate for p in parts),
+    return IntegralResult(sign * ordered_sum(p.value for p in parts),
+                          ordered_sum(p.error_estimate for p in parts),
                           sum((p._unconverged for p in parts), ()))
 
 

@@ -12,6 +12,10 @@ line per row:
     PYTHONPATH=src python tests/cli_probes.py python -m gamow.cli
     python tests/cli_probes.py gamow        # the installed console script
 
+CI runs the script both ways: against the installed console script, and
+against the source tree on the oldest and the newest supported Python, with
+neither numpy nor scipy installed, so every row's bytes hold on each of them.
+
 It exits 1 when a row does not hold.  A row that needs a non-root user or
 /dev/full is skipped where that does not hold; every other row runs.  The
 subprocess imports the gamow this file imported, from whatever directory.
@@ -84,6 +88,10 @@ ROWS = [
         stdout="7259dc172b4b0b191564c7ec68e89896342a42bbeedb71fb75b268eaec414ff8"),
     Row("basis-r3", ("basis", "--r", "3"), 0,
         stdout="0dbd72d3d66fb5a805a8f44640ea8057b6d822f2937c063d08cd723521c5d14c"),
+    Row("exp-check-r5", ("exp-check", "--r", "5"), 0,
+        stdout="71f5b58430d91e74827a1c36ea06e79f3da99250426a9fda93809aa749e9e40d"),
+    Row("basis-r6-csv", ("basis", "--r", "6", "--format", "csv"), 0,
+        stdout="f205b9d853f98dfe84a6b1b3acd10db31aba305cf5586485db5ff82c110ca4ff"),
     Row("evolve-r2-n1", ("evolve", "--r", "2", "--n", "1"), 0, stdout=FINITE),
     # spellings that only argparse reads: the same bytes, help, or a usage error
     Row("exp-check-r-equals-3", ("exp-check", "--r=3"), 0,

@@ -286,6 +286,14 @@ class TestPolynomial:
         assert p - 1 == Polynomial([0, 1])
         assert p**2 == Polynomial([1, 2, 1])
 
+    def test_repr_writes_each_nonzero_term_in_rising_powers(self):
+        assert repr(Polynomial.zero()) == "0"
+        assert repr(Polynomial([Fraction(3, 2)])) == "3/2"
+        assert repr(Polynomial([0, cr(1, -2), 0, Fraction(-1, 3)])) == "(1 - 2*i)*x + -1/3*x^3"
+        assert repr(Polynomial([cr(0, 1), 1, cr(Fraction(1, 2), Fraction(3, 4))])) == (
+            "1*i + 1*x + (1/2 + 3/4*i)*x^2")
+        assert Polynomial([1, 0, 2]).format("t") == "1 + 2*t^2"
+
 
 class TestRationalFunction:
     def test_evaluation(self):
@@ -331,6 +339,11 @@ class TestRationalFunction:
         half = RationalFunction.from_coefficient_lists([1], [2])
         also_half = RationalFunction.from_coefficient_lists([2], [4])
         assert half == also_half
+
+    def test_repr_is_the_quotient_of_the_polynomials(self):
+        f = RationalFunction.from_coefficient_lists([1, 2], [cr(0, -1), 0, 1])
+        assert repr(f) == "(1 + 2*x) / (-1*i + 1*x^2)"
+        assert repr(RationalFunction(Polynomial.zero())) == "(0) / (1)"
 
 
 class TestLinearAlgebra:

@@ -15,8 +15,10 @@ the exact `residue` field and `passed` are pinned separately and did not
 move.
 """
 
+import builtins
 import hashlib
 import json
+import math
 from importlib.resources import files
 
 import pytest
@@ -178,8 +180,7 @@ RESIDUE_VALUES = {
 }
 
 
-@pytest.mark.parametrize("name, digest", RESIDUE_GOLDEN, ids=[name for name, _ in RESIDUE_GOLDEN])
-def test_residue_report_bytes_are_pinned(name, digest, tmp_path, capsys):
+def _assert_residue_report_is_pinned(name, digest, tmp_path, capsys):
     if name in RESIDUE_MODELS:
         config = tmp_path / "model.json"
         config.write_text(json.dumps(RESIDUE_MODELS[name]))
@@ -194,3 +195,39 @@ def test_residue_report_bytes_are_pinned(name, digest, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, digest", RESIDUE_GOLDEN, ids=[name for name, _ in RESIDUE_GOLDEN])
+def test_residue_report_bytes_are_pinned(name, digest, tmp_path, capsys):
+    _assert_residue_report_is_pinned(name, digest, tmp_path, capsys)
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+def _compensated_sum(iterable, /, start=0):
+    """sum() as Python 3.12 and later run it: Neumaier-compensated over floats.
+
+    Anything but floats from an int or float start goes to the real sum().
+    """
+    terms = list(iterable)
+    if type(start) not in (int, float) or not all(type(term) is float for term in terms):
+        return _BUILTIN_SUM(terms, start)
+    total, compensation = float(start), 0.0
+    for term in terms:
+        new = total + term
+        if abs(total) >= abs(term):
+            compensation += (total - new) + term
+        else:
+            compensation += (term - new) + total
+        total = new
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+@pytest.mark.parametrize("name, digest", RESIDUE_GOLDEN, ids=[name for name, _ in RESIDUE_GOLDEN])
+def test_residue_report_bytes_do_not_depend_on_how_sum_adds(name, digest, tmp_path, capsys,
+                                                            monkeypatch):
+    """Python 3.10's bytes also where sum() compensates float sums, as it does from 3.12 on."""
+    assert _compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0  # plain addition gives 0.0
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    _assert_residue_report_is_pinned(name, digest, tmp_path, capsys)

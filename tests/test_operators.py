@@ -20,6 +20,7 @@ from gamow.exact import ComplexRational, ONE, Polynomial, ZERO, binomial, matrix
 from gamow.jordan import ComplexPole, build_jordan_block, evolve_ket
 from gamow.operators import (
     DyadicOperator,
+    TimePolynomialOperator,
     binomial_family_matches_nullspace,
     binomial_pattern_matrix,
     evolve_operator,
@@ -449,6 +450,15 @@ class TestExponentialSubspaceBasis:
         monkeypatch.setattr(operators, "exponential_state_operator",
                             lambda _, n, include_prefactor=True: members[n])
         with pytest.raises(ArithmeticError, match="linearly dependent"):
+            exponential_subspace_basis(pole)
+
+    def test_a_member_whose_evolution_carries_t_is_refused(self, monkeypatch):
+        """The basis checks its own evolutions, before it ranks the family."""
+        pole = ComplexPole(0, 1, 2)
+        with_t = TimePolynomialOperator(pole, {(0, 0): Polynomial([1]), (1, 1): Polynomial([0, 1])})
+        monkeypatch.setattr(operators, "evolve_operator", lambda member: with_t)
+        with pytest.raises(ArithmeticError, match="^basis member failed the pure-exponential "
+                           "check; evolution is inconsistent$"):
             exponential_subspace_basis(pole)
 
     @settings(max_examples=80, deadline=None, derandomize=True)
