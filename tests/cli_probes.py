@@ -2,19 +2,22 @@
 
 A probe row runs one subcommand as a subprocess, in a fresh directory, and
 checks what a user sees: the exit code (0 when the claim is reproduced, 1
-when a check fails, 2 for bad input), stderr and stdout.  A new refusal is
-one more row.
+when a check fails, 2 for bad input), stderr and stdout.  A row may also
+limit the subprocess's time (it is killed and reaped past `seconds`) and its
+peak RSS (`peak_mb`, read from the rusage that `os.wait4` returns for it).
+A new refusal is one more row.
 
 tests/test_cli_probes.py runs the rows under pytest against this checkout.
 As a script, this file runs them against any command line and prints one
-line per row:
+line per row, with the measured peak of each row that has a limit:
 
     PYTHONPATH=src python tests/cli_probes.py python -m gamow.cli
     python tests/cli_probes.py gamow        # the installed console script
 
 CI runs the script both ways: against the installed console script, and
 against the source tree on the oldest and the newest supported Python, with
-neither numpy nor scipy installed, so every row's bytes hold on each of them.
+neither numpy nor scipy installed, so every row's bytes and limits hold on
+each of them.
 
 It exits 1 when a row does not hold.  A row that needs a non-root user or
 /dev/full is skipped where that does not hold; every other row runs.  The
@@ -29,6 +32,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 from importlib.resources import files
 from typing import NamedTuple
 
@@ -59,6 +63,7 @@ class Row(NamedTuple):
     edits: dict = {}  # a key, or a path of keys and indices, to the value set there
     needs: str = None  # "non-root" (and a read-only directory `locked`) or "/dev/full"
     seconds: float = 60.0  # the time limit
+    peak_mb: float = None  # the limit on the child's peak RSS, unless None
     stdout_to: str = None  # a file that stdout is opened on instead of a pipe
     script_only: str = None  # why tier-1 leaves the row to the script, unless None
 
@@ -74,7 +79,7 @@ _APART = ("input error: pole window E_R +- Gamma/2 has points that floats cannot
           "(E_R {}, Gamma {})")
 _DENIED = "cannot open locked/out.json: Permission denied"
 _EMPTY = "cannot open : No such file or directory"
-_SLOW = "slow: the two large outputs take about 3 s"
+_SLOW = "slow: the three large outputs take about 6 s"
 _UNWRITABLE = "TestUnreadablePaths pins the line in-process, and that the handler never runs"
 # the least argv each subcommand runs with
 REQUIRED_ARGS = {"evolve": (), "exp-check": ("--r", "2"), "residue": ("--config", EXAMPLE),
@@ -104,11 +109,17 @@ ROWS = [
     # t_end * i overflows from i = 2 on, and every grid point must still be finite
     Row("evolve-t-end-1e308", ("evolve", "--r", "1", "--t-end", "1e308", "--steps", "5"), 0,
         stdout=FINITE),
-    # the large outputs, byte for byte: about 3 s together
-    Row("exp-check-r30", ("exp-check", "--r", "30"), 0, script_only=_SLOW,
+    # the large outputs: about 6 s together
+    # exp-check --r 30 streams its 77 MB from the certified rows: a peak RSS of 38-44 MB on Linux
+    # x86-64, Python 3.10 to 3.13; holding the whole text took 95 MB
+    Row("exp-check-r30", ("exp-check", "--r", "30"), 0, script_only=_SLOW, peak_mb=60,
         stdout="35bb9443c4a3e3c2f1f16fa33ca134363fbfbc68c65b185c589c12fb684c0e99"),
     Row("basis-r58-csv", ("basis", "--r", "58", "--format", "csv"), 0, script_only=_SLOW,
         stdout="1083d0c0df315e4b721e5e5dfe627fb804e583ec4d96b5081c5447096dd23e07"),
+    # evolve computes, writes and checks each of its 20 MB of values once: 106-110 MB there; a
+    # list of row tuples beside the text took 233 MB
+    Row("evolve-r8-n7-steps10001", ("evolve", "--r", "8", "--n", "7", "--steps", "10001"), 0,
+        stdout=FINITE, script_only=_SLOW, peak_mb=150),
     # models the floats cannot resolve
     _model("residue-laurent-1e308", {"laurent": [[1e308, 0.0], [0.1, 0.0]]},
            _BEYOND.format("0.75")),
@@ -216,9 +227,33 @@ def _document(row):
     return document
 
 
+def _reap(child, seconds):
+    """Wait for `child`, killing it after `seconds`: its exit code, None if killed, and peak MB."""
+    killed = threading.Event()
+
+    def kill():
+        killed.set()
+        child.kill()
+
+    timer = threading.Timer(seconds, kill)
+    timer.start()
+    try:
+        _, status, usage = os.wait4(child.pid, 0)
+    finally:
+        timer.cancel()
+    child.returncode = os.waitstatus_to_exitcode(status)  # so that Popen never waits again
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    peak = usage.ru_maxrss / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
+    return (None if killed.is_set() else child.returncode), peak
+
+
 def run(row, command):
-    """Run `row` as a subprocess of the command line `command`; what it broke, [] if nothing."""
-    with tempfile.TemporaryDirectory() as where:
+    """Run `row` as a subprocess of the command line `command`.
+
+    Returns what the row broke, [] if nothing, and the child's peak RSS in MB.
+    """
+    with (tempfile.TemporaryDirectory() as where, tempfile.TemporaryFile() as out_file,
+          tempfile.TemporaryFile() as err_file):
         if row.document is not None:
             with open(os.path.join(where, INPUT), "w", encoding="utf-8") as handle:
                 json.dump(_document(row), handle)
@@ -226,16 +261,17 @@ def run(row, command):
             os.mkdir(os.path.join(where, "locked"))
             os.chmod(os.path.join(where, "locked"), 0o555)
         with open(row.stdout_to, "wb") if row.stdout_to else (
-                contextlib.nullcontext(subprocess.PIPE)) as stdout:
-            try:
-                done = subprocess.run([*command, *row.argv], cwd=where, env=child_env(),
-                                      stdout=stdout, stderr=subprocess.PIPE, timeout=row.seconds)
-            except subprocess.TimeoutExpired:
-                return [f"no exit within {row.seconds:g} s"]
-    out, err = done.stdout or b"", done.stderr.decode("utf-8", "replace")
+                contextlib.nullcontext(out_file)) as stdout:
+            child = subprocess.Popen([*command, *row.argv], cwd=where, env=child_env(),
+                                     stdout=stdout, stderr=err_file)
+        code, peak = _reap(child, row.seconds)
+        if code is None:
+            return [f"no exit within {row.seconds:g} s"], peak
+        out = b"" if row.stdout_to else _read(out_file)
+        err = _read(err_file).decode("utf-8", "replace")
     faults = []
-    if done.returncode != row.exit:
-        faults.append(f"exit {done.returncode}, expected {row.exit}")
+    if code != row.exit:
+        faults.append(f"exit {code}, expected {row.exit}")
     if isinstance(row.stderr, Contains):
         if row.stderr not in err:
             faults.append(f"stderr {err!r} does not hold {str(row.stderr)!r}")
@@ -253,16 +289,28 @@ def run(row, command):
         broken = hashlib.sha256(out).hexdigest() != row.stdout
     if broken:
         faults.append(f"stdout breaks the rule {row.stdout!r}: {out[:200]!r}")
-    return faults
+    if row.peak_mb is not None and peak > row.peak_mb:
+        faults.append(f"peak RSS {peak:.1f} MB, above the limit of {row.peak_mb:g} MB")
+    return faults, peak
+
+
+def _read(handle):
+    handle.seek(0)
+    return handle.read()
 
 
 def main(command):
     failed = 0
     for row in ROWS:
         reason = unmet(row)
-        faults = [] if reason else run(row, command)
+        if reason:
+            print(f"{row.name}: skipped: {reason}", flush=True)
+            continue
+        faults, peak = run(row, command)
         failed += bool(faults)
-        verdict = f"skipped: {reason}" if reason else "; ".join(faults) or "ok"
+        verdict = "; ".join(faults) or "ok"
+        if row.peak_mb is not None and not faults:  # a peak over its limit is a fault
+            verdict += f" (peak RSS {peak:.1f} MB, limit {row.peak_mb:g} MB)"
         print(f"{row.name}: {verdict}", flush=True)
     print(f"{failed} of {len(ROWS)} rows failed against {' '.join(command)}")
     return 1 if failed else 0

@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 from cli_probes import REQUIRED_ARGS, child_env
 from constraint_oracle import equations, stored_system
+from contracts import PIPELINES
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -1142,27 +1143,6 @@ def run_python(code):
     )
 
 
-def test_importing_the_cli_does_not_import_scipy():
-    """Nor numpy: no part of the package imports either."""
-    code = "import sys, gamow.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
-    assert run_python(code).stdout.strip() == "[]"
-
-
-def test_importing_the_cli_does_not_import_dataclasses_or_inspect():
-    """The value classes are plain slotted classes, so every command skips both imports.
-
-    Only what `import gamow.cli` adds counts, not what the interpreter's
-    start-up loaded before it.
-    """
-    code = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "import gamow.cli\n"
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
-    )
-    assert run_python(code).stdout.strip() == "[]"
-
-
 PUBLIC_NAMES = {
     "exact": ["ComplexRational", "Polynomial", "RationalFunction"],
     "jordan": [
@@ -1201,32 +1181,6 @@ def test_the_star_import_binds_the_public_names_and_the_four_submodules():
             value = getattr(gamow, name)
             assert value.__module__ == f"gamow.{module}"
             assert getattr(sys.modules[value.__module__], name) is value
-
-
-def test_the_package_lists_its_public_names_before_loading_them():
-    """`dir(gamow)` holds every name of `__all__` while `import gamow` has loaded no submodule."""
-    code = ("import sys, gamow\n"
-            "print(set(gamow.__all__) <= set(dir(gamow)),\n"
-            "      *sorted(name for name in sys.modules if name.startswith('gamow')))\n")
-    assert run_python(code).stdout.split() == ["True", "gamow"]
-
-
-def test_every_command_runs_without_numpy_or_scipy(tmp_path):
-    """Neither is a dependency: with both unimportable, each subcommand exits 0."""
-    commands = [
-        ["residue", "--config", EXAMPLE_MODEL],
-        ["exp-check", "--r", "3"],
-        ["basis", "--r", "3"],
-        ["evolve", "--r", "2", "--n", "1"],
-    ]
-    code = (
-        "import sys\n"
-        "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
-        "from gamow.cli import main\n"
-        f"for argv in {commands!r}:\n"
-        f"    print(argv[0], main(argv + ['--out', {str(tmp_path / 'out')!r}]))\n"
-    )
-    assert run_python(code).stdout.splitlines() == [f"{argv[0]} {EXIT_OK}" for argv in commands]
 
 
 class TestBasis:
@@ -1392,47 +1346,6 @@ def test_the_argv_reader_leaves_any_other_spelling_to_argparse(argv):
     assert cli._read_argv(argv) is None
 
 
-PIPELINE_MODULES = ("gamow.operators", "gamow.smatrix")
-
-
-def test_well_formed_commands_never_load_argparse(tmp_path):
-    """A command loads its own pipeline module and never argparse.
-
-    `import gamow` loads no submodule, and `import gamow.cli` neither pipeline
-    module nor argparse.  Then `residue` loads `gamow.smatrix` and never
-    `gamow.operators`; the other three commands the reverse.  Each command runs
-    in its own fresh interpreter, since one process accumulates modules.  The
-    argv shapes are the bench's; a reader that silently fell back to argparse
-    would load it.  The last run's `--r=3` is left to argparse, which shows the
-    check can fail.
-    """
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"r": 2, "operator": {"kind": "dyad", "ket": 1, "bra": 0}}))
-    commands = [
-        ["exp-check", "--r", "3"], ["exp-check", "--j", "5"], ["basis", "--r", "4"],
-        ["basis", "--format", "csv", "--r", "3"], ["residue", "--config", EXAMPLE_MODEL],
-        ["evolve", "--r", "2", "--n", "1"], ["evolve", "--config", str(config)],
-        ["exp-check", "--r=3"],
-    ]
-    for argv in commands:
-        code = (
-            "import sys\n"
-            f"pipelines = {PIPELINE_MODULES!r}\n"
-            "import gamow\n"
-            "print(*sorted(name for name in sys.modules if name.startswith('gamow')))\n"
-            "import gamow.cli\n"
-            "print('argparse' in sys.modules, 'gettext' in sys.modules,\n"
-            "      [name for name in pipelines if name in sys.modules])\n"
-            f"status = gamow.cli.main({argv!r} + ['--out', {str(tmp_path / 'out')!r}])\n"
-            "print(status, 'argparse' in sys.modules,\n"
-            "      [name for name in pipelines if name in sys.modules])\n"
-        )
-        pipeline = "gamow.smatrix" if argv[0] == "residue" else "gamow.operators"
-        argparse_loaded = argv[-1] == "--r=3"
-        assert run_python(code).stdout.splitlines() == [
-            "gamow", "False False []", f"{EXIT_OK} {argparse_loaded} [{pipeline!r}]"], argv
-
-
 def test_a_name_set_on_the_cli_before_its_pipeline_loads_is_the_one_that_runs(tmp_path):
     """A patch point holds before its pipeline module loads, as tests and the bench tracer set it.
 
@@ -1458,7 +1371,7 @@ def test_a_name_set_on_the_cli_before_its_pipeline_loads_is_the_one_that_runs(tm
         "                recording('gamow.operators', 'exponential_subspace_basis')}\n"
         "for name, wrapper in wrappers.items():\n"
         "    setattr(gamow.cli, name, wrapper)\n"
-        f"print([name for name in {PIPELINE_MODULES!r} if name in sys.modules])\n"
+        f"print([name for name in {PIPELINES!r} if name in sys.modules])\n"
         "check = gamow.cli.decomposition_check\n"
         "print(check is sys.modules['gamow.smatrix'].decomposition_check,\n"
         "      gamow.cli.load_model_file is wrappers['load_model_file'])\n"

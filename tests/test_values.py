@@ -1,14 +1,13 @@
 """Properties of the immutable value classes and of exact evolution.
 
-Every value class keeps its fields in `__slots__` on the `exact.Value` base:
-assigning or deleting a field, or assigning any other name, raises
-AttributeError; pickles and copies are equal to the original; and instances
-built from equal int, Fraction or float inputs are equal and hash alike.
+Instances built from equal int, Fraction or float inputs are equal and hash
+alike, and a value's repr and hash are those of its fields.  That every
+value class refuses changes, pickles and copies to an equal value, and
+refuses a wrong field count is checked by contracts.py, one value of each.
 Evolution obeys the semigroup law, and an evolved operator's entries are
 the products of the independent ket and bra evolutions.
 """
 
-import copy
 import pickle
 from fractions import Fraction
 
@@ -17,7 +16,7 @@ from evolution_oracle import evolve_operator_by_products
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gamow.exact import ComplexRational, Polynomial, RationalFunction, Value, _rebuild, binomial
+from gamow.exact import ComplexRational, Polynomial, RationalFunction, binomial
 from gamow.jordan import (
     ComplexPole,
     GamowChainVector,
@@ -35,7 +34,7 @@ from gamow.operators import (
     exponentiality_constraints,
     verify_restriction_equivalence,
 )
-from gamow.smatrix import DecompositionReport, IntegralResult, SMatrixModel, TestFunction
+from gamow.smatrix import DecompositionReport, IntegralResult, SMatrixModel
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -149,58 +148,6 @@ class TestRationalFunctionHash:
         assert len({RationalFunction(x, 1), RationalFunction(x * 2, 2)}) == 1
 
 
-def one_of_each_value_class():
-    pole = ComplexPole(1, 2, 2)
-    system = exponentiality_constraints(2)
-    ket = TestFunction(RationalFunction(Polynomial([1]), Polynomial([-1j, 1])), "ket")
-    operator = DyadicOperator(pole, {(0, 1): 1})
-    return [
-        Polynomial([1, 2]),
-        RationalFunction(Polynomial([1]), Polynomial([2, 1])),
-        pole,
-        GamowChainVector.basis(pole, 1),
-        build_jordan_block(pole),
-        operator,
-        evolve_operator(operator),
-        system,
-        verify_restriction_equivalence(pole),
-        ket,
-        SMatrixModel(pole, [1, 1]),
-        IntegralResult(1j, 1e-12, ()),
-        DecompositionReport(1j, 0.5j, 0.5j, 0.0, 1e-8, 2e-12, ()),
-    ]
-
-
-def test_one_of_each_covers_every_value_class():
-    assert {type(value) for value in one_of_each_value_class()} == set(Value.__subclasses__())
-
-
-VALUES = pytest.mark.parametrize("value", one_of_each_value_class(),
-                                 ids=lambda value: type(value).__name__)
-
-
-@VALUES
-def test_assignment_raises(value):
-    before = [getattr(value, name) for name in type(value).__slots__]
-    for name, field in zip(type(value).__slots__, before):
-        with pytest.raises(AttributeError):
-            setattr(value, name, field)
-        with pytest.raises(AttributeError):
-            delattr(value, name)
-    with pytest.raises(AttributeError):
-        value.extra = 1
-    assert [getattr(value, name) for name in type(value).__slots__] == before
-
-
-@VALUES
-def test_pickles_and_copies_are_equal(value):
-    for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
-        assert type(clone) is type(value)
-        fields = [getattr(clone, name) for name in type(value).__slots__]
-        assert fields == [getattr(value, name) for name in type(value).__slots__]
-        assert clone == value and hash(clone) == hash(value)
-
-
 def test_repr_hash_and_equality_are_those_of_the_fields():
     pole = ComplexPole(1, 2, 2)
     assert repr(pole) == (
@@ -214,16 +161,6 @@ def test_repr_hash_and_equality_are_those_of_the_fields():
     assert repr(result) == "IntegralResult(value=1j, error_estimate=0.0, _unconverged=())"
     assert result == IntegralResult(1j, 0.0, []) and hash(result) == hash((1j, 0.0, ()))
     assert result != DecompositionReport(1j, 0j, 1j, 0.0, 1e-8, 0.0, ())
-
-
-def test_a_wrong_field_count_raises_type_error():
-    """Not the ValueError of `zip(strict=True)`, which the command line reports as bad input."""
-    for fields in ((2,), (2, (), None)):
-        with pytest.raises(TypeError, match=f"ConstraintSystem takes 2 fields, got {len(fields)}"):
-            _rebuild(ConstraintSystem, fields)
-    for fields in ((1, 2), (1, 2, 3, 4)):
-        with pytest.raises(TypeError, match=f"ComplexPole takes 3 fields, got {len(fields)}"):
-            Value.__init__(object.__new__(ComplexPole), *fields)
 
 
 def test_dict_fields_hash_as_sorted_items():
