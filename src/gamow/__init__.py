@@ -30,7 +30,6 @@ _PUBLIC = {
         "DecompositionReport", "IntegralResult", "SMatrixModel", "TestFunction",
         "background_integral", "decomposition_check", "direct_contour_integral",
         "load_model_file", "model_from_json", "residue_core", "residue_expansion",
-        "unitary_first_order_model",
     ),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}

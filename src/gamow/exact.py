@@ -207,21 +207,6 @@ class ComplexRational:
             return other / complex(self) if isinstance(other, (float, complex)) else NotImplemented
         return _canonical(*parts) / self
 
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return ONE / (self ** (-exponent))
-        result = ONE
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __neg__(self):
         return _canonical(-self.triple[0], -self.triple[1], self.triple[2])
 
@@ -389,12 +374,6 @@ class Polynomial(Value):
     def constant(cls, value) -> "Polynomial":
         return cls((value,))
 
-    @classmethod
-    def monomial(cls, power: int, coefficient=1) -> "Polynomial":
-        if power < 0:
-            raise ValueError("monomial power must be nonnegative")
-        return cls((0,) * power + (coefficient,))
-
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
@@ -445,14 +424,6 @@ class Polynomial(Value):
         return Polynomial(tuple(c * scalar for c in self.coefficients))
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial power must be a nonnegative integer")
-        result = Polynomial.constant(1)
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def derivative(self, order: int = 1) -> "Polynomial":
         if order < 0:

@@ -82,22 +82,6 @@ class DyadicOperator(Value):
             for (ket, bra), v in self.items() for re, im, den in (v.triple,)
         ]
 
-    def __add__(self, other):
-        if not isinstance(other, DyadicOperator):
-            return NotImplemented
-        if self.pole != other.pole:
-            raise ValueError("cannot add operators over different poles")
-        merged = dict(self.entries)
-        for key, value in other.entries.items():
-            merged[key] = merged.get(key, ZERO) + value
-        return DyadicOperator(self.pole, merged)
-
-    def __mul__(self, scalar):
-        scalar = ComplexRational.from_value(scalar)
-        return DyadicOperator(self.pole, {k: v * scalar for k, v in self.entries.items()})
-
-    __rmul__ = __mul__
-
 
 def operator_from_coefficients(pole: ComplexPole, entries: dict) -> DyadicOperator:
     """Operator with exactly the given coefficient table, keyed (ket_order, bra_order)."""

@@ -237,17 +237,6 @@ class SMatrixModel(Value):
         return total
 
 
-def unitary_first_order_model(pole: ComplexPole) -> SMatrixModel:
-    """First-order model with the unitarity-determined coefficient -i*width.
-
-    Only the order-1 coefficient is pinned by unitarity; higher orders take
-    the coefficients as free inputs.
-    """
-    if pole.order != 1:
-        raise ValueError("the unitarity default applies to first-order poles only")
-    return SMatrixModel(pole, [ComplexRational(0, -pole.width)])
-
-
 # -- residue expansion -------------------------------------------------------
 
 

@@ -2,9 +2,9 @@
 
 A check is a function that returns what it found broken, [] when its
 contract holds: what `import gamow`, `import gamow.cli` and each command
-load, and how one value of each value class pickles, copies and refuses
-changes.  A check marked with `over` takes one case, a command line or a
-value, and runs once per case.
+load, how one value of each value class pickles, copies and refuses
+changes, and what README's example prints.  A check marked with `over`
+takes one case, a command line or a value, and runs once per case.
 
 tests/test_contracts.py runs each run of each check as one test.  As a
 script, this file runs them on the Python that runs it, with the standard
@@ -23,6 +23,7 @@ import functools
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tempfile
@@ -50,6 +51,7 @@ COMMAND_LINES = [
     (("evolve", "--config", "config.json"), False), (("exp-check", "--r=3"), True),
 ]
 EVOLVE_CONFIG = {"r": 2, "operator": {"kind": "dyad", "ket": 1, "bra": 0}}  # as config.json
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 
 
 def over(cases, name):
@@ -209,9 +211,37 @@ def a_wrong_field_count_raises_type_error(case):
     return [f"_rebuild({cls.__name__}, {fields!r}) raised nothing"]
 
 
+def the_readme_example_shows_its_values():
+    """README's one `python` block runs in a fresh interpreter, and its comments show the values.
+
+    A code line with a trailing comment runs as `print(repr((line)))`, and the
+    comment must start with what it prints.
+    """
+    with open(README, encoding="utf-8") as handle:
+        blocks = re.findall(r"^```python\n(.*?)^```$", handle.read(), re.M | re.S)
+    if len(blocks) != 1:
+        return [f"README has {len(blocks)} python blocks, expected 1"]
+    lines, comments = [], []
+    for line in blocks[0].splitlines():
+        code, _, comment = line.partition("#")
+        if code.strip() and comment:
+            line = f"print(repr(({code.strip()})))"
+            comments.append(comment.strip())
+        lines.append(line)
+    done = subprocess.run([sys.executable, "-c", "\n".join(lines)], capture_output=True,
+                          text=True, env=child_env())
+    printed = done.stdout.splitlines()
+    if done.returncode or len(printed) != len(comments):
+        return [f"README's example exited {done.returncode} after {len(printed)} of "
+                f"{len(comments)} values; stderr {done.stderr[-300:]!r}"]
+    return [f"README's comment {comment!r} does not start with the value {value}"
+            for value, comment in zip(printed, comments) if not comment.startswith(value)]
+
+
 CHECKS = [
     the_imports_load_nothing_early,
     each_command_loads_only_its_pipeline,
+    the_readme_example_shows_its_values,
     every_value_class_has_a_value,
     pickles_and_copies_are_equal,
     changes_raise_attribute_error,

@@ -5,8 +5,11 @@ i^p; this oracle multiplies them out for every term and adds one monomial
 at a time, as the formula reads.
 """
 
-from gamow.exact import ComplexRational, I, Polynomial, binomial
+from gamow.exact import ONE, ComplexRational, I, Polynomial, binomial
 from gamow.operators import DyadicOperator, TimePolynomialOperator
+
+# i^p, indexed by p mod 4; (-i)^n is i^-n
+I_POWERS = (ONE, I, -ONE, -I)
 
 
 def evolve_operator_by_products(operator: DyadicOperator) -> TimePolynomialOperator:
@@ -14,10 +17,10 @@ def evolve_operator_by_products(operator: DyadicOperator) -> TimePolynomialOpera
     table = {}
     for (k, m), coeff in operator.items():
         for l in range(k + 1):
-            ket_factor = ComplexRational(binomial(k, l)) * (-I) ** (k - l)
+            ket_factor = ComplexRational(binomial(k, l)) * I_POWERS[(l - k) % 4]
             for mm in range(m + 1):
-                factor = coeff * ket_factor * binomial(m, mm) * I ** (m - mm)
+                factor = coeff * ket_factor * binomial(m, mm) * I_POWERS[(m - mm) % 4]
                 power = (k - l) + (m - mm)
                 poly = table.get((l, mm), Polynomial.zero())
-                table[(l, mm)] = poly + Polynomial.monomial(power, factor)
+                table[(l, mm)] = poly + Polynomial((0,) * power + (factor,))
     return TimePolynomialOperator(operator.pole, table)

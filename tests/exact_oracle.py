@@ -107,21 +107,6 @@ class FractionPair:
             return other / complex(self)
         return NotImplemented
 
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return _ONE / (self ** (-exponent))
-        result = _ONE
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __neg__(self):
         return FractionPair(-self.real, -self.imag)
 
@@ -173,5 +158,3 @@ class FractionPair:
         sign = "+" if self.imag > 0 else "-"
         return f"({self.real} {sign} {abs(self.imag)}*i)"
 
-
-_ONE = FractionPair(1)

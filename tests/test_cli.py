@@ -1161,7 +1161,6 @@ PUBLIC_NAMES = {
         "DecompositionReport", "IntegralResult", "SMatrixModel", "TestFunction",
         "background_integral", "decomposition_check", "direct_contour_integral",
         "load_model_file", "model_from_json", "residue_core", "residue_expansion",
-        "unitary_first_order_model",
     ],
 }
 
@@ -1174,13 +1173,32 @@ def test_the_star_import_binds_the_public_names_and_the_four_submodules():
     """
     code = "from gamow import *\nprint(*sorted(name for name in dir() if name[0] != '_'))"
     public = [name for names in PUBLIC_NAMES.values() for name in names]
-    assert len(public) == 37
+    assert len(public) == 36
     assert run_python(code).stdout.split() == sorted([*public, *PUBLIC_NAMES])
     for module, names in PUBLIC_NAMES.items():
         for name in names:
             value = getattr(gamow, name)
             assert value.__module__ == f"gamow.{module}"
             assert getattr(sys.modules[value.__module__], name) is value
+
+
+def test_the_deleted_shortcuts_stay_deleted():
+    """No command needed `**`, operator `+` and `*`, or the first-order model helper."""
+    from gamow.exact import Polynomial
+    from gamow.smatrix import SMatrixModel
+
+    pole = ComplexPole(0, 1, 2)
+    member = exponential_state_operator(pole, 0)
+    for name, act in [("**", lambda: ComplexRational(0, 1) ** 2),
+                      ("**", lambda: Polynomial([1, 1]) ** 2),
+                      ("+", lambda: member + member),
+                      ("*", lambda: member * 2),
+                      ("*", lambda: 2 * member)]:
+        with pytest.raises(TypeError, match=re.escape(name)):
+            act()
+    assert not hasattr(Polynomial, "monomial")
+    assert not hasattr(gamow, "unitary_first_order_model")
+    assert not hasattr(sys.modules[SMatrixModel.__module__], "unitary_first_order_model")
 
 
 class TestBasis:

@@ -10,6 +10,7 @@ from importlib.resources import files
 
 import pytest
 from constraint_oracle import nullspace
+from evolution_oracle import I_POWERS
 from exact_oracle import FractionPair
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,11 +46,16 @@ class TestComplexRational:
         assert a.conjugate() == cr(1, -2)
 
     def test_powers_of_i(self):
-        assert I**2 == cr(-1)
-        assert I**3 == cr(0, -1)
-        assert I**4 == ONE
-        assert (-I) ** 2 == cr(-1)
-        assert I**-1 == -I
+        # the products that the evolution oracle's table of i^p stands for
+        power = ONE
+        for p in range(9):
+            assert power == I_POWERS[p % 4]
+            assert ONE / power == I_POWERS[-p % 4]
+            power = power * I
+        assert (-I) * (-I) == cr(-1)
+        assert ONE / I == -I
+        with pytest.raises(TypeError):
+            I**2
 
     def test_exact_fractions(self):
         third = cr(Fraction(1, 3), Fraction(1, 7))
@@ -206,7 +212,6 @@ class TestAgainstFractionPairs:
     def test_unary_operations_and_conversions_match_the_oracle(self, pair):
         new, old = cr(*pair), FractionPair(*pair)
         operations = [operator.neg, lambda x: x.conjugate(), complex, abs, bool, repr, hash]
-        operations += [lambda x, n=n: x**n for n in range(-3, 6)]
         for op in operations:
             assert _outcome(op, new) == _outcome(op, old)
 
@@ -232,9 +237,8 @@ class TestAgainstFractionPairs:
         new = cr(*pair)
         other = cr(*other) if isinstance(other, tuple) else ComplexRational.from_value(other)
         results = [new, other, -new, new.conjugate(), new + other, new - other, other - new,
-                   new * other, new**3]
+                   new * other]
         results += [x / y for x, y in ((new, other), (other, new)) if y]
-        results += [new**-2] if new else []
         for value in results:
             _assert_canonical(value)
         assert ZERO.triple == (0, 0, 1) and (new - new).triple == (0, 0, 1)
@@ -250,8 +254,8 @@ class TestPolynomial:
         p = Polynomial([1, 1]) * Polynomial([1, -1])
         assert p == Polynomial([1, 0, -1])
 
-    def test_monomial_and_coefficient(self):
-        m = Polynomial.monomial(3, cr(0, 2))
+    def test_coefficient(self):
+        m = Polynomial([0, 0, 0, cr(0, 2)])
         assert m.coefficient(3) == cr(0, 2)
         assert m.coefficient(2) == ZERO
         assert m.degree == 3
@@ -284,7 +288,6 @@ class TestPolynomial:
         p = Polynomial([1, 1])
         assert 2 * p == Polynomial([2, 2])
         assert p - 1 == Polynomial([0, 1])
-        assert p**2 == Polynomial([1, 2, 1])
 
     def test_repr_writes_each_nonzero_term_in_rising_powers(self):
         assert repr(Polynomial.zero()) == "0"

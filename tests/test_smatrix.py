@@ -38,7 +38,6 @@ from gamow.smatrix import (
     residue_core,
     residue_expansion,
     parse_test_function,
-    unitary_first_order_model,
 )
 
 
@@ -322,7 +321,7 @@ class TestEvaluate:
     def test_unitarity_default_at_resonance_energy(self):
         # a/(E - z) with a = -i*width and E - z = i*width/2 gives exactly -2
         for energy, width in [(1, 1), (3, Fraction(1, 2)), (0, 2)]:
-            model = unitary_first_order_model(ComplexPole(energy, width, 1))
+            model = SMatrixModel(ComplexPole(energy, width, 1), [cr(0, -width)])
             assert model(cr(energy)) == cr(-2)
 
     def test_background_only(self):
@@ -346,15 +345,11 @@ class TestEvaluate:
         assert complex(model(z)) == pytest.approx(model(complex(z)))
 
     def test_pole_evaluation_rejected(self):
-        model = unitary_first_order_model(ComplexPole(1, 1, 1))
+        model = SMatrixModel(ComplexPole(1, 1, 1), [cr(0, -1)])
         with pytest.raises(ZeroDivisionError):
             model(model.pole.position)
         with pytest.raises(ZeroDivisionError):
             model(complex(model.pole.position))
-
-    def test_unitarity_helper_requires_first_order(self):
-        with pytest.raises(ValueError):
-            unitary_first_order_model(ComplexPole(1, 1, 2))
 
 
 class TestResidueExpansion:
@@ -468,8 +463,14 @@ class TestResidueExpansion:
         w1, w2 = cr(Fraction(1, 2), 1), cr(-2, Fraction(3, 2))
         laurent = [cr(n % 3 - 1, Fraction(1, n + 1)) for n in range(r)]
         model = SMatrixModel(pole, laurent)
-        a = [-((w1 - z) ** -(k + 1)) for k in range(r)]
-        b = [-((w2 - z) ** -(k + 1)) for k in range(r)]
+
+        def coefficients(w):  # -(w - z)^-(k+1) for k < r
+            terms = [-1 / (w - z)]
+            while len(terms) < r:
+                terms.append(terms[-1] / (w - z))
+            return terms
+
+        a, b = coefficients(w1), coefficients(w2)
         expected = ZERO
         for n in range(r):
             expected = expected + laurent[n] * sum((a[n - k] * b[k] for k in range(n + 1)), ZERO)
@@ -478,7 +479,7 @@ class TestResidueExpansion:
         assert residue_core(model, f, g) == expected
 
     def test_role_mismatch_rejected(self):
-        model = unitary_first_order_model(ComplexPole(1, 1, 1))
+        model = SMatrixModel(ComplexPole(1, 1, 1), [cr(0, -1)])
         with pytest.raises(ValueError):
             residue_core(model, G_BRA, G_BRA)
         with pytest.raises(ValueError):
@@ -505,7 +506,7 @@ class TestContourPieces:
         assert result.value == pytest.approx(complex(expected_re, expected_im), abs=1e-9)
 
     def test_insufficient_combined_decay_rejected(self):
-        model = unitary_first_order_model(ComplexPole(1, 1, 1))
+        model = SMatrixModel(ComplexPole(1, 1, 1), [cr(0, -1)])
         slow_ket = ket([1], [cr(0, -3), 1])  # decay 1
         constant_bra = bra([1], [1])  # decay 0
         with pytest.raises(ValueError):
@@ -791,7 +792,7 @@ PASSED_ON_THE_REAL_AXIS = [
 
 class TestDecomposition:
     def test_first_order_spec_pair(self):
-        model = unitary_first_order_model(ComplexPole(2, 1, 1))
+        model = SMatrixModel(ComplexPole(2, 1, 1), [cr(0, -1)])
         report = decomposition_check(model, F_KET, G_BRA)
         assert report.converged
         assert report.discrepancy < 1e-8
@@ -813,14 +814,14 @@ class TestDecomposition:
         assert report.direct == pytest.approx(report.background, abs=1e-9)
 
     def test_narrow_resonance_with_breakpoint_refinement(self):
-        model = unitary_first_order_model(ComplexPole(1, Fraction(1, 1000), 1))
+        model = SMatrixModel(ComplexPole(1, Fraction(1, 1000), 1), [cr(0, -Fraction(1, 1000))])
         report = decomposition_check(model, F_KET, G_BRA)
         assert report.passed
 
     def test_background_suppressed_for_pole_far_from_negative_axis(self):
         # narrow resonance inside the test-function window: the pole term
         # dominates and the background leg is a fraction of it
-        model = unitary_first_order_model(ComplexPole(2, Fraction(1, 20), 1))
+        model = SMatrixModel(ComplexPole(2, Fraction(1, 20), 1), [cr(0, -Fraction(1, 20))])
         g = bra([1], [cr(-3), cr(0, -4), 1])  # 1/((z-i)(z-3i))
         background = background_integral(model, F_KET, g)
         residue = residue_expansion(model, F_KET, g)
@@ -860,7 +861,7 @@ class TestDecomposition:
 
     @pytest.mark.parametrize("tolerance", [math.inf, math.nan, 0.0, -1e-8])
     def test_tolerance_must_be_positive_and_finite(self, tolerance):
-        model = unitary_first_order_model(ComplexPole(2, 1, 1))
+        model = SMatrixModel(ComplexPole(2, 1, 1), [cr(0, -1)])
         with pytest.raises(ValueError, match="positive and finite"):
             decomposition_check(model, F_KET, G_BRA, tolerance=tolerance)
 
@@ -870,7 +871,7 @@ class TestDecomposition:
             raise OverflowError("int too large to convert to float")
 
         monkeypatch.setattr(smatrix, "residue_expansion", overflow)
-        model = unitary_first_order_model(ComplexPole(2, 1, 1))
+        model = SMatrixModel(ComplexPole(2, 1, 1), [cr(0, -1)])
         with pytest.raises(ValueError, match="leave the float range"):
             decomposition_check(model, F_KET, G_BRA)
 
@@ -883,7 +884,7 @@ class TestDecomposition:
         assert not report.passed  # nothing raised
 
     def test_report_json_fields(self):
-        model = unitary_first_order_model(ComplexPole(2, 1, 1))
+        model = SMatrixModel(ComplexPole(2, 1, 1), [cr(0, -1)])
         payload = decomposition_check(model, F_KET, G_BRA).to_json_dict()
         for field in ("direct", "background", "residue", "discrepancy", "tolerance", "passed"):
             assert field in payload
