@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import types
-from json.encoder import encode_basestring_ascii
 
 from . import _HOME, _PUBLIC
 from .exact import (
@@ -93,66 +92,40 @@ def _write_output(out, pieces):
 
 
 def _dump_json(payload) -> str:
-    """`json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\\n"`, formed here.
+    """The text of a report: keys sorted, indented by 2, a NaN or infinity refused."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
-    json's `indent` encoder is pure Python; `_json_text` writes the same text
-    in one recursive pass.  A NaN or infinity raises json's ValueError instead
-    of writing a non-JSON token.
+
+def _spliced_json(payload, key, elements):
+    """`_dump_json(payload)` with the list at `key` written from `elements`, one piece each.
+
+    `payload` leaves that list out, and a NUL, which no report holds, marks its place.
+    Each element is one item's text as `_dump_json` writes it, from the newline before it.
     """
-    return _json_text(payload, "\n") + "\n"
+    head, _, tail = _dump_json({**payload, key: "\0"}).partition('"\\u0000"')
+    yield head
+    opening = "["
+    for element in elements:
+        yield opening + element
+        opening = ","
+    yield ("[]" if opening == "[" else "\n  ]") + tail
 
 
-def _json_text(value, newline):
-    """The JSON text of `value`, each line after its first indented as `newline` is.
-
-    It takes exactly dict (str keys), list, tuple, str, int, float, bool and
-    None; any other type, a subclass too, raises TypeError.
-    """
-    kind = type(value)
-    if kind is float:
-        text = float.__repr__(value)
-        if text in ("nan", "inf", "-inf"):
-            raise ValueError(f"Out of range float values are not JSON compliant: {text}")
-        return text
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    inner = newline + "  "
-    if kind is dict:
-        if not value:
-            return "{}"
-        items = [encode_basestring_ascii(key) + ": " + _json_text(value[key], inner)
-                 for key in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        items = [_json_text(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if kind is bool:
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-
-# An equation of exp-check's "equations" list, and one of its terms, as
-# `_dump_json` writes them there.
-_EQUATION = ('%s\n    {\n      "l": %d,\n      "m": %d,\n      "n": %d,\n      "terms": [\n'
+# An equation of exp-check's list, one of its terms, and a row of evolve's, as `_dump_json`
+# writes them there.  `%r` writes what json does, since every evolve value is finite: `value`
+# raises on a non-finite one, and an `abs` that overflows exits 2.
+_EQUATION = ('\n    {\n      "l": %d,\n      "m": %d,\n      "n": %d,\n      "terms": [\n'
              '%s\n      ]\n    }')
 _TERM = ('        {\n          "coeff": [\n            %r,\n            0.0\n          ],\n'
          '          "k": %d,\n          "n": %d\n        }')
+_ROW = ('\n    {\n      "entry_l": %d,\n      "entry_m": %d,\n      "im": %r,\n'
+        '      "modulus": %r,\n      "re": %r,\n      "t": %r\n    }')
 
 
-def _exp_check_json(payload, system):
-    """`_dump_json(payload)` with `system`'s rows in its one null: head, one piece per row, tail."""
-    head, _, tail = _dump_json(payload).partition("null")
-    yield head
-    for i, (l, m, n, row) in enumerate(system.rows):
-        terms = ",\n".join([_TERM % (json_number(c), k, n) for k, c in enumerate(row, l)])
-        yield _EQUATION % ("," if i else "[", l, m, n, terms)
-    yield ("\n  ]" if system.rows else "[]") + tail
+def _equation(l, m, n, row):
+    """Equation (l, m, n), whose coefficients from term k = l on are `row`, as in `_EQUATION`."""
+    terms = ",\n".join([_TERM % (json_number(c), k, n) for k, c in enumerate(row, l)])
+    return _EQUATION % (l, m, n, terms)
 
 
 # One row per evolve setting: (config key, flag dest, JSON type, default).  The
@@ -260,7 +233,7 @@ def cmd_evolve(args) -> int:
                 if csv:
                     rows.append(f"{_fmt(t)},{ket},{bra},{_fmt(re)},{_fmt(im)},{_fmt(modulus)}")
                 else:
-                    rows.append(dict(t=t, entry_l=ket, entry_m=bra, re=re, im=im, modulus=modulus))
+                    rows.append(_ROW % (ket, bra, im, modulus, re, t))
                 if base is None or violation:
                     continue
                 start = base.setdefault((ket, bra), modulus)  # the t = 0 rows come first
@@ -272,12 +245,8 @@ def cmd_evolve(args) -> int:
     except OverflowError:  # a coefficient or an entry modulus that no float holds
         raise ValueError(f"operator coefficients beyond the float range (Gamma {width!r}, "
                          f"operator {spec!r})") from None
-    if csv:
-        _write_output(args.out, ["\n".join(rows), "\n"])
-    else:
-        payload = {"pole": {"E_R": settings["E_R"], "Gamma": width, "r": pole.order},
-                   "operator": spec, "rows": rows}
-        _write_output(args.out, [_dump_json(payload)])
+    payload = {"pole": {"E_R": settings["E_R"], "Gamma": width, "r": pole.order}, "operator": spec}
+    _write_output(args.out, ["\n".join(rows), "\n"] if csv else _spliced_json(payload, "rows", rows))
     if violation:
         print(violation, file=sys.stderr)
         return EXIT_VERIFICATION_FAILURE
@@ -303,7 +272,7 @@ def cmd_exp_check(args) -> int:
         family_matches = False
     dimension = system.solution_dimension
     # the equation list, most of the bytes, is streamed from the certified rows
-    payload = {"j": j, "equations": None, "solution_dimension": dimension,
+    payload = {"j": j, "solution_dimension": dimension,
                "expected_dimension": j + 1, "binomial_family_matches": family_matches}
     passed = dimension == j + 1 and family_matches
     if r is not None:
@@ -319,7 +288,8 @@ def cmd_exp_check(args) -> int:
         payload["forward_pure_exponential"] = forward_ok
         passed = passed and report.passed and forward_ok
     payload["passed"] = passed
-    _write_output(args.out, _exp_check_json(payload, system))
+    _write_output(args.out, _spliced_json(
+        payload, "equations", (_equation(*row) for row in system.rows)))
     return EXIT_OK if passed else EXIT_VERIFICATION_FAILURE
 
 

@@ -138,7 +138,7 @@ class TimePolynomialOperator(Value):
         P(t) overflows.  Where only P(t) overflows, the terms are summed as
         c_p * exp(p*ln(t) - width*t); ArithmeticError if that overflows too.
         """
-        if float(t) < 0:
+        if not float(t) >= 0:  # a NaN too
             raise ValueError("operator evolution is defined for t >= 0 only")
         decay = self.decay_factor(t)
         if not decay:

@@ -79,7 +79,7 @@ _APART = ("input error: pole window E_R +- Gamma/2 has points that floats cannot
           "(E_R {}, Gamma {})")
 _DENIED = "cannot open locked/out.json: Permission denied"
 _EMPTY = "cannot open : No such file or directory"
-_SLOW = "slow: the three large outputs take about 6 s"
+_SLOW = "slow: the four large outputs take about 9 s"
 _UNWRITABLE = "TestUnreadablePaths pins the line in-process, and that the handler never runs"
 # the least argv each subcommand runs with
 REQUIRED_ARGS = {"evolve": (), "exp-check": ("--r", "2"), "residue": ("--config", EXAMPLE),
@@ -109,7 +109,7 @@ ROWS = [
     # t_end * i overflows from i = 2 on, and every grid point must still be finite
     Row("evolve-t-end-1e308", ("evolve", "--r", "1", "--t-end", "1e308", "--steps", "5"), 0,
         stdout=FINITE),
-    # the large outputs: about 6 s together
+    # the large outputs: about 9 s together
     # exp-check --r 30 streams its 77 MB from the certified rows: a peak RSS of 38-44 MB on Linux
     # x86-64, Python 3.10 to 3.13; holding the whole text took 95 MB
     Row("exp-check-r30", ("exp-check", "--r", "30"), 0, script_only=_SLOW, peak_mb=60,
@@ -120,6 +120,11 @@ ROWS = [
     # list of row tuples beside the text took 233 MB
     Row("evolve-r8-n7-steps10001", ("evolve", "--r", "8", "--n", "7", "--steps", "10001"), 0,
         stdout=FINITE, script_only=_SLOW, peak_mb=150),
+    # the same curve as JSON splices one text per row into the report: 130-136 MB for its 84 MB;
+    # a dict per row and the whole text took 523 MB
+    Row("evolve-r8-n7-steps10001-json", ("evolve", "--r", "8", "--n", "7", "--steps", "10001",
+                                         "--format", "json"), 0,
+        stdout=FINITE, script_only=_SLOW, peak_mb=200),
     # models the floats cannot resolve
     _model("residue-laurent-1e308", {"laurent": [[1e308, 0.0], [0.1, 0.0]]},
            _BEYOND.format("0.75")),

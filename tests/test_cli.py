@@ -429,35 +429,11 @@ class TestExpCheck:
         assert passes == built == [6]
         assert len(generated) == len(set(generated)) == 56 == math.comb(6 + 2, 3)
 
-    def test_the_equations_are_streamed_one_piece_each(self, tmp_path, monkeypatch):
-        """`_write_output` gets an iterator: the head, one piece per equation, then the tail.
-
-        Each equation's piece is the text of that equation alone, and at j = 6
-        the head and the tail are shorter than the longest of them.
-        """
-        handed = []
-
-        def recording(out, pieces):
-            assert iter(pieces) is pieces
-            write(out, (handed.append(piece) or piece for piece in pieces))
-
-        write = cli._write_output
-        monkeypatch.setattr(cli, "_write_output", recording)
-        out = tmp_path / "report.json"
-        assert main(["exp-check", "--j", "6", "--out", str(out)]) == EXIT_OK
-        assert out.read_text() == "".join(handed)
-        equations = operators.exponentiality_constraints(6).to_json_dict()["equations"]
-        head, *pieces, tail = handed
-        assert len(pieces) == len(equations) == 56
-        assert [json.loads(piece[1:]) for piece in pieces] == equations
-        assert max(map(len, handed)) == max(map(len, pieces)) > max(len(head), len(tail))
-        assert tail.startswith("\n  ],\n") and head.endswith('"equations": ')
-
     def test_a_coefficient_past_2_to_53_is_written_exactly(self, monkeypatch):
         """Term k = 0 of equation (0, 24, 58) is C(58, 24), which no float holds.
 
-        The pass is given that equation alone, uncertified, and its row is
-        written as the encoder writes the system's JSON values.
+        The pass is given that equation alone, uncertified, and the splice writes
+        its row as the encoder writes the system's JSON values.
         """
         coefficient = binomial(58, 24)
         assert float(coefficient) != coefficient
@@ -465,7 +441,8 @@ class TestExpCheck:
         monkeypatch.setattr(operators, "_equation_rows", lambda j: iter([row]))
         monkeypatch.setattr(operators, "_certified", lambda j, rows: rows)
         system = operators.exponentiality_constraints(58)
-        text = "".join(cli._exp_check_json({"equations": None}, system))
+        equations = (cli._equation(*row) for row in system.rows)
+        text = "".join(cli._spliced_json({}, "equations", equations))
         assert text == json.dumps({"equations": system.to_json_dict()["equations"]}, indent=2,
                                   sort_keys=True) + "\n"
         terms = json.loads(text)["equations"][0]["terms"]
@@ -1446,56 +1423,49 @@ def test_every_global_name_a_cli_function_loads_is_bound_when_its_command_runs()
         assert used and used <= set(gamow._PUBLIC[pipeline]), (command, used)
 
 
-# -- the report writer against json.dumps ---------------------------------------
+# -- long lists spliced into the report -----------------------------------------
 
-json_text = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f \ud800é😀'))
-json_scalars = (
-    st.none() | st.booleans() | st.integers()
-    | st.integers(2**63 - 2, 2**64) | st.integers(2**1024, 2**1100).map(lambda n: -n)
-    | st.floats()  # with -0.0 and subnormals
-    | st.sampled_from([-0.0, 5e-324, 2.2250738585072009e-308, 0.1, 1 / 3, 1e16, 1e22,
-                       9007199254740993.0, 1.7976931348623157e308])
-    | st.sampled_from([math.nan, math.inf, -math.inf])
-    | json_text
-)
-json_values = st.recursive(
-    json_scalars,
-    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
-                      | st.dictionaries(json_text, children, max_size=4)),
-    max_leaves=16,
-)
+@pytest.mark.parametrize("elements", [[], ["\n    null", "\n    {\n      \"a\": 1\n    }"]],
+                         ids=["empty", "two"])
+def test_the_splice_writes_what_json_dumps_writes(elements):
+    """Values before and after the list, a None and the text "null" among them, stay put."""
+    payload = {"a": None, "b": "null", "z": [None, "null"]}
+    text = "".join(cli._spliced_json(payload, "m", elements))
+    items = [json.loads(element) for element in elements]
+    assert text == json.dumps({**payload, "m": items}, indent=2, sort_keys=True) + "\n"
 
 
-def encoded(encode, value):
-    """The text `encode(value)` gives, or the type and message of what it raises."""
-    try:
-        return encode(value)
-    except (TypeError, ValueError) as exc:
-        return type(exc), str(exc)
+@pytest.mark.parametrize("argv, key, count", [
+    (["exp-check", "--j", "6"], "equations", 56),
+    (["exp-check", "--j", "0"], "equations", 0),
+    (["evolve", "--r", "2", "--n", "1", "--steps", "3", "--format", "json"], "rows", 12),
+], ids=["exp-check", "exp-check-no-equations", "evolve"])
+def test_each_long_list_is_streamed_one_piece_per_item(tmp_path, monkeypatch, argv, key, count):
+    """`_write_output` gets an iterator: the head, one piece per item of the list, then the tail.
 
+    Each item's piece is the text of that item alone, after its "[" or ",".
+    exp-check's equations are those of the system's own JSON.
+    """
+    handed = []
 
-def test_the_report_writer_writes_what_json_dumps_writes():
-    """Byte for byte, and a NaN or infinity anywhere raises the same ValueError."""
-    outcomes = []
+    def recording(out, pieces):
+        assert iter(pieces) is pieces
+        write(out, (handed.append(piece) or piece for piece in pieces))
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(json_values)
-    def same_text(value):
-        expected = encoded(
-            lambda v: json.dumps(v, indent=2, sort_keys=True, allow_nan=False) + "\n", value)
-        assert encoded(cli._dump_json, value) == expected
-        outcomes.append(type(expected))
-
-    same_text()
-    assert outcomes.count(str) >= 100 and outcomes.count(tuple) >= 40
-
-
-@pytest.mark.parametrize("value", [{1, 2}, b"x", 1j, object(), [1, {"a": {3}}]])
-def test_the_report_writer_refuses_a_value_json_cannot_write(value):
-    with pytest.raises(TypeError):
-        json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
-    with pytest.raises(TypeError):
-        cli._dump_json(value)
+    write = cli._write_output
+    monkeypatch.setattr(cli, "_write_output", recording)
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert out.read_text() == "".join(handed)
+    items = json.loads(out.read_text())[key]
+    if key == "equations":
+        system = operators.exponentiality_constraints(int(argv[2]))
+        assert items == system.to_json_dict()["equations"]
+    head, *pieces, tail = handed
+    assert len(pieces) == len(items) == count
+    assert [json.loads(piece[1:]) for piece in pieces] == items
+    assert [piece[0] for piece in pieces] == ["[", *[","] * (count - 1)][:count]
+    assert head.endswith(f'"{key}": ') and tail.startswith("\n  ]" if count else "[]")
 
 
 # -- CSV round trip ------------------------------------------------------------
@@ -1655,7 +1625,9 @@ def test_evolve_output_is_finite_with_an_honest_exit_code(data):
                                             "float range (Gamma "), err
         return
     if output_format == "json":
-        numbers = _numbers(_strict_json(out))
+        report = _strict_json(out)
+        assert out == json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        numbers = _numbers(report)
     else:
         numbers = [float(cell) for line in out.splitlines()[1:] for cell in line.split(",")]
     assert all(math.isfinite(x) for x in numbers)

@@ -229,11 +229,12 @@ class TestEvolveOperator:
         assert value.imag == pytest.approx(0.0, abs=1e-15)
         assert value.real == pytest.approx(2 * math.exp(-2 * t))
 
-    def test_negative_time_rejected(self):
+    @pytest.mark.parametrize("t", [-0.5, -math.inf, math.nan])
+    def test_negative_time_rejected(self, t):
         pole = ComplexPole(0, 1, 1)
         evolved = evolve_operator(exponential_state_operator(pole, 0))
-        with pytest.raises(ValueError):
-            evolved.value(0, 0, -0.5)
+        with pytest.raises(ValueError, match=r"^operator evolution is defined for t >= 0 only$"):
+            evolved.value(0, 0, t)
 
     @pytest.mark.parametrize("t", [1e80, 1e100])
     def test_value_is_zero_where_the_decay_factor_underflows(self, t):
