@@ -11,12 +11,12 @@ pole weighted by the principal-part coefficients, and
 
 is the residue theorem on the closed contour (real axis plus a lower
 semicircle at infinity), with the background piece the (-inf, 0] leg
-traversed outward from the origin.  Each piece is integrated in the phase
-coordinates of the pole's Breit-Wigner peak (`_phase_leg`), each leg by one
-adaptive Gauss-Kronrod run on the complex integrand (`quad`).  Whether every
-denominator root lies above the real axis is decided exactly, by a
-Sturm-chain count in integers.  Neither step imports numpy or scipy, whose
-import alone costs more than the rest of a command.
+traversed outward from the origin.  Each piece is integrated in half-angle
+coordinates of the pole's Breit-Wigner phase (`_phase_leg`), each leg by one
+adaptive Gauss-Kronrod run on the complex integrand (`quad`), and whether
+every denominator root lies above the real axis is decided by a Sturm-chain
+count in integers.  No step imports numpy or scipy, whose import alone costs
+more than the rest of a command, or calls a C math library (libm) function.
 """
 
 import heapq  # at module load: only the residue path loads this module
@@ -139,8 +139,7 @@ def _require_upper_half_plane_roots(function: RationalFunction, what: str):
     if not _roots_above(denominator, _ROOT_MARGIN * 2**exponent):
         raise ValueError(  # the height from its exponent: as a float it may overflow
             f"{what} must be analytic in the closed lower half-plane; a denominator root "
-            f"is not above the real axis by more than {float(_ROOT_MARGIN):.3g} * 2^{exponent}"
-        )
+            f"is not above the real axis by more than {float(_ROOT_MARGIN):.3g} * 2^{exponent}")
 
 
 class TestFunction(Value):
@@ -192,15 +191,11 @@ class SMatrixModel(Value):
         order = pole.order
         coeffs = tuple(ComplexRational.from_value(c) for c in laurent)
         if len(coeffs) != order:
-            raise ValueError(
-                f"need {order} principal-part coefficients for a pole of order "
-                f"{order}, got {len(coeffs)}"
-            )
+            raise ValueError(f"need {order} principal-part coefficients for a pole of order "
+                             f"{order}, got {len(coeffs)}")
         if not coeffs[-1] and any(coeffs):
-            raise ValueError(
-                f"top principal-part coefficient is zero: the pole would have order "
-                f"lower than the declared {order}"
-            )
+            raise ValueError(f"top principal-part coefficient is zero: the pole would have "
+                             f"order lower than the declared {order}")
         if background is not None and background.is_zero:
             background = None
         elif background is not None:
@@ -215,8 +210,7 @@ class SMatrixModel(Value):
             if z == position:
                 raise ZeroDivisionError("evaluation at the pole position")
             shift = z - position
-            total = ZERO
-            power = shift
+            total, power = ZERO, shift
             for coeff in self.laurent:
                 total = total + coeff / power
                 power = power * shift
@@ -227,8 +221,7 @@ class SMatrixModel(Value):
         if z == complex(position):
             raise ZeroDivisionError("evaluation at the pole position")
         shift = z - complex(position)
-        total = 0j
-        power = shift
+        total, power = 0j, shift
         for coeff in self.laurent:
             total += complex(coeff) / power
             power *= shift
@@ -255,10 +248,7 @@ def residue_core(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestFunction
         raise ValueError(f"second test function must have role {BRA_ROLE!r}")
     product = ket_fn.function * bra_fn.function
     series = product.taylor_coefficients(model.pole.position, model.pole.order)
-    total = ZERO
-    for coeff, c in zip(model.laurent, series):
-        total = total + coeff * c
-    return total
+    return ordered_sum(coeff * c for coeff, c in zip(model.laurent, series))
 
 
 def residue_expansion(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestFunction) -> complex:
@@ -273,7 +263,7 @@ def residue_expansion(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestFun
 _ABSOLUTE_TOLERANCE = 1e-10
 _RELATIVE_TOLERANCE = 1e-10
 _SUBDIVISION_LIMIT = 200
-_QUARTER = math.pi / 4
+_MEET = 1.0 / (1.0 + math.sqrt(2.0))  # tan(pi/8) = sqrt(2) - 1: where the legs meet
 
 
 # QUADPACK's GK21 rule (Piessens et al. 1983): the centre node's Kronrod and
@@ -311,6 +301,14 @@ class IntegralResult(Value):
         return not self._unconverged
 
 
+def _modulus(z: complex) -> float:
+    """abs(z) by CPython's correctly rounded hypot; OverflowError where abs(z) raises it."""
+    modulus = math.hypot(z.real, z.imag)
+    if modulus == math.inf and math.inf not in (abs(z.real), abs(z.imag)):
+        raise OverflowError("absolute value too large")
+    return modulus
+
+
 def _gauss_kronrod(func, a, b, rule):
     """One Gauss-Kronrod rule on [a, b], as QUADPACK's QK21.
 
@@ -321,12 +319,13 @@ def _gauss_kronrod(func, a, b, rule):
     epsilons of the integral of |func|.
     """
     center_kronrod, center_gauss, abscissas = rule
+    hypot = math.hypot  # not abs(complex), which calls libm's hypot
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
     fc = func(center)
     kronrod = center_kronrod * fc
     gauss = center_gauss * fc
-    resabs = center_kronrod * abs(fc)
+    resabs = center_kronrod * hypot(fc.real, fc.imag)
     pairs = []
     for x, kronrod_weight, gauss_weight in abscissas:
         offset = half * x
@@ -335,17 +334,21 @@ def _gauss_kronrod(func, a, b, rule):
         both = f1 + f2
         kronrod += kronrod_weight * both
         gauss += gauss_weight * both
-        resabs += kronrod_weight * (abs(f1) + abs(f2))
+        resabs += kronrod_weight * (hypot(f1.real, f1.imag) + hypot(f2.real, f2.imag))
         pairs.append((kronrod_weight, f1, f2))
     mean = 0.5 * kronrod
-    resasc = center_kronrod * abs(fc - mean)
-    for kronrod_weight, f1, f2 in pairs:
-        resasc += kronrod_weight * (abs(f1 - mean) + abs(f2 - mean))
+    re, im = mean.real, mean.imag
+    resasc = center_kronrod * hypot(fc.real - re, fc.imag - im)
+    for weight, f1, f2 in pairs:
+        resasc += weight * (hypot(f1.real - re, f1.imag - im) + hypot(f2.real - re, f2.imag - im))
+    if not resabs + resasc < math.inf:  # then raise where abs(complex) would
+        for f in (fc, *(f for _, f1, f2 in pairs for f in (f1, f2))):
+            _modulus(f), _modulus(f - mean)
     resabs *= half
     resasc *= half
-    error = abs((kronrod - gauss) * half)
+    error = _modulus((kronrod - gauss) * half)
     if resasc and error:
-        error = resasc * min(1.0, (200.0 * error / resasc) ** 1.5)
+        error = resasc * min(1.0, (ratio := 200.0 * error / resasc) * math.sqrt(ratio))
     if resabs > _UNDERFLOW / (50.0 * _EPSILON):
         error = max(50.0 * _EPSILON * resabs, error)
     return kronrod * half, error, resasc
@@ -376,7 +379,7 @@ def quad(func, lo, hi, points, rule=_GK21):
                 and math.isfinite(error_sum)):
             ier = 3
             break
-        if error_sum <= max(_ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE * abs(total)):
+        if error_sum <= max(_ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE * _modulus(total)):
             break
         if len(pieces) >= _SUBDIVISION_LIMIT:
             ier = 1
@@ -391,7 +394,8 @@ def quad(func, lo, hi, points, rule=_GK21):
         area = left + right
         area_error = left_error + right_error
         if left_resasc != left_error and right_resasc != right_error:
-            if abs(value - area) <= 1e-5 * abs(area) and area_error >= -0.99 * negative_error:
+            if (_modulus(value - area) <= 1e-5 * _modulus(area)
+                    and area_error >= -0.99 * negative_error):
                 stalled += 1
             if len(pieces) > 8 and area_error > -negative_error:  # over 10 pieces after this step
                 rising += 1
@@ -422,22 +426,35 @@ def _phase_window(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestFunctio
     elif not center - half < center < center + half:
         problem = "pole window E_R +- Gamma/2 has points that floats cannot tell apart"
     else:
-        return center, half, [s * 2.0**k for k in range(exponent, top + 1) for s in (-1, 1)]
+        return center, half, [math.ldexp(s, k) for k in range(exponent, top + 1) for s in (-1, 1)]
     raise ValueError(f"{problem} (E_R {center!r}, Gamma {width!r})")
 
 
-def _phase_leg(integrand, center: float, half: float, side: int, energies):
-    """The energy `integrand` times dE/dt in the phase coordinate t of one `side`.
+def _phase(side: int, energy: float, center: float, half: float) -> float:
+    """The w of `_phase_leg`'s `side` at `energy`, by hypot: E_R +- Gamma/2 maps to +-_MEET."""
+    x = (energy - center) / half
+    if not side:
+        return x / (1.0 + math.hypot(1.0, x))
+    x *= side
+    return 1.0 / (x + math.hypot(x, 1.0)) if x > 0 else math.hypot(x, 1.0) - x
 
-    Side 0, |E - E_R| <= Gamma/2: t = theta = atan(2(E - E_R)/Gamma); sides
-    -1, +1, the tails below and above: t = u = pi/2 - |theta| in (0, pi/4],
-    E = +-inf at u = 0.  With s = tan(theta), E = E_R + s*Gamma/2, and the
-    pole factor (E - z)^-r dE/dt = (Gamma/2)^(1-r) (-i)^r cos^(r-2)(theta)
-    e^(i*r*theta) is smooth.  `energies` names the leg in `_leg`'s errors.
+
+def _phase_leg(integrand, center: float, half: float, side: int, energies):
+    """The energy `integrand` times dE/dw in the half-angle coordinate w of one `side`.
+
+    Side 0, |E - E_R| <= Gamma/2: w = tan(theta/2), theta = atan(2(E - E_R)/Gamma)
+    the Breit-Wigner phase, E = E_R + (Gamma/2) 2w/(1 - w^2).  Sides -1, +1, the
+    tails: w = tan(u/2), u = pi/2 - |theta|, E = E_R +- (Gamma/2)(1 - w^2)/(2w).
+    The pole factor (E - z)^-r dE/dw is smooth on each; `energies` names the leg.
     """
-    def leg(t: float) -> complex:
-        s = side / math.tan(t) if side else math.tan(t)
-        return integrand(center + half * s) * (half * (1.0 + s * s))
+    def leg(w: float) -> complex:
+        square = w * w
+        if side:
+            s, slope = side * (1.0 - square) / (2.0 * w), (1.0 + square) / (2.0 * square)
+        else:
+            s = 2.0 * w / (1.0 - square)
+            slope = 2.0 * (1.0 + square) / ((1.0 - square) * (1.0 - square))
+        return integrand(center + half * s) * (half * slope)
 
     leg.energies = energies
     return leg
@@ -462,9 +479,10 @@ def _leg(integrand, breakpoints, lo: float, hi: float) -> IntegralResult:
     return IntegralResult(value, error, unconverged)
 
 
-def _horner_coefficients(polynomial: Polynomial):
-    """Complex coefficients of `polynomial`, highest degree first."""
-    return tuple(complex(c) for c in reversed(polynomial.coefficients))
+def _horner_coefficients(function: RationalFunction):
+    """Complex coefficients of the numerator and the denominator, highest degree first."""
+    return [tuple(complex(c) for c in reversed(polynomial.coefficients))
+            for polynomial in (function.numerator, function.denominator)]
 
 
 def _amplitude_integrand(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestFunction):
@@ -476,20 +494,16 @@ def _amplitude_integrand(model: SMatrixModel, ket_fn: TestFunction, bra_fn: Test
     so its values are bit-identical to evaluating those.
     """
     if ket_fn.decay_degree + bra_fn.decay_degree < 2:
-        raise ValueError(
-            "contour pieces need the test-function pair to decay at least as 1/|z|^2 "
-            f"combined, got degrees {ket_fn.decay_degree} + {bra_fn.decay_degree}"
-        )
-    ket_num = _horner_coefficients(ket_fn.function.numerator)
-    ket_den = _horner_coefficients(ket_fn.function.denominator)
-    bra_num = _horner_coefficients(bra_fn.function.numerator)
-    bra_den = _horner_coefficients(bra_fn.function.denominator)
+        raise ValueError("contour pieces need the test-function pair to decay at least as "
+                         f"1/|z|^2 combined, got degrees {ket_fn.decay_degree} + "
+                         f"{bra_fn.decay_degree}")
+    ket_num, ket_den = _horner_coefficients(ket_fn.function)
+    bra_num, bra_den = _horner_coefficients(bra_fn.function)
     position = complex(model.pole.position)
     laurent = tuple(complex(c) for c in model.laurent)
     background = model.background
     if background is not None:
-        bg_num = _horner_coefficients(background.numerator)
-        bg_den = _horner_coefficients(background.denominator)
+        bg_num, bg_den = _horner_coefficients(background)
 
     def integrand(energy: float) -> complex:
         # Horner's rule written out six times: a call per polynomial costs.
@@ -528,26 +542,21 @@ def _outward_integral(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestFun
     """Amplitude integral from E = 0 out to `sign` * inf, `sign` +1 or -1.
 
     One leg per side of the pole that the half-line meets, in that side's
-    phase coordinate, ended by E = 0 and broken at the rungs in it.
+    half-angle coordinate, ended by E = 0 and broken at the rungs in it.
     """
     integrand = _amplitude_integrand(model, ket_fn, bra_fn)
     center, half, rungs = _phase_window(model, ket_fn, bra_fn)
-
-    def phase(side, energy):
-        return (math.atan2(half, side * (energy - center)) if side
-                else math.atan2(energy - center, half))
-
     parts = []
     for side, lo, low, high in ((-1, 0.0, -math.inf, center - half),
-                                (0, -_QUARTER, center - half, center + half),
+                                (0, -_MEET, center - half, center + half),
                                 (1, 0.0, center + half, math.inf)):
-        hi, end = _QUARTER, phase(side, 0.0)
-        if (side < 1) == (sign > 0):  # t rises with E below and across the pole
+        hi, end = _MEET, _phase(side, 0.0, center, half)
+        if (side < 1) == (sign > 0):  # w rises with E below and across the pole
             lo = max(lo, end)
         else:
             hi = min(hi, end)
         if lo < hi:
-            points = sorted({t for t in (phase(side, e) for e in rungs) if lo < t < hi})
+            points = sorted({w for e in rungs if lo < (w := _phase(side, e, center, half)) < hi})
             energies = (max(low, 0.0), high) if sign > 0 else (low, min(high, 0.0))
             parts.append(_leg(_phase_leg(integrand, center, half, side, energies), points, lo, hi))
     return IntegralResult(sign * ordered_sum(p.value for p in parts),
@@ -628,8 +637,8 @@ def decomposition_check(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestF
     background = background_integral(model, ket_fn, bra_fn)
     try:
         residue = residue_expansion(model, ket_fn, bra_fn)
-        mismatch = abs(direct.value - (background.value + residue))
-        scale = abs(direct.value)
+        mismatch = _modulus(direct.value - (background.value + residue))
+        scale = _modulus(direct.value)
     except OverflowError:
         mismatch = scale = math.inf
     discrepancy = mismatch / scale if scale > 0 else mismatch
@@ -640,15 +649,10 @@ def decomposition_check(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestF
             "the contour pieces, the residue term or their discrepancy leave the float "
             f"range (E_R {float(model.pole.resonance_energy)!r}, Gamma "
             f"{float(model.pole.width)!r}); the model's laurent or background, or a test "
-            "function, is too large or too small for floats"
-        )
+            "function, is too large or too small for floats")
     return DecompositionReport(
-        direct=direct.value,
-        background=background.value,
-        residue=residue,
-        discrepancy=discrepancy,
-        tolerance=tolerance,
-        quadrature_error=quadrature_error,
+        direct=direct.value, background=background.value, residue=residue,
+        discrepancy=discrepancy, tolerance=tolerance, quadrature_error=quadrature_error,
         _unconverged=[(name, piece._unconverged)
                       for name, piece in (("direct", direct), ("background", background))
                       if not piece.converged],
@@ -698,9 +702,8 @@ def model_from_json(data):
     """
     if not isinstance(data, dict):
         raise ValueError(f"model: expected an object, got {data!r}")
-    reject_unknown_keys(
-        data, ("E_R", "Gamma", "r", "laurent", "background", "test_functions"), "model"
-    )
+    reject_unknown_keys(data, ("E_R", "Gamma", "r", "laurent", "background", "test_functions"),
+                        "model")
     pole = ComplexPole(typed_field(data, "E_R", float, "model.E_R"),
                        typed_field(data, "Gamma", float, "model.Gamma"),
                        typed_field(data, "r", int, "model.r"))
@@ -711,10 +714,8 @@ def model_from_json(data):
     functions = typed_field(data, "test_functions", list, "model.test_functions")
     if len(functions) != 2:
         raise ValueError("model.test_functions: expected a list of exactly two entries")
-    parsed = [
-        parse_test_function(entry, f"model.test_functions[{i}]")
-        for i, entry in enumerate(functions)
-    ]
+    parsed = [parse_test_function(entry, f"model.test_functions[{i}]")
+              for i, entry in enumerate(functions)]
     by_role = {fn.role: fn for fn in parsed}
     if set(by_role) != {KET_ROLE, BRA_ROLE}:
         raise ValueError('model.test_functions: need one "ket" and one "bra" entry')
@@ -725,5 +726,4 @@ def model_from_json(data):
 def load_model_file(path):
     """Read and validate a model document from a JSON file."""
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    return model_from_json(data)
+        return model_from_json(json.load(handle))

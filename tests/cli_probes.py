@@ -90,7 +90,7 @@ ROWS = [
     Row("exp-check-r3", ("exp-check", "--r", "3"), 0,
         stdout="151e532e4c65b7e9cfa08ea290e48e92d3dad364c993d4e290359a1983638618"),
     Row("residue-example", ("residue", "--config", EXAMPLE), 0,
-        stdout="7259dc172b4b0b191564c7ec68e89896342a42bbeedb71fb75b268eaec414ff8"),
+        stdout="6781e9855b534d03460ff43b2e4fd33aa1a51916b63992a413fff6ebdac31896"),
     Row("basis-r3", ("basis", "--r", "3"), 0,
         stdout="0dbd72d3d66fb5a805a8f44640ea8057b6d822f2937c063d08cd723521c5d14c"),
     Row("exp-check-r5", ("exp-check", "--r", "5"), 0,
@@ -102,7 +102,7 @@ ROWS = [
     Row("exp-check-r-equals-3", ("exp-check", "--r=3"), 0,
         stdout="151e532e4c65b7e9cfa08ea290e48e92d3dad364c993d4e290359a1983638618"),
     Row("residue-conf-abbreviated", ("residue", "--conf", EXAMPLE), 0,
-        stdout="7259dc172b4b0b191564c7ec68e89896342a42bbeedb71fb75b268eaec414ff8"),
+        stdout="6781e9855b534d03460ff43b2e4fd33aa1a51916b63992a413fff6ebdac31896"),
     Row("basis-help", ("basis", "-h"), 0, stdout=Contains("usage: gamow basis")),
     Row("evolve-energy-minus-1e3", ("evolve", "--r", "2", "--n", "1", "--energy", "-1e3"), 2,
         Contains("gamow evolve: error: argument --energy: expected one argument")),

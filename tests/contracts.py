@@ -3,7 +3,8 @@
 A check is a function that returns what it found broken, [] when its
 contract holds: what `import gamow`, `import gamow.cli` and each command
 load, how one value of each value class pickles, copies and refuses
-changes, and what README's example prints.  A check marked with `over`
+changes, what README's example prints, and that `residue` calls no C math
+library function.  A check marked with `over`
 takes one case, a command line or a value, and runs once per case.
 
 tests/test_contracts.py runs each run of each check as one test.  As a
@@ -20,6 +21,7 @@ modules; they import the gamow this file imported.
 
 import copy
 import functools
+import hashlib
 import json
 import os
 import pickle
@@ -28,7 +30,7 @@ import subprocess
 import sys
 import tempfile
 
-from cli_probes import EXAMPLE, child_env
+from cli_probes import EXAMPLE, ROWS, child_env
 
 from gamow.exact import Polynomial, RationalFunction, Value, _rebuild
 from gamow.jordan import ComplexPole, GamowChainVector, build_jordan_block
@@ -122,6 +124,30 @@ def each_command_loads_only_its_pipeline(line):
             json.dump(EVOLVE_CONFIG, handle)
         return _prints(" ".join(argv), ["-c", code, *argv, "--out", "out"],
                        f"0 {' '.join(sorted(loaded))}\n", cwd=where)
+
+
+def residue_calls_no_libm_function():
+    """`residue` on the bundled example exits 0 with the probe table's bytes, with libm refused.
+
+    `math.tan`, `atan2`, `pow`, `exp` and `log` call the platform's C math
+    library (libm), whose last bits differ between libms and versions, so they
+    are replaced by functions that raise before `gamow.cli` is imported.
+    """
+    code = ("import math, sys\n"
+            "def refuse(*args):\n"
+            "    raise AssertionError('a libm function was called')\n"
+            "for name in ('tan', 'atan2', 'pow', 'exp', 'log'):\n"
+            "    setattr(math, name, refuse)\n"
+            "import gamow.cli\n"
+            "sys.exit(gamow.cli.main(sys.argv[1:]))\n")
+    done = subprocess.run([sys.executable, "-c", code, "residue", "--config", EXAMPLE],
+                          capture_output=True, env=child_env())
+    digest = hashlib.sha256(done.stdout).hexdigest()
+    expected = next(row.stdout for row in ROWS if row.name == "residue-example")
+    if done.returncode == 0 and digest == expected:
+        return []
+    return [f"residue with libm refused: exit {done.returncode}, stdout sha256 {digest}, expected "
+            f"{expected}; stderr {done.stderr[-300:]!r}"]
 
 
 def one_value_of_each_class():
@@ -242,6 +268,7 @@ CHECKS = [
     the_imports_load_nothing_early,
     each_command_loads_only_its_pipeline,
     the_readme_example_shows_its_values,
+    residue_calls_no_libm_function,
     every_value_class_has_a_value,
     pickles_and_copies_are_equal,
     changes_raise_attribute_error,

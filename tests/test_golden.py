@@ -9,7 +9,9 @@ recorded before the coefficient tables were reduced to the one dyad layout.
 The r = 16 and j = 20 digests were recorded from the block solver that the
 structural certificate replaced.  The whole-report residue digests were
 re-recorded when the contour legs moved from scipy's compiled QUADPACK to
-the one-pass complex Gauss-Kronrod quadrature, which moves `direct`,
+the one-pass complex Gauss-Kronrod quadrature, and again when the legs
+moved from the phase coordinate (libm's tan and atan2) to its half-angle
+(IEEE arithmetic, sqrt and CPython's hypot), which moves `direct`,
 `background`, `discrepancy` and `quadrature_error` in their last digits;
 the exact `residue` field and `passed` are pinned separately and did not
 move.
@@ -164,10 +166,10 @@ RESIDUE_MODELS = {
 }
 
 RESIDUE_GOLDEN = [
-    ("bundled-example", "7259dc172b4b0b191564c7ec68e89896342a42bbeedb71fb75b268eaec414ff8"),
-    ("order1-background", "6920c529edef894aa2bd925acb586009f8e6e150b9404482d9ce10476be0fa90"),
-    ("order4", "3e0f2c418254ae76035516251ca35bf3f7147b027f19bdf138b06a1e2f21a015"),
-    ("order6", "ea1c3d32b4320e0189cc3ed9ef891a3d10c60802b1406363d763d588c19cd7ae"),
+    ("bundled-example", "6781e9855b534d03460ff43b2e4fd33aa1a51916b63992a413fff6ebdac31896"),
+    ("order1-background", "f637130e1fbfe097232d734399ac3e8850434a889d05f81ec6f56dee6ef29d8b"),
+    ("order4", "9e87b00cea919c53c84fb530cf67a0f2f5be6f8f18aca1620d67223c44469ebf"),
+    ("order6", "f05dc530b7f2851fc9fdc62ce110983d83828f24408060b6589061dd08776967"),
 ]
 
 # The exact residue of each model, as the report writes it; it does not

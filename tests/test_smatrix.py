@@ -1,15 +1,17 @@
 """Tests for the rational amplitude model, residue expansion, and contour pieces."""
 
+import contextlib
 import math
 import sys
 import warnings
 from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
@@ -544,12 +546,14 @@ class TestPrecisionOracle:
     """The float check against 30-digit `mpmath.quad` pieces at the edge of its reach.
 
     The oracle's own discrepancy certifies its pieces; the product's verdict
-    at r = 14 and 15, Gamma = 1/2, is pinned, so a change of the contour or of
-    the error rule moves the reach on purpose.
+    at r = 15 and 16, Gamma = 1/2, is pinned, so a change of the contour or of
+    the error rule moves the reach on purpose.  The half-angle legs moved it
+    from r = 14 and 15: r = 15 now passes, at a discrepancy of 7.1e-9 but a
+    `quadrature_error` of 2.6e-7, a pass the quadrature cannot certify.
     """
 
     def test_the_last_pass_at_half_width_agrees_with_the_oracle(self):
-        model = higher_order_model(14, Fraction(1, 2))
+        model = higher_order_model(15, Fraction(1, 2))
         report = decomposition_check(model, HIGHER_ORDER_KET, HIGHER_ORDER_BRA)
         oracle = oracle_check(model, HIGHER_ORDER_KET, HIGHER_ORDER_BRA)
         assert report.passed
@@ -558,7 +562,7 @@ class TestPrecisionOracle:
 
     def test_the_first_failure_at_half_width_is_a_false_failure(self):
         # the float direct is off by the cancellation floor eps * (2/Gamma)^(r-1)
-        model = higher_order_model(15, Fraction(1, 2))
+        model = higher_order_model(16, Fraction(1, 2))
         report = decomposition_check(model, HIGHER_ORDER_KET, HIGHER_ORDER_BRA)
         oracle = oracle_check(model, HIGHER_ORDER_KET, HIGHER_ORDER_BRA)
         assert not report.passed  # `residue` exits 1
@@ -666,13 +670,14 @@ class TestGaussKronrod:
     @pytest.mark.parametrize("side, lo, hi", [(-1, -math.inf, 0.75), (0, 0.75, 1.25),
                                               (1, 1.25, math.inf)])
     def test_a_phase_leg_integrates_the_energy_integrand(self, side, lo, hi):
-        # E_R = 1, Gamma = 1/2: a side's whole phase range, [-pi/4, pi/4] or
-        # (0, pi/4], integrates the amplitude over that side's energies
+        # E_R = 1, Gamma = 1/2: a side's whole half-angle range, w in
+        # [-(sqrt(2) - 1), sqrt(2) - 1] or (0, sqrt(2) - 1], integrates the
+        # amplitude over that side's energies
         model = SMatrixModel(ComplexPole(1, Fraction(1, 2), 2), [cr(0, -1), cr(Fraction(1, 4))])
         integrand = _amplitude_integrand(model, F_KET, G_BRA)
         leg = smatrix._phase_leg(integrand, 1.0, 0.25, side, (lo, hi))
-        start = 0.0 if side else -smatrix._QUARTER
-        value, error, ier = smatrix.quad(leg, start, smatrix._QUARTER, [])
+        start = 0.0 if side else -smatrix._MEET
+        value, error, ier = smatrix.quad(leg, start, smatrix._MEET, [])
         expected, expected_error = scipy_complex_quad(integrand, lo, hi, [])
         assert ier == 0
         assert abs(value - expected) <= error + expected_error
@@ -748,7 +753,140 @@ class TestGaussKronrod:
 
         leg = smatrix._phase_leg(integrand, 1.0, 0.25, 0, (0.75, 1.25))
         with pytest.raises(ValueError, match=r"leg \[0.75, 1.25\]: ier 3, non-finite integrand"):
-            smatrix._leg(leg, [], -smatrix._QUARTER, smatrix._QUARTER)
+            smatrix._leg(leg, [], -smatrix._MEET, smatrix._MEET)
+
+    @pytest.mark.parametrize("peak, rest, raises", [
+        (complex(1.2e308, 1.2e308), complex(-2e307, -2e307), True),  # only peak - mean overflows
+        (complex(1.3e308, 1.3e308), 1j, True),
+        (complex(1e308, 1e308), 1j, False),
+        (complex(math.inf, 1.0), 1j, False),  # an infinite part: abs is inf, not an error
+    ])
+    def test_a_rule_raises_overflow_error_where_abs_of_a_complex_would(self, peak, rest, raises):
+        # the rule takes moduli by math.hypot and raises after the sums, so it
+        # raises for a node's value or its deviation from the mean as abs did
+        center_kronrod, _, abscissas = smatrix._GK21
+        kronrod = center_kronrod * peak
+        for _, kronrod_weight, _ in abscissas:
+            kronrod += kronrod_weight * (rest + rest)
+        mean = 0.5 * kronrod
+
+        def outcome():
+            if raises:
+                return pytest.raises(OverflowError, match="absolute value too large")
+            return contextlib.nullcontext()
+
+        with outcome():  # the reference: abs(complex) of each value and deviation
+            for z in (peak, rest, peak - mean, rest - mean):
+                abs(z)
+        with outcome():
+            smatrix._gauss_kronrod(lambda x: peak if x == 0.5 else rest, 0.0, 1.0, smatrix._GK21)
+
+
+def leg_energy(center, half, side, w):
+    """The energy at which `_phase_leg`'s `side` evaluates its integrand at w."""
+    energies = []
+    smatrix._phase_leg(lambda e: energies.append(e) or 1.0, center, half, side, None)(w)
+    return energies[0]
+
+
+class TestHalfAngleMap:
+    """`_phase` maps energies to the leg coordinate w, `_phase_leg` maps w back."""
+
+    # E_R and Gamma/2 across the exponent range; a tail's energies reach
+    # 1e150 half-widths from E_R, beyond which dE/dw overflows
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.floats(-1e300, 1e300), st.floats(1e-300, 1e300), st.sampled_from([-1, 0, 1]),
+           st.lists(st.floats(0, 1), min_size=2, max_size=2),
+           st.lists(st.floats(1, 1e150), min_size=2, max_size=2))
+    def test_each_leg_map_is_monotone_and_round_trips(self, center, half, side, peak, tail):
+        assume(center - half < center < center + half)  # as `_phase_window` requires
+        if side:  # E_R +- a * Gamma/2, a >= 1
+            energies = [center + side * half * a for a in sorted(tail)][::side]
+        else:  # E_R + (2a - 1) * Gamma/2, 0 <= a <= 1
+            energies = [center + half * (2.0 * a - 1.0) for a in sorted(peak)]
+        assume(all(math.isfinite(e) and abs(e) <= 1e300 for e in energies))
+        w = [smatrix._phase(side, e, center, half) for e in energies]
+        rising = 1 if side < 1 else -1  # w rises with E below and across the pole
+        assert rising * w[0] <= rising * w[1]
+        for e, t in zip(energies, w):
+            back = leg_energy(center, half, side, t)
+            assert abs(back - e) <= 4 * (sys.float_info.epsilon * abs(e - center) + math.ulp(e))
+
+    # E_R +- Gamma/2 exact in floats: dyadic values in one binade range
+    @pytest.mark.parametrize("center, half", [(1.0, 0.25), (-3.5, 2.0**-40), (2.0**600, 2.0**599)])
+    def test_the_peak_leg_meets_the_tails_at_tan_pi_over_8(self, center, half):
+        with mpmath.workdps(40):  # within an ulp of sqrt(2) - 1 = tan(pi/8)
+            assert abs(smatrix._MEET - (mpmath.sqrt(2) - 1)) < math.ulp(smatrix._MEET)
+        below, above = center - half, center + half
+        assert smatrix._phase(0, below, center, half) == -smatrix._MEET
+        assert smatrix._phase(0, above, center, half) == smatrix._MEET
+        assert smatrix._phase(-1, below, center, half) == smatrix._MEET
+        assert smatrix._phase(1, above, center, half) == smatrix._MEET
+        for side, w, edge in ((0, -smatrix._MEET, below), (0, smatrix._MEET, above),
+                              (-1, smatrix._MEET, below), (1, smatrix._MEET, above)):
+            assert leg_energy(center, half, side, w) == pytest.approx(edge, rel=0, abs=4 * math.ulp(edge))
+
+    @pytest.mark.parametrize("energy, width", [(Fraction(3, 2), Fraction(1, 2)), (10**4, 1),
+                                               (-8, Fraction(3, 4)), (Fraction(1, 4), Fraction(1, 2)),
+                                               (0, 10**6)])
+    def test_every_mapped_rung_lies_strictly_inside_its_leg(self, energy, width, monkeypatch):
+        model = higher_order_model(3, width, energy)
+        center, half, rungs = smatrix._phase_window(model, HIGHER_ORDER_KET, HIGHER_ORDER_BRA)
+        phase_leg, leg = smatrix._phase_leg, smatrix._leg
+        legs = []
+
+        def recording_phase_leg(integrand, center, half, side, energies):
+            integrand = phase_leg(integrand, center, half, side, energies)
+            integrand.side = side
+            return integrand
+
+        def recording_leg(integrand, breakpoints, lo, hi):
+            legs.append((integrand.side, integrand.energies, breakpoints, lo, hi))
+            return leg(integrand, breakpoints, lo, hi)
+
+        monkeypatch.setattr(smatrix, "_phase_leg", recording_phase_leg)
+        monkeypatch.setattr(smatrix, "_leg", recording_leg)
+        assert decomposition_check(model, HIGHER_ORDER_KET, HIGHER_ORDER_BRA).passed
+        assert sum(len(breakpoints) for _, _, breakpoints, _, _ in legs) > 0
+        for side, (low, high), breakpoints, lo, hi in legs:
+            inside = [e for e in rungs if low < e < high]
+            assert -smatrix._MEET <= lo < hi <= smatrix._MEET
+            assert breakpoints == sorted(set(breakpoints))
+            assert all(lo < w < hi for w in breakpoints)
+            assert len(breakpoints) == len(inside)
+            for w in breakpoints:  # each is a rung's image, as in the round trip above
+                e = leg_energy(center, half, side, w)
+                assert any(abs(e - rung) <= 4 * (sys.float_info.epsilon * abs(rung - center)
+                                                 + math.ulp(rung)) for rung in inside)
+
+
+class TestModulus:
+    """`_modulus` is `math.hypot` of the parts, and raises where abs(complex) raises."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.builds(complex, st.floats(), st.floats())
+           | st.builds(complex, st.floats(1e307, 1.8e308), st.floats(1e307, 1.8e308)))
+    def test_raises_where_abs_raises_and_is_hypot_elsewhere(self, z):
+        self.check(z)
+
+    @pytest.mark.parametrize("z", [complex(1.7e308, 1.7e308), complex(1.3e308, -1.3e308),
+                                   complex(1e308, 1e308), complex(math.inf, math.nan),
+                                   complex(math.nan, -math.inf), complex(math.nan, 1.0),
+                                   complex(-0.0, 0.0), complex(5e-324, 5e-324)])
+    def test_the_edges(self, z):
+        self.check(z)
+
+    @staticmethod
+    def check(z):
+        try:
+            expected = abs(z)
+        except OverflowError:
+            with pytest.raises(OverflowError, match="absolute value too large"):
+                smatrix._modulus(z)
+            return
+        modulus, hypot = smatrix._modulus(z), math.hypot(z.real, z.imag)
+        assert modulus == hypot or math.isnan(modulus) and math.isnan(hypot)
+        assert modulus == pytest.approx(expected, rel=2 * sys.float_info.epsilon, nan_ok=True)
 
 
 class TestAmplitudeIntegrand:
