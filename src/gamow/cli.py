@@ -208,6 +208,20 @@ def _resolve_run_config(args) -> dict:
     return settings
 
 
+def _clears(evolved) -> bool:
+    """Whether no `value` of `evolved` raises, nor a modulus overflows, at any t >= 0.
+
+    Term c_p t^p e^(-Gamma t) is below |c_p| max(1, p/(2 Gamma))^p, so an entry stays below
+    2^1000 where each term, times degree + 1, does; the log2s are bit lengths, rounded up.
+    """
+    a, b = evolved.pole.width.as_integer_ratio()
+    return all((abs(re) + abs(im)).bit_length() + 1 - den.bit_length()
+               + p * max(0, (p * b).bit_length() - a.bit_length())
+               + len(poly.coefficients).bit_length() < 1000
+               for poly in evolved.table.values()
+               for p, (re, im, den) in enumerate(c.triple for c in poly.coefficients))
+
+
 def cmd_evolve(args) -> int:
     """Write the decay curve of an evolved operator over a uniform time grid, in one pass."""
     settings = _resolve_run_config(args)
@@ -217,38 +231,40 @@ def cmd_evolve(args) -> int:
     entries = [(ket, bra) for ket in range(pole.order) for bra in range(pole.order)]
     t_end, last = settings["grid.t_end"], settings["grid.steps"] - 1
     csv = settings["format"] == CSV_FORMAT
-    rows = ["t,entry_l,entry_m,re,im,modulus"] if csv else []
     # a pure-exponential curve is checked against each entry's t = 0 modulus as it is made,
     # and the first violation in row order is reported after the write
-    base = {} if is_pure_exponential(evolved) else None
-    violation = None
-    try:
+    base, violation = ({} if is_pure_exponential(evolved) else None), []
+
+    def curve():  # the CSV text, or the JSON rows, in one piece per grid step
         for i in range(last + 1):
             t = t_end * i / last if i < last else t_end
             if math.isinf(t):  # t_end * i overflowed; i / last < 1 keeps t finite
                 t = t_end * (i / last)
+            rows = ["t,entry_l,entry_m,re,im,modulus\n"] if csv and not i else []
             for ket, bra in entries:
                 value = evolved.value(ket, bra, t)
                 re, im, modulus = value.real, value.imag, abs(value)
-                if csv:
-                    rows.append(f"{_fmt(t)},{ket},{bra},{_fmt(re)},{_fmt(im)},{_fmt(modulus)}")
-                else:
-                    rows.append(_ROW % (ket, bra, im, modulus, re, t))
+                rows.append(f"{_fmt(t)},{ket},{bra},{_fmt(re)},{_fmt(im)},{_fmt(modulus)}\n"
+                            if csv else _ROW % (ket, bra, im, modulus, re, t))
                 if base is None or violation:
                     continue
                 start = base.setdefault((ket, bra), modulus)  # the t = 0 rows come first
                 expected = start * math.exp(-width * t)
                 # relative above modulus 1, so that a large entry does not fail on one ulp
                 if abs(modulus - expected) > tolerance * max(1.0, start):
-                    violation = (f"pure-exponential contract violated at t={t}, entry "
-                                 f"({ket},{bra}): modulus {modulus!r} vs expected {expected!r}")
+                    violation.append(f"pure-exponential contract violated at t={t}, entry "
+                                     f"({ket},{bra}): modulus {modulus!r} vs expected {expected!r}")
+            yield ("" if csv else ",").join(rows)
+
+    payload = {"pole": {"E_R": settings["E_R"], "Gamma": width, "r": pole.order}, "operator": spec}
+    try:  # a curve that may fail part way is made whole first, so that it writes nothing
+        pieces = curve() if _clears(evolved) else list(curve())
+        _write_output(args.out, pieces if csv else _spliced_json(payload, "rows", pieces))
     except OverflowError:  # a coefficient or an entry modulus that no float holds
         raise ValueError(f"operator coefficients beyond the float range (Gamma {width!r}, "
                          f"operator {spec!r})") from None
-    payload = {"pole": {"E_R": settings["E_R"], "Gamma": width, "r": pole.order}, "operator": spec}
-    _write_output(args.out, ["\n".join(rows), "\n"] if csv else _spliced_json(payload, "rows", rows))
     if violation:
-        print(violation, file=sys.stderr)
+        print(violation[0], file=sys.stderr)
         return EXIT_VERIFICATION_FAILURE
     return EXIT_OK
 

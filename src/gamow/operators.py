@@ -41,7 +41,6 @@ from .exact import (
     binomial,
     json_number,
     matrix_rank,
-    ordered_sum,
 )
 from .jordan import ComplexPole
 
@@ -128,28 +127,28 @@ class TimePolynomialOperator(Value):
     def items(self):
         return sorted(self.table.items())
 
-    def decay_factor(self, t) -> float:
-        return math.exp(-float(self.pole.width) * float(t))
-
     def value(self, ket_order: int, bra_order: int, t) -> complex:
         """Numeric entry value exp(-width*t) * P(t).
 
-        Where the decay factor underflows to 0 the value is 0, also where
-        P(t) overflows.  Where only P(t) overflows, the terms are summed as
-        c_p * exp(p*ln(t) - width*t); ArithmeticError if that overflows too.
+        Where the decay factor underflows to 0 the value is 0, also where P(t) overflows.
+        Where only P(t) overflows, the terms are summed as c_p * exp(p*ln(t) - width*t), with
+        ln|c_p| in the exponent where exp alone overflows; ArithmeticError if that overflows too.
         """
         if not float(t) >= 0:  # a NaN too
             raise ValueError("operator evolution is defined for t >= 0 only")
-        decay = self.decay_factor(t)
+        decay = math.exp(-float(self.pole.width) * float(t))
         if not decay:
             return 0j
         poly = self.entry_polynomial(ket_order, bra_order)
         value = decay * complex(poly(float(t)))
         if not cmath.isfinite(value):
-            log_t, rate = math.log(float(t)), float(self.pole.width) * float(t)
+            log_t, rate, value = math.log(float(t)), float(self.pole.width) * float(t), 0
             try:
-                value = ordered_sum(complex(c) * math.exp(p * log_t - rate)
-                                    for p, c in enumerate(poly.coefficients))
+                for p, c in enumerate(map(complex, poly.coefficients)):
+                    try:
+                        value += c * math.exp(p * log_t - rate)  # left to right, not by sum()
+                    except OverflowError:  # where exp alone overflows, ln|c| joins its argument
+                        value += c and c / abs(c) * math.exp(p * log_t - rate + math.log(abs(c)))
             except OverflowError:
                 value = math.inf
             if not cmath.isfinite(value):

@@ -24,7 +24,7 @@ import pytest
 from cli_probes import REQUIRED_ARGS, child_env
 from constraint_oracle import equations, stored_system
 from contracts import PIPELINES
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gamow
@@ -246,6 +246,47 @@ class TestEvolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "float range" in captured.err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_curve_the_bound_cannot_clear_is_made_whole_before_its_first_byte(
+        self, tmp_path, capsys, fmt
+    ):
+        """t^2 at (0,0) is no float at t = 5e199: the rows at t = 0 come first, yet none is written.
+
+        (t/Gamma)^2 at Gamma = 1e-300 is far past 2^1000, so the table is not cleared.
+        """
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"Gamma": 1e-300, "r": 2, "format": fmt,
+                                      "grid": {"t_end": 1e200, "steps": 3},
+                                      "operator": {"kind": "dyad", "ket": 1, "bra": 1}}))
+        out = tmp_path / "out"
+        out.write_text("kept")
+        failed = ("", "verification failed: entry (0,0) at t=5e+199 exceeds the float range\n")
+        assert main(["evolve", "--config", str(config), "--out", str(out)]) == (
+            EXIT_VERIFICATION_FAILURE)
+        assert capsys.readouterr() == failed
+        assert out.read_text() == "kept"
+        assert main(["evolve", "--config", str(config)]) == EXIT_VERIFICATION_FAILURE
+        assert capsys.readouterr() == failed
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_cleared_curve_is_written_as_it_is_made(self, monkeypatch, fmt):
+        """Each grid step's rows are made after the steps before them are written, not before."""
+        made, made_when_written = [], []
+
+        def counted(self, ket, bra, t):
+            made.append(t)
+            return value(self, ket, bra, t)
+
+        def recording(out, pieces):
+            write(out, (made_when_written.append(len(made)) or piece for piece in pieces))
+
+        value, write = operators.TimePolynomialOperator.value, cli._write_output
+        monkeypatch.setattr(operators.TimePolynomialOperator, "value", counted)
+        monkeypatch.setattr(cli, "_write_output", recording)
+        _run_main(["evolve", "--r", "2", "--n", "1", "--steps", "5", "--format", fmt])
+        pieces = [4, 8, 12, 16, 20]  # one per grid step, of r^2 = 4 rows
+        assert made_when_written == (pieces if fmt == "csv" else [0, *pieces, 20])
 
     def test_include_prefactor_is_not_a_flag(self, capsys):
         assert exit_status(["evolve", "--include-prefactor"]) == EXIT_INPUT_ERROR
@@ -1435,16 +1476,18 @@ def test_the_splice_writes_what_json_dumps_writes(elements):
     assert text == json.dumps({**payload, "m": items}, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("argv, key, count", [
-    (["exp-check", "--j", "6"], "equations", 56),
-    (["exp-check", "--j", "0"], "equations", 0),
-    (["evolve", "--r", "2", "--n", "1", "--steps", "3", "--format", "json"], "rows", 12),
+@pytest.mark.parametrize("argv, key, count, per_piece", [
+    (["exp-check", "--j", "6"], "equations", 56, 1),
+    (["exp-check", "--j", "0"], "equations", 0, 1),
+    (["evolve", "--r", "2", "--n", "1", "--steps", "3", "--format", "json"], "rows", 12, 4),
 ], ids=["exp-check", "exp-check-no-equations", "evolve"])
-def test_each_long_list_is_streamed_one_piece_per_item(tmp_path, monkeypatch, argv, key, count):
+def test_each_long_list_is_streamed_one_piece_per_item(tmp_path, monkeypatch, argv, key, count,
+                                                       per_piece):
     """`_write_output` gets an iterator: the head, one piece per item of the list, then the tail.
 
     Each item's piece is the text of that item alone, after its "[" or ",".
-    exp-check's equations are those of the system's own JSON.
+    exp-check's equations are those of the system's own JSON.  An item of
+    evolve's is a grid step: its r^2 rows, joined by ",".
     """
     handed = []
 
@@ -1462,9 +1505,10 @@ def test_each_long_list_is_streamed_one_piece_per_item(tmp_path, monkeypatch, ar
         system = operators.exponentiality_constraints(int(argv[2]))
         assert items == system.to_json_dict()["equations"]
     head, *pieces, tail = handed
-    assert len(pieces) == len(items) == count
-    assert [json.loads(piece[1:]) for piece in pieces] == items
-    assert [piece[0] for piece in pieces] == ["[", *[","] * (count - 1)][:count]
+    assert len(pieces) * per_piece == len(items) == count
+    assert [json.loads(f"[{piece[1:]}]") for piece in pieces] == [
+        items[i:i + per_piece] for i in range(0, count, per_piece)]
+    assert [piece[0] for piece in pieces] == ["[", *[","] * (count - 1)][:len(pieces)]
     assert head.endswith(f'"{key}": ') and tail.startswith("\n  ]" if count else "[]")
 
 
@@ -1501,8 +1545,10 @@ def library_operator(pole, spec):
         return exponential_state_operator(
             pole, spec["n"], include_prefactor=spec["include_prefactor"]
         )
-    entries = spec["entries"] if spec["kind"] == "coefficients" else [spec]
-    table = {(e["ket"], e["bra"]): ComplexRational(*e["coeff"]) for e in entries}
+    table = {}
+    for e in spec["entries"] if spec["kind"] == "coefficients" else [spec]:
+        key = (e["ket"], e["bra"])
+        table[key] = table.get(key, 0) + ComplexRational(*e["coeff"])  # as the CLI sums them
     return operator_from_coefficients(pole, table)
 
 
@@ -1631,6 +1677,65 @@ def test_evolve_output_is_finite_with_an_honest_exit_code(data):
     else:
         numbers = [float(cell) for line in out.splitlines()[1:] for cell in line.split(",")]
     assert all(math.isfinite(x) for x in numbers)
+
+
+# a coefficient part across the float range, up to the largest float, or zero
+part = st.one_of(st.just(0.0), signed, huge)
+
+
+@st.composite
+def wide_evolve_configs(draw):
+    """An evolve config of each operator kind, its widths, coefficients and t_end across the floats."""
+    r = draw(st.integers(1, 4))
+    orders = st.integers(0, r - 1)
+    kind = draw(st.sampled_from(["binomial", "dyad", "coefficients"]))
+    if kind == "binomial":
+        operator = {"kind": kind, "n": draw(orders), "include_prefactor": draw(st.booleans())}
+    elif kind == "dyad":
+        operator = {"kind": kind, "ket": draw(orders), "bra": draw(orders),
+                    "coeff": [draw(part), draw(part)]}
+    else:
+        entries = draw(st.lists(st.tuples(orders, orders, part, part), min_size=1, max_size=4))
+        operator = {"kind": kind, "entries": [
+            {"ket": ket, "bra": bra, "coeff": [re, im]} for ket, bra, re, im in entries]}
+    return {"Gamma": draw(magnitude), "r": r, "operator": operator,
+            "grid": {"t_end": draw(magnitude | huge), "steps": draw(st.integers(2, 5))},
+            "format": draw(st.sampled_from(["csv", "json"]))}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(wide_evolve_configs())
+@example({"Gamma": 1e300, "r": 40, "format": "json", "grid": {"t_end": 1.0, "steps": 2},
+          "operator": {"kind": "dyad", "ket": 39, "bra": 39, "coeff": [1e290, 0.0]}})
+def test_a_table_the_bound_clears_has_a_float_value_and_modulus_at_every_grid_point(config):
+    """Where `_clears` holds, no `value` raises and no `abs` overflows, and the run exits 0.
+
+    Where it does not, the curve is made whole first: a run that fails writes nothing.  In the
+    example, entry (19,19) has C(39,19)^2 * 1e290 t^40, small beside exp(-Gamma t), yet no float
+    holds C(39,19)^2 * 1e290, and JSON's head would be written before the first row.
+    """
+    pole = ComplexPole(0, config["Gamma"], config["r"])
+    evolved = evolve_operator(library_operator(pole, config["operator"]))
+    cleared = cli._clears(evolved)
+    if cleared:
+        t_end, last = config["grid"]["t_end"], config["grid"]["steps"] - 1
+        for i in range(last + 1):
+            t = t_end * i / last if i < last else t_end
+            t = t_end * (i / last) if math.isinf(t) else t
+            for ket in range(pole.order):
+                for bra in range(pole.order):
+                    assert math.isfinite(abs(evolved.value(ket, bra, t)))
+    with tempfile.TemporaryDirectory() as workdir:
+        config_path = os.path.join(workdir, "config.json")
+        with open(config_path, "w", encoding="utf-8") as handle:
+            json.dump(config, handle)
+        code, out, err = _run_main(["evolve", "--config", config_path])
+    if cleared:
+        assert (code, err) == (EXIT_OK, "")
+    if code == EXIT_OK or err.startswith("pure-exponential contract violated"):
+        assert not _nonfinite_in(out), out
+    else:  # the failed run wrote nothing
+        assert out == "", err
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -256,6 +257,23 @@ class TestEvolveOperator:
             assert not cmath.isfinite(evolved.entry_polynomial(0, 0)(t))
             expected = math.exp(8 * math.log(t) - width * t)  # t^8 exp(-width t)
             assert evolved.value(0, 0, t) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("coeff", [0.5, complex(0.3, -0.4), -0.5j])
+    def test_a_term_whose_exp_alone_overflows_folds_in_its_coefficient(self, coeff):
+        """c t^2 exp(-Gamma t) at t = 2.72e154, where exp(2 ln t - Gamma t) is no float.
+
+        At |c| = 0.5 the value, of modulus 1.364e308, is a float; the oracle is 30-digit mpmath.
+        """
+        width, t = 3.67182720458848e-155, 2.723439705306271e+154
+        evolved = evolve_operator(dyad_operator(ComplexPole(0, width, 2), {(1, 1): coeff}))
+        with pytest.raises(OverflowError):
+            math.exp(2 * math.log(t) - width * t)
+        with mpmath.workdps(30):
+            exact = complex(ComplexRational.from_value(coeff))
+            expected = mpmath.mpc(exact) * mpmath.mpf(t) ** 2 * mpmath.exp(-mpmath.mpf(width) * t)
+            expected = complex(expected)
+        assert evolved.entry_polynomial(0, 0) == Polynomial([0, 0, coeff])
+        assert evolved.value(0, 0, t) == pytest.approx(expected, rel=1e-13)
 
     def test_value_beyond_the_float_range_raises(self):
         evolved = evolve_operator(dyad_operator(ComplexPole(0, 1e-300, 5), {(4, 4): 1}))
