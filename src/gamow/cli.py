@@ -214,7 +214,7 @@ def _clears(evolved) -> bool:
     Term c_p t^p e^(-Gamma t) is below |c_p| max(1, p/(2 Gamma))^p, so an entry stays below
     2^1000 where each term, times degree + 1, does; the log2s are bit lengths, rounded up.
     """
-    a, b = evolved.pole.width.as_integer_ratio()
+    a, b = evolved.pole._width_ratio()
     return all((abs(re) + abs(im)).bit_length() + 1 - den.bit_length()
                + p * max(0, (p * b).bit_length() - a.bit_length())
                + len(poly.coefficients).bit_length() < 1000

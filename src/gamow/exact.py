@@ -4,7 +4,8 @@ Everything here stays inside the Gaussian rationals: a number is one integer
 triple (re, im, den) for (re + i*im)/den in lowest terms, polynomials carry
 such numbers as coefficients, and the row reduction behind the rank check
 never rounds.  Floating point enters only when a caller evaluates
-at a float/complex argument or converts explicitly.
+at a float/complex argument or converts explicitly.  No command makes a
+`Fraction`, so `fractions` is imported only where one is: in `as_fraction`.
 
 Mixing with floats follows the `Fraction` convention: a float or complex
 operand demotes the result to `complex`.  Floats passed where an exact value
@@ -14,14 +15,14 @@ is expected are embedded exactly (every double is a binary rational).
 import cmath
 import math
 import sys
-from fractions import Fraction
 
 _HASH_IMAG = sys.hash_info.imag
 _HASH_MODULUS = 1 << sys.hash_info.width
 
 
-def as_fraction(value) -> Fraction:
+def as_fraction(value):
     """Coerce an int, Fraction, float, or numeric string to an exact Fraction."""
+    from fractions import Fraction
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, float, str)):
@@ -147,12 +148,12 @@ class ComplexRational:
         return cls(value)
 
     @property
-    def real(self) -> Fraction:
-        return Fraction(self.triple[0], self.triple[2])
+    def real(self):
+        return as_fraction(self.triple[0]) / self.triple[2]
 
     @property
-    def imag(self) -> Fraction:
-        return Fraction(self.triple[1], self.triple[2])
+    def imag(self):
+        return as_fraction(self.triple[1]) / self.triple[2]
 
     # -- arithmetic -------------------------------------------------------
 
@@ -276,18 +277,21 @@ def _canonical(re: int, im: int, den: int) -> ComplexRational:
 
 def _ratio(value) -> tuple:
     """(numerator, denominator > 0) of an int, Fraction, float, or numeric string."""
-    if not isinstance(value, (int, float, Fraction)):
+    if not isinstance(value, (int, float)):
         value = as_fraction(value)
     return value.as_integer_ratio()
 
 
 def _exact_parts(value):
-    """The canonical triple of an exact operand, or None for the float path."""
+    """The triple of an exact operand (ComplexRational, int or Fraction), else None."""
+    if isinstance(value, (float, complex)):  # the float path's operands, told apart first
+        return None
     if isinstance(value, ComplexRational):
         return value.triple
     if isinstance(value, int):
         return value, 0, 1
-    if isinstance(value, Fraction):
+    fractions = sys.modules.get("fractions")  # no Fraction exists before it is loaded
+    if fractions is not None and isinstance(value, fractions.Fraction):
         return value.numerator, 0, value.denominator
     return None
 
@@ -435,7 +439,7 @@ class Polynomial(Value):
 
     def __call__(self, z):
         """Evaluate by Horner's rule; exact for exact z, complex otherwise."""
-        if isinstance(z, (ComplexRational, int, Fraction)):
+        if _exact_parts(z) is not None:
             z = ComplexRational.from_value(z)
             acc = ZERO
             for c in reversed(self.coefficients):

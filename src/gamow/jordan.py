@@ -12,37 +12,49 @@ safe to call concurrently.
 
 import cmath
 import math
-from fractions import Fraction
 
-from .exact import ComplexRational, ZERO, ONE, Value, as_fraction, binomial
+from .exact import ComplexRational, ZERO, ONE, Value, _canonical, _ratio, as_fraction, binomial
 
 _MINUS_I = ComplexRational(0, -1)
 
 
 class ComplexPole(Value):
-    """Resonance pole z = E - i*width/2 of a given order on the lower half-plane."""
+    """Resonance pole z = E - i*width/2 of a given order on the lower half-plane.
 
-    __slots__ = ("resonance_energy", "width", "order")
+    The fields are the exact `position` z and the `order`; `resonance_energy`
+    and `width` are `Fraction` views of z, made where they are read.
+    """
 
-    def __init__(self, resonance_energy: Fraction, width: Fraction, order: int):
+    __slots__ = ("position", "order")
+
+    def __init__(self, resonance_energy, width, order: int):
         for name, value in (("resonance energy", resonance_energy), ("width", width)):
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"pole {name} must be finite, got {value!r}")
-        resonance_energy = as_fraction(resonance_energy)
-        width = as_fraction(width)
-        if width <= 0:
-            raise ValueError(f"pole width must be positive, got {width}")
+        a, b = _ratio(resonance_energy)
+        c, d = _ratio(width)
+        if c <= 0:
+            raise ValueError(f"pole width must be positive, got {as_fraction(width)}")
         if not isinstance(order, int) or order < 1:
             raise ValueError(f"pole order must be an integer >= 1, got {order!r}")
-        Value.__init__(self, resonance_energy, width, order)
+        Value.__init__(self, _canonical(2 * a * d, -b * c, 2 * b * d), order)  # a/b - i*c/(2d)
 
     @property
-    def position(self) -> ComplexRational:
-        """Exact pole position E - i*width/2 (strictly below the real axis)."""
-        return ComplexRational(self.resonance_energy, -self.width / 2)
+    def resonance_energy(self):
+        return self.position.real
+
+    @property
+    def width(self):
+        return -2 * self.position.imag
+
+    def _width_ratio(self) -> tuple:
+        """Width in lowest terms, (num, den): num / den is float(self.width), subnormal too."""
+        _, im, den = self.position.triple
+        divisor = math.gcd(2 * im, den)
+        return -2 * im // divisor, den // divisor
 
 
-def _check_time(t) -> Fraction:
+def _check_time(t):
     t = as_fraction(t)
     if t < 0:
         raise ValueError(f"time evolution is defined for t >= 0 only, got t={t}")
@@ -59,7 +71,7 @@ class GamowChainVector(Value):
 
     __slots__ = ("pole", "coefficients", "phase_time")
 
-    def __init__(self, pole: ComplexPole, coefficients: tuple, phase_time: Fraction = Fraction(0)):
+    def __init__(self, pole: ComplexPole, coefficients: tuple, phase_time=0):
         coeffs = tuple(ComplexRational.from_value(c) for c in coefficients)
         if len(coeffs) != pole.order:
             raise ValueError(

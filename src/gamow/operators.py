@@ -98,7 +98,8 @@ def exponential_state_operator(pole: ComplexPole, n: int,
     r = pole.order
     if not 0 <= n <= r - 1:
         raise ValueError(f"operator order n={n} requires chain orders up to n; pole order is {r}")
-    scale = pole.width**n / math.factorial(n) if include_prefactor else 1
+    a, b = pole._width_ratio()
+    scale = ComplexRational(a**n) / (b**n * math.factorial(n)) if include_prefactor else 1
     return DyadicOperator(pole, {k: c * scale for k, c in binomial_pattern_matrix(r, n).items()})
 
 
@@ -136,13 +137,14 @@ class TimePolynomialOperator(Value):
         """
         if not float(t) >= 0:  # a NaN too
             raise ValueError("operator evolution is defined for t >= 0 only")
-        decay = math.exp(-float(self.pole.width) * float(t))
+        numerator, denominator = self.pole._width_ratio()
+        decay = math.exp(-numerator / denominator * float(t))
         if not decay:
             return 0j
         poly = self.entry_polynomial(ket_order, bra_order)
         value = decay * complex(poly(float(t)))
         if not cmath.isfinite(value):
-            log_t, rate, value = math.log(float(t)), float(self.pole.width) * float(t), 0
+            log_t, rate, value = math.log(float(t)), numerator / denominator * float(t), 0
             try:
                 for p, c in enumerate(map(complex, poly.coefficients)):
                     try:

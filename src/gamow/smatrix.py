@@ -23,14 +23,15 @@ import heapq  # at module load: only the residue path loads this module
 import json
 import math
 import sys
-from fractions import Fraction
 
 from .exact import (
     ComplexRational,
+    I,
     Polynomial,
     RationalFunction,
     Value,
     ZERO,
+    _exact_parts,
     coefficient_from_json,
     ordered_sum,
     reject_unknown_keys,
@@ -41,9 +42,9 @@ from .jordan import ComplexPole
 KET_ROLE = "ket"
 BRA_ROLE = "bra"
 
-# A denominator root must lie above the real axis by more than this
-# fraction of max(1, R), R a power-of-two bound on the root moduli.
-_ROOT_MARGIN = Fraction(1, 10**9)
+# A denominator root must lie above the real axis by more than max(1, R)
+# over this, R a power-of-two bound on the root moduli.
+_ROOT_MARGIN = 10**9
 
 
 def _modulus_exponent(coefficients) -> int:
@@ -91,7 +92,7 @@ def _roots_above(polynomial: Polynomial, height) -> bool:
     n = polynomial.degree
     if n < 1:
         return True
-    shifted = polynomial.taylor_coefficients(ComplexRational(0, height), n + 1)
+    shifted = polynomial.taylor_coefficients(I * height, n + 1)
     scale = shifted[-1].conjugate()
     parts = [(c * scale).triple for c in shifted]
     common = math.lcm(*(den for _, _, den in parts))
@@ -136,10 +137,10 @@ def _require_upper_half_plane_roots(function: RationalFunction, what: str):
         raise ValueError(f"{what} must be bounded at infinity: numerator degree "
                          f"{numerator.degree}, denominator degree {denominator.degree}")
     exponent = _modulus_exponent(denominator.coefficients)
-    if not _roots_above(denominator, _ROOT_MARGIN * 2**exponent):
+    if not _roots_above(denominator, ComplexRational(2**exponent) / _ROOT_MARGIN):
         raise ValueError(  # the height from its exponent: as a float it may overflow
             f"{what} must be analytic in the closed lower half-plane; a denominator root "
-            f"is not above the real axis by more than {float(_ROOT_MARGIN):.3g} * 2^{exponent}")
+            f"is not above the real axis by more than {1 / _ROOT_MARGIN:.3g} * 2^{exponent}")
 
 
 class TestFunction(Value):
@@ -205,7 +206,7 @@ class SMatrixModel(Value):
     def __call__(self, z):
         """Evaluate the amplitude; exact for exact z, complex otherwise."""
         position = self.pole.position
-        if isinstance(z, (ComplexRational, int, Fraction)):
+        if _exact_parts(z) is not None:
             z = ComplexRational.from_value(z)
             if z == position:
                 raise ZeroDivisionError("evaluation at the pole position")
@@ -415,7 +416,8 @@ def _phase_window(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestFunctio
     before any rung is built, where one would leave the float range or
     E_R +- Gamma/2 are not distinct floats.
     """
-    center, width = float(model.pole.resonance_energy), float(model.pole.width)
+    numerator, denominator = model.pole._width_ratio()
+    center, width = complex(model.pole.position).real, numerator / denominator
     half = 0.5 * width
     exponent = max(_modulus_exponent(f.denominator.coefficients)
                    for f in (ket_fn.function, bra_fn.function, model.background) if f is not None)

@@ -5,7 +5,10 @@ checks what a user sees: the exit code (0 when the claim is reproduced, 1
 when a check fails, 2 for bad input), stderr and stdout.  A row may also
 limit the subprocess's time (it is killed and reaped past `seconds`) and its
 peak RSS (`peak_mb`, read from the rusage that `os.wait4` returns for it).
-A new refusal is one more row.
+Linux starts a child's peak at its parent's RSS, so a row with a peak limit
+is spawned by a helper interpreter that loads only `os` and `sys` (7-9 MB on
+Python 3.10 to 3.13), which reaps it and reports its peak, and the runner's
+own RSS is no floor.  A new refusal is one more row.
 
 tests/test_cli_probes.py runs the rows under pytest against this checkout.
 As a script, this file runs them against any command line and prints one
@@ -29,6 +32,7 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -45,6 +49,13 @@ INPUT = "input.json"  # where a row's document is written
 # the stdout rules, besides Contains(text); any other rule is the sha256 of stdout
 EMPTY, FINITE, NOT_PASSED = "empty", "no NaN or Infinity, nor nan or inf", 'no "passed": true'
 CHUNK = 1 << 16  # how much of a child's stdout the runner reads at a time
+# the helper: argv[1] is the descriptor that the command's peak, in ru_maxrss units, is
+# written to, the rest is the command line; it exits with the command's exit code
+MEASURE = ("import os, sys\n"
+           "pid = os.posix_spawnp(sys.argv[2], sys.argv[2:], os.environ)\n"
+           "_, status, usage = os.wait4(pid, 0)\n"
+           "os.write(int(sys.argv[1]), b'%d' % usage.ru_maxrss)\n"
+           "os._exit(os.waitstatus_to_exitcode(status) % 256)\n")
 
 
 class Contains(str):
@@ -110,6 +121,11 @@ ROWS = [
     # t_end * i overflows from i = 2 on, and every grid point must still be finite
     Row("evolve-t-end-1e308", ("evolve", "--r", "1", "--t-end", "1e308", "--steps", "5"), 0,
         stdout=FINITE),
+    # the decay's width is Gamma's correctly rounded float, 5e-324, though Im z = -Gamma/2 is
+    # no float: half of the least subnormal rounds to 0, and -2 * 0 would leave no decay at all
+    Row("evolve-gamma-5e-324", ("evolve", "--gamma", "5e-324", "--t-end", "1e308", "--steps",
+                                "3", "--r", "1", "--n", "0"), 0,
+        stdout="e10e35adaac4536c84287f62a21401eefedd5644e49bc4ceccdb0cc397df66a9"),
     # the large outputs: about 9 s together
     # exp-check --r 30 streams its 77 MB from the certified rows: a peak RSS of 38-44 MB on Linux
     # x86-64, Python 3.10 to 3.13; holding the whole text took 95 MB
@@ -118,9 +134,9 @@ ROWS = [
     Row("basis-r58-csv", ("basis", "--r", "58", "--format", "csv"), 0, script_only=_SLOW,
         stdout="1083d0c0df315e4b721e5e5dfe627fb804e583ec4d96b5081c5447096dd23e07"),
     # evolve clears the curve's float range from the exact table, then writes each grid step's
-    # rows as it makes them: 11-16 MB for its 20 MB on Python 3.10 to 3.13, 16-21 MB in table
-    # order, where the runner's own RSS, carried into each child's, is the floor; holding every
-    # row text took 106-110 MB, and a list of row tuples beside the text 233 MB
+    # rows as it makes them: 11-16 MB for its 20 MB on Python 3.10 to 3.13, in table order too,
+    # since the helper starts it; holding every row text took 106-110 MB, and a list of row
+    # tuples beside the text 233 MB
     Row("evolve-r8-n7-steps10001", ("evolve", "--r", "8", "--n", "7", "--steps", "10001"), 0,
         stdout=FINITE, script_only=_SLOW, peak_mb=25),
     # the same curve as JSON, each step's rows spliced into the report as they are made: the
@@ -134,6 +150,8 @@ ROWS = [
     _model("residue-gamma-1e200", {"Gamma": 1e200}, _BEYOND.format("5e+199")),
     _model("residue-energy-1e200", {"E_R": 1e200}, _APART.format("1e+200", "0.5")),
     _model("residue-gamma-1e-300", {"Gamma": 1e-300}, _APART.format("1.0", "1e-300")),
+    # the window's Gamma is the float of the exact Gamma, not -2 times Im z, which rounds to 0
+    _model("residue-gamma-5e-324", {"Gamma": 5e-324}, _APART.format("1.0", "5e-324")),
     # the exact residue term would overflow its float; the leg across the peak meets that first
     _model("residue-term-beyond-float", {
         "E_R": 0.0, "Gamma": 1e156, "r": 1, "laurent": [[1.0, 1e300]], "test_functions": [
@@ -248,12 +266,13 @@ def _document(row):
 
 
 def _reap(child, seconds):
-    """Wait for `child`, killing it after `seconds`: its exit code, None if killed, and peak MB."""
+    """Wait for `child`, killing its session after `seconds`: exit code, None if killed; peak MB."""
     killed = threading.Event()
 
     def kill():
         killed.set()
-        child.kill()
+        with contextlib.suppress(ProcessLookupError):  # the session ended meanwhile
+            os.killpg(child.pid, signal.SIGKILL)
 
     timer = threading.Timer(seconds, kill)
     timer.start()
@@ -262,9 +281,12 @@ def _reap(child, seconds):
     finally:
         timer.cancel()
     child.returncode = os.waitstatus_to_exitcode(status)  # so that Popen never waits again
-    # ru_maxrss is in KiB on Linux and in bytes on macOS
-    peak = usage.ru_maxrss / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
-    return (None if killed.is_set() else child.returncode), peak
+    return (None if killed.is_set() else child.returncode), _megabytes(usage.ru_maxrss)
+
+
+def _megabytes(maxrss):
+    """ru_maxrss in MB: it is in KiB on Linux and in bytes on macOS."""
+    return maxrss / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
 
 
 def run(row, command):
@@ -273,7 +295,7 @@ def run(row, command):
     Returns what the row broke, [] if nothing, and the child's peak RSS in MB.
     """
     with (tempfile.TemporaryDirectory() as where, tempfile.TemporaryFile() as out_file,
-          tempfile.TemporaryFile() as err_file):
+          tempfile.TemporaryFile() as err_file, tempfile.TemporaryFile() as peak_file):
         if row.document is not None:
             with open(os.path.join(where, INPUT), "w", encoding="utf-8") as handle:
                 json.dump(_document(row), handle)
@@ -282,9 +304,15 @@ def run(row, command):
             os.chmod(os.path.join(where, "locked"), 0o555)
         with open(row.stdout_to, "wb") if row.stdout_to else (
                 contextlib.nullcontext(out_file)) as stdout:
-            child = subprocess.Popen([*command, *row.argv], cwd=where, env=child_env(),
-                                     stdout=stdout, stderr=err_file)
+            helper = [] if row.peak_mb is None else [
+                sys.executable, "-I", "-S", "-c", MEASURE, str(peak_file.fileno())]
+            child = subprocess.Popen([*helper, *command, *row.argv], cwd=where, env=child_env(),
+                                     stdout=stdout, stderr=err_file, start_new_session=True,
+                                     pass_fds=(peak_file.fileno(),) if helper else ())
         code, peak = _reap(child, row.seconds)
+        reported = _read(peak_file)  # by the helper, once the command has exited
+        if reported:
+            peak = _megabytes(int(reported))
         if code is None:
             return [f"no exit within {row.seconds:g} s"], peak
         broken, head = scan(out_file, row.stdout)

@@ -88,10 +88,12 @@ def the_imports_load_nothing_early():
 
     `dir(gamow)` already lists every name of `__all__`.  Nor does `gamow.cli`
     load what only help and usage errors (argparse, gettext) or the tests
-    (numpy, scipy) need, or dataclasses and inspect.  Only what the imports
-    add counts, not what the interpreter's start-up loaded.
+    (numpy, scipy) need, or dataclasses and inspect, or fractions with the
+    decimal and numbers it loads.  Only what the imports add counts, not what
+    the interpreter's start-up loaded.
     """
-    unwanted = {*PIPELINES, "argparse", "gettext", "dataclasses", "inspect", "numpy", "scipy"}
+    unwanted = {*PIPELINES, "argparse", "gettext", "dataclasses", "inspect", "numpy", "scipy",
+                "fractions", "decimal", "numbers"}
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             "import gamow\n"
@@ -107,10 +109,10 @@ def each_command_loads_only_its_pipeline(line):
     """The argv exits 0 in its own fresh interpreter, with numpy and scipy unimportable.
 
     It loads its own pipeline module, and argparse (with its gettext) only
-    where argparse reads the argv.
+    where argparse reads the argv, and never fractions, decimal or numbers.
     """
     argv, by_argparse = line
-    watched = {"argparse", "gettext", *PIPELINES}
+    watched = {"argparse", "gettext", "fractions", "decimal", "numbers", *PIPELINES}
     code = ("import sys\n"
             "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
             "import gamow.cli\n"
@@ -222,7 +224,7 @@ def changes_raise_attribute_error(value):
 
 
 @over([(ConstraintSystem, (2,)), (ConstraintSystem, (2, (), None)),
-       (ComplexPole, (1, 2)), (ComplexPole, (1, 2, 3, 4))],
+       (ComplexPole, (1,)), (ComplexPole, (1, 2, 3, 4))],
       lambda case: f"{case[0].__name__}-{len(case[1])}")
 def a_wrong_field_count_raises_type_error(case):
     """The pickle constructor binds fields positionally, so a wrong count names the count."""

@@ -29,6 +29,15 @@ def test_a_row_over_its_memory_limit_reports_the_measured_peak():
     assert faults == [f"peak RSS {peak:.1f} MB, above the limit of 1 MB"]
 
 
+def test_a_limited_row_reads_its_own_peak_not_the_runners():
+    """A child's peak starts at its parent's RSS, here above 64 MB; basis --r 3 needs 10-16 MB."""
+    ballast = b"x" * (64 << 20)
+    row = next(row for row in ROWS if row.name == "basis-r3")._replace(peak_mb=60)
+    faults, peak = run(row, COMMAND)
+    assert len(ballast) == 64 << 20  # held until the row has run
+    assert faults == [] and peak < 32
+
+
 def test_a_row_past_its_time_limit_is_killed_and_reaped():
     """exp-check --r 30 computes for about a second; no child is left behind after the kill."""
     row = Row("exp-check-r30-hurried", ("exp-check", "--r", "30"), 0, seconds=0.05)

@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 from importlib.resources import files
 
@@ -283,6 +284,22 @@ class TestPolynomial:
         p = Polynomial([1, 0, 1])
         assert p(1j) == pytest.approx(0)
         assert p(2.0) == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("z, exact", [
+        (3, True), (True, True), (Fraction(7, 2), True), (cr(3, 1), True),
+        (3.0, False), (3 + 1j, False), ("3", False), (Decimal("3.5"), False),
+    ], ids=["int", "bool", "Fraction", "ComplexRational", "float", "complex", "str", "Decimal"])
+    def test_an_exact_operand_is_one_of_four_types(self, z, exact):
+        """Int, bool, Fraction and ComplexRational evaluate and add exactly; the rest do not."""
+        p = Polynomial([1, -2, 1])
+        if exact:
+            assert p(z) == p(ComplexRational.from_value(z)) and type(p(z)) is ComplexRational
+            assert cr(1, 1) + z == cr(1, 1) + ComplexRational.from_value(z)
+        else:
+            assert type(p(z)) is complex and p(z) == pytest.approx(p(complex(z)))
+            if not isinstance(z, (float, complex)):  # a str or a Decimal: no sum at all
+                with pytest.raises(TypeError):
+                    cr(1, 1) + z
 
     def test_scalar_operations(self):
         p = Polynomial([1, 1])

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gamow.exact import ComplexRational, ONE, ZERO
 from gamow.jordan import (
@@ -24,6 +26,24 @@ def cr(re, im=0):
 
 
 POLE = ComplexPole(2, 1, 4)  # z = 2 - i/2
+# E or Gamma as the constructor takes them: int, Fraction, float (subnormals too) or numeric str
+EXACT_INPUTS = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.fractions(max_denominator=10**12),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**6),
+              st.floats(-1e6, 1e6)).map(str),
+)
+
+
+def _spellings(value: Fraction):
+    """Each way to give `value` to the constructor that spells it exactly."""
+    spellings = [value, str(value)]
+    if value.denominator == 1:
+        spellings.append(int(value))
+    if float(value) == value:
+        spellings.append(float(value))
+    return spellings
 
 
 # -- independent oracles used below ----------------------------------------
@@ -94,6 +114,28 @@ class TestComplexPole:
     def test_bad_order_rejected(self, order):
         with pytest.raises(ValueError):
             ComplexPole(1, 1, order)
+
+    @settings(max_examples=300, deadline=None)
+    @given(energy=EXACT_INPUTS, width=EXACT_INPUTS.filter(lambda value: Fraction(value) > 0))
+    @example(energy=0, width=5e-324)
+    @example(energy=-2.5e-323, width=2.225073858507201e-308)
+    @example(energy="1/3", width=Fraction(1, 6))
+    def test_the_position_holds_the_inputs_exactly(self, energy, width):
+        pole = ComplexPole(energy, width, 2)
+        e, w = Fraction(energy), Fraction(width)
+        assert pole.position == ComplexRational(e, -w / 2)
+        assert type(pole.resonance_energy) is Fraction and pole.resonance_energy == e
+        assert type(pole.width) is Fraction and pole.width == w
+        # the width the commands compute with: Gamma in lowest terms, and its correctly
+        # rounded float, subnormal widths included
+        numerator, denominator = pole._width_ratio()
+        assert (numerator, denominator) == w.as_integer_ratio()
+        assert numerator / denominator == float(w)
+        for twin_energy in _spellings(e):
+            for twin_width in _spellings(w):
+                twin = ComplexPole(twin_energy, twin_width, 2)
+                assert twin == pole and hash(twin) == hash(pole)
+        assert ComplexPole(e, w, 3) != pole
 
 
 class TestBuildJordanBlock:

@@ -307,7 +307,7 @@ class TestExactRootTest:
     def test_integer_chain_agrees_with_the_fraction_chain(self, polynomial, which):
         exponent = smatrix._modulus_exponent(polynomial.coefficients)
         assert exponent == fraction_modulus_exponent(polynomial.coefficients)
-        height = {"zero": 0, "margin": smatrix._ROOT_MARGIN * 2**exponent,
+        height = {"zero": 0, "margin": Fraction(2**exponent, smatrix._ROOT_MARGIN),
                   "quarter": Fraction(1, 4)}[which]
         assert smatrix._roots_above(polynomial, height) == fraction_roots_above(polynomial, height)
 
@@ -345,6 +345,17 @@ class TestEvaluate:
         )
         z = cr(Fraction(5, 2), Fraction(-1, 3))
         assert complex(model(z)) == pytest.approx(model(complex(z)))
+
+    @pytest.mark.parametrize("z", [3, True, Fraction(7, 2), cr(3, 1), 3.0, 3 + 1j, "3"],
+                             ids=["int", "bool", "Fraction", "ComplexRational", "float",
+                                  "complex", "str"])
+    def test_an_exact_argument_gives_an_exact_value(self, z):
+        model = SMatrixModel(ComplexPole(1, 2, 2), [cr(1, 1), cr(0, -1)])
+        if isinstance(z, (int, Fraction, ComplexRational)):
+            assert type(model(z)) is ComplexRational
+            assert model(z) == model(ComplexRational.from_value(z))
+        else:
+            assert type(model(z)) is complex and model(z) == model(complex(z))
 
     def test_pole_evaluation_rejected(self):
         model = SMatrixModel(ComplexPole(1, 1, 1), [cr(0, -1)])
