@@ -647,11 +647,11 @@ def decomposition_check(model: SMatrixModel, ket_fn: TestFunction, bra_fn: TestF
     quadrature_error = direct.error_estimate + background.error_estimate
     if not (math.isfinite(discrepancy) and math.isfinite(quadrature_error)):
         # finite only if direct, background and residue are all finite
+        num, den = model.pole._width_ratio()  # E_R and Gamma as floats, without a Fraction
         raise ValueError(
-            "the contour pieces, the residue term or their discrepancy leave the float "
-            f"range (E_R {float(model.pole.resonance_energy)!r}, Gamma "
-            f"{float(model.pole.width)!r}); the model's laurent or background, or a test "
-            "function, is too large or too small for floats")
+            "the contour pieces, the residue term or their discrepancy leave the float range (E_R "
+            f"{complex(model.pole.position).real!r}, Gamma {num / den!r}); the model's laurent or "
+            "background, or a test function, is too large or too small for floats")
     return DecompositionReport(
         direct=direct.value, background=background.value, residue=residue,
         discrepancy=discrepancy, tolerance=tolerance, quadrature_error=quadrature_error,

@@ -12,7 +12,8 @@ own RSS is no floor.  A new refusal is one more row.
 
 tests/test_cli_probes.py runs the rows under pytest against this checkout.
 As a script, this file runs them against any command line and prints one
-line per row, with the measured peak of each row that has a limit:
+line per row, with the measured peak of each row that has a limit and the
+row's wall time from spawn to reap, the helper's start included:
 
     PYTHONPATH=src python tests/cli_probes.py python -m gamow.cli
     python tests/cli_probes.py gamow        # the installed console script
@@ -37,6 +38,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from importlib.resources import files
 from typing import NamedTuple
 
@@ -85,6 +87,11 @@ def _model(name, edits, line):
     return Row(name, ("residue", "--config", INPUT), 2, line, document=MODEL, edits=edits)
 
 
+def _evolve(name, config):
+    """evolve on the document `config`, with finite output."""
+    return Row(name, ("evolve", "--config", INPUT), 0, stdout=FINITE, document=config)
+
+
 _BEYOND = ("input error: leg [0, {}]: ier 3, non-finite integrand: the model's E_R, Gamma, "
            "laurent or background, or a test function, is beyond the float range there")
 _APART = ("input error: pole window E_R +- Gamma/2 has points that floats cannot tell apart "
@@ -92,6 +99,7 @@ _APART = ("input error: pole window E_R +- Gamma/2 has points that floats cannot
 _DENIED = "cannot open locked/out.json: Permission denied"
 _EMPTY = "cannot open : No such file or directory"
 _SLOW = "slow: the four large outputs take about 9 s"
+_REACH = "a stated size whose wall time the script reports"
 _UNWRITABLE = "TestUnreadablePaths pins the line in-process, and that the handler never runs"
 # the least argv each subcommand runs with
 REQUIRED_ARGS = {"evolve": (), "exp-check": ("--r", "2"), "residue": ("--config", EXAMPLE),
@@ -110,6 +118,21 @@ ROWS = [
     Row("basis-r6-csv", ("basis", "--r", "6", "--format", "csv"), 0,
         stdout="f205b9d853f98dfe84a6b1b3acd10db31aba305cf5586485db5ff82c110ca4ff"),
     Row("evolve-r2-n1", ("evolve", "--r", "2", "--n", "1"), 0, stdout=FINITE),
+    Row("exp-check-j3", ("exp-check", "--j", "3"), 0,
+        stdout="666e33cdc5174a4e40883964163dee2e407401520cb26b9904251c580048ebd1"),
+    Row("evolve-r2-n1-json", ("evolve", "--r", "2", "--n", "1", "--steps", "5", "--format",
+                              "json"), 0, stdout=FINITE),
+    # the two other operator kinds; a complex coeff is [re, im]
+    _evolve("evolve-dyad-json", {"r": 3, "format": "json", "operator": {
+        "kind": "dyad", "ket": 1, "bra": 2, "coeff": [0.5, -1.0]}}),
+    _evolve("evolve-coefficients", {"r": 2, "operator": {"kind": "coefficients", "entries": [
+        {"ket": 0, "bra": 1, "coeff": 2.0}, {"ket": 1, "bra": 0, "coeff": [0.0, 1.0]}]}}),
+    # t^8 alone overflows where exp(-Gamma t) does not: the log form
+    _evolve("evolve-log-form", {"Gamma": 7e-38, "r": 5, "grid": {"t_end": 1e40, "steps": 3},
+                                "operator": {"kind": "dyad", "ket": 4, "bra": 4}}),
+    # the decay factor underflows to 0 past the first grid point
+    _evolve("evolve-underflow", {"r": 5, "grid": {"t_end": 1e100, "steps": 5},
+                                 "operator": {"kind": "dyad", "ket": 4, "bra": 4}}),
     # spellings that only argparse reads: the same bytes, help, or a usage error
     Row("exp-check-r-equals-3", ("exp-check", "--r=3"), 0,
         stdout="151e532e4c65b7e9cfa08ea290e48e92d3dad364c993d4e290359a1983638618"),
@@ -144,6 +167,10 @@ ROWS = [
     Row("evolve-r8-n7-steps10001-json", ("evolve", "--r", "8", "--n", "7", "--steps", "10001",
                                          "--format", "json"), 0,
         stdout=FINITE, script_only=_SLOW, peak_mb=25),
+    Row("exp-check-r20", ("exp-check", "--r", "20"), 0, script_only=_REACH,
+        stdout="4541e054e00a54202b8f9db49cdbc070107c42849a642eed6f1bf6720c2e9eae"),
+    Row("basis-r30", ("basis", "--r", "30"), 0, script_only=_REACH,
+        stdout="528a57a6c04fdeb324298ea8791ea82ddbe4e7d97d8768c8912c6f42dfdd50aa"),
     # models the floats cannot resolve
     _model("residue-laurent-1e308", {"laurent": [[1e308, 0.0], [0.1, 0.0]]},
            _BEYOND.format("0.75")),
@@ -265,6 +292,16 @@ def _document(row):
     return document
 
 
+def prepare(row, where):
+    """Write `row`'s document to input.json in the directory `where`, and its `locked` one."""
+    if row.document is not None:
+        with open(os.path.join(where, INPUT), "w", encoding="utf-8") as handle:
+            json.dump(_document(row), handle)
+    if row.needs == "non-root":
+        os.mkdir(os.path.join(where, "locked"))
+        os.chmod(os.path.join(where, "locked"), 0o555)
+
+
 def _reap(child, seconds):
     """Wait for `child`, killing its session after `seconds`: exit code, None if killed; peak MB."""
     killed = threading.Event()
@@ -292,29 +329,27 @@ def _megabytes(maxrss):
 def run(row, command):
     """Run `row` as a subprocess of the command line `command`.
 
-    Returns what the row broke, [] if nothing, and the child's peak RSS in MB.
+    Returns what the row broke, [] if nothing, the child's peak RSS in MB, and
+    the seconds from its spawn to its reap.
     """
     with (tempfile.TemporaryDirectory() as where, tempfile.TemporaryFile() as out_file,
           tempfile.TemporaryFile() as err_file, tempfile.TemporaryFile() as peak_file):
-        if row.document is not None:
-            with open(os.path.join(where, INPUT), "w", encoding="utf-8") as handle:
-                json.dump(_document(row), handle)
-        if row.needs == "non-root":
-            os.mkdir(os.path.join(where, "locked"))
-            os.chmod(os.path.join(where, "locked"), 0o555)
+        prepare(row, where)
         with open(row.stdout_to, "wb") if row.stdout_to else (
                 contextlib.nullcontext(out_file)) as stdout:
             helper = [] if row.peak_mb is None else [
                 sys.executable, "-I", "-S", "-c", MEASURE, str(peak_file.fileno())]
+            start = time.perf_counter()
             child = subprocess.Popen([*helper, *command, *row.argv], cwd=where, env=child_env(),
                                      stdout=stdout, stderr=err_file, start_new_session=True,
                                      pass_fds=(peak_file.fileno(),) if helper else ())
         code, peak = _reap(child, row.seconds)
+        seconds = time.perf_counter() - start
         reported = _read(peak_file)  # by the helper, once the command has exited
         if reported:
             peak = _megabytes(int(reported))
         if code is None:
-            return [f"no exit within {row.seconds:g} s"], peak
+            return [f"no exit within {row.seconds:g} s"], peak, seconds
         broken, head = scan(out_file, row.stdout)
         err = _read(err_file).decode("utf-8", "replace")
     faults = []
@@ -329,7 +364,7 @@ def run(row, command):
         faults.append(f"stdout breaks the rule {row.stdout!r}: {head!r}")
     if row.peak_mb is not None and peak > row.peak_mb:
         faults.append(f"peak RSS {peak:.1f} MB, above the limit of {row.peak_mb:g} MB")
-    return faults, peak
+    return faults, peak, seconds
 
 
 def scan(handle, rule):
@@ -372,12 +407,12 @@ def main(command):
         if reason:
             print(f"{row.name}: skipped: {reason}", flush=True)
             continue
-        faults, peak = run(row, command)
+        faults, peak, seconds = run(row, command)
         failed += bool(faults)
         verdict = "; ".join(faults) or "ok"
         if row.peak_mb is not None and not faults:  # a peak over its limit is a fault
             verdict += f" (peak RSS {peak:.1f} MB, limit {row.peak_mb:g} MB)"
-        print(f"{row.name}: {verdict}", flush=True)
+        print(f"{row.name}: {verdict}, {seconds:.3f} s", flush=True)
     print(f"{failed} of {len(ROWS)} rows failed against {' '.join(command)}")
     return 1 if failed else 0
 

@@ -1,10 +1,10 @@
 """The package's Python contracts as one list of checks, and the runner for them.
 
 A check is a function that returns what it found broken, [] when its
-contract holds: what `import gamow`, `import gamow.cli` and each command
-load, how one value of each value class pickles, copies and refuses
-changes, what README's example prints, and that `residue` calls no C math
-library function.  A check marked with `over`
+contract holds: what `import gamow`, `import gamow.cli`, each command and
+residue's float-range refusal load, how one value of each value class
+pickles, copies and refuses changes, what README's example prints, and that
+`residue` calls no C math library function.  A check marked with `over`
 takes one case, a command line or a value, and runs once per case.
 
 tests/test_contracts.py runs each run of each check as one test.  As a
@@ -152,6 +152,37 @@ def residue_calls_no_libm_function():
             f"{expected}; stderr {done.stderr[-300:]!r}"]
 
 
+def the_residue_refusal_loads_no_fractions():
+    """A residue term beyond the float range is refused with E_R and Gamma, without fractions.
+
+    `residue_expansion` raises OverflowError, as it does for such a term, in
+    a fresh interpreter on the bundled example with E_R 0.1 and Gamma 0.3,
+    which no float holds exactly; neither fractions nor decimal loads.
+    """
+    code = ("import sys\n"
+            "import gamow.smatrix\n"
+            "def overflow(*args):\n"
+            "    raise OverflowError\n"
+            "gamow.smatrix.residue_expansion = overflow\n"
+            "import gamow.cli\n"
+            "status = gamow.cli.main(sys.argv[1:])\n"
+            "print(status, *sorted({'fractions', 'decimal'} & set(sys.modules)))\n")
+    expected = ("input error: the contour pieces, the residue term or their discrepancy leave "
+                "the float range (E_R 0.1, Gamma 0.3); the model's laurent or background, or a "
+                "test function, is too large or too small for floats\n")
+    with tempfile.TemporaryDirectory() as where:
+        with open(EXAMPLE, encoding="utf-8") as handle:
+            model = {**json.load(handle), "E_R": 0.1, "Gamma": 0.3}
+        with open(os.path.join(where, "model.json"), "w", encoding="utf-8") as handle:
+            json.dump(model, handle)
+        done = subprocess.run([sys.executable, "-c", code, "residue", "--config", "model.json"],
+                              capture_output=True, text=True, env=child_env(), cwd=where)
+    if done.stdout == "2\n" and done.stderr == expected:
+        return []
+    return [f"residue past the float range printed {done.stdout!r}, expected '2\\n'; "
+            f"stderr {done.stderr[-300:]!r}, expected {expected!r}"]
+
+
 def one_value_of_each_class():
     pole = ComplexPole(1, 2, 2)
     operator = DyadicOperator(pole, {(0, 1): 1})
@@ -271,6 +302,7 @@ CHECKS = [
     each_command_loads_only_its_pipeline,
     the_readme_example_shows_its_values,
     residue_calls_no_libm_function,
+    the_residue_refusal_loads_no_fractions,
     every_value_class_has_a_value,
     pickles_and_copies_are_equal,
     changes_raise_attribute_error,

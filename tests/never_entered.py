@@ -1,130 +1,108 @@
-"""Print the functions of `src/gamow` that no command run enters, per module.
+"""Print, per module of `src/gamow`, the lines that no probe row runs.
 
-Runs `gamow.cli.main` in-process over a fixed set of command lines: all four
-commands, the three operator kinds, CSV and JSON, the log-form and underflow
-grids of `evolve`, and the bundled residue model, which has a background.
-Every module of the package is imported first, so that what a module runs at
-import counts as entered by no command, whatever order the modules load in.
-Then every Python call is recorded with `sys.setprofile`; each function or
-method defined in the package (nested ones included, lambdas and
-comprehensions not) whose code was never entered is printed with its line
-count, module by module, and a total at the end.  Standard library only, and
-print-only: it always exits 0 once the runs are done.
+Every module of the package is imported first, so that what runs at import
+counts as run by no row, whatever order the modules load in.  Each row of
+tests/cli_probes.py that tier-1 runs and that can run here then goes through
+`gamow.cli.main` in-process, under `sys.settrace`.  A function's executable
+lines are those that `compile()` gives code, its comprehensions' and
+lambdas' too, its `def` line not.  In source order the report names each
+function none of whose lines ran, with its executable line count, and each
+other function's lines that no row ran.  Standard library only; print-only.
 
     PYTHONPATH=src python tests/never_entered.py
 """
 
-import ast
 import contextlib
 import importlib
+import inspect
 import io
-import json
 import os
 import pkgutil
 import sys
 import tempfile
-import threading
-from importlib.resources import files
 
-
-def _argv_sets(workdir):
-    """The command lines, with the config files they read written into `workdir`."""
-    example = str(files("gamow") / "data" / "residue_example.json")
-    configs = {
-        "dyad": {"r": 3, "format": "json",
-                 "operator": {"kind": "dyad", "ket": 1, "bra": 2, "coeff": [0.5, -1.0]}},
-        "coefficients": {"r": 2, "operator": {"kind": "coefficients", "entries": [
-            {"ket": 0, "bra": 1, "coeff": 2.0}, {"ket": 1, "bra": 0, "coeff": [0.0, 1.0]}]}},
-        # t^8 alone overflows where exp(-Gamma t) does not: the log form
-        "log-form": {"Gamma": 7e-38, "r": 5, "operator": {"kind": "dyad", "ket": 4, "bra": 4},
-                     "grid": {"t_end": 1e40, "steps": 3}},
-        # the decay factor underflows to 0 past the first grid point
-        "underflow": {"r": 5, "operator": {"kind": "dyad", "ket": 4, "bra": 4},
-                      "grid": {"t_end": 1e100, "steps": 5}},
-    }
-    paths = {}
-    for name, config in configs.items():
-        paths[name] = os.path.join(workdir, f"{name}.json")
-        with open(paths[name], "w", encoding="utf-8") as handle:
-            json.dump(config, handle)
-    return [
-        ["evolve", "--r", "3", "--n", "2", "--steps", "5"],
-        ["evolve", "--r", "2", "--n", "1", "--steps", "5", "--format", "json"],
-        *(["evolve", "--config", path] for path in paths.values()),
-        ["exp-check", "--r", "4"],
-        ["exp-check", "--j", "3"],
-        ["residue", "--config", example],
-        ["basis", "--r", "4"],
-        ["basis", "--r", "4", "--format", "csv"],
-    ]
+import gamow.cli
+from cli_probes import ROWS, prepare, unmet
 
 
 def _functions(path):
-    """(first line, qualified name, line count) of each function defined in the file at `path`.
-
-    The first line is the code object's: that of the first decorator, if any.
-    """
+    """(first line, qualified name, executable lines) of each function defined in `path`."""
     found = []
 
-    def visit(node, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                name = prefix + child.name
-                found.append((first, name, child.end_lineno - first + 1))
-                visit(child, name + ".<locals>.")
-            elif isinstance(child, ast.ClassDef):
-                visit(child, prefix + child.name + ".")
-            else:
-                visit(child, prefix)
+    def visit(code, prefix, lines):
+        lines.update(line for _, _, line in code.co_lines() if line is not None)
+        for child in code.co_consts:
+            if type(child) is not type(code):
+                continue
+            if child.co_name.startswith("<"):  # a comprehension or a lambda
+                visit(child, prefix, lines)
+            elif child.co_flags & inspect.CO_NEWLOCALS:  # a function
+                own = set()
+                visit(child, f"{prefix}{child.co_name}.<locals>.", own)
+                if len(own) > 1:  # the def line, which no line event of the function reports
+                    own.discard(child.co_firstlineno)
+                found.append((child.co_firstlineno, prefix + child.co_name, sorted(own)))
+            else:  # a class body
+                visit(child, f"{prefix}{child.co_name}.", set())
 
     with open(path, encoding="utf-8") as handle:
-        visit(ast.parse(handle.read()), "")
-    return found
+        visit(compile(handle.read(), path, "exec"), "", set())
+    return sorted(found)
+
+
+def _run(row, trace):
+    """`row`'s exit code from `gamow.cli.main` under `trace`, in a fresh working directory."""
+    # a text layer over bytes, as a console's stdout is, so that `_write_output` writes bytes
+    cwd, stdout = os.getcwd(), io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with (tempfile.TemporaryDirectory() as where, contextlib.redirect_stdout(stdout),
+          contextlib.redirect_stderr(io.StringIO())):
+        prepare(row, where)
+        os.chdir(where)
+        sys.settrace(trace)
+        try:
+            return gamow.cli.main(list(row.argv))
+        except SystemExit as exc:  # help and usage errors
+            return exc.code
+        finally:
+            sys.settrace(None)
+            os.chdir(cwd)
 
 
 def main():
-    import gamow
-
     for module in pkgutil.iter_modules(gamow.__path__):
         importlib.import_module(f"gamow.{module.name}")
-    from gamow import cli
 
-    package = os.path.dirname(os.path.abspath(cli.__file__))
-    entered = set()
+    modules = {module.__file__: name for name, module in sys.modules.items()
+               if name.partition(".")[0] == "gamow"}
+    reached = {path: set() for path in modules}
 
-    def record(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            entered.add((code.co_filename, code.co_firstlineno, code.co_name))
+    def trace(frame, event, arg):  # each line that a frame of the package runs
+        if frame.f_code.co_filename not in reached:
+            return None
+        if event == "line":
+            reached[frame.f_code.co_filename].add(frame.f_lineno)
+        return trace
 
-    with tempfile.TemporaryDirectory() as workdir:
-        argv_sets = _argv_sets(workdir)
-        out = os.path.join(workdir, "out")
-        statuses = []
-        threading.setprofile(record)
-        sys.setprofile(record)
-        try:
-            for argv in argv_sets:
-                with contextlib.redirect_stderr(io.StringIO()):
-                    statuses.append(cli.main([*argv, "--out", out]))
-        finally:
-            sys.setprofile(None)
-            threading.setprofile(None)
-    print(f"{len(argv_sets)} runs of gamow.cli.main, exit statuses {statuses}")
-    total = 0
-    for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        path = os.path.join(package, name)
-        missed = [(first, qualname, count) for first, qualname, count in _functions(path)
-                  if (path, first, qualname.rpartition(".")[2]) not in entered]
-        lines = sum(count for _, _, count in missed)
-        total += lines
-        print(f"gamow.{name[:-3]}: {len(missed)} functions never entered, {lines} lines")
-        for first, qualname, count in missed:
-            print(f"  {qualname} (line {first}, {count} lines)")
-    print(f"total: {total} lines in functions never entered")
+    rows = [row for row in ROWS if row.script_only is None and unmet(row) is None]
+    unexpected = [row.name for row in rows if _run(row, trace) != row.exit]
+    print(f"{len(rows)} probe rows run in-process; exit code not the row's: {unexpected or 'none'}")
+    totals = [0, 0]
+    for path, name in sorted(modules.items(), key=lambda item: item[1]):
+        missed, unrun, report = [], [], []
+        for first, qualname, lines in _functions(path):
+            rest = [number for number in lines if number not in reached[path]]
+            if len(rest) == len(lines):
+                missed.append(len(lines))
+                report.append(f"  {qualname} (line {first}): never entered, {len(lines)} lines")
+            elif rest:
+                unrun.append(len(rest))
+                report.append(f"  {qualname} (line {first}): {len(rest)} of {len(lines)} "
+                              f"lines never run: {', '.join(map(str, rest))}")
+        totals = [totals[0] + sum(missed), totals[1] + sum(unrun)]
+        print(f"{name}: {len(missed)} functions never entered, {sum(missed)} lines; "
+              f"{sum(unrun)} lines never run in {len(unrun)} entered functions", *report, sep="\n")
+    print(f"total: {totals[0]} lines in functions never entered, "
+          f"{totals[1]} lines never run in entered functions")
 
 
 if __name__ == "__main__":

@@ -11,13 +11,22 @@ quadrature error: a small one certifies both pieces, and the product's float
 Run as a script, it prints the reach table of the tests' `higher_order_model`
 (Gamma = 1/2 at r = 8..24, Gamma = 1 at r = 16..40): the product's verdict
 beside the oracle's, one line per model, and exits 1 on any false pass.
+Each line ends with the product check's integrand evaluations, its
+quadrature error and the sha256 of its JSON report as `residue` writes it.
+The product check's wall time goes to stderr, so that stdout compares byte
+for byte between two trees.
 """
 
+import hashlib
 import sys
+import time
 from fractions import Fraction
+from unittest import mock
 
 from mpmath import mp
 
+from gamow import smatrix
+from gamow.cli import _dump_json
 from gamow.smatrix import decomposition_check, residue_core
 
 # the breakpoints E_R +- k*Gamma; the order-r peak has width Gamma/2
@@ -84,12 +93,23 @@ def reach_table(rows):
     # imported here, because test_smatrix imports this module
     from test_smatrix import HIGHER_ORDER_BRA, HIGHER_ORDER_KET, higher_order_model
 
+    factory, evaluations = smatrix._amplitude_integrand, []
+
+    def counting_factory(*args):
+        integrand = factory(*args)
+        return lambda energy: evaluations.append(None) or integrand(energy)
+
     false_passes = 0
     print("Gamma   r  product  converged  product_discrepancy  oracle_discrepancy  "
-          "direct_error  verdict")
+          "direct_error  verdict        evaluations  quadrature_error  report_sha256")
     for width, order in rows:
         model = higher_order_model(order, width)
-        report = decomposition_check(model, HIGHER_ORDER_KET, HIGHER_ORDER_BRA)
+        evaluations.clear()
+        start = time.perf_counter()
+        with mock.patch.object(smatrix, "_amplitude_integrand", counting_factory):
+            report = decomposition_check(model, HIGHER_ORDER_KET, HIGHER_ORDER_BRA)
+        seconds = time.perf_counter() - start
+        digest = hashlib.sha256(_dump_json(report.to_json_dict()).encode()).hexdigest()
         oracle = oracle_check(model, HIGHER_ORDER_KET, HIGHER_ORDER_BRA)
         direct_error = float(abs(report.direct - oracle.direct) / abs(oracle.direct))
         resolved = oracle.discrepancy <= report.tolerance
@@ -102,7 +122,10 @@ def reach_table(rows):
         print(f"{str(width):5} {order:3}  {'pass' if report.passed else 'fail':7}  "
               f"{str(report.converged):9}  "
               f"{report.discrepancy:19.3e}  {float(oracle.discrepancy):18.3e}  "
-              f"{direct_error:12.3e}  {verdict}", flush=True)
+              f"{direct_error:12.3e}  {verdict:13}  {len(evaluations):11}  "
+              f"{report.quadrature_error:16.3e}  {digest}", flush=True)
+        print(f"Gamma {width} r {order}: product check {seconds:.3f} s", file=sys.stderr,
+              flush=True)
     return false_passes
 
 

@@ -24,7 +24,7 @@ def test_the_row_holds(row):
 
 def test_a_row_over_its_memory_limit_reports_the_measured_peak():
     row = next(row for row in ROWS if row.name == "basis-r3")._replace(peak_mb=1)
-    faults, peak = run(row, COMMAND)
+    faults, peak, _ = run(row, COMMAND)
     assert peak > 1
     assert faults == [f"peak RSS {peak:.1f} MB, above the limit of 1 MB"]
 
@@ -33,7 +33,7 @@ def test_a_limited_row_reads_its_own_peak_not_the_runners():
     """A child's peak starts at its parent's RSS, here above 64 MB; basis --r 3 needs 10-16 MB."""
     ballast = b"x" * (64 << 20)
     row = next(row for row in ROWS if row.name == "basis-r3")._replace(peak_mb=60)
-    faults, peak = run(row, COMMAND)
+    faults, peak, _ = run(row, COMMAND)
     assert len(ballast) == 64 << 20  # held until the row has run
     assert faults == [] and peak < 32
 
