@@ -34,7 +34,7 @@ class ComplexPole(Value):
         a, b = _ratio(resonance_energy)
         c, d = _ratio(width)
         if c <= 0:
-            raise ValueError(f"pole width must be positive, got {as_fraction(width)}")
+            raise ValueError(f"pole width must be positive, got {c if d == 1 else f'{c}/{d}'}")
         if not isinstance(order, int) or order < 1:
             raise ValueError(f"pole order must be an integer >= 1, got {order!r}")
         Value.__init__(self, _canonical(2 * a * d, -b * c, 2 * b * d), order)  # a/b - i*c/(2d)

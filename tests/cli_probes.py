@@ -8,7 +8,8 @@ peak RSS (`peak_mb`, read from the rusage that `os.wait4` returns for it).
 Linux starts a child's peak at its parent's RSS, so a row with a peak limit
 is spawned by a helper interpreter that loads only `os` and `sys` (7-9 MB on
 Python 3.10 to 3.13), which reaps it and reports its peak, and the runner's
-own RSS is no floor.  A new refusal is one more row.
+own RSS is no floor.  A new refusal is one more row, and so is a new byte pin:
+a row whose stdout rule is the sha256 of the bytes a command writes.
 
 tests/test_cli_probes.py runs the rows under pytest against this checkout.
 As a script, this file runs them against any command line and prints one
@@ -19,9 +20,8 @@ row's wall time from spawn to reap, the helper's start included:
     python tests/cli_probes.py gamow        # the installed console script
 
 CI runs the script both ways: against the installed console script, and
-against the source tree on the oldest and the newest supported Python, with
-neither numpy nor scipy installed, so every row's bytes and limits hold on
-each of them.
+against the source tree on Python 3.10, 3.12 and 3.13, with neither numpy
+nor scipy installed, so every row's bytes and limits hold on each of them.
 
 It exits 1 when a row does not hold.  A row that needs a non-root user or
 /dev/full is skipped where that does not hold; every other row runs.  The
@@ -92,6 +92,13 @@ def _evolve(name, config):
     return Row(name, ("evolve", "--config", INPUT), 0, stdout=FINITE, document=config)
 
 
+def _curves(name, as_csv, as_json, config):
+    """evolve on the document `config` as CSV and as JSON, with the stdout sha256 of each."""
+    return [Row(f"evolve-{name}-{fmt}", ("evolve", "--config", INPUT, "--format", fmt), 0,
+                stdout=digest, document=config)
+            for fmt, digest in (("csv", as_csv), ("json", as_json))]
+
+
 _BEYOND = ("input error: leg [0, {}]: ier 3, non-finite integrand: the model's E_R, Gamma, "
            "laurent or background, or a test function, is beyond the float range there")
 _APART = ("input error: pole window E_R +- Gamma/2 has points that floats cannot tell apart "
@@ -101,25 +108,118 @@ _EMPTY = "cannot open : No such file or directory"
 _SLOW = "slow: the four large outputs take about 9 s"
 _REACH = "a stated size whose wall time the script reports"
 _UNWRITABLE = "TestUnreadablePaths pins the line in-process, and that the handler never runs"
+_RUNNER = "test_the_runner_never_holds_a_child_output runs it"
+# the stdout of exp-check --r 3 and of residue on the bundled example, each under two spellings
+_R3 = "151e532e4c65b7e9cfa08ea290e48e92d3dad364c993d4e290359a1983638618"
+_EXAMPLE_REPORT = "6781e9855b534d03460ff43b2e4fd33aa1a51916b63992a413fff6ebdac31896"
 # the least argv each subcommand runs with
 REQUIRED_ARGS = {"evolve": (), "exp-check": ("--r", "2"), "residue": ("--config", EXAMPLE),
                  "basis": ("--r", "3")}
 
 ROWS = [
-    # each subcommand reproduces its claim; evolve's floats come from libm, so it has no digest
-    Row("exp-check-r3", ("exp-check", "--r", "3"), 0,
-        stdout="151e532e4c65b7e9cfa08ea290e48e92d3dad364c993d4e290359a1983638618"),
-    Row("residue-example", ("residue", "--config", EXAMPLE), 0,
-        stdout="6781e9855b534d03460ff43b2e4fd33aa1a51916b63992a413fff6ebdac31896"),
+    # each claim's bytes: the pure-exponential characterization at order r and at bound j
+    *(Row(f"exp-check-{flag}{n}", ("exp-check", f"--{flag}", str(n)), 0, stdout=digest)
+      for flag, n, digest in (
+          ("r", 1, "f5f1fe5ce183359bf294648eb39bd7fa9898542b41f87ae0c869887ab81180b3"),
+          ("r", 2, "7c10d38d945c70859547747b826ccbc610ec55525226d60e5c0d5bff0342fe4f"),
+          ("r", 3, _R3),
+          ("r", 4, "f841865dba60f8d706301ebea211c0f089e727a1fdd2b399b6dd8da22fe3a266"),
+          ("r", 5, "71f5b58430d91e74827a1c36ea06e79f3da99250426a9fda93809aa749e9e40d"),
+          ("r", 12, "7bf851426e0046fcda9a5114a027c62b4d86af45771a5ebf8688d4e77b550aeb"),
+          ("j", 0, "58b88f32c37c0e83e3728df6fcc9cb8067d6a37c333d2fa755adf16acdcb1c11"),
+          ("j", 1, "ef6e57ce2937db26e242bd3f92625feb409b00311fa6ae5743f077207cdf7460"),
+          ("j", 2, "654f72cbaed05efe265d93a4d24219abff45ff3298db0b043ea6ddfaa327a2b9"),
+          ("j", 3, "666e33cdc5174a4e40883964163dee2e407401520cb26b9904251c580048ebd1"),
+          ("j", 4, "41e377fba74e57a34d2354e5f1310618d9f841b848d52e1f65db5eae669578fd"),
+          ("j", 5, "9f8d8bc8171401f2dc1510b3716fa4be1d5d508c9ed51588f30165151111b6af"),
+          ("j", 6, "4e19c30f42841094f4635a4f9336d847ca38adcb45537c82328f00db6e250623"),
+          ("j", 7, "c103b2f656b2862bf91dfb63bdab2d3553814c2fa6ed82aba8a6b0e0d411a968"),
+          ("j", 8, "4c072b98ddc8ff189331140c949217b4adcd142a3eb3012f2cc23b5a16488261"),
+          ("j", 20, "27c66deee7e4368ec88033acf4df01b2358b16c7277a255cb9dd35cc1395c863"),
+      )),
+    # 6.3 MB of output, which the runner test digests with its own memory traced
+    Row("exp-check-r16", ("exp-check", "--r", "16"), 0, script_only=_RUNNER,
+        stdout="d9a5c225868254a07ab6ea28e5b72b9ab5cd461625c1b0e979e2f19e40fd3ac5"),
+    # the operator basis; JSON is the default format
     Row("basis-r3", ("basis", "--r", "3"), 0,
         stdout="0dbd72d3d66fb5a805a8f44640ea8057b6d822f2937c063d08cd723521c5d14c"),
-    Row("exp-check-r5", ("exp-check", "--r", "5"), 0,
-        stdout="71f5b58430d91e74827a1c36ea06e79f3da99250426a9fda93809aa749e9e40d"),
-    Row("basis-r6-csv", ("basis", "--r", "6", "--format", "csv"), 0,
-        stdout="f205b9d853f98dfe84a6b1b3acd10db31aba305cf5586485db5ff82c110ca4ff"),
+    *(Row(f"basis-r{n}-{fmt}", ("basis", "--r", str(n), "--format", fmt), 0, stdout=digest)
+      for n, fmt, digest in (
+          (2, "json", "5020f162c045e91cd28c63237ac266fb566bb9c374ccf4c811edfe07ab3892f6"),
+          (2, "csv", "4ba7f52fd6f13bbae3af400d5bf3be3b872c68067dedcbbab10bdd198351e526"),
+          (3, "csv", "9f273a30ba6ad46ea70b7cd5c91fc4e17d9387a96fa6c79f62afe2ce1120c0c0"),
+          (4, "json", "f07cdab8a9466cf47297480ce3421cb3328189e24d956e4a1a76b6a99a3aeeb9"),
+          (4, "csv", "874fb316598639226161395e203a1d182afc841a5adc855bcf477cd268aa3c31"),
+          (5, "json", "9dc2be566944b4300480e52f954fdb8539b5418dc8c52f91e7b865c2c3fe2500"),
+          (5, "csv", "046b501083711bdbaee065e67598f6892cdf5239f29de593d62c839aae10f4e6"),
+          (6, "json", "edc241047e0966e82bdec0d0ebf193117978c0bb90649f16025cdceb6ed4e742"),
+          (6, "csv", "f205b9d853f98dfe84a6b1b3acd10db31aba305cf5586485db5ff82c110ca4ff"),
+          (12, "json", "0bcddef5553cf8ca753dc8cfa13b3f151d303f95d68556a9ce0d52b57699fbbd"),
+          (12, "csv", "aea54a08476c6e9f369b23994a550aa264dccdf8754222c3d771366685fdca8c"),
+      )),
+    # the decay curve of each operator kind; these digests rest on glibc's exp, which gives the
+    # decay factor's last bits
+    *_curves("binomial-r2-n1",
+             "2626c1e739015081a313ae5cc2d926bcfa6233c24fb0a395171fa8421cf9f730",
+             "8d93659db3f1e8414e5ed158a26f18ff0bc1bfd166205f12d541730ad498fa71",
+             {"E_R": 2.0, "Gamma": 1.0, "r": 2, "operator": {"kind": "binomial", "n": 1},
+              "grid": {"t_end": 5.0, "steps": 11}}),
+    *_curves("binomial-r4-n3-bare",
+             "b23c2f4fcb03fef6112d499b206b1437e7021d5eb24cbfde3d6e0c6acacc28e7",
+             "638939f31cff2c92f6c51bab5a56ff84da076a5dc18bc670b4b58bb2a9dd9e3a",
+             {"E_R": 0.5, "Gamma": 0.75, "r": 4,
+              "operator": {"kind": "binomial", "n": 3, "include_prefactor": False},
+              "grid": {"t_end": 3.0, "steps": 7}}),
+    *_curves("dyad-r3",
+             "515e0b76a7695e0e18075a806e8fafc4dc70817c040b3684e0fcc73d2d0cefe2",
+             "e7254d4d486ea9a078c6aff26994a9ffe2c4c2fddc7965b7b5d055570843084d",
+             {"E_R": 0.0, "Gamma": 2.0, "r": 3,
+              "operator": {"kind": "dyad", "ket": 2, "bra": 1, "coeff": [0.5, -1.5]},
+              "grid": {"t_end": 2.0, "steps": 11}}),
+    *_curves("dyad-r4-top",
+             "5d1e0a2fd2ba165955f6440ed4313f73b8055455bcd0489cbca70d1f4f2d8017",
+             "e1f5974ae3ab84f61f9bc061f401c289bb7daddda3c9ad462827fd72bf04af19",
+             {"E_R": 1.0, "Gamma": 0.5, "r": 4, "operator": {"kind": "dyad", "ket": 3, "bra": 3},
+              "grid": {"t_end": 40.0, "steps": 9}}),
+    *_curves("coefficients-r4",
+             "e11a11cbaae40fb0d1990925aa6257f0bcd2315fce25efdb765606ab37de021a",
+             "b75da6c36bdf9e064320df3cf01879246800e834e3b139a73f018a6bb1eadcaf",
+             {"E_R": -1.0, "Gamma": 1.5, "r": 4, "operator": {"kind": "coefficients", "entries": [
+                 {"ket": 0, "bra": 3, "coeff": 1}, {"ket": 1, "bra": 2, "coeff": [0, 3]},
+                 {"ket": 2, "bra": 1, "coeff": -0.25}, {"ket": 3, "bra": 0, "coeff": [2, -1]},
+                 {"ket": 1, "bra": 1, "coeff": 0.1}]},
+              "grid": {"t_end": 4.0, "steps": 11}}),
+    # the contour cross-check on the bundled example, and on bench-shaped models: a slot's pole
+    # and denominator roots with dyadic coefficients, in the three shapes whose quadrature and
+    # exact residue cost the most
+    Row("residue-example", ("residue", "--config", EXAMPLE), 0, stdout=_EXAMPLE_REPORT),
+    *(Row(f"residue-{name}", ("residue", "--config", INPUT), 0, stdout=digest, document=model)
+      for name, digest, model in (
+          ("order1-background", "f637130e1fbfe097232d734399ac3e8850434a889d05f81ec6f56dee6ef29d8b",
+           {"E_R": 2.0, "Gamma": 1.5, "r": 1, "laurent": [[0.5, -1.0]],
+            "background": {"num": [[0.75, -1.75]], "den": [[1.0, -0.75], [1.0, 0.0]]},
+            "test_functions": [
+                {"role": "ket", "num": [[1.0, -1.75]],
+                 "den": [[-4.125, 1.875], [-0.5, -2.25], [1.0, 0.0]]},
+                {"role": "bra", "num": [[-1.5, -1.25]], "den": [[2.0, -0.5], [1.0, 0.0]]}]}),
+          ("order4", "9e87b00cea919c53c84fb530cf67a0f2f5be6f8f18aca1620d67223c44469ebf",
+           {"E_R": 1.5, "Gamma": 1.25, "r": 4,
+            "laurent": [[0.5, -1.0], [1.0, -1.75], [-1.5, -1.25], [0.75, -1.75]],
+            "test_functions": [
+                {"role": "ket", "num": [[2.0, -0.5]],
+                 "den": [[-0.75, 1.0], [-2.0, -2.0], [1.0, 0.0]]},
+                {"role": "bra", "num": [[-1.75, -1.5]], "den": [[1.0, -0.5], [1.0, 0.0]]}]}),
+          ("order6", "f05dc530b7f2851fc9fdc62ce110983d83828f24408060b6589061dd08776967",
+           {"E_R": 0.75, "Gamma": 0.5, "r": 6,
+            "laurent": [[0.5, -1.0], [1.0, -1.75], [-1.5, -1.25], [0.75, -1.75], [2.0, -0.5],
+                        [-1.75, -1.5]],
+            "test_functions": [
+                {"role": "ket", "num": [[1.25, 1.25]],
+                 "den": [[-0.75, 1.5], [-2.0, -1.75], [1.0, 0.0]]},
+                {"role": "bra", "num": [[-1.5, -0.25]], "den": [[2.5, -2.0], [1.0, 0.0]]}]}),
+      )),
+    # evolve's other routes and operator forms, with finite output
     Row("evolve-r2-n1", ("evolve", "--r", "2", "--n", "1"), 0, stdout=FINITE),
-    Row("exp-check-j3", ("exp-check", "--j", "3"), 0,
-        stdout="666e33cdc5174a4e40883964163dee2e407401520cb26b9904251c580048ebd1"),
     Row("evolve-r2-n1-json", ("evolve", "--r", "2", "--n", "1", "--steps", "5", "--format",
                               "json"), 0, stdout=FINITE),
     # the two other operator kinds; a complex coeff is [re, im]
@@ -134,10 +234,8 @@ ROWS = [
     _evolve("evolve-underflow", {"r": 5, "grid": {"t_end": 1e100, "steps": 5},
                                  "operator": {"kind": "dyad", "ket": 4, "bra": 4}}),
     # spellings that only argparse reads: the same bytes, help, or a usage error
-    Row("exp-check-r-equals-3", ("exp-check", "--r=3"), 0,
-        stdout="151e532e4c65b7e9cfa08ea290e48e92d3dad364c993d4e290359a1983638618"),
-    Row("residue-conf-abbreviated", ("residue", "--conf", EXAMPLE), 0,
-        stdout="6781e9855b534d03460ff43b2e4fd33aa1a51916b63992a413fff6ebdac31896"),
+    Row("exp-check-r-equals-3", ("exp-check", "--r=3"), 0, stdout=_R3),
+    Row("residue-conf-abbreviated", ("residue", "--conf", EXAMPLE), 0, stdout=_EXAMPLE_REPORT),
     Row("basis-help", ("basis", "-h"), 0, stdout=Contains("usage: gamow basis")),
     Row("evolve-energy-minus-1e3", ("evolve", "--r", "2", "--n", "1", "--energy", "-1e3"), 2,
         Contains("gamow evolve: error: argument --energy: expected one argument")),
@@ -227,6 +325,12 @@ ROWS = [
     # seconds, so a one-second limit shows it was refused first
     Row("exp-check-r2-j100", ("exp-check", "--r", "2", "--j", "100"), 2,
         "input error: a pole of order 2 restricts the system of bound 2, not 100", seconds=1),
+    # a width that is not positive, written as its integer ratio
+    Row("evolve-gamma-0", ("evolve", "--gamma", "0"), 2,
+        "input error: pole width must be positive, got 0"),
+    # a --config that is not JSON, named with where the parser stopped
+    Row("residue-config-dev-null", ("residue", "--config", "/dev/null"), 2,
+        "invalid JSON in /dev/null: line 1, column 1: Expecting value"),
     # a --config that cannot be read, or an --out that cannot be opened, named with the reason
     Row("residue-config-dir", ("residue", "--config", "."), 2, "cannot open .: Is a directory"),
     Row("residue-config-missing", ("residue", "--config", "missing.json"), 2,
@@ -258,6 +362,7 @@ ROWS = [
         "cannot write stdout: No space left on device", needs="/dev/full", stdout_to="/dev/full",
         script_only="TestFailedWrites pins the line, as a subprocess"),
 ]
+BY_NAME = {row.name: row for row in ROWS}
 
 
 def unmet(row):

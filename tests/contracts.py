@@ -1,11 +1,11 @@
 """The package's Python contracts as one list of checks, and the runner for them.
 
 A check is a function that returns what it found broken, [] when its
-contract holds: what `import gamow`, `import gamow.cli`, each command and
-residue's float-range refusal load, how one value of each value class
-pickles, copies and refuses changes, what README's example prints, and that
-`residue` calls no C math library function.  A check marked with `over`
-takes one case, a command line or a value, and runs once per case.
+contract holds: what `import gamow`, `import gamow.cli`, probe rows of each
+command and residue's float-range refusal load, how one value of each value
+class pickles, copies and refuses changes, what README's example prints, and
+that `residue` calls no C math library function.  A check marked with `over`
+takes one case, a probe row's name or a value, and runs once per case.
 
 tests/test_contracts.py runs each run of each check as one test.  As a
 script, this file runs them on the Python that runs it, with the standard
@@ -13,8 +13,8 @@ library only, and prints one line per check:
 
     PYTHONPATH=src python tests/contracts.py
 
-CI runs it on the oldest and the newest supported Python, with neither
-numpy nor scipy installed.  It exits 1 when a check does not hold.  The
+CI runs it on Python 3.10, 3.12 and 3.13, with neither numpy nor scipy
+installed.  It exits 1 when a check does not hold.  The
 import checks run in fresh interpreters, since one process accumulates
 modules; they import the gamow this file imported.
 """
@@ -30,7 +30,7 @@ import subprocess
 import sys
 import tempfile
 
-from cli_probes import EXAMPLE, ROWS, child_env
+from cli_probes import BY_NAME, EXAMPLE, child_env, prepare
 
 from gamow.exact import Polynomial, RationalFunction, Value, _rebuild
 from gamow.jordan import ComplexPole, GamowChainVector, build_jordan_block
@@ -44,15 +44,12 @@ from gamow.operators import (
 from gamow.smatrix import DecompositionReport, IntegralResult, SMatrixModel, TestFunction
 
 PIPELINES = ("gamow.operators", "gamow.smatrix")
-# an argv and whether only argparse reads it: `--r=3` loads argparse, which shows that the
-# check sees it load; the others are the bench's argv shapes
-COMMAND_LINES = [
-    (("exp-check", "--r", "3"), False), (("exp-check", "--j", "5"), False),
-    (("basis", "--r", "4"), False), (("basis", "--format", "csv", "--r", "3"), False),
-    (("residue", "--config", EXAMPLE), False), (("evolve", "--r", "2", "--n", "1"), False),
-    (("evolve", "--config", "config.json"), False), (("exp-check", "--r=3"), True),
-]
-EVOLVE_CONFIG = {"r": 2, "operator": {"kind": "dyad", "ket": 1, "bra": 0}}  # as config.json
+# probe rows: each subcommand by its flags or its --config, in the bench's argv shapes, a
+# refusal, and a spelling that only argparse reads
+LOADING_ROWS = ["exp-check-r3", "exp-check-j3", "basis-r3", "basis-r3-csv", "residue-example",
+                "evolve-r2-n1", "evolve-dyad-r3-csv", "evolve-gamma-0", "exp-check-r-equals-3"]
+# the rows that only argparse reads: `--r=3` loads argparse, which shows that the check sees it
+BY_ARGPARSE = {"exp-check-r-equals-3"}
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 
 
@@ -104,28 +101,28 @@ def the_imports_load_nothing_early():
     return _prints("import gamow, then gamow.cli", ["-c", code], "True gamow\n\n")
 
 
-@over(COMMAND_LINES, lambda line: " ".join(os.path.basename(arg) for arg in line[0]))
-def each_command_loads_only_its_pipeline(line):
-    """The argv exits 0 in its own fresh interpreter, with numpy and scipy unimportable.
+@over(LOADING_ROWS, lambda name: name)
+def each_command_loads_only_its_pipeline(name):
+    """The row's argv, with an --out, exits with the row's exit code in its own fresh interpreter.
 
-    It loads its own pipeline module, and argparse (with its gettext) only
-    where argparse reads the argv, and never fractions, decimal or numbers.
+    numpy and scipy are unimportable there.  It loads its own pipeline
+    module, and argparse (with its gettext) only where argparse reads the
+    argv, and never fractions, decimal or numbers.
     """
-    argv, by_argparse = line
+    row = BY_NAME[name]
     watched = {"argparse", "gettext", "fractions", "decimal", "numbers", *PIPELINES}
     code = ("import sys\n"
             "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
             "import gamow.cli\n"
             "status = gamow.cli.main(sys.argv[1:])\n"
             f"print(status, *sorted({watched!r} & set(sys.modules)))\n")
-    loaded = ["gamow.smatrix" if argv[0] == "residue" else "gamow.operators"]
-    if by_argparse:
+    loaded = ["gamow.smatrix" if row.argv[0] == "residue" else "gamow.operators"]
+    if name in BY_ARGPARSE:
         loaded += ["argparse", "gettext"]
     with tempfile.TemporaryDirectory() as where:
-        with open(os.path.join(where, "config.json"), "w", encoding="utf-8") as handle:
-            json.dump(EVOLVE_CONFIG, handle)
-        return _prints(" ".join(argv), ["-c", code, *argv, "--out", "out"],
-                       f"0 {' '.join(sorted(loaded))}\n", cwd=where)
+        prepare(row, where)
+        return _prints(name, ["-c", code, *row.argv, "--out", "out"],
+                       f"{row.exit} {' '.join(sorted(loaded))}\n", cwd=where)
 
 
 def residue_calls_no_libm_function():
@@ -145,7 +142,7 @@ def residue_calls_no_libm_function():
     done = subprocess.run([sys.executable, "-c", code, "residue", "--config", EXAMPLE],
                           capture_output=True, env=child_env())
     digest = hashlib.sha256(done.stdout).hexdigest()
-    expected = next(row.stdout for row in ROWS if row.name == "residue-example")
+    expected = BY_NAME["residue-example"].stdout
     if done.returncode == 0 and digest == expected:
         return []
     return [f"residue with libm refused: exit {done.returncode}, stdout sha256 {digest}, expected "

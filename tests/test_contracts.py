@@ -1,7 +1,7 @@
 """Each run of each check of contracts.py under pytest, and a class that the coverage check must name.
 
-That the import-closure check sees argparse load is shown by its own `--r=3`
-argv, which only argparse reads.
+That the import-closure check sees argparse load is shown by its probe row
+exp-check-r-equals-3, whose `--r=3` only argparse reads.
 """
 
 import gc

@@ -105,9 +105,13 @@ class TestComplexPole:
         assert pole.position == cr(3, -1)
         assert pole.position.imag < 0
 
-    @pytest.mark.parametrize("width", [0, -1, Fraction(-1, 2)])
-    def test_nonpositive_width_rejected(self, width):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("width, shown", [
+        (0, "0"), (-0.0, "0"), (-1, "-1"), (Fraction(-1, 2), "-1/2"), (-0.5, "-1/2"),
+        ("-3/4", "-3/4"), (-1e-300, f"-6032057205060441/{2 ** 1049}"),
+    ])
+    def test_nonpositive_width_rejected(self, width, shown):
+        """The width in lowest terms, as the Fraction of its exact value prints it."""
+        with pytest.raises(ValueError, match=f"^pole width must be positive, got {shown}$"):
             ComplexPole(1, width, 2)
 
     @pytest.mark.parametrize("order", [0, -3, 1.5])
